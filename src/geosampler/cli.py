@@ -20,7 +20,6 @@ from .data import (
     CostError,
     CostModel,
     DatasetError,
-    expected_counts,
     load_dataset,
     load_sample_state,
     save_cost_model,
@@ -43,16 +42,20 @@ from .experiments import (
 from .groups import GroupError, admin_groups, auxiliary_kmeans_groups, feature_kmeans_groups, save_group_model
 from .learner import LearnerError, fit_on_sample, save_model
 from .optimizer import (
+    STEP_RULES,
     InfeasibleError,
     OptimizerError,
     SolveOptions,
-    remaining_budget,
-    round_inclusion,
     save_solve_result,
-    solve_relaxation,
 )
-from .samplers import SamplerConfig, SamplingError, draw_initial_sample, optimized_augment
+from .samplers import SamplerConfig, SamplingError, draw_initial_sample, solve_and_augment
 from .synth import SynthConfig, SynthError, generate, save_truth
+
+# cmd_optimize reaches these through solve_and_augment; they stay bound here
+# because perfbench/tracer.py times calls per calling module and rebinds them
+from .data import expected_counts  # noqa: F401
+from .optimizer import round_inclusion, solve_relaxation  # noqa: F401
+from .samplers import optimized_augment  # noqa: F401
 
 CONFIG_ERRORS = (
     ConfigError,
@@ -114,8 +117,7 @@ def _add_cost_flags(p: argparse.ArgumentParser) -> None:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--gap-tol", type=float, default=1e-6)
-    p.add_argument("--step-rule", choices=["diminishing", "line-search"],
-                   default="diminishing")
+    p.add_argument("--step-rule", choices=STEP_RULES, default="diminishing")
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
@@ -297,18 +299,13 @@ def cmd_optimize(args) -> int:
     if not utilities:
         raise ConfigError(f"unknown utility {method!r}")
     spec = build_utility_spec(ds, utilities[0])
-    counts = expected_counts(ds, spec.groups, state.k)
     opts = SolveOptions(max_iters=args.max_iters, gap_tol=args.gap_tol,
                         step_rule=args.step_rule)
-    result = solve_relaxation(ds, counts, cm, spec, state, opts)
-    rem = remaining_budget(ds, cm, state)
-    selected = round_inclusion(ds, result.inclusion, cm, rem,
-                               np.random.default_rng([args.seed, 1]))
-    out = Path(args.out_dir)
-    save_solve_result(ds, result, out, selected=selected)
-    augmented = optimized_augment(
+    augmented, result, selected = solve_and_augment(
         ds, state, cm, args.budget, spec, opts, np.random.default_rng([args.seed, 1])
     )
+    out = Path(args.out_dir)
+    save_solve_result(ds, result, out, selected=selected)
     save_sample_state(augmented, out / "sample.json")
     print(f"solved in {result.iterations} iterations, gap {result.gap:.3g}, "
           f"utility {result.utility:.6g}; rounded to {len(selected)} clusters")

@@ -16,6 +16,7 @@ import json
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -188,29 +189,42 @@ def load_population(cfg: ExperimentConfig) -> Dataset:
     return ds
 
 
+def _prepare(
+    cfg: ExperimentConfig, out_dir: str | Path
+) -> tuple[Path, Dataset, tuple[str, str]]:
+    """Create the output directory and load the population; returns it with
+    the provenance hashes (config hash, dataset hash)."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    ds = load_population(cfg)
+    return out, ds, (config_hash(cfg), dataset_content_hash(ds))
+
+
 def _fmt(x) -> str:
+    if isinstance(x, bool):
+        return str(int(x))
     if isinstance(x, float):
         return repr(x)
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(
+    path: Path, header: list[str], rows: list[list], hashes: tuple[str, str]
+) -> None:
+    """Write a table whose every row ends with the provenance hashes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
+        w.writerow(header + ["config_hash", "dataset_hash"])
         for row in rows:
-            w.writerow([_fmt(v) for v in row])
+            w.writerow([_fmt(v) for v in row] + list(hashes))
 
 
-def _write_meta(out: Path, cfg: ExperimentConfig, ds: Dataset, extra: dict | None = None) -> None:
-    doc = {
-        "config": config_to_dict(cfg),
-        "config_hash": config_hash(cfg),
-        "dataset_hash": dataset_content_hash(ds),
-    }
-    if extra:
-        doc.update(extra)
+def _write_meta(
+    out: Path, cfg: ExperimentConfig, hashes: tuple[str, str], extra: dict | None = None
+) -> None:
+    doc = {"config": config_to_dict(cfg), "config_hash": hashes[0],
+           "dataset_hash": hashes[1], **(extra or {})}
     (out / "meta.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -233,8 +247,8 @@ def build_utility_spec(ds: Dataset, ucfg: UtilityConfig) -> UtilitySpec:
     )
 
 
-def _methods(cfg: ExperimentConfig) -> list[str]:
-    return list(cfg.baselines) + [u.method_name() for u in cfg.utilities]
+def _methods(cfg: ExperimentConfig) -> tuple[str, ...]:
+    return tuple(cfg.baselines) + tuple(u.method_name() for u in cfg.utilities)
 
 
 def _apply_method(
@@ -264,81 +278,115 @@ def _aggregate(values: list[float]) -> tuple[float, float, float]:
     return mean, std, float(stderr)
 
 
-PROVENANCE = ["seed", "config_hash", "dataset_hash"]
+@dataclass(frozen=True)
+class _Study:
+    """An augmentation study: for every seed, a grid of (level, arm) cells.
+
+    ``initial(seed, li, level)`` gives the sampler config and rng key of the
+    initial sample a level augments; ``cell(seed, li, level, ai)`` gives the
+    cost model, budget and rng key of one arm at that level.
+    """
+
+    level: str                      # record key of the swept level
+    levels: tuple
+    arm: str                        # record key of the arm
+    arms: tuple[str, ...]
+    utilities: dict[str, UtilityConfig]     # arm -> utility, optimized arms only
+    initial: Callable[[int, int, Any], tuple[SamplerConfig, tuple[int, ...]]]
+    cell: Callable[[int, int, Any, int], tuple[CostModel, float, tuple[int, ...]]]
+    runs_csv: str
+    run_cols: tuple[str, ...]       # per-run columns between delta_r2 and infeasible
+    table_csv: str
+    stat: str                       # the record key a table cell summarizes
+    extra_means: tuple[str, ...] = ()
 
 
-def run_augmentation(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
-    """One row per (budget, method, seed): augment the seed's initial sample
-    and score the result; aggregate to a budget x method table."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ds = load_population(cfg)
-    chash, dhash = config_hash(cfg), dataset_content_hash(ds)
-    specs = {u.method_name(): build_utility_spec(ds, u) for u in cfg.utilities}
-    methods = _methods(cfg)
+def _run_grid(cfg: ExperimentConfig, out_dir: str | Path, study: _Study) -> list[dict]:
+    """Score every (seed, level, arm) cell and write the study's tables. Each
+    distinct initial sample of a seed is drawn and scored once; each arm
+    augments it under its own cost model, budget and rng stream."""
+    out, ds, hashes = _prepare(cfg, out_dir)
+    specs = {arm: build_utility_spec(ds, u) for arm, u in study.utilities.items()}
     opts = cfg.solve_options()
-
     records = []
     for seed in cfg.seeds:
-        state0 = draw_initial_sample(
-            ds, cfg.sampler_config(), np.random.default_rng([seed, 0])
-        )
-        r0 = evaluate_sample(ds, state0, seed=seed)
-        for bi, budget in enumerate(cfg.budgets):
-            for mi, method in enumerate(methods):
-                rng = np.random.default_rng([seed, 1 + bi, mi])
-                state = _apply_method(ds, state0, cfg.cost_model(), budget, method, specs, opts, rng)
+        initials: dict[tuple[int, ...], tuple[SampleState, float]] = {}
+        for li, level in enumerate(study.levels):
+            scfg, key = study.initial(seed, li, level)
+            if key not in initials:
+                state0 = draw_initial_sample(ds, scfg, np.random.default_rng(key))
+                initials[key] = state0, evaluate_sample(ds, state0, seed=seed)
+            state0, r0 = initials[key]
+            for ai, arm in enumerate(study.arms):
+                cm, budget, key = study.cell(seed, li, level, ai)
+                cm = cm.with_initial_strata(state0.initial_strata)
+                rng = np.random.default_rng(key)
+                state = _apply_method(ds, state0, cm, budget, arm, specs, opts, rng)
                 r2 = evaluate_sample(ds, state, seed=seed)
                 records.append(
                     {
-                        "budget": budget,
-                        "method": method,
+                        study.level: level,
+                        study.arm: arm,
                         "seed": seed,
                         "r2": r2,
                         "initial_r2": r0,
                         "delta_r2": r2 - r0,
+                        "budget": budget,
                         "spent": state.spent,
+                        "total_cost": set_cost(cm, ds, state0.initial_cluster_ids)
+                        + state.spent,
                         "clusters_added": len(state.augment_cluster_ids),
                         "points_added": state.n_labeled - state0.n_labeled,
                         "infeasible": state.infeasible,
                     }
                 )
-
-    header = [
-        "budget", "method", "seed", "r2", "initial_r2", "delta_r2",
-        "spent", "clusters_added", "points_added", "infeasible",
-        "config_hash", "dataset_hash",
-    ]
-    rows = [
-        [rec["budget"], rec["method"], rec["seed"], rec["r2"], rec["initial_r2"],
-         rec["delta_r2"], rec["spent"], rec["clusters_added"], rec["points_added"],
-         int(rec["infeasible"]), chash, dhash]
-        for rec in records
-    ]
-    _write_csv(out / "runs.csv", header, rows)
-
-    agg_rows = []
-    for budget in cfg.budgets:
-        for method in methods:
-            cell = [r for r in records if r["budget"] == budget and r["method"] == method]
-            n_inf = sum(r["infeasible"] for r in cell)
-            if n_inf:
-                agg_rows.append(
-                    [budget, method, "", "", "", len(cell), "infeasible", chash, dhash]
-                )
-            else:
-                mean, std, stderr = _aggregate([r["r2"] for r in cell])
-                agg_rows.append(
-                    [budget, method, mean, std, stderr, len(cell), "ok", chash, dhash]
-                )
-    _write_csv(
-        out / "table.csv",
-        ["budget", "method", "mean_r2", "std_r2", "stderr_r2", "n_seeds", "status",
-         "config_hash", "dataset_hash"],
-        agg_rows,
-    )
-    _write_meta(out, cfg, ds)
+    _write_grid(out, cfg, study, records, hashes)
     return records
+
+
+def _write_grid(
+    out: Path, cfg: ExperimentConfig, study: _Study, records: list[dict],
+    hashes: tuple[str, str],
+) -> None:
+    """Write the per-run CSV, the level x arm table and meta.json. A cell with
+    any infeasible run gets blank statistics and status ``infeasible``."""
+    cols = [study.level, study.arm, "seed", "r2", "initial_r2", "delta_r2",
+            *study.run_cols, "infeasible"]
+    _write_csv(out / study.runs_csv, cols, [[r[c] for c in cols] for r in records], hashes)
+    rows = []
+    for level in study.levels:
+        for arm in study.arms:
+            cell = [r for r in records if r[study.level] == level and r[study.arm] == arm]
+            if any(r["infeasible"] for r in cell):
+                stats, status = [""] * (3 + len(study.extra_means)), "infeasible"
+            else:
+                stats = list(_aggregate([r[study.stat] for r in cell])) + [
+                    _aggregate([r[k] for r in cell])[0] for k in study.extra_means
+                ]
+                status = "ok"
+            rows.append([level, arm, *stats, len(cell), status])
+    stat = study.stat
+    _write_csv(
+        out / study.table_csv,
+        [study.level, study.arm, f"mean_{stat}", f"std_{stat}", f"stderr_{stat}",
+         *(f"mean_{k}" for k in study.extra_means), "n_seeds", "status"],
+        rows,
+        hashes,
+    )
+    _write_meta(out, cfg, hashes)
+
+
+def run_augmentation(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
+    """One row per (budget, method, seed): augment the seed's initial sample
+    and score the result; aggregate to a budget x method table."""
+    return _run_grid(cfg, out_dir, _Study(
+        level="budget", levels=cfg.budgets, arm="method", arms=_methods(cfg),
+        utilities={u.method_name(): u for u in cfg.utilities},
+        initial=lambda seed, bi, budget: (cfg.sampler_config(), (seed, 0)),
+        cell=lambda seed, bi, budget, mi: (cfg.cost_model(), budget, (seed, 1 + bi, mi)),
+        runs_csv="runs.csv", run_cols=("spent", "clusters_added", "points_added"),
+        table_csv="table.csv", stat="r2",
+    ))
 
 
 def _auto_anchors(ds: Dataset, n_anchors: int) -> tuple[tuple[float, float], ...]:
@@ -359,10 +407,7 @@ def run_rank_study(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     """Samples of growing size under cluster / convenience / random sampling,
     scored by the prediction head and by each utility; Spearman rho per
     sampling type plus overall."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ds = load_population(cfg)
-    chash, dhash = config_hash(cfg), dataset_content_hash(ds)
+    out, ds, hashes = _prepare(cfg, out_dir)
     specs = {u.method_name(): build_utility_spec(ds, u) for u in cfg.utilities}
     size_spec = UtilitySpec(kind="size")
     anchors = cfg.convenience_anchors or _auto_anchors(ds, cfg.n_anchors)
@@ -411,14 +456,8 @@ def run_rank_study(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
                 records.append(rec)
 
     u_cols = ["u_size"] + [f"u_{name}" for name in specs]
-    header = ["sampling_type", "size", "seed", "r2"] + u_cols + ["config_hash", "dataset_hash"]
-    rows = [
-        [r["sampling_type"], r["size"], r["seed"], r["r2"]]
-        + [r[c] for c in u_cols]
-        + [chash, dhash]
-        for r in records
-    ]
-    _write_csv(out / "samples.csv", header, rows)
+    cols = ["sampling_type", "size", "seed", "r2"] + u_cols
+    _write_csv(out / "samples.csv", cols, [[r[c] for c in cols] for r in records], hashes)
 
     types = sorted({r["sampling_type"] for r in records})
     rho_rows = []
@@ -431,161 +470,41 @@ def run_rank_study(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
                 rho = spearman_rho(
                     np.array([r[ucol] for r in sub]), np.array([r["r2"] for r in sub])
                 )
-                rho_out = rho
             except LearnerError:
-                rho_out = "NA"
-            rho_rows.append([scope, ucol, rho_out, len(sub), chash, dhash])
-    _write_csv(
-        out / "rho.csv",
-        ["scope", "utility", "rho", "n_samples", "config_hash", "dataset_hash"],
-        rho_rows,
-    )
-    _write_meta(out, cfg, ds, {"anchors": [list(a) for a in anchors]})
+                rho = "NA"
+            rho_rows.append([scope, ucol, rho, len(sub)])
+    _write_csv(out / "rho.csv", ["scope", "utility", "rho", "n_samples"], rho_rows, hashes)
+    _write_meta(out, cfg, hashes, {"anchors": [list(a) for a in anchors]})
     return records
 
 
 def run_cost_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     """Fix c1, vary c2; report the R^2 gain over the initial sample per
     method and cost level."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ds = load_population(cfg)
-    chash, dhash = config_hash(cfg), dataset_content_hash(ds)
-    specs = {u.method_name(): build_utility_spec(ds, u) for u in cfg.utilities}
-    methods = _methods(cfg)
-    opts = cfg.solve_options()
-    budget = cfg.budgets[0]
-
-    records = []
-    for seed in cfg.seeds:
-        state0 = draw_initial_sample(
-            ds, cfg.sampler_config(), np.random.default_rng([seed, 0])
-        )
-        r0 = evaluate_sample(ds, state0, seed=seed)
-        for ci, c2 in enumerate(cfg.c2_sweep):
-            if c2 < cfg.c1:
-                raise ConfigError(f"swept c2 {c2} below c1 {cfg.c1}")
-            for mi, method in enumerate(methods):
-                rng = np.random.default_rng([seed, 5, ci, mi])
-                state = _apply_method(
-                    ds, state0, cfg.cost_model(c2=c2), budget, method, specs, opts, rng
-                )
-                r2 = evaluate_sample(ds, state, seed=seed)
-                records.append(
-                    {
-                        "c2": c2,
-                        "method": method,
-                        "seed": seed,
-                        "r2": r2,
-                        "initial_r2": r0,
-                        "delta_r2": r2 - r0,
-                        "spent": state.spent,
-                        "infeasible": state.infeasible,
-                    }
-                )
-
-    header = ["c2", "method", "seed", "r2", "initial_r2", "delta_r2", "spent",
-              "infeasible", "config_hash", "dataset_hash"]
-    _write_csv(
-        out / "sweep_runs.csv",
-        header,
-        [
-            [r["c2"], r["method"], r["seed"], r["r2"], r["initial_r2"], r["delta_r2"],
-             r["spent"], int(r["infeasible"]), chash, dhash]
-            for r in records
-        ],
-    )
-    agg_rows = []
     for c2 in cfg.c2_sweep:
-        for method in methods:
-            cell = [r for r in records if r["c2"] == c2 and r["method"] == method]
-            mean, std, stderr = _aggregate([r["delta_r2"] for r in cell])
-            agg_rows.append([c2, method, mean, std, stderr, len(cell), chash, dhash])
-    _write_csv(
-        out / "sweep.csv",
-        ["c2", "method", "mean_delta_r2", "std_delta_r2", "stderr_delta_r2",
-         "n_seeds", "config_hash", "dataset_hash"],
-        agg_rows,
-    )
-    _write_meta(out, cfg, ds)
-    return records
+        if c2 < cfg.c1:
+            raise ConfigError(f"swept c2 {c2} below c1 {cfg.c1}")
+    budget = cfg.budgets[0]
+    return _run_grid(cfg, out_dir, _Study(
+        level="c2", levels=cfg.c2_sweep, arm="method", arms=_methods(cfg),
+        utilities={u.method_name(): u for u in cfg.utilities},
+        initial=lambda seed, ci, c2: (cfg.sampler_config(), (seed, 0)),
+        cell=lambda seed, ci, c2, mi: (cfg.cost_model(c2=c2), budget, (seed, 5, ci, mi)),
+        runs_csv="sweep_runs.csv", run_cols=("spent",),
+        table_csv="sweep.csv", stat="delta_r2",
+    ))
 
 
 def run_initial_size_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     """Optimized augmentation versus extending default cluster sampling, for a
     range of initial sample sizes at matched cost."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ds = load_population(cfg)
-    chash, dhash = config_hash(cfg), dataset_content_hash(ds)
-    ucfg = cfg.utilities[0]
-    spec = build_utility_spec(ds, ucfg)
-    opts = cfg.solve_options()
     budget = cfg.budgets[0]
-    arms = ("optimized", "default")
-
-    records = []
-    for seed in cfg.seeds:
-        for ii, initial_size in enumerate(cfg.initial_sizes):
-            state0 = draw_initial_sample(
-                ds, cfg.sampler_config(initial_size=initial_size),
-                np.random.default_rng([seed, 6, ii]),
-            )
-            r0 = evaluate_sample(ds, state0, seed=seed)
-            cm = cfg.cost_model().with_initial_strata(state0.initial_strata)
-            initial_cost = set_cost(cm, ds, state0.initial_cluster_ids)
-            for ai, arm in enumerate(arms):
-                rng = np.random.default_rng([seed, 7, ii, ai])
-                if arm == "optimized":
-                    state = optimized_augment(ds, state0, cm, budget, spec, opts, rng)
-                else:
-                    state = default_cluster_augment(ds, state0, cm, budget, rng)
-                r2 = evaluate_sample(ds, state, seed=seed)
-                records.append(
-                    {
-                        "initial_size": initial_size,
-                        "arm": arm,
-                        "seed": seed,
-                        "r2": r2,
-                        "initial_r2": r0,
-                        "delta_r2": r2 - r0,
-                        "budget": budget,
-                        "spent": state.spent,
-                        "total_cost": initial_cost + state.spent,
-                        "infeasible": state.infeasible,
-                    }
-                )
-
-    header = ["initial_size", "arm", "seed", "r2", "initial_r2", "delta_r2",
-              "budget", "spent", "total_cost", "infeasible",
-              "config_hash", "dataset_hash"]
-    _write_csv(
-        out / "size_runs.csv",
-        header,
-        [
-            [r["initial_size"], r["arm"], r["seed"], r["r2"], r["initial_r2"],
-             r["delta_r2"], r["budget"], r["spent"], r["total_cost"],
-             int(r["infeasible"]), chash, dhash]
-            for r in records
-        ],
-    )
-    agg_rows = []
-    for initial_size in cfg.initial_sizes:
-        for arm in arms:
-            cell = [
-                r for r in records
-                if r["initial_size"] == initial_size and r["arm"] == arm
-            ]
-            mean, std, stderr = _aggregate([r["r2"] for r in cell])
-            mean_cost, _, _ = _aggregate([r["total_cost"] for r in cell])
-            agg_rows.append(
-                [initial_size, arm, mean, std, stderr, mean_cost, len(cell), chash, dhash]
-            )
-    _write_csv(
-        out / "size_sweep.csv",
-        ["initial_size", "arm", "mean_r2", "std_r2", "stderr_r2", "mean_total_cost",
-         "n_seeds", "config_hash", "dataset_hash"],
-        agg_rows,
-    )
-    _write_meta(out, cfg, ds)
-    return records
+    return _run_grid(cfg, out_dir, _Study(
+        level="initial_size", levels=cfg.initial_sizes, arm="arm",
+        arms=("optimized", "default"), utilities={"optimized": cfg.utilities[0]},
+        initial=lambda seed, ii, size: (
+            cfg.sampler_config(initial_size=size), (seed, 6, ii)),
+        cell=lambda seed, ii, size, ai: (cfg.cost_model(), budget, (seed, 7, ii, ai)),
+        runs_csv="size_runs.csv", run_cols=("budget", "spent", "total_cost"),
+        table_csv="size_sweep.csv", stat="r2", extra_means=("total_cost",),
+    ))

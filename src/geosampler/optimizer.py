@@ -69,7 +69,6 @@ class SolveResult:
     utility: float
     gap: float               # duality gap at the returned iterate
     iterations: int
-    feasible: bool
     budget_used: float       # relaxed cost of the unlocked coordinates
     utility_trace: tuple[float, ...]
 
@@ -221,7 +220,6 @@ def solve_relaxation(
         utility=best_f,
         gap=best_gap,
         iterations=iterations,
-        feasible=True,
         budget_used=spent,
         utility_trace=tuple(trace),
     )
@@ -354,7 +352,6 @@ def save_solve_result(
         "iterations": result.iterations,
         "utility": result.utility,
         "budget_used": result.budget_used,
-        "feasible": result.feasible,
     }
     (out / "solve_meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -24,7 +24,13 @@ from .data import (
     expected_counts,
     set_cost,
 )
-from .optimizer import SolveOptions, remaining_budget, round_inclusion, solve_relaxation
+from .optimizer import (
+    SolveOptions,
+    SolveResult,
+    remaining_budget,
+    round_inclusion,
+    solve_relaxation,
+)
 from .utility import UtilitySpec
 
 
@@ -336,7 +342,7 @@ def random_cluster_augment(
     return _extend(state, added, labeled, cost_total, "augment:random")
 
 
-def optimized_augment(
+def solve_and_augment(
     ds: Dataset,
     state: SampleState,
     cm: CostModel,
@@ -344,8 +350,9 @@ def optimized_augment(
     spec: UtilitySpec,
     opts: SolveOptions | None = None,
     rng: np.random.Generator | None = None,
-) -> SampleState:
-    """Utility-optimized augmentation: relax, solve, round, label."""
+) -> tuple[SampleState, SolveResult, tuple[str, ...]]:
+    """Utility-optimized augmentation: relax, solve, round, label. Returns the
+    augmented state with the relaxed solution and the rounded selection."""
     rng = rng if rng is not None else np.random.default_rng(0)
     cm = _bind(cm, state, budget)
     counts = expected_counts(ds, spec.groups, state.k)
@@ -355,7 +362,20 @@ def optimized_augment(
     labeled = {cid: _label_in_cluster(ds, cid, state.k, rng) for cid in selected}
     cost_total = set_cost(cm, ds, selected)
     tag = f"augment:optimized({spec.kind})"
-    return _extend(state, list(selected), labeled, cost_total, tag)
+    return _extend(state, list(selected), labeled, cost_total, tag), result, selected
+
+
+def optimized_augment(
+    ds: Dataset,
+    state: SampleState,
+    cm: CostModel,
+    budget: float,
+    spec: UtilitySpec,
+    opts: SolveOptions | None = None,
+    rng: np.random.Generator | None = None,
+) -> SampleState:
+    """The augmented state of :func:`solve_and_augment`."""
+    return solve_and_augment(ds, state, cm, budget, spec, opts, rng)[0]
 
 
 def convenience_sample(

@@ -82,31 +82,26 @@ def _check_dims(s: InclusionVector, counts: ExpectedCounts) -> None:
         )
 
 
-def size_utility(s: InclusionVector, counts: ExpectedCounts) -> float:
-    """Relaxed expected labeled-point count, sum_i s_i * e_i."""
-    _check_dims(s, counts)
-    return float(s.values @ counts.e)
-
-
-def _group_rep_terms(
-    s_values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec
-) -> tuple[np.ndarray, float]:
-    n_g = s_values @ counts.e_group
-    n = float(s_values @ counts.e)
-    return n_g, n
-
-
-def group_rep_utility(s: InclusionVector, counts: ExpectedCounts, spec: UtilitySpec) -> float:
-    _check_dims(s, counts)
+def _check_group_model(counts: ExpectedCounts, spec: UtilitySpec) -> None:
     if spec.groups is None:
         raise UtilityError("group_rep utility requires a group model")
     if counts.e_group.shape[1] != spec.groups.n_groups:
         raise UtilityError("expected counts were built with a different group model")
-    n_g, n = _group_rep_terms(s.values, counts, spec)
-    gamma = spec.groups.gamma
-    eps = spec.epsilon
-    group_term = float(np.sum(gamma * (n_g + eps) ** -0.5))
-    return -spec.lam * group_term - (1.0 - spec.lam) * (n + eps) ** -0.5
+
+
+_SIZE = UtilitySpec(kind="size")
+
+
+def size_utility(s: InclusionVector, counts: ExpectedCounts) -> float:
+    """Relaxed expected labeled-point count, sum_i s_i * e_i."""
+    _check_dims(s, counts)
+    return utility_value_raw(s.values, counts, _SIZE)
+
+
+def group_rep_utility(s: InclusionVector, counts: ExpectedCounts, spec: UtilitySpec) -> float:
+    _check_dims(s, counts)
+    _check_group_model(counts, spec)
+    return utility_value_raw(s.values, counts, spec)
 
 
 def group_rep_gradient(
@@ -115,14 +110,8 @@ def group_rep_gradient(
     """Gradient of the group-representation utility; strictly positive wherever
     e_i > 0, zero where e_i = 0."""
     _check_dims(s, counts)
-    if spec.groups is None:
-        raise UtilityError("group_rep utility requires a group model")
-    n_g, n = _group_rep_terms(s.values, counts, spec)
-    gamma = spec.groups.gamma
-    eps = spec.epsilon
-    grad_groups = counts.e_group @ (gamma * 0.5 * (n_g + eps) ** -1.5)
-    grad_size = 0.5 * (n + eps) ** -1.5 * counts.e
-    return spec.lam * grad_groups + (1.0 - spec.lam) * grad_size
+    _check_group_model(counts, spec)
+    return utility_gradient_raw(s.values, counts, spec)
 
 
 def utility_value(s: InclusionVector, counts: ExpectedCounts, spec: UtilitySpec) -> float:
@@ -136,14 +125,15 @@ def utility_gradient(
 ) -> np.ndarray:
     if spec.kind == "size":
         _check_dims(s, counts)
-        return counts.e.astype(np.float64).copy()
+        return utility_gradient_raw(s.values, counts, spec)
     return group_rep_gradient(s, counts, spec)
 
 
 def utility_value_raw(values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec) -> float:
     """Evaluate on a bare value vector, skipping InclusionVector validation.
 
-    Solver hot-loop path; callers guarantee values lie in the box."""
+    The one implementation of both utilities; callers guarantee values lie in
+    the box and match the counts."""
     if spec.kind == "size":
         return float(values @ counts.e)
     n_g = values @ counts.e_group
@@ -169,19 +159,22 @@ def utility_gradient_raw(
 
 def utility_of_sample(ds: Dataset, state: SampleState, spec: UtilitySpec) -> float:
     """Evaluate the utility on a realized sample, using the actual labeled
-    points per group rather than expectations."""
-    labeled = state.labeled_point_ids()
-    n = len(labeled)
+    points per group rather than expectations: the sample enters as a single
+    fully included unit carrying those counts."""
+    rows = np.array(
+        [ds.point_index[pid] for pid in state.labeled_point_ids()], dtype=np.int64
+    )
     if spec.kind == "size":
-        return float(n)
-    gm = spec.groups
-    if gm is None:
-        raise UtilityError("group_rep utility requires a group model")
-    if n == 0 and spec.epsilon == 0:
-        raise UtilityError("empty sample with epsilon = 0 is undefined")
-    rows = np.array([ds.point_index[pid] for pid in labeled], dtype=np.int64)
-    counts_g = np.bincount(gm.assignment[rows], minlength=gm.n_groups).astype(np.float64) \
-        if n else np.zeros(gm.n_groups)
-    eps = spec.epsilon
-    group_term = float(np.sum(gm.gamma * (counts_g + eps) ** -0.5))
-    return -spec.lam * group_term - (1.0 - spec.lam) * (float(n) + eps) ** -0.5
+        e_group = np.zeros((1, 0))
+    else:
+        gm = spec.groups
+        if gm is None:
+            raise UtilityError("group_rep utility requires a group model")
+        e_group = np.bincount(gm.assignment[rows], minlength=gm.n_groups)[None, :]
+    counts = ExpectedCounts(
+        cluster_ids=("sample",),
+        e=np.array([float(len(rows))]),
+        e_group=e_group.astype(np.float64),
+        k=state.k,
+    )
+    return utility_value_raw(np.ones(1), counts, spec)

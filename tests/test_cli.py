@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -88,8 +89,48 @@ class TestOptimize:
         assert code == 0
         assert (out / "inclusion.csv").exists()
         meta = json.loads((out / "solve_meta.json").read_text())
-        assert meta["feasible"] is True
+        # the relaxed cost is a float sum: the solver allows 1e-9 relative slack
+        assert meta["budget_used"] <= 200 * (1 + 1e-9)
+        assert math.isfinite(meta["utility"])
         assert (out / "sample.json").exists()
+
+    def test_readme_away_step_rule_certifies_gap(self, bundle, tmp_path):
+        out = tmp_path / "opt"
+        code = run_cli(
+            "optimize", "--dataset", bundle, "--out-dir", out, "--seed", 1,
+            "--n-strata", 2, "--k", 10, "--initial-size", 80,
+            "--budget", 250, "--utility", "rep-admin", "--step-rule", "away",
+        )
+        assert code == 0
+        meta = json.loads((out / "solve_meta.json").read_text())
+        assert meta["gap"] <= 1e-6 * max(1.0, abs(meta["utility"]))
+
+    def test_solves_once_and_rounding_matches_sample(self, bundle, tmp_path, monkeypatch):
+        import geosampler.cli
+        import geosampler.samplers
+
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (geosampler.cli, geosampler.samplers):
+            monkeypatch.setattr(module, "solve_relaxation", counted(module.solve_relaxation))
+        out = tmp_path / "opt"
+        assert run_cli(
+            "optimize", "--dataset", bundle, "--out-dir", out, "--seed", 1,
+            "--n-strata", 2, "--k", 10, "--initial-size", 80,
+            "--budget", 200, "--utility", "rep-admin",
+        ) == 0
+        assert len(calls) == 1
+        rows = list(csv.DictReader((out / "inclusion.csv").open()))
+        selected = [r["cluster_id"] for r in rows if r["selected_after_rounding"] == "1"]
+        sample = json.loads((out / "sample.json").read_text())
+        assert selected
+        assert selected == sample["augment_cluster_ids"]
 
     def test_infeasible_exit_code(self, bundle, tmp_path):
         # total scope with a budget below the initial sample cost

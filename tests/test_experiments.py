@@ -94,13 +94,27 @@ class TestRunAugmentation:
         assert records[0]["r2"] == records[0]["initial_r2"]
         assert records[0]["spent"] == 0.0
 
-    def test_infeasible_cell_reported(self, tmp_path):
+    @pytest.mark.parametrize(
+        "runner, table_name",
+        [
+            (run_augmentation, "table.csv"),
+            (run_cost_sweep, "sweep.csv"),
+            (run_initial_size_sweep, "size_sweep.csv"),
+        ],
+    )
+    def test_infeasible_cell_reported(self, tmp_path, runner, table_name):
         # tiny strata cannot realize a huge default-sampling budget
-        cfg = small_cfg(budgets=(100000.0,), baselines=("default",), utilities=())
-        run_augmentation(cfg, tmp_path)
-        table = read_csv(tmp_path / "table.csv")
-        assert table[0]["status"] == "infeasible"
-        assert table[0]["mean_r2"] == ""
+        cfg = small_cfg(
+            budgets=(100000.0,), baselines=("default",), c2_sweep=(50.0,),
+            initial_sizes=(60,),
+        )
+        runner(cfg, tmp_path)
+        arm = "arm" if runner is run_initial_size_sweep else "method"
+        table = read_csv(tmp_path / table_name)
+        row = next(r for r in table if r[arm] == "default")
+        assert row["status"] == "infeasible"
+        stats = [v for k, v in row.items() if k.startswith(("mean_", "std_", "stderr_"))]
+        assert stats and all(v == "" for v in stats)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = small_cfg()

@@ -353,5 +353,4 @@ def test_solve_result_serialization(tmp_path):
     assert rows[0] == "cluster_id,probability,committed,selected_after_rounding"
     assert len(rows) == 1 + ds.n_clusters
     meta = json.loads((tmp_path / "solve_meta.json").read_text())
-    assert set(meta) == {"gap", "iterations", "utility", "budget_used", "feasible"}
-    assert meta["feasible"] is True
+    assert set(meta) == {"gap", "iterations", "utility", "budget_used"}
