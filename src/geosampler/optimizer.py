@@ -23,6 +23,8 @@ from .utility import (
     ExpectedCounts,
     InclusionVector,
     UtilitySpec,
+    aggregates,
+    phi_gradient,
     utility_gradient_raw,
     utility_value_raw,
 )
@@ -71,6 +73,9 @@ class SolveResult:
     iterations: int
     budget_used: float       # relaxed cost of the unlocked coordinates
     utility_trace: tuple[float, ...]
+    step_rule: str
+    converged: bool          # gap <= gap_tol * max(1, |utility|), else max_iters hit
+    active_set_size: int     # vertices in the final decomposition (1 unless away)
 
 
 def lmo_knapsack(
@@ -103,17 +108,17 @@ def lmo_knapsack(
         raise OptimizerError("costs must be positive for unlocked clusters")
     ratio = grad[idx] / costs[idx]
     order = idx[np.lexsort((idx, -ratio))]
-    rem = float(budget)
-    for i in order:
-        if grad[i] <= 0:
-            break
-        if costs[i] <= rem:
-            d[i] = 1.0
-            rem -= costs[i]
-        else:
-            if rem > 0:
-                d[i] = rem / costs[i]
-            break
+    nonpositive = grad[order] <= 0
+    if nonpositive.any():
+        order = order[: int(np.argmax(nonpositive))]
+    c = costs[order]
+    # rem[k]: budget left before item k, subtracted in fill order
+    rem = np.subtract.accumulate(np.concatenate(([float(budget)], c)))
+    overflow = c > rem[:-1]
+    k = int(np.argmax(overflow)) if overflow.any() else len(order)
+    d[order[:k]] = 1.0
+    if k < len(order) and rem[k] > 0:
+        d[order[k]] = rem[k] / c[k]
     return d
 
 
@@ -164,14 +169,7 @@ def solve_relaxation(
 
     s = np.zeros(m, dtype=np.float64)
     s[committed] = 1.0
-
-    def dd(values: np.ndarray, delta: np.ndarray, t: float) -> float:
-        g = utility_gradient_raw(values + t * delta, counts, spec)
-        return float(g @ delta)
-
-    # away steps track the convex decomposition of the iterate
-    vertices: list[np.ndarray] = [s.copy()]
-    weights: list[float] = [1.0]
+    active = _ActiveSet(s) if opts.step_rule == "away" else None
 
     trace: list[float] = []
     best_s, best_f, best_gap = s.copy(), -np.inf, np.inf
@@ -201,13 +199,13 @@ def solve_relaxation(
             s = np.clip(s + (2.0 / (t + 2.0)) * fw_delta, 0.0, 1.0)
             s[committed] = 1.0
         elif opts.step_rule == "line-search":
-            step = _bisect_step(dd, s, fw_delta, 1.0)
+            step = _bisect_step(
+                aggregates(s, counts, spec), aggregates(fw_delta, counts, spec), spec, 1.0
+            )
             s = np.clip(s + step * fw_delta, 0.0, 1.0)
             s[committed] = 1.0
         else:
-            s = _away_step(
-                dd, grad, s, d_full, fw_delta, gap, vertices, weights
-            )
+            s = _away_step(active, grad, s, d_full, fw_delta, gap, counts, spec)
 
     values = best_s
     spent = float(costs_dec[~locked_dec] @ values[decision][~locked_dec])
@@ -222,74 +220,132 @@ def solve_relaxation(
         iterations=iterations,
         budget_used=spent,
         utility_trace=tuple(trace),
+        step_rule=opts.step_rule,
+        converged=bool(best_gap <= opts.gap_tol * max(1.0, abs(best_f))),
+        active_set_size=len(active.idx) if active is not None else 1,
     )
 
 
-def _bisect_step(dd, s: np.ndarray, delta: np.ndarray, step_max: float,
+def _bisect_step(z: np.ndarray, dz: np.ndarray, spec: UtilitySpec, step_max: float,
                  iters: int = 40) -> float:
-    """Exact line search on [0, step_max]: the directional derivative of a
-    concave utility is monotone decreasing, so bisect on its sign."""
-    if dd(s, delta, 0.0) <= 0:
+    """Exact line search on [0, step_max] along s + t * delta, given the
+    aggregates z = s @ A and dz = delta @ A: the directional derivative
+    grad phi(z + t dz) . dz costs O(G) per probe, and for a concave utility it
+    is monotone decreasing, so bisect on its sign."""
+
+    def dd(t: float) -> float:
+        return float(phi_gradient(z + t * dz, spec) @ dz)
+
+    if dd(0.0) <= 0:
         return 0.0
-    if dd(s, delta, step_max) >= 0:
+    if dd(step_max) >= 0:
         return step_max
     lo, hi = 0.0, step_max
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if dd(s, delta, mid) > 0:
+        if dd(mid) > 0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
+class _ActiveSet:
+    """Convex decomposition s = sum_k weights[k] * v_k of the away-step
+    iterate over LMO vertices (Lacoste-Julien & Jaggi, NeurIPS 2015).
+
+    An LMO vertex has at most one fractional coordinate and few nonzeros, so
+    vertex k is stored as its nonzero indices ``idx[k]`` and values
+    ``vals[k]``; ``keys`` maps the bytes of that pair to k, which finds a
+    repeated vertex by hashing."""
+
+    def __init__(self, s: np.ndarray):
+        self.m = len(s)
+        self.keys: dict[bytes, int] = {}
+        self.idx: list[np.ndarray] = []
+        self.vals: list[np.ndarray] = []
+        self.weights = np.zeros(0)
+        self.add(s, 1.0)
+        self.prune()
+
+    def add(self, v: np.ndarray, weight: float) -> None:
+        idx = np.flatnonzero(v)
+        vals = v[idx]
+        key = idx.tobytes() + vals.tobytes()
+        k = self.keys.get(key)
+        if k is None:
+            self.keys[key] = len(self.idx)
+            self.idx.append(idx)
+            self.vals.append(vals)
+            self.weights = np.append(self.weights, weight)
+        else:
+            self.weights[k] += weight
+
+    def prune(self) -> None:
+        """Drop vanished vertices, renormalize, and pack the vertices into
+        flat arrays for :meth:`scores` and :meth:`iterate`."""
+        keep = self.weights > 1e-14
+        if not keep.all():
+            kept = np.flatnonzero(keep)
+            self.idx = [self.idx[k] for k in kept]
+            self.vals = [self.vals[k] for k in kept]
+            renumber = {int(old): new for new, old in enumerate(kept)}
+            self.keys = {
+                key: renumber[k] for key, k in self.keys.items() if k in renumber
+            }
+        kept_weights = self.weights[keep]
+        self.weights = kept_weights / kept_weights.sum()
+        self._idx = np.concatenate(self.idx)
+        self._vals = np.concatenate(self.vals)
+        self._owner = np.repeat(np.arange(len(self.idx)), [len(i) for i in self.idx])
+
+    def scores(self, grad: np.ndarray) -> np.ndarray:
+        """grad . v_k for every vertex k."""
+        return np.bincount(
+            self._owner, weights=grad[self._idx] * self._vals, minlength=len(self.idx)
+        )
+
+    def vertex(self, k: int) -> np.ndarray:
+        v = np.zeros(self.m)
+        v[self.idx[k]] = self.vals[k]
+        return v
+
+    def iterate(self) -> np.ndarray:
+        """Rebuild the iterate from its decomposition: convex combinations of
+        feasible vertices stay feasible despite floating-point drift."""
+        return np.bincount(
+            self._idx, weights=self._vals * self.weights[self._owner], minlength=self.m
+        )
+
+
 def _away_step(
-    dd,
+    active: _ActiveSet,
     grad: np.ndarray,
     s: np.ndarray,
     d_full: np.ndarray,
     fw_delta: np.ndarray,
     fw_gap: float,
-    vertices: list[np.ndarray],
-    weights: list[float],
+    counts: ExpectedCounts,
+    spec: UtilitySpec,
 ) -> np.ndarray:
     """One away-step Frank-Wolfe update, maintaining the active vertex set."""
-    scores = [float(grad @ v) for v in vertices]
-    ai = int(np.argmin(scores))
-    away_gap = float(grad @ (s - vertices[ai]))
+    ai = int(np.argmin(active.scores(grad)))
+    away_delta = s - active.vertex(ai)
+    away_gap = float(grad @ away_delta)
+    z = aggregates(s, counts, spec)
 
     if fw_gap >= away_gap:
-        step = _bisect_step(dd, s, fw_delta, 1.0)
-        for i in range(len(weights)):
-            weights[i] *= 1.0 - step
-        hit = next(
-            (i for i, v in enumerate(vertices) if np.array_equal(v, d_full)), None
-        )
-        if hit is None:
-            vertices.append(d_full)
-            weights.append(step)
-        else:
-            weights[hit] += step
+        step = _bisect_step(z, aggregates(fw_delta, counts, spec), spec, 1.0)
+        active.weights *= 1.0 - step
+        active.add(d_full, step)
     else:
-        delta = s - vertices[ai]
-        w = weights[ai]
+        w = active.weights[ai]
         step_max = w / (1.0 - w) if w < 1.0 else 1.0
-        step = _bisect_step(dd, s, delta, step_max)
-        for i in range(len(weights)):
-            weights[i] *= 1.0 + step
-        weights[ai] -= step
-
-    keep = [i for i, w in enumerate(weights) if w > 1e-14]
-    vertices[:] = [vertices[i] for i in keep]
-    weights[:] = [weights[i] for i in keep]
-    total = sum(weights)
-    weights[:] = [w / total for w in weights]
-    # rebuild the iterate from its decomposition: convex combinations of
-    # feasible vertices stay feasible despite floating-point drift
-    out = np.zeros_like(s)
-    for w, v in zip(weights, vertices):
-        out += w * v
-    return out
+        step = _bisect_step(z, aggregates(away_delta, counts, spec), spec, step_max)
+        active.weights *= 1.0 + step
+        active.weights[ai] -= step
+    active.prune()
+    return active.iterate()
 
 
 def round_inclusion(
@@ -310,12 +366,13 @@ def round_inclusion(
         raise OptimizerError("budget must be non-negative")
     unlocked = np.flatnonzero(~s.committed)
     order = rng.permutation(unlocked)
+    # a zero-probability cluster draws no random number, so skipping it
+    # leaves the rng stream unchanged
+    order = order[s.values[order] > 0.0]
     rem = float(budget)
     chosen: list[str] = []
     for j in order:
         p = float(s.values[j])
-        if p <= 0.0:
-            continue
         if p >= 1.0 or rng.random() < p:
             cost = cluster_cost(cm, ds.clusters[j])
             if cost <= rem:
@@ -352,6 +409,9 @@ def save_solve_result(
         "iterations": result.iterations,
         "utility": result.utility,
         "budget_used": result.budget_used,
+        "step_rule": result.step_rule,
+        "converged": result.converged,
+        "active_set_size": result.active_set_size,
     }
     (out / "solve_meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"

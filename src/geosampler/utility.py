@@ -10,6 +10,10 @@ with n_g(s) = sum_i s_i * e_{i,g} and n(s) = sum_i s_i * e_i. The group term
 is weighted by ``lam``: at lam = 0 the expression collapses to the pure
 overall-size term, and at lam = 1 only group coverage matters. The eps > 0
 smoothing keeps the expression bounded when a group count is zero.
+
+Both utilities depend on s only through the aggregates z = (n_g(s), n(s))
+(just n(s) for size), so each is implemented once as a function phi(z) with
+gradient grad phi(z); the solver's line search works on z directly.
 """
 
 from __future__ import annotations
@@ -129,32 +133,55 @@ def utility_gradient(
     return group_rep_gradient(s, counts, spec)
 
 
+def aggregates(values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec) -> np.ndarray:
+    """The aggregates z = values @ A that both utilities depend on.
+
+    A = [e_group | e] for ``group_rep`` (G + 1 columns: n_g(s), then n(s))
+    and A = e for ``size``; U(s) = phi(z) and grad U(s) = A @ grad phi(z)."""
+    if spec.kind == "size":
+        return np.array([values @ counts.e], dtype=np.float64)
+    z = np.empty(counts.e_group.shape[1] + 1)
+    z[:-1] = values @ counts.e_group
+    z[-1] = values @ counts.e
+    return z
+
+
+def phi(z: np.ndarray, spec: UtilitySpec) -> float:
+    """The utility as a function of its aggregates z (see :func:`aggregates`)."""
+    if spec.kind == "size":
+        return float(z[-1])
+    eps = spec.epsilon
+    group_term = float(np.sum(spec.groups.gamma * (z[:-1] + eps) ** -0.5))
+    return -spec.lam * group_term - (1.0 - spec.lam) * (float(z[-1]) + eps) ** -0.5
+
+
+def phi_gradient(z: np.ndarray, spec: UtilitySpec) -> np.ndarray:
+    """Gradient of :func:`phi` in z."""
+    if spec.kind == "size":
+        return np.ones(1)
+    eps = spec.epsilon
+    w = np.empty(len(z))
+    w[:-1] = spec.lam * 0.5 * spec.groups.gamma * (z[:-1] + eps) ** -1.5
+    w[-1] = (1.0 - spec.lam) * 0.5 * (z[-1] + eps) ** -1.5
+    return w
+
+
 def utility_value_raw(values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec) -> float:
     """Evaluate on a bare value vector, skipping InclusionVector validation.
 
-    The one implementation of both utilities; callers guarantee values lie in
-    the box and match the counts."""
-    if spec.kind == "size":
-        return float(values @ counts.e)
-    n_g = values @ counts.e_group
-    n = float(values @ counts.e)
-    eps = spec.epsilon
-    group_term = float(np.sum(spec.groups.gamma * (n_g + eps) ** -0.5))
-    return -spec.lam * group_term - (1.0 - spec.lam) * (n + eps) ** -0.5
+    Callers guarantee values lie in the box and match the counts."""
+    return phi(aggregates(values, counts, spec), spec)
 
 
 def utility_gradient_raw(
     values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec
 ) -> np.ndarray:
-    """Gradient counterpart of :func:`utility_value_raw`."""
+    """Gradient counterpart of :func:`utility_value_raw`: A @ grad phi(z)."""
+    w = phi_gradient(aggregates(values, counts, spec), spec)
+    grad = counts.e * w[-1]
     if spec.kind == "size":
-        return counts.e.astype(np.float64).copy()
-    n_g = values @ counts.e_group
-    n = float(values @ counts.e)
-    eps = spec.epsilon
-    grad_groups = counts.e_group @ (spec.groups.gamma * 0.5 * (n_g + eps) ** -1.5)
-    grad_size = 0.5 * (n + eps) ** -1.5 * counts.e
-    return spec.lam * grad_groups + (1.0 - spec.lam) * grad_size
+        return grad
+    return counts.e_group @ w[:-1] + grad
 
 
 def utility_of_sample(ds: Dataset, state: SampleState, spec: UtilitySpec) -> float:

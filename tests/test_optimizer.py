@@ -4,18 +4,28 @@ import json
 import numpy as np
 import pytest
 
-from geosampler.data import CostModel, SampleState, expected_counts
+from geosampler import optimizer
+from geosampler.data import CostModel, SampleState, cluster_cost, expected_counts
 from geosampler.groups import GroupModel
 from geosampler.optimizer import (
+    STEP_RULES,
     InfeasibleError,
     OptimizerError,
     SolveOptions,
+    _bisect_step,
     lmo_knapsack,
+    remaining_budget,
     round_inclusion,
     save_solve_result,
     solve_relaxation,
 )
-from geosampler.utility import InclusionVector, UtilitySpec, utility_value
+from geosampler.utility import (
+    InclusionVector,
+    UtilitySpec,
+    aggregates,
+    utility_gradient_raw,
+    utility_value,
+)
 
 from conftest import toy_dataset
 
@@ -94,6 +104,39 @@ class TestLmoKnapsack:
         locked = np.array([True, False, False])
         d = lmo_knapsack(grad, costs, budget=2.0, locked=locked)
         np.testing.assert_allclose(d, [1, 1, 1])
+
+    def test_matches_sequential_fill_loop(self):
+        def loop_lmo(grad, costs, budget, locked):
+            # reference: the greedy fill, one coordinate at a time
+            d = np.zeros(len(grad))
+            d[locked] = 1.0
+            idx = np.flatnonzero(~locked)
+            ratio = grad[idx] / costs[idx]
+            rem = float(budget)
+            for i in idx[np.lexsort((idx, -ratio))]:
+                if grad[i] <= 0:
+                    break
+                if costs[i] <= rem:
+                    d[i] = 1.0
+                    rem -= costs[i]
+                else:
+                    if rem > 0:
+                        d[i] = rem / costs[i]
+                    break
+            return d
+
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            m = int(rng.integers(1, 30))
+            # coarse values make ratio ties and exact budget fits common
+            grad = rng.integers(-2, 6, size=m) / 2.0
+            costs = rng.integers(1, 5, size=m) * rng.choice([1.0, 0.1])
+            locked = rng.uniform(size=m) < 0.2
+            budget = float(rng.uniform(0, 1.2) * costs.sum())
+            np.testing.assert_array_equal(
+                lmo_knapsack(grad, costs, budget, locked),
+                loop_lmo(grad, costs, budget, locked),
+            )
 
     def test_negative_budget_rejected(self):
         with pytest.raises(OptimizerError, match="budget"):
@@ -199,16 +242,88 @@ class TestSolveRelaxation:
         # greedy value: three clusters at e = 5 each
         assert res.utility == pytest.approx(15.0, rel=1e-9)
 
-    def test_zero_budget_returns_committed_only(self):
+    @pytest.mark.parametrize("rule", STEP_RULES)
+    def test_zero_budget_returns_committed_only(self, rule):
         ds, cm, state, spec, counts = make_instance(
             committed=("c00", "c01"), seed=1, budget=0.0
         )
-        res = solve_relaxation(ds, counts, cm, spec, state)
+        res = solve_relaxation(ds, counts, cm, spec, state, SolveOptions(step_rule=rule))
         committed_idx = [ds.cluster_index[c] for c in state.all_cluster_ids()]
         expect = np.zeros(ds.n_clusters)
         expect[committed_idx] = 1.0
         np.testing.assert_allclose(res.inclusion.values, expect)
         assert res.budget_used == 0.0
+
+    @pytest.mark.parametrize("rule", STEP_RULES)
+    def test_nothing_left_to_buy_returns_committed_only(self, rule):
+        # every source cluster is already in the sample
+        ds, cm, state, spec, counts = make_instance(
+            n_clusters=6, committed=tuple(f"c{i:02d}" for i in range(6)), budget=100.0
+        )
+        res = solve_relaxation(ds, counts, cm, spec, state, SolveOptions(step_rule=rule))
+        np.testing.assert_array_equal(res.inclusion.values, np.ones(ds.n_clusters))
+        assert res.converged
+        assert res.iterations == 1
+        assert res.budget_used == 0.0
+        assert res.step_rule == rule
+        assert res.active_set_size == 1
+
+    @pytest.mark.parametrize("rule", STEP_RULES)
+    def test_one_gradient_per_iteration(self, rule, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return utility_gradient_raw(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "utility_gradient_raw", counted)
+        ds, cm, state, spec, counts = make_instance(
+            n_clusters=12, committed=("c00",), seed=2, budget=55.0
+        )
+        res = solve_relaxation(
+            ds, counts, cm, spec, state,
+            SolveOptions(max_iters=300, gap_tol=1e-9, step_rule=rule),
+        )
+        assert res.iterations > 1
+        assert len(calls) <= res.iterations + 1
+
+    @pytest.mark.parametrize("rule", STEP_RULES)
+    def test_result_reports_rule_convergence_and_active_set(self, rule):
+        ds, cm, state, spec, counts = make_instance(
+            n_clusters=12, committed=("c00",), seed=2, budget=55.0
+        )
+        opts = SolveOptions(max_iters=50, gap_tol=1e-9, step_rule=rule)
+        res = solve_relaxation(ds, counts, cm, spec, state, opts)
+        assert res.step_rule == rule
+        assert res.converged == (res.gap <= opts.gap_tol * max(1.0, abs(res.utility)))
+        assert res.converged == (res.iterations < opts.max_iters)
+        if rule == "away":
+            assert 1 <= res.active_set_size <= res.iterations + 1
+        else:
+            assert res.active_set_size == 1
+
+    def test_away_iterate_in_box_and_within_budget(self):
+        for seed in range(10):
+            rng = np.random.default_rng(100 + seed)
+            n = int(rng.integers(6, 14))
+            ds, cm, state, spec, counts = make_instance(
+                n_clusters=n,
+                committed=("c00",),
+                seed=seed,
+                budget=float(rng.uniform(10, 60)),
+                overrides={f"c{i:02d}": float(rng.uniform(3, 20)) for i in range(n)},
+                groups=int(rng.integers(1, 4)),
+            )
+            res = solve_relaxation(
+                ds, counts, cm, spec, state,
+                SolveOptions(max_iters=400, gap_tol=1e-9, step_rule="away"),
+            )
+            values = res.inclusion.values
+            assert np.all(values >= 0.0) and np.all(values <= 1.0 + 1e-12)
+            free = ~res.inclusion.committed
+            costs = np.array([cluster_cost(cm, c) for c in ds.clusters])
+            budget = remaining_budget(ds, cm, state)
+            assert costs[free] @ values[free] <= budget * (1 + 1e-9) + 1e-12
 
     def test_negative_remaining_budget_raises(self):
         ds, cm, state, spec, counts = make_instance(committed=("c00",), budget=5.0)
@@ -267,7 +382,96 @@ class TestSolveRelaxation:
         assert res.gap <= 1e-10 * max(1.0, abs(res.utility))
 
 
+def _dense_bisect_step(counts, spec, s, delta, step_max, iters=40):
+    """Reference line search on the full gradient in s."""
+
+    def dd(t):
+        return float(utility_gradient_raw(s + t * delta, counts, spec) @ delta)
+
+    if dd(0.0) <= 0:
+        return 0.0
+    if dd(step_max) >= 0:
+        return step_max
+    lo, hi = 0.0, step_max
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if dd(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kind", ["group_rep", "size"])
+def test_aggregate_line_search_matches_dense_gradient(kind):
+    rng = np.random.default_rng(31)
+    interior = 0
+    for seed in range(30):
+        ds, cm, state, spec, counts = make_instance(
+            n_clusters=10, seed=seed, groups=int(rng.integers(1, 5)),
+            lam=float(rng.uniform(0, 1)),
+        )
+        if kind == "size":
+            spec = UtilitySpec(kind="size")
+        # a Frank-Wolfe direction at a random point of equal cost
+        s = rng.uniform(0, 1, size=ds.n_clusters)
+        costs = np.array([cluster_cost(cm, c) for c in ds.clusters])
+        grad = utility_gradient_raw(s, counts, spec)
+        delta = lmo_knapsack(grad, costs, float(costs @ s)) - s
+        step_max = float(rng.choice([1.0, rng.uniform(0.1, 1.0)]))
+        step = _bisect_step(
+            aggregates(s, counts, spec), aggregates(delta, counts, spec), spec, step_max
+        )
+        expect = _dense_bisect_step(counts, spec, s, delta, step_max)
+        assert step == pytest.approx(expect, abs=1e-12)
+        interior += 0.0 < expect < step_max
+    if kind == "group_rep":
+        assert interior >= 5
+
+
 class TestRoundInclusion:
+    def test_matches_full_permutation_scan(self):
+        def loop_round(ds, s, cm, budget, rng):
+            # reference: scan every unlocked coordinate, skipping zeros in the loop
+            order = rng.permutation(np.flatnonzero(~s.committed))
+            rem = float(budget)
+            chosen = []
+            for j in order:
+                p = float(s.values[j])
+                if p <= 0.0:
+                    continue
+                if p >= 1.0 or rng.random() < p:
+                    cost = cluster_cost(cm, ds.clusters[j])
+                    if cost <= rem:
+                        chosen.append(ds.clusters[j].cluster_id)
+                        rem -= cost
+                    else:
+                        break
+            return tuple(sorted(chosen))
+
+        rng = np.random.default_rng(77)
+        ds, cm, *_ = make_instance(
+            n_clusters=14,
+            seed=9,
+            overrides={f"c{i:02d}": float(rng.uniform(3, 20)) for i in range(14)},
+        )
+        m = ds.n_clusters
+        for seed in range(200):
+            values = rng.uniform(0, 1, size=m)
+            kind = rng.uniform(size=m)
+            values[kind < 0.4] = 0.0
+            values[kind > 0.85] = 1.0
+            committed = rng.uniform(size=m) < 0.15
+            values[committed] = 1.0
+            s = InclusionVector(values=values, committed=committed)
+            budget = float(rng.uniform(0, 120))
+            new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert round_inclusion(ds, s, cm, budget, new_rng) == loop_round(
+                ds, s, cm, budget, old_rng
+            )
+            # the rng stream is left where the old scan left it
+            assert new_rng.random() == old_rng.random()
+
     def test_binary_vector_rounds_to_itself(self):
         ds, cm, state, spec, counts = make_instance(n_clusters=6, seed=4)
         committed = np.zeros(ds.n_clusters, dtype=bool)
@@ -353,4 +557,10 @@ def test_solve_result_serialization(tmp_path):
     assert rows[0] == "cluster_id,probability,committed,selected_after_rounding"
     assert len(rows) == 1 + ds.n_clusters
     meta = json.loads((tmp_path / "solve_meta.json").read_text())
-    assert set(meta) == {"gap", "iterations", "utility", "budget_used"}
+    assert set(meta) == {
+        "gap", "iterations", "utility", "budget_used",
+        "step_rule", "converged", "active_set_size",
+    }
+    assert meta["step_rule"] == "diminishing"
+    assert meta["converged"] is res.converged
+    assert meta["active_set_size"] == 1
