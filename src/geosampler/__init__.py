@@ -6,7 +6,6 @@ from .data import (
     Dataset,
     DatasetError,
     ExpectedCounts,
-    Point,
     SampleState,
     Stratum,
     cluster_cost,

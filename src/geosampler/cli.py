@@ -25,6 +25,7 @@ from .data import (
     save_cost_model,
     save_dataset,
     save_sample_state,
+    validate_sample_state,
 )
 from .experiments import (
     ConfigError,
@@ -244,7 +245,7 @@ def cmd_generate(args) -> int:
     )
     save_truth(truth, out)
     print(f"wrote bundle with {ds.n_points} points, {ds.n_clusters} clusters, "
-          f"{len(ds.strata)} strata to {out}")
+          f"{len(ds.stratum_ids)} strata to {out}")
     return 0
 
 
@@ -323,6 +324,7 @@ def cmd_augment(args) -> int:
 def cmd_evaluate(args) -> int:
     ds = load_dataset(args.dataset)
     state = load_sample_state(args.sample)
+    validate_sample_state(ds, state)
     model, r2 = fit_on_sample(ds, state, seed=args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,13 @@
 """Population data model: strata contain clusters, clusters contain points.
 
+In memory a :class:`Dataset` is columnar and integer-indexed. Points,
+clusters and strata are rows of the sorted id tuples ``point_ids``,
+``cluster_ids`` and ``stratum_ids``; the structure is two index arrays,
+``point_cluster`` (a ``cluster_ids`` row per point) and ``cluster_stratum``
+(a ``stratum_ids`` row per cluster), plus a per-stratum initial flag. String
+ids are translated only at the I/O boundaries: ``build_dataset``, bundle
+load/save and sample files.
+
 A dataset is stored on disk as a bundle directory:
 
     meta.json      feature_dim, counts, split seed/fraction, strata list
@@ -19,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -35,18 +44,6 @@ class DatasetError(ValueError):
 
 class CostError(ValueError):
     """Raised for invalid cost models or cost queries."""
-
-
-@dataclass(frozen=True)
-class Point:
-    """One prediction unit: a feature vector at a location, optionally labeled."""
-
-    point_id: str
-    coords: tuple[float, float]
-    features: np.ndarray
-    label: float | None
-    cluster_id: str
-    stratum_id: str
 
 
 @dataclass(frozen=True)
@@ -68,27 +65,29 @@ class Stratum:
 
     stratum_id: str
     cluster_ids: tuple[str, ...]
-    in_initial: bool = False
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Immutable population over which sampling and prediction happen.
 
-    Points are kept in parallel arrays aligned with ``point_ids`` (sorted
-    lexicographically). ``labels`` uses NaN for unknown (prediction-only)
-    points. The train/test split is assigned at the cluster level so that the
-    source set is a set of sampling units; masks are derived from
-    ``split_seed`` and are reproducible from the bundle alone.
+    Per-point arrays are aligned with ``point_ids``, per-cluster arrays with
+    ``cluster_ids`` and per-stratum arrays with ``stratum_ids``; all three id
+    tuples are sorted lexicographically. ``labels`` uses NaN for unknown
+    (prediction-only) points. The train/test split is assigned at the cluster
+    level so that the source set is a set of sampling units; masks are derived
+    from ``split_seed`` and are reproducible from the bundle alone.
     """
 
     point_ids: tuple[str, ...]
+    cluster_ids: tuple[str, ...]
+    stratum_ids: tuple[str, ...]
     coords: np.ndarray          # (n, 2) float64
     features: np.ndarray        # (n, d) float64
     labels: np.ndarray          # (n,) float64, NaN = unknown
-    point_cluster: tuple[str, ...]
-    clusters: tuple[Cluster, ...]
-    strata: tuple[Stratum, ...]
+    point_cluster: np.ndarray   # (n,) int64, row of cluster_ids
+    cluster_stratum: np.ndarray # (m,) int64, row of stratum_ids
+    stratum_initial: np.ndarray # (S,) bool, strata of the initial sample
     train_mask: np.ndarray      # (n,) bool
     test_mask: np.ndarray       # (n,) bool
     split_seed: int = 0
@@ -105,13 +104,13 @@ class Dataset:
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self.cluster_ids)
 
     @property
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
 
-    # -- lookups (cached, ids are immutable) ------------------------------
+    # -- derived arrays and lookups (cached, the dataset is immutable) ----
 
     @cached_property
     def point_index(self) -> dict[str, int]:
@@ -119,80 +118,94 @@ class Dataset:
 
     @cached_property
     def cluster_index(self) -> dict[str, int]:
-        return {c.cluster_id: i for i, c in enumerate(self.clusters)}
-
-    @cached_property
-    def stratum_index(self) -> dict[str, int]:
-        return {s.stratum_id: i for i, s in enumerate(self.strata)}
+        return {cid: j for j, cid in enumerate(self.cluster_ids)}
 
     @cached_property
     def cluster_sizes(self) -> np.ndarray:
-        return np.array([c.size for c in self.clusters], dtype=np.int64)
+        return np.bincount(self.point_cluster, minlength=self.n_clusters)
 
     @cached_property
-    def point_rows_by_cluster(self) -> dict[str, np.ndarray]:
-        rows: dict[str, list[int]] = {c.cluster_id: [] for c in self.clusters}
-        for i, cid in enumerate(self.point_cluster):
-            rows[cid].append(i)
-        return {cid: np.array(r, dtype=np.int64) for cid, r in rows.items()}
+    def cluster_rows(self) -> np.ndarray:
+        """Point rows grouped by cluster (CSR column array); rows of cluster j
+        are ``cluster_rows[cluster_ptr[j]:cluster_ptr[j + 1]]``, ascending."""
+        return np.argsort(self.point_cluster, kind="stable")
+
+    @cached_property
+    def cluster_ptr(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.cluster_sizes)))
 
     @cached_property
     def cluster_is_source(self) -> np.ndarray:
-        """True for clusters whose points belong to the train split."""
-        out = np.zeros(self.n_clusters, dtype=bool)
-        for j, c in enumerate(self.clusters):
-            rows = self.point_rows_by_cluster[c.cluster_id]
-            out[j] = bool(self.train_mask[rows].all())
-        return out
+        """True for clusters whose points all belong to the train split."""
+        outside = np.bincount(self.point_cluster[~self.train_mask], minlength=self.n_clusters)
+        return outside == 0
 
     @cached_property
     def labeled_mask(self) -> np.ndarray:
         return ~np.isnan(self.labels)
 
+    def rows_of_cluster(self, j: int) -> np.ndarray:
+        return self.cluster_rows[self.cluster_ptr[j]:self.cluster_ptr[j + 1]]
+
+    def cluster_indices(self, cluster_ids: Iterable[str]) -> np.ndarray:
+        """Rows of ``cluster_ids`` for the given ids, in order."""
+        return _indices(self.cluster_index, cluster_ids, "cluster")
+
+    def point_indices(self, point_ids: Iterable[str]) -> np.ndarray:
+        """Rows of ``point_ids`` for the given ids, in order."""
+        return _indices(self.point_index, point_ids, "point")
+
+    def stratum_flags(self, stratum_ids: Iterable[str]) -> np.ndarray:
+        """(S,) bool: True for the named strata; unknown ids are ignored."""
+        chosen = frozenset(stratum_ids)
+        return np.array([sid in chosen for sid in self.stratum_ids], dtype=bool)
+
+    # -- id-keyed records for the public API ------------------------------
+
     def cluster(self, cluster_id: str) -> Cluster:
-        try:
-            return self.clusters[self.cluster_index[cluster_id]]
-        except KeyError:
-            raise DatasetError(f"unknown cluster id {cluster_id!r}") from None
+        return self._cluster_record(int(self.cluster_indices([cluster_id])[0]))
 
-    def stratum_of_cluster(self, cluster_id: str) -> str:
-        return self.cluster(cluster_id).stratum_id
+    @cached_property
+    def clusters(self) -> tuple[Cluster, ...]:
+        return tuple(self._cluster_record(j) for j in range(self.n_clusters))
 
-    def point(self, point_id: str) -> Point:
-        try:
-            i = self.point_index[point_id]
-        except KeyError:
-            raise DatasetError(f"unknown point id {point_id!r}") from None
-        label = None if np.isnan(self.labels[i]) else float(self.labels[i])
-        cid = self.point_cluster[i]
-        return Point(
-            point_id=point_id,
-            coords=(float(self.coords[i, 0]), float(self.coords[i, 1])),
-            features=self.features[i],
-            label=label,
-            cluster_id=cid,
-            stratum_id=self.stratum_of_cluster(cid),
+    @cached_property
+    def strata(self) -> tuple[Stratum, ...]:
+        order = np.argsort(self.cluster_stratum, kind="stable")
+        counts = np.bincount(self.cluster_stratum, minlength=len(self.stratum_ids))
+        return tuple(
+            Stratum(sid, tuple(self.cluster_ids[j] for j in members))
+            for sid, members in zip(self.stratum_ids, np.split(order, np.cumsum(counts)[:-1]))
         )
 
-    def source_cluster_ids(self) -> tuple[str, ...]:
-        return tuple(
-            c.cluster_id for j, c in enumerate(self.clusters) if self.cluster_is_source[j]
+    def _cluster_record(self, j: int) -> Cluster:
+        return Cluster(
+            cluster_id=self.cluster_ids[j],
+            stratum_id=self.stratum_ids[self.cluster_stratum[j]],
+            point_ids=tuple(self.point_ids[i] for i in self.rows_of_cluster(j)),
         )
 
     def with_initial_strata(self, stratum_ids: Iterable[str]) -> "Dataset":
-        """Return a copy whose strata carry ``in_initial`` flags."""
+        """Return a copy whose ``stratum_initial`` flags mark the given strata."""
         chosen = frozenset(stratum_ids)
-        unknown = chosen - {s.stratum_id for s in self.strata}
+        unknown = chosen - set(self.stratum_ids)
         if unknown:
             raise DatasetError(f"unknown stratum id {sorted(unknown)[0]!r}")
-        strata = tuple(
-            replace(s, in_initial=s.stratum_id in chosen) for s in self.strata
-        )
-        return replace(self, strata=strata)
+        return replace(self, stratum_initial=self.stratum_flags(chosen))
+
+
+def _indices(index: Mapping[str, int], ids: Iterable[str], kind: str) -> np.ndarray:
+    try:
+        return np.array([index[i] for i in ids], dtype=np.int64)
+    except KeyError as exc:
+        raise DatasetError(f"unknown {kind} id {exc.args[0]!r}") from None
 
 
 def _validate_dataset(ds: Dataset) -> None:
-    n = len(ds.point_ids)
+    """Check what outside input can break: shapes, empty clusters and the
+    split masks. :func:`build_dataset` makes the id tuples sorted and unique
+    and the index arrays in range."""
+    n, m, S = len(ds.point_ids), len(ds.cluster_ids), len(ds.stratum_ids)
     if ds.features.ndim != 2 or ds.features.shape[0] != n:
         raise DatasetError("feature matrix shape inconsistent with point count")
     if ds.features.shape[1] < 1:
@@ -203,120 +216,47 @@ def _validate_dataset(ds: Dataset) -> None:
         raise DatasetError("labels must have shape (n,)")
     if ds.train_mask.shape != (n,) or ds.test_mask.shape != (n,):
         raise DatasetError("split masks must have shape (n,)")
-    if list(ds.point_ids) != sorted(ds.point_ids):
-        raise DatasetError("point ids must be sorted lexicographically")
-    if len(set(ds.point_ids)) != n:
-        raise DatasetError("duplicate point ids")
-
-    cluster_ids = [c.cluster_id for c in ds.clusters]
-    if cluster_ids != sorted(cluster_ids) or len(set(cluster_ids)) != len(cluster_ids):
-        raise DatasetError("cluster ids must be sorted and unique")
-    stratum_ids = [s.stratum_id for s in ds.strata]
-    if stratum_ids != sorted(stratum_ids) or len(set(stratum_ids)) != len(stratum_ids):
-        raise DatasetError("stratum ids must be sorted and unique")
-
-    known_clusters = set(cluster_ids)
-    known_strata = set(stratum_ids)
-
-    # points -> clusters
-    for pid, cid in zip(ds.point_ids, ds.point_cluster):
-        if cid not in known_clusters:
-            raise DatasetError(f"point {pid!r} references unknown cluster {cid!r}")
-
-    # clusters partition points; stratum references valid; size >= 1
-    seen_points: set[str] = set()
-    point_set = set(ds.point_ids)
-    for c in ds.clusters:
-        if c.size < 1:
-            raise DatasetError(f"cluster {c.cluster_id!r} is empty")
-        if c.stratum_id not in known_strata:
-            raise DatasetError(
-                f"cluster {c.cluster_id!r} references unknown stratum {c.stratum_id!r}"
-            )
-        for pid in c.point_ids:
-            if pid not in point_set:
-                raise DatasetError(
-                    f"cluster {c.cluster_id!r} lists unknown point {pid!r}"
-                )
-            if pid in seen_points:
-                raise DatasetError(f"point {pid!r} appears in more than one cluster")
-            seen_points.add(pid)
-    if seen_points != point_set:
-        missing = sorted(point_set - seen_points)[0]
-        raise DatasetError(f"point {missing!r} belongs to no cluster")
-
-    # membership arrays agree with cluster rosters
-    idx = {pid: i for i, pid in enumerate(ds.point_ids)}
-    for c in ds.clusters:
-        for pid in c.point_ids:
-            if ds.point_cluster[idx[pid]] != c.cluster_id:
-                raise DatasetError(
-                    f"point {pid!r} membership disagrees with cluster {c.cluster_id!r}"
-                )
-
-    # strata partition clusters
-    seen_clusters: set[str] = set()
-    for s in ds.strata:
-        for cid in s.cluster_ids:
-            if cid not in known_clusters:
-                raise DatasetError(
-                    f"stratum {s.stratum_id!r} lists unknown cluster {cid!r}"
-                )
-            if cid in seen_clusters:
-                raise DatasetError(f"cluster {cid!r} appears in more than one stratum")
-            seen_clusters.add(cid)
-    if seen_clusters != known_clusters:
-        missing = sorted(known_clusters - seen_clusters)[0]
-        raise DatasetError(f"cluster {missing!r} belongs to no stratum")
-    by_stratum = {s.stratum_id: set(s.cluster_ids) for s in ds.strata}
-    for c in ds.clusters:
-        if c.cluster_id not in by_stratum[c.stratum_id]:
-            raise DatasetError(
-                f"cluster {c.cluster_id!r} missing from stratum {c.stratum_id!r}"
-            )
+    if (ds.point_cluster.shape, ds.cluster_stratum.shape, ds.stratum_initial.shape) != (
+        (n,), (m,), (S,)
+    ):
+        raise DatasetError("index arrays must align with the id tuples")
+    empty = np.flatnonzero(ds.cluster_sizes == 0)
+    if empty.size:
+        raise DatasetError(f"cluster {ds.cluster_ids[empty[0]]!r} is empty")
 
     # split masks: disjoint, cover all labeled points
     if np.any(ds.train_mask & ds.test_mask):
         raise DatasetError("train/test masks overlap")
-    labeled = ~np.isnan(ds.labels)
-    uncovered = labeled & ~(ds.train_mask | ds.test_mask)
+    uncovered = ~np.isnan(ds.labels) & ~(ds.train_mask | ds.test_mask)
     if np.any(uncovered):
         pid = ds.point_ids[int(np.flatnonzero(uncovered)[0])]
         raise DatasetError(f"labeled point {pid!r} not covered by the split")
 
 
 def split_masks_from_seed(
-    clusters: tuple[Cluster, ...],
-    point_ids: tuple[str, ...],
+    point_cluster: np.ndarray,
+    n_clusters: int,
     labels: np.ndarray,
     split_seed: int,
     test_fraction: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assign whole clusters to the test side until it holds ~``test_fraction``
     of the labeled points; everything else is train. Deterministic in the seed.
+
+    Clusters are taken in a seeded random order while the labeled points
+    already on the test side fall short of the target.
     """
-    idx = {pid: i for i, pid in enumerate(point_ids)}
     labeled = ~np.isnan(labels)
-    total_labeled = int(labeled.sum())
     rng = np.random.default_rng(split_seed)
-    order = rng.permutation(len(clusters))
-    test_cluster_rows: list[np.ndarray] = []
-    got = 0
-    target = test_fraction * total_labeled
-    for j in order:
-        if got >= target:
-            break
-        rows = np.array([idx[pid] for pid in clusters[j].point_ids], dtype=np.int64)
-        test_cluster_rows.append(rows)
-        got += int(labeled[rows].sum())
-    test_mask = np.zeros(len(point_ids), dtype=bool)
-    for rows in test_cluster_rows:
-        test_mask[rows] = True
-    train_mask = ~test_mask
+    order = rng.permutation(n_clusters)
+    target = test_fraction * int(labeled.sum())
+    in_order = np.bincount(point_cluster[labeled], minlength=n_clusters)[order]
+    before = np.cumsum(in_order) - in_order
+    test_cluster = np.zeros(n_clusters, dtype=bool)
+    test_cluster[order[before < target]] = True
+    on_test_side = test_cluster[point_cluster]
     # prediction-only points (unknown label) stay out of both masks
-    train_mask &= labeled
-    test_mask &= labeled
-    return train_mask, test_mask
+    return ~on_test_side & labeled, on_test_side & labeled
 
 
 def build_dataset(
@@ -330,45 +270,43 @@ def build_dataset(
     test_fraction: float = 0.2,
 ) -> Dataset:
     """Assemble a validated Dataset from per-point rows, sorting everything
-    by identifier and deriving cluster/stratum rosters and split masks."""
-    pids = list(point_ids)
-    pcl = list(point_cluster)
-    order = np.argsort(np.array(pids, dtype=object))
-    pids = [pids[i] for i in order]
-    pcl = [pcl[i] for i in order]
-    coords = np.asarray(coords, dtype=np.float64)[order]
-    features = np.asarray(features, dtype=np.float64)[order]
-    labels = np.asarray(labels, dtype=np.float64)[order]
+    by identifier and deriving the index arrays and split masks."""
+    pids = np.array(list(point_ids), dtype=str)
+    pcl = np.array(list(point_cluster), dtype=str)
+    if pcl.shape != pids.shape:
+        raise DatasetError("point_cluster must name one cluster per point")
+    order = np.argsort(pids, kind="stable")
+    pids, pcl = pids[order], pcl[order]
+    dup = np.flatnonzero(pids[1:] == pids[:-1])
+    if dup.size:
+        raise DatasetError(f"duplicate point id {str(pids[dup[0]])!r}")
 
-    members: dict[str, list[str]] = {}
-    for pid, cid in zip(pids, pcl):
-        members.setdefault(cid, []).append(pid)
-    for cid in members:
-        if cid not in cluster_stratum:
-            raise DatasetError(f"point references unknown cluster {cid!r}")
-    clusters = tuple(
-        Cluster(cid, cluster_stratum[cid], tuple(members[cid]))
-        for cid in sorted(members)
+    table = np.array(list(cluster_stratum), dtype=str)
+    by_id = np.argsort(table, kind="stable")
+    cids = table[by_id]
+    sids, cluster_strat = np.unique(
+        np.array(list(cluster_stratum.values()), dtype=str)[by_id], return_inverse=True
     )
-    rosters: dict[str, list[str]] = {}
-    for cid, sid in cluster_stratum.items():
-        if cid not in members:
-            raise DatasetError(f"cluster {cid!r} is empty")
-        rosters.setdefault(sid, []).append(cid)
-    strata = tuple(
-        Stratum(sid, tuple(sorted(rosters[sid]))) for sid in sorted(rosters)
-    )
+    pos = np.minimum(np.searchsorted(cids, pcl), max(len(cids) - 1, 0))
+    unknown = np.flatnonzero(cids[pos] != pcl) if cids.size else np.arange(len(pcl))
+    if unknown.size:
+        i = unknown[0]
+        raise DatasetError(f"point {str(pids[i])!r} references unknown cluster {str(pcl[i])!r}")
+
+    labels = np.asarray(labels, dtype=np.float64)[order]
     train_mask, test_mask = split_masks_from_seed(
-        clusters, tuple(pids), labels, split_seed, test_fraction
+        pos, len(cids), labels, split_seed, test_fraction
     )
     return Dataset(
-        point_ids=tuple(pids),
-        coords=coords,
-        features=features,
+        point_ids=tuple(pids.tolist()),
+        cluster_ids=tuple(cids.tolist()),
+        stratum_ids=tuple(sids.tolist()),
+        coords=np.asarray(coords, dtype=np.float64)[order],
+        features=np.asarray(features, dtype=np.float64)[order],
         labels=labels,
-        point_cluster=tuple(pcl),
-        clusters=clusters,
-        strata=strata,
+        point_cluster=pos.astype(np.int64),
+        cluster_stratum=cluster_strat.astype(np.int64),
+        stratum_initial=np.zeros(len(sids), dtype=bool),
         train_mask=train_mask,
         test_mask=test_mask,
         split_seed=split_seed,
@@ -380,11 +318,13 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
     """Field-by-field equality (arrays compared exactly, NaN == NaN)."""
     return (
         a.point_ids == b.point_ids
-        and a.point_cluster == b.point_cluster
-        and a.clusters == b.clusters
-        and a.strata == b.strata
+        and a.cluster_ids == b.cluster_ids
+        and a.stratum_ids == b.stratum_ids
         and a.split_seed == b.split_seed
         and a.test_fraction == b.test_fraction
+        and np.array_equal(a.point_cluster, b.point_cluster)
+        and np.array_equal(a.cluster_stratum, b.cluster_stratum)
+        and np.array_equal(a.stratum_initial, b.stratum_initial)
         and np.array_equal(a.coords, b.coords)
         and np.array_equal(a.features, b.features)
         and np.array_equal(a.labels, b.labels, equal_nan=True)
@@ -445,12 +385,27 @@ def cluster_cost(cm: CostModel, cluster: Cluster) -> float:
     return float(cm.c1 if cluster.stratum_id in cm.initial_strata else cm.c2)
 
 
+def cluster_costs(cm: CostModel, ds: Dataset) -> np.ndarray:
+    """(m,) cost of every cluster, priced as :func:`cluster_cost` prices one."""
+    if cm.c1 == cm.c2:
+        costs = np.full(ds.n_clusters, float(cm.c1))
+    elif cm.initial_strata is None:
+        raise CostError(
+            "initial strata not fixed; bind the cost model with with_initial_strata()"
+        )
+    else:
+        in_initial = ds.stratum_flags(cm.initial_strata)[ds.cluster_stratum]
+        costs = np.where(in_initial, float(cm.c1), float(cm.c2))
+    for cid, value in (cm.per_cluster_override or {}).items():
+        if cid in ds.cluster_index:
+            costs[ds.cluster_index[cid]] = float(value)
+    return costs
+
+
 def set_cost(cm: CostModel, ds: Dataset, cluster_ids: Iterable[str]) -> float:
-    """Sum of cluster costs over a set of cluster ids."""
-    total = 0.0
-    for cid in cluster_ids:
-        total += cluster_cost(cm, ds.cluster(cid))
-    return total
+    """Sum of cluster costs over a set of cluster ids, added in the given order."""
+    costs = cluster_costs(cm, ds)[ds.cluster_indices(cluster_ids)]
+    return float(np.cumsum(costs)[-1]) if costs.size else 0.0
 
 
 def save_cost_model(cm: CostModel, bundle: str | Path) -> None:
@@ -527,24 +482,22 @@ class SampleState:
     def n_labeled(self) -> int:
         return sum(len(v) for v in self.labeled_points.values())
 
-    def with_lineage(self, *entries: str) -> "SampleState":
-        return replace(self, lineage=self.lineage + entries)
-
 
 def validate_sample_state(ds: Dataset, state: SampleState) -> None:
-    """Check a sample against its dataset: cluster refs, per-cluster caps."""
-    for cid in state.all_cluster_ids():
-        c = ds.cluster(cid)
+    """Check a sample against its dataset: known cluster and point ids, each
+    labeled point inside its cluster, at most min(k, size) points per cluster."""
+    for cid, j in zip(state.all_cluster_ids(), ds.cluster_indices(state.all_cluster_ids())):
         labeled = state.labeled_points.get(cid, ())
-        if len(labeled) > min(state.k, c.size):
+        cap = min(state.k, int(ds.cluster_sizes[j]))
+        if len(labeled) > cap:
             raise DatasetError(
-                f"cluster {cid!r} has {len(labeled)} labeled points, cap is "
-                f"{min(state.k, c.size)}"
+                f"cluster {cid!r} has {len(labeled)} labeled points, cap is {cap}"
             )
-        member = set(c.point_ids)
-        for pid in labeled:
-            if pid not in member:
-                raise DatasetError(f"point {pid!r} labeled under wrong cluster {cid!r}")
+        outside = np.flatnonzero(ds.point_cluster[ds.point_indices(labeled)] != j)
+        if outside.size:
+            raise DatasetError(
+                f"point {labeled[outside[0]]!r} labeled under wrong cluster {cid!r}"
+            )
 
 
 def save_sample_state(state: SampleState, path: str | Path) -> None:
@@ -610,13 +563,10 @@ def expected_counts(ds: Dataset, gm, k: int) -> ExpectedCounts:
         e_group = np.zeros((m, 0))
     else:
         G = len(gm.gamma)
-        e_group = np.zeros((m, G))
-        for j, c in enumerate(ds.clusters):
-            rows = ds.point_rows_by_cluster[c.cluster_id]
-            counts = np.bincount(gm.assignment[rows], minlength=G).astype(np.float64)
-            e_group[j] = e[j] * counts / sizes[j]
+        counts = np.bincount(ds.point_cluster * G + gm.assignment, minlength=m * G)
+        e_group = e[:, None] * counts.reshape(m, G).astype(np.float64) / sizes[:, None]
     return ExpectedCounts(
-        cluster_ids=tuple(c.cluster_id for c in ds.clusters),
+        cluster_ids=ds.cluster_ids,
         e=e,
         e_group=e_group,
         k=k,
@@ -646,7 +596,7 @@ def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") ->
         "feature_dim": ds.feature_dim,
         "n_points": ds.n_points,
         "n_clusters": ds.n_clusters,
-        "n_strata": len(ds.strata),
+        "n_strata": len(ds.stratum_ids),
         "split_seed": ds.split_seed,
         "test_fraction": ds.test_fraction,
         "features_file": features_file,
@@ -654,29 +604,29 @@ def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") ->
             {
                 "stratum_id": s.stratum_id,
                 "cluster_ids": list(s.cluster_ids),
-                "in_initial": s.in_initial,
+                "in_initial": bool(flag),
             }
-            for s in ds.strata
+            for s, flag in zip(ds.strata, ds.stratum_initial)
         ],
     }
     (out / "meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
+    cluster_stratum_ids = [ds.stratum_ids[s] for s in ds.cluster_stratum]
     with (out / "points.csv").open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["point_id", "x", "y", "label", "cluster_id", "stratum_id"])
-        for i, pid in enumerate(ds.point_ids):
+        for i, (pid, j) in enumerate(zip(ds.point_ids, ds.point_cluster.tolist())):
             label = ds.labels[i]
-            cid = ds.point_cluster[i]
             w.writerow(
                 [
                     pid,
                     _format_float(ds.coords[i, 0]),
                     _format_float(ds.coords[i, 1]),
                     "NA" if np.isnan(label) else _format_float(label),
-                    cid,
-                    ds.stratum_of_cluster(cid),
+                    ds.cluster_ids[j],
+                    cluster_stratum_ids[j],
                 ]
             )
 
@@ -705,42 +655,45 @@ def load_dataset(path: str | Path) -> Dataset:
     points_path = root / "points.csv"
     if not points_path.exists():
         raise DatasetError(f"missing points.csv in {root}")
+    expect = ["point_id", "x", "y", "label", "cluster_id", "stratum_id"]
     with points_path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        expect = ["point_id", "x", "y", "label", "cluster_id", "stratum_id"]
         if header != expect:
             missing = [c for c in expect if header is None or c not in header]
             raise DatasetError(f"points.csv missing columns {missing}")
-        rows = list(reader)
-
-    pids = [r[0] for r in rows]
-    coords = np.array([[float(r[1]), float(r[2])] for r in rows], dtype=np.float64)
-    labels = np.array(
-        [np.nan if r[3] == "NA" else float(r[3]) for r in rows], dtype=np.float64
-    )
-    point_cluster = [r[4] for r in rows]
+        columns = list(zip(*reader)) or [()] * len(expect)
+    if len(columns) != len(expect):
+        raise DatasetError(f"points.csv rows must have {len(expect)} fields")
+    pids, xs, ys, label_text, point_cluster, point_stratum = columns
+    coords = np.column_stack((np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)))
+    labels = np.array(label_text, dtype=str)
+    labels = np.where(labels == "NA", "nan", labels).astype(np.float64)
 
     # the strata list in meta.json is the authoritative cluster table
-    cluster_stratum: dict[str, str] = {}
-    for entry in meta.get("strata", []):
-        for cid in entry.get("cluster_ids", []):
-            if cid in cluster_stratum:
-                raise DatasetError(f"cluster {cid!r} listed under two strata")
-            cluster_stratum[cid] = entry["stratum_id"]
+    listed = [
+        (cid, entry["stratum_id"])
+        for entry in meta.get("strata", [])
+        for cid in entry.get("cluster_ids", [])
+    ]
+    cluster_stratum = dict(listed)
+    if len(cluster_stratum) < len(listed):
+        cid = min(c for c, n in Counter(c for c, _ in listed).items() if n > 1)
+        raise DatasetError(f"cluster {cid!r} listed under two strata")
     if not cluster_stratum:
         raise DatasetError("meta.json strata list carries no cluster rosters")
-    for r in rows:
-        if r[4] not in cluster_stratum:
+    stray = set(zip(point_cluster, point_stratum)) - set(listed)
+    if stray:
+        cid, sid = min(stray)
+        if cid not in cluster_stratum:
+            pid = pids[point_cluster.index(cid)]
             raise DatasetError(
-                f"point {r[0]!r} references cluster {r[4]!r} absent from the "
-                f"cluster table"
+                f"point {pid!r} references cluster {cid!r} absent from the cluster table"
             )
-        if cluster_stratum[r[4]] != r[5]:
-            raise DatasetError(
-                f"cluster {r[4]!r} stratum mismatch: table says "
-                f"{cluster_stratum[r[4]]!r}, points.csv says {r[5]!r}"
-            )
+        raise DatasetError(
+            f"cluster {cid!r} stratum mismatch: table says "
+            f"{cluster_stratum[cid]!r}, points.csv says {sid!r}"
+        )
     if len(cluster_stratum) != int(meta.get("n_clusters", len(cluster_stratum))):
         raise DatasetError("meta.json n_clusters disagrees with the cluster table")
 
@@ -781,6 +734,12 @@ def load_dataset(path: str | Path) -> Dataset:
         blob = fpath.read_bytes()
         if blob[:4] != FEATURES_BIN_MAGIC:
             raise DatasetError("features.bin has wrong magic")
+        size = 16 + 4 * len(pids) * d
+        if len(blob) != size:
+            raise DatasetError(
+                f"features.bin holds {len(blob)} bytes; {len(pids)} x {d} float32 "
+                f"features and the 16-byte header take {size}"
+            )
         nrows, dim, _reserved = struct.unpack("<III", blob[4:16])
         if nrows != len(pids) or dim != d:
             raise DatasetError(
@@ -788,9 +747,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 f"({len(pids)} x {d})"
             )
         features = (
-            np.frombuffer(blob[16:], dtype="<f4", count=nrows * dim)
-            .reshape(nrows, dim)
-            .astype(np.float64)
+            np.frombuffer(blob, dtype="<f4", offset=16).reshape(nrows, dim).astype(np.float64)
         )
 
     ds = build_dataset(

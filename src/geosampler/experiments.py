@@ -171,9 +171,10 @@ def config_hash(cfg: ExperimentConfig) -> str:
 def dataset_content_hash(ds: Dataset) -> str:
     h = hashlib.sha256()
     h.update("\x00".join(ds.point_ids).encode("utf-8"))
-    h.update("\x00".join(ds.point_cluster).encode("utf-8"))
-    for c in ds.clusters:
-        h.update(f"{c.cluster_id}|{c.stratum_id}".encode("utf-8"))
+    cluster_ids = np.array(ds.cluster_ids, dtype=object)
+    h.update("\x00".join(cluster_ids[ds.point_cluster]).encode("utf-8"))
+    for cid, s in zip(ds.cluster_ids, ds.cluster_stratum):
+        h.update(f"{cid}|{ds.stratum_ids[s]}".encode("utf-8"))
     h.update(ds.coords.tobytes())
     h.update(ds.features.tobytes())
     h.update(ds.labels.tobytes())
@@ -392,15 +393,12 @@ def run_augmentation(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
 def _auto_anchors(ds: Dataset, n_anchors: int) -> tuple[tuple[float, float], ...]:
     """Centers of the largest source clusters (deterministic stand-ins for
     urban areas)."""
-    sizes = [
-        (c.size, c.cluster_id) for j, c in enumerate(ds.clusters) if ds.cluster_is_source[j]
-    ]
-    chosen = sorted(sizes, key=lambda t: (-t[0], t[1]))[:n_anchors]
-    anchors = []
-    for _, cid in chosen:
-        rows = ds.point_rows_by_cluster[cid]
-        anchors.append((float(ds.coords[rows, 0].mean()), float(ds.coords[rows, 1].mean())))
-    return tuple(anchors)
+    source = np.flatnonzero(ds.cluster_is_source)
+    chosen = source[np.lexsort((source, -ds.cluster_sizes[source]))][:n_anchors]
+    return tuple(
+        (float(ds.coords[rows, 0].mean()), float(ds.coords[rows, 1].mean()))
+        for rows in map(ds.rows_of_cluster, chosen)
+    )
 
 
 def run_rank_study(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:

@@ -63,12 +63,8 @@ def _shares_from_assignment(assignment: np.ndarray, G: int) -> np.ndarray:
 
 def admin_groups(ds: Dataset, gamma: np.ndarray | None = None) -> GroupModel:
     """One group per stratum; shares default to population proportions."""
-    sid_index = {s.stratum_id: i for i, s in enumerate(ds.strata)}
-    assignment = np.array(
-        [sid_index[ds.stratum_of_cluster(cid)] for cid in ds.point_cluster],
-        dtype=np.int64,
-    )
-    group_ids = tuple(s.stratum_id for s in ds.strata)
+    assignment = ds.cluster_stratum[ds.point_cluster]
+    group_ids = ds.stratum_ids
     g = _shares_from_assignment(assignment, len(group_ids)) if gamma is None else np.asarray(gamma, dtype=np.float64)
     return GroupModel(kind="admin", group_ids=group_ids, assignment=assignment, gamma=g)
 

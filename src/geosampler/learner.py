@@ -252,7 +252,7 @@ def fit_on_sample(ds: Dataset, state: SampleState, seed: int = 0) -> tuple[Ridge
     labeled = sorted(state.labeled_point_ids())
     if not labeled:
         raise LearnerError("cannot evaluate an empty sample")
-    rows = np.array([ds.point_index[pid] for pid in labeled], dtype=np.int64)
+    rows = ds.point_indices(labeled)
     if np.any(np.isnan(ds.labels[rows])):
         bad = labeled[int(np.flatnonzero(np.isnan(ds.labels[rows]))[0])]
         raise LearnerError(f"sample contains point {bad!r} with unknown label")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CostModel, Dataset, SampleState, cluster_cost, set_cost
+from .data import CostModel, Dataset, SampleState, cluster_costs, set_cost
 from .utility import (
     ExpectedCounts,
     InclusionVector,
@@ -129,7 +129,8 @@ def remaining_budget(ds: Dataset, cm: CostModel, state: SampleState) -> float:
     return cm.budget - set_cost(cm, ds, state.all_cluster_ids())
 
 
-def _bind_costs(cm: CostModel, state: SampleState) -> CostModel:
+def bind_costs(cm: CostModel, state: SampleState) -> CostModel:
+    """Price c1/c2 by the sample's initial strata unless the model is bound."""
     return cm if cm.initial_strata is not None else cm.with_initial_strata(state.initial_strata)
 
 
@@ -148,7 +149,7 @@ def solve_relaxation(
     gap falls below gap_tol * max(1, |U(s)|) or after max_iters iterations.
     """
     opts = opts or SolveOptions()
-    cm = _bind_costs(cm, state)
+    cm = bind_costs(cm, state)
     budget = remaining_budget(ds, cm, state)
     if budget < 0:
         raise InfeasibleError(
@@ -158,14 +159,11 @@ def solve_relaxation(
 
     m = ds.n_clusters
     committed = np.zeros(m, dtype=bool)
-    for cid in state.all_cluster_ids():
-        committed[ds.cluster_index[cid]] = True
+    committed[ds.cluster_indices(state.all_cluster_ids())] = True
     available = ds.cluster_is_source & ~committed
     decision = np.flatnonzero(committed | available)
     locked_dec = committed[decision]
-    costs_dec = np.array(
-        [cluster_cost(cm, ds.clusters[j]) for j in decision], dtype=np.float64
-    )
+    costs_dec = cluster_costs(cm, ds)[decision]
 
     s = np.zeros(m, dtype=np.float64)
     s[committed] = 1.0
@@ -369,14 +367,15 @@ def round_inclusion(
     # a zero-probability cluster draws no random number, so skipping it
     # leaves the rng stream unchanged
     order = order[s.values[order] > 0.0]
+    costs = cluster_costs(cm, ds)
     rem = float(budget)
     chosen: list[str] = []
     for j in order:
         p = float(s.values[j])
         if p >= 1.0 or rng.random() < p:
-            cost = cluster_cost(cm, ds.clusters[j])
+            cost = float(costs[j])
             if cost <= rem:
-                chosen.append(ds.clusters[j].cluster_id)
+                chosen.append(ds.cluster_ids[j])
                 rem -= cost
             else:
                 break
@@ -395,13 +394,13 @@ def save_solve_result(
     with (out / "inclusion.csv").open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["cluster_id", "probability", "committed", "selected_after_rounding"])
-        for j, c in enumerate(ds.clusters):
+        for j, cid in enumerate(ds.cluster_ids):
             w.writerow(
                 [
-                    c.cluster_id,
+                    cid,
                     repr(float(result.inclusion.values[j])),
                     int(bool(result.inclusion.committed[j])),
-                    int(c.cluster_id in selected_set),
+                    int(cid in selected_set),
                 ]
             )
     meta = {

@@ -20,13 +20,14 @@ from .data import (
     CostModel,
     Dataset,
     SampleState,
-    cluster_cost,
+    cluster_costs,
     expected_counts,
     set_cost,
 )
 from .optimizer import (
     SolveOptions,
     SolveResult,
+    bind_costs,
     remaining_budget,
     round_inclusion,
     solve_relaxation,
@@ -69,31 +70,27 @@ class ConvenienceConfig:
             raise SamplingError("sample size must be >= 1")
 
 
-def _labelable_ids(ds: Dataset, cluster_id: str) -> tuple[str, ...]:
-    rows = ds.point_rows_by_cluster[cluster_id]
-    return tuple(
-        ds.point_ids[i] for i in rows if not np.isnan(ds.labels[i])
-    )
+def _labelable_counts(ds: Dataset) -> np.ndarray:
+    """(m,) number of points with a known label in each cluster."""
+    return np.bincount(ds.point_cluster[ds.labeled_mask], minlength=ds.n_clusters)
 
 
 def _label_in_cluster(
-    ds: Dataset, cluster_id: str, k: int, rng: np.random.Generator | None
+    ds: Dataset, j: int, k: int, rng: np.random.Generator | None
 ) -> tuple[str, ...]:
-    candidates = _labelable_ids(ds, cluster_id)
-    take = min(k, len(candidates))
-    if rng is None:
-        return candidates[:take]
-    perm = rng.permutation(len(candidates))
-    return tuple(candidates[i] for i in perm[:take])
+    """Ids of up to k labeled points of cluster j, drawn uniformly without
+    replacement (the first k in id order when rng is None)."""
+    rows = ds.rows_of_cluster(j)
+    rows = rows[ds.labeled_mask[rows]]
+    take = min(k, len(rows))
+    picks = rows[:take] if rng is None else rows[rng.permutation(len(rows))[:take]]
+    return tuple(ds.point_ids[i] for i in picks)
 
 
-def _pps_pop(rng: np.random.Generator, ids: list[str], weights: list[float]) -> str:
-    """Draw one id with probability proportional to weight and remove it."""
-    w = np.asarray(weights, dtype=np.float64)
-    j = int(rng.choice(len(ids), p=w / w.sum()))
-    cid = ids.pop(j)
-    weights.pop(j)
-    return cid
+def _pps_draw(rng: np.random.Generator, ds: Dataset, ids: np.ndarray) -> int:
+    """Draw one of the clusters ``ids`` with probability proportional to size."""
+    w = ds.cluster_sizes[ids].astype(np.float64)
+    return int(ids[rng.choice(len(ids), p=w / w.sum())])
 
 
 def gumbel_topk(rng: np.random.Generator, logits: np.ndarray, size: int) -> np.ndarray:
@@ -129,14 +126,6 @@ def weighted_sample_without_replacement(
     return gumbel_topk(rng, logits, size)
 
 
-def _source_cluster_indices(ds: Dataset) -> list[int]:
-    return [
-        j
-        for j in range(ds.n_clusters)
-        if ds.cluster_is_source[j] and _labelable_ids(ds, ds.clusters[j].cluster_id)
-    ]
-
-
 def draw_initial_sample(
     ds: Dataset, cfg: SamplerConfig, rng: np.random.Generator
 ) -> SampleState:
@@ -148,41 +137,35 @@ def draw_initial_sample(
     stop at the first draw that meets the labeled-point target; the final
     cluster's labeled points are trimmed to hit the target exactly.
     """
-    all_sids = [s.stratum_id for s in ds.strata]
-    if cfg.n_strata > len(all_sids):
+    n_strata = len(ds.stratum_ids)
+    if cfg.n_strata > n_strata:
         raise SamplingError(
-            f"requested {cfg.n_strata} strata but dataset has {len(all_sids)}"
+            f"requested {cfg.n_strata} strata but dataset has {n_strata}"
         )
     strata_rng = np.random.default_rng(cfg.strata_seed)
-    chosen = strata_rng.choice(len(all_sids), size=cfg.n_strata, replace=False)
-    initial_strata = frozenset(all_sids[i] for i in sorted(chosen))
+    chosen = strata_rng.choice(n_strata, size=cfg.n_strata, replace=False)
+    initial_strata = frozenset(ds.stratum_ids[i] for i in sorted(chosen))
 
-    cand = [
-        j
-        for j in _source_cluster_indices(ds)
-        if ds.clusters[j].stratum_id in initial_strata
-    ]
-    reachable = sum(
-        min(cfg.k, len(_labelable_ids(ds, ds.clusters[j].cluster_id))) for j in cand
-    )
+    labelable = _labelable_counts(ds)
+    in_initial = ds.stratum_flags(initial_strata)[ds.cluster_stratum]
+    cand = np.flatnonzero(ds.cluster_is_source & (labelable > 0) & in_initial)
+    reachable = int(np.minimum(cfg.k, labelable[cand]).sum())
     if reachable < cfg.initial_size:
         raise SamplingError(
             f"target of {cfg.initial_size} labeled points unreachable within the "
             f"chosen strata (at most {reachable})"
         )
 
-    ids = [ds.clusters[j].cluster_id for j in cand]
-    weights = [float(ds.clusters[j].size) for j in cand]
     labeled: dict[str, tuple[str, ...]] = {}
     drawn: list[str] = []
     total = 0
     while total < cfg.initial_size:
-        cid = _pps_pop(rng, ids, weights)
-        pts = _label_in_cluster(ds, cid, cfg.k, rng)
-        if not pts:
-            continue
+        j = _pps_draw(rng, ds, cand)
+        cand = cand[cand != j]
+        pts = _label_in_cluster(ds, j, cfg.k, rng)
         if total + len(pts) > cfg.initial_size:
             pts = pts[: cfg.initial_size - total]
+        cid = ds.cluster_ids[j]
         drawn.append(cid)
         labeled[cid] = pts
         total += len(pts)
@@ -199,19 +182,11 @@ def draw_initial_sample(
     )
 
 
-def _augment_candidates(ds: Dataset, state: SampleState) -> list[int]:
-    sampled = set(state.all_cluster_ids())
-    return [
-        j
-        for j in _source_cluster_indices(ds)
-        if ds.clusters[j].cluster_id not in sampled
-    ]
-
-
-def _bind(cm: CostModel, state: SampleState, budget: float) -> CostModel:
-    if cm.initial_strata is None:
-        cm = cm.with_initial_strata(state.initial_strata)
-    return cm.with_budget(budget)
+def _augment_candidates(ds: Dataset, state: SampleState) -> np.ndarray:
+    """Unsampled source clusters with at least one labeled point, ascending."""
+    available = ds.cluster_is_source & (_labelable_counts(ds) > 0)
+    available[ds.cluster_indices(state.all_cluster_ids())] = False
+    return np.flatnonzero(available)
 
 
 def _extend(
@@ -244,37 +219,27 @@ def default_cluster_augment(
     """Status-quo augmentation: PPS cluster draws restricted to the initial
     strata until the budget is exhausted. Flagged infeasible when the strata
     run out of clusters while the budget could still buy one."""
-    cm = _bind(cm, state, budget)
+    cm = bind_costs(cm, state).with_budget(budget)
+    costs = cluster_costs(cm, ds)
     rem = remaining_budget(ds, cm, state)
-    cand = [
-        j
-        for j in _augment_candidates(ds, state)
-        if ds.clusters[j].stratum_id in state.initial_strata
-    ]
-    ids = [ds.clusters[j].cluster_id for j in cand]
-    weights = [float(ds.clusters[j].size) for j in cand]
+    cand = _augment_candidates(ds, state)
+    ids = cand[ds.stratum_flags(state.initial_strata)[ds.cluster_stratum[cand]]]
     added: list[str] = []
     labeled: dict[str, tuple[str, ...]] = {}
     cost_total = 0.0
-    while ids:
-        affordable = [
-            i for i, cid in enumerate(ids)
-            if cluster_cost(cm, ds.cluster(cid)) <= rem
-        ]
-        if not affordable:
+    while ids.size:
+        affordable = ids[costs[ids] <= rem]
+        if not affordable.size:
             break
-        sub_ids = [ids[i] for i in affordable]
-        sub_w = [weights[i] for i in affordable]
-        cid = _pps_pop(rng, sub_ids, sub_w)
-        i = ids.index(cid)
-        ids.pop(i)
-        weights.pop(i)
-        c = cluster_cost(cm, ds.cluster(cid))
+        j = _pps_draw(rng, ds, affordable)
+        ids = ids[ids != j]
+        c = float(costs[j])
+        cid = ds.cluster_ids[j]
         added.append(cid)
-        labeled[cid] = _label_in_cluster(ds, cid, state.k, rng)
+        labeled[cid] = _label_in_cluster(ds, j, state.k, rng)
         rem -= c
         cost_total += c
-    infeasible = not ids and rem >= cm.c1
+    infeasible = not ids.size and rem >= cm.c1
     return _extend(state, added, labeled, cost_total, "augment:default", infeasible)
 
 
@@ -287,27 +252,21 @@ def greedy_size_augment(
 ) -> SampleState:
     """Cheapest-first augmentation (ties to larger labelable count, then
     cluster index). With no rng, labels the lexicographically first points."""
-    cm = _bind(cm, state, budget)
+    cm = bind_costs(cm, state).with_budget(budget)
+    costs = cluster_costs(cm, ds)
     rem = remaining_budget(ds, cm, state)
     cand = _augment_candidates(ds, state)
-    keyed = sorted(
-        cand,
-        key=lambda j: (
-            cluster_cost(cm, ds.clusters[j]),
-            -min(state.k, ds.clusters[j].size),
-            j,
-        ),
-    )
+    keyed = cand[np.lexsort((cand, -np.minimum(state.k, ds.cluster_sizes[cand]), costs[cand]))]
     added: list[str] = []
     labeled: dict[str, tuple[str, ...]] = {}
     cost_total = 0.0
     for j in keyed:
-        c = cluster_cost(cm, ds.clusters[j])
+        c = float(costs[j])
         if c > rem:
             break
-        cid = ds.clusters[j].cluster_id
+        cid = ds.cluster_ids[j]
         added.append(cid)
-        labeled[cid] = _label_in_cluster(ds, cid, state.k, rng)
+        labeled[cid] = _label_in_cluster(ds, j, state.k, rng)
         rem -= c
         cost_total += c
     return _extend(state, added, labeled, cost_total, "augment:greedy")
@@ -322,21 +281,20 @@ def random_cluster_augment(
 ) -> SampleState:
     """Uniformly permute all unsampled clusters and add every one that still
     fits the remaining budget."""
-    cm = _bind(cm, state, budget)
+    cm = bind_costs(cm, state).with_budget(budget)
+    costs = cluster_costs(cm, ds)
     rem = remaining_budget(ds, cm, state)
     cand = _augment_candidates(ds, state)
-    order = rng.permutation(len(cand))
     added: list[str] = []
     labeled: dict[str, tuple[str, ...]] = {}
     cost_total = 0.0
-    for pos in order:
-        j = cand[pos]
-        c = cluster_cost(cm, ds.clusters[j])
+    for j in cand[rng.permutation(len(cand))]:
+        c = float(costs[j])
         if c > rem:
             continue
-        cid = ds.clusters[j].cluster_id
+        cid = ds.cluster_ids[j]
         added.append(cid)
-        labeled[cid] = _label_in_cluster(ds, cid, state.k, rng)
+        labeled[cid] = _label_in_cluster(ds, j, state.k, rng)
         rem -= c
         cost_total += c
     return _extend(state, added, labeled, cost_total, "augment:random")
@@ -354,12 +312,15 @@ def solve_and_augment(
     """Utility-optimized augmentation: relax, solve, round, label. Returns the
     augmented state with the relaxed solution and the rounded selection."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    cm = _bind(cm, state, budget)
+    cm = bind_costs(cm, state).with_budget(budget)
     counts = expected_counts(ds, spec.groups, state.k)
     result = solve_relaxation(ds, counts, cm, spec, state, opts)
     rem = remaining_budget(ds, cm, state)
     selected = round_inclusion(ds, result.inclusion, cm, rem, rng)
-    labeled = {cid: _label_in_cluster(ds, cid, state.k, rng) for cid in selected}
+    labeled = {
+        cid: _label_in_cluster(ds, j, state.k, rng)
+        for cid, j in zip(selected, ds.cluster_indices(selected))
+    }
     cost_total = set_cost(cm, ds, selected)
     tag = f"augment:optimized({spec.kind})"
     return _extend(state, list(selected), labeled, cost_total, tag), result, selected
@@ -415,9 +376,9 @@ def random_point_sample(
 def _point_sample_state(ds: Dataset, rows: np.ndarray, tag: str) -> SampleState:
     labeled: dict[str, list[str]] = {}
     for i in rows:
-        labeled.setdefault(ds.point_cluster[i], []).append(ds.point_ids[i])
+        labeled.setdefault(ds.cluster_ids[ds.point_cluster[i]], []).append(ds.point_ids[i])
     clusters = tuple(sorted(labeled))
-    strata = frozenset(ds.stratum_of_cluster(cid) for cid in clusters)
+    strata = frozenset(ds.stratum_ids[s] for s in ds.cluster_stratum[ds.point_cluster[rows]])
     return SampleState(
         initial_cluster_ids=clusters,
         augment_cluster_ids=(),

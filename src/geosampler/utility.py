@@ -34,7 +34,7 @@ class UtilityError(ValueError):
 
 @dataclass(frozen=True)
 class InclusionVector:
-    """Per-cluster value in [0, 1], aligned with Dataset.clusters.
+    """Per-cluster value in [0, 1], aligned with Dataset.cluster_ids.
 
     Binary entries denote committed/selected clusters; fractional entries are
     sampling probabilities. ``committed`` marks clusters fixed at 1.
@@ -51,12 +51,6 @@ class InclusionVector:
             raise UtilityError("inclusion values must lie in [0, 1]")
         if np.any(np.abs(v[self.committed] - 1.0) > 1e-12):
             raise UtilityError("committed clusters must have inclusion value 1")
-
-    @classmethod
-    def from_committed(cls, n_clusters: int, committed_idx: np.ndarray) -> "InclusionVector":
-        committed = np.zeros(n_clusters, dtype=bool)
-        committed[committed_idx] = True
-        return cls(values=committed.astype(np.float64), committed=committed)
 
 
 @dataclass(frozen=True)
@@ -124,15 +118,6 @@ def utility_value(s: InclusionVector, counts: ExpectedCounts, spec: UtilitySpec)
     return group_rep_utility(s, counts, spec)
 
 
-def utility_gradient(
-    s: InclusionVector, counts: ExpectedCounts, spec: UtilitySpec
-) -> np.ndarray:
-    if spec.kind == "size":
-        _check_dims(s, counts)
-        return utility_gradient_raw(s.values, counts, spec)
-    return group_rep_gradient(s, counts, spec)
-
-
 def aggregates(values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec) -> np.ndarray:
     """The aggregates z = values @ A that both utilities depend on.
 
@@ -188,9 +173,7 @@ def utility_of_sample(ds: Dataset, state: SampleState, spec: UtilitySpec) -> flo
     """Evaluate the utility on a realized sample, using the actual labeled
     points per group rather than expectations: the sample enters as a single
     fully included unit carrying those counts."""
-    rows = np.array(
-        [ds.point_index[pid] for pid in state.labeled_point_ids()], dtype=np.int64
-    )
+    rows = ds.point_indices(state.labeled_point_ids())
     if spec.kind == "size":
         e_group = np.zeros((1, 0))
     else:

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from geosampler.cli import main
-from geosampler.data import load_dataset
+from geosampler.data import SampleState, load_dataset, save_sample_state
 
 
 def run_cli(*argv):
@@ -155,6 +155,38 @@ class TestEvaluate:
         assert len(rows) == 1
         assert -1.5 < float(rows[0]["r2"]) <= 1.0
         assert (out / "model.json").exists()
+
+    @staticmethod
+    def evaluate_hand_sample(bundle, tmp_path, k, labeled_points):
+        ds = load_dataset(bundle)
+        cid = ds.clusters[0].cluster_id
+        state = SampleState(
+            initial_cluster_ids=(cid,),
+            augment_cluster_ids=(),
+            labeled_points={cid: labeled_points(ds)},
+            k=k,
+            spent=0.0,
+            initial_strata=frozenset({ds.cluster(cid).stratum_id}),
+        )
+        save_sample_state(state, tmp_path / "sample.json")
+        return run_cli("evaluate", "--dataset", bundle, "--sample", tmp_path / "sample.json",
+                       "--out-dir", tmp_path / "eval", "--seed", 0)
+
+    def test_unknown_point_id_is_config_error(self, bundle, tmp_path):
+        code = self.evaluate_hand_sample(bundle, tmp_path, 10, lambda ds: ("p-missing",))
+        assert code == 2
+
+    def test_point_of_another_cluster_is_config_error(self, bundle, tmp_path):
+        code = self.evaluate_hand_sample(
+            bundle, tmp_path, 10, lambda ds: ds.clusters[1].point_ids[:10]
+        )
+        assert code == 2
+
+    def test_sample_over_k_cap_is_config_error(self, bundle, tmp_path):
+        code = self.evaluate_hand_sample(
+            bundle, tmp_path, 2, lambda ds: ds.clusters[0].point_ids[:15]
+        )
+        assert code == 2
 
 
 class TestExperimentCommands:

@@ -61,8 +61,8 @@ class TestBundleIO:
         assert ds.n_points == 4
         assert ds.n_clusters == 2
         assert ds.feature_dim == 3
-        assert ds.point("p2").label is None
-        assert ds.point("p0").label == 1.5
+        assert np.isnan(ds.labels[ds.point_index["p2"]])
+        assert ds.labels[ds.point_index["p0"]] == 1.5
         assert ds.cluster("c0").point_ids == ("p0", "p1")
 
     def test_dangling_cluster_reference_names_offender(self, tmp_path):
@@ -71,6 +71,34 @@ class TestBundleIO:
         (tmp_path / "bundle" / "points.csv").write_text(points.replace("c1", "c9", 1))
         with pytest.raises(DatasetError, match="c9"):
             load_dataset(tmp_path / "bundle")
+
+    @pytest.mark.parametrize("name, old, new, match", [
+        ("points.csv", "c1,s0", "c1,s1", "c1.*mismatch"),
+        ("meta.json", '"in_initial": false}',
+         '"in_initial": false}, {"stratum_id": "s1", "cluster_ids": ["c1"]}',
+         "c1.*two strata"),
+        ("points.csv", "p3,1.0,1.0,0.5,c1,s0\n", "p3,1.0,1.0,0.5,c1,s0\np4,0.0\n",
+         "6 fields"),
+    ], ids=["stratum-mismatch", "cluster-in-two-strata", "short-row"])
+    def test_inconsistent_cluster_table_rejected(self, tmp_path, name, old, new, match):
+        write_hand_bundle(tmp_path / "bundle")
+        path = tmp_path / "bundle" / name
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(DatasetError, match=match):
+            load_dataset(tmp_path / "bundle")
+
+    def test_duplicate_point_id_rejected(self):
+        with pytest.raises(DatasetError, match="duplicate point id 'p0'"):
+            build_dataset(
+                point_ids=["p0", "p1", "p0"],
+                coords=np.zeros((3, 2)),
+                features=np.zeros((3, 2)),
+                labels=np.zeros(3),
+                point_cluster=["c0", "c0", "c0"],
+                cluster_stratum={"c0": "s0"},
+            )
 
     def test_missing_points_column(self, tmp_path):
         write_hand_bundle(tmp_path / "bundle")
@@ -119,7 +147,7 @@ class TestBundleIO:
             coords=ds.coords,
             features=ds.features.astype(np.float32).astype(np.float64),
             labels=ds.labels,
-            point_cluster=list(ds.point_cluster),
+            point_cluster=[ds.cluster_ids[j] for j in ds.point_cluster],
             cluster_stratum={c.cluster_id: c.stratum_id for c in ds.clusters},
             split_seed=ds.split_seed,
             test_fraction=ds.test_fraction,
@@ -144,6 +172,17 @@ class TestBundleIO:
         blob[:4] = b"XXXX"
         (tmp_path / "bin" / "features.bin").write_bytes(bytes(blob))
         with pytest.raises(DatasetError, match="magic"):
+            load_dataset(tmp_path / "bin")
+
+    @pytest.mark.parametrize("edit", ["truncated", "trailing"])
+    def test_binary_size_mismatch_rejected(self, tmp_path, small_ds, edit):
+        save_dataset(small_ds, tmp_path / "bin", features_format="bin")
+        path = tmp_path / "bin" / "features.bin"
+        blob = path.read_bytes()
+        assert len(blob) == 16 + 4 * 15 * 3
+        blob = blob[:-8] if edit == "truncated" else blob + bytes(16)
+        path.write_bytes(blob)
+        with pytest.raises(DatasetError, match=rf"holds {len(blob)} bytes.* take 196"):
             load_dataset(tmp_path / "bin")
 
     def test_empty_cluster_rejected(self):

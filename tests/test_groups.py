@@ -15,9 +15,9 @@ def test_admin_groups_follow_strata(synth_ds):
     gm = admin_groups(synth_ds)
     assert gm.kind == "admin"
     assert gm.group_ids == tuple(s.stratum_id for s in synth_ds.strata)
+    sid_of = {pid: c.stratum_id for c in synth_ds.clusters for pid in c.point_ids}
     for i, pid in enumerate(synth_ds.point_ids):
-        sid = synth_ds.stratum_of_cluster(synth_ds.point_cluster[i])
-        assert gm.group_ids[gm.assignment[i]] == sid
+        assert gm.group_ids[gm.assignment[i]] == sid_of[pid]
 
 
 def test_gamma_is_population_share(synth_ds):

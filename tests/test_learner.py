@@ -288,7 +288,7 @@ class TestEvaluateSample:
             labeled_points={one_cid: ds.cluster(one_cid).point_ids},
             k=full.k,
             spent=0.0,
-            initial_strata=frozenset({ds.stratum_of_cluster(one_cid)}),
+            initial_strata=frozenset({ds.cluster(one_cid).stratum_id}),
         )
         assert evaluate_sample(ds, single, seed=0) < evaluate_sample(ds, full, seed=0)
 

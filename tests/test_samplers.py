@@ -133,7 +133,7 @@ class TestDefaultClusterAugment:
         cm = CostModel(c1=25, c2=50, budget=0)
         out = default_cluster_augment(ds, state, cm, budget=200.0, rng=np.random.default_rng(1))
         for cid in out.augment_cluster_ids:
-            assert ds.stratum_of_cluster(cid) in state.initial_strata
+            assert ds.cluster(cid).stratum_id in state.initial_strata
 
     def test_flagged_infeasible_when_strata_run_dry(self):
         ds = survey_ds(n_strata=2, clusters_per_stratum=3)
@@ -162,7 +162,7 @@ class TestGreedySizeAugment:
         out = greedy_size_augment(ds, state, cm, budget=150.0)
         in_strata = [
             cid for cid in out.augment_cluster_ids
-            if ds.stratum_of_cluster(cid) in state.initial_strata
+            if ds.cluster(cid).stratum_id in state.initial_strata
         ]
         # every unsampled in-strata cluster must be taken before any outside one
         unsampled_in = [

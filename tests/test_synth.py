@@ -46,7 +46,7 @@ def test_snr_matches_target_within_ten_percent():
     # empirical noise variance from the generator residuals
     sid_of = {c.cluster_id: c.stratum_id for c in ds.clusters}
     signal = np.array([
-        truth.coefficients[sid_of[ds.point_cluster[i]]] @ ds.features[i]
+        truth.coefficients[sid_of[ds.cluster_ids[ds.point_cluster[i]]]] @ ds.features[i]
         for i in range(ds.n_points)
     ])
     noise_var = float(np.var(ds.labels - signal))
