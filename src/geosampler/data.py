@@ -516,8 +516,21 @@ def save_sample_state(state: SampleState, path: str | Path) -> None:
     )
 
 
+def _require_fields(doc, fields: tuple[str, ...], source: str) -> None:
+    """Raise DatasetError naming the first of ``fields`` that ``doc`` lacks."""
+    if not isinstance(doc, dict):
+        raise DatasetError(f"{source} must be a JSON object")
+    for field in fields:
+        if field not in doc:
+            raise DatasetError(f"{source} missing field {field!r}")
+
+
 def load_sample_state(path: str | Path) -> SampleState:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    required = (
+        "initial_cluster_ids", "augment_cluster_ids", "labeled_points", "k", "spent", "initial_strata"
+    )
+    _require_fields(doc, required, "sample.json")
     return SampleState(
         initial_cluster_ids=tuple(doc["initial_cluster_ids"]),
         augment_cluster_ids=tuple(doc["augment_cluster_ids"]),
@@ -650,6 +663,9 @@ def load_dataset(path: str | Path) -> Dataset:
     if not meta_path.exists():
         raise DatasetError(f"missing meta.json in {root}")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    _require_fields(meta, ("feature_dim",), "meta.json")
+    for entry in meta.get("strata", []):
+        _require_fields(entry, ("stratum_id",), "meta.json strata entry")
     d = int(meta["feature_dim"])
 
     points_path = root / "points.csv"

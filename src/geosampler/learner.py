@@ -3,7 +3,17 @@
 The prediction head is a closed-form ridge regression with an unpenalized
 intercept (features and labels are centered per training fold), tuned by
 5-fold cross-validation over 10 log-spaced regularization strengths from
-1e-5 to 1e5. Also provides k-means grouping and rank-correlation diagnostics.
+1e-5 to 1e5. Each CV fold forms its centered Gram matrix ``Xc'Xc`` and
+``Xc'yc`` once and solves the whole alpha grid in one batched
+``np.linalg.solve`` (ESL §3.4.1).
+
+Also provides k-means grouping and rank-correlation diagnostics. Lloyd's
+algorithm assigns points from the expanded distances ``|x|^2 - 2XC' + |c|^2``
+(one GEMM per block of rows, ``|x|^2`` once per run); rows whose two nearest
+centroids are within the expansion's rounding bound are re-decided from the
+directly summed ``sum((x - c)^2)``, and the inertia that picks the winning
+restart is that exact sum. Assignments, centroids and inertia equal those of
+the (n, G, d) difference-tensor form bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +46,17 @@ class RidgeModel:
             raise LearnerError("ridge weights must be finite")
 
 
+def _centered_gram(
+    X: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.floating, np.ndarray, np.ndarray]:
+    """(x_mean, y_mean, Xc' Xc, Xc' yc) for the rows centered on their means."""
+    x_mean = X.mean(axis=0)
+    y_mean = y.mean()
+    Xc = X - x_mean
+    yc = y - y_mean
+    return x_mean, y_mean, Xc.T @ Xc, Xc.T @ yc
+
+
 def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
     """Closed-form ridge with unpenalized intercept via centering.
 
@@ -44,14 +65,9 @@ def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray,
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    x_mean = X.mean(axis=0)
-    y_mean = y.mean()
-    Xc = X - x_mean
-    yc = y - y_mean
-    d = X.shape[1]
-    w = np.linalg.solve(Xc.T @ Xc + alpha * np.eye(d), Xc.T @ yc)
-    intercept = float(y_mean - x_mean @ w)
-    return w, intercept
+    x_mean, y_mean, gram, rhs = _centered_gram(X, y)
+    w = np.linalg.solve(gram + alpha * np.eye(X.shape[1]), rhs)
+    return w, float(y_mean - x_mean @ w)
 
 
 def ridge_fit_cv(
@@ -65,15 +81,22 @@ def ridge_fit_cv(
 
     Alpha minimizing the mean validation squared error wins; ties go to the
     smaller alpha. The final model is refit on all rows.
+
+    Each fold centers its training rows and forms ``Xc' Xc`` and ``Xc' yc``
+    once; one batched ``np.linalg.solve`` over the stacked ``Xc' Xc + alpha I``
+    of the whole grid then gives every alpha's weights. That is the LAPACK
+    solve `ridge_solve` makes, on the same matrices, so the CV table equals a
+    per-alpha `ridge_solve` replay bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = X.shape[0]
+    n, d = X.shape
     if n < folds:
         raise LearnerError(f"need at least {folds} rows for {folds}-fold CV, got {n}")
     if float(np.var(y)) == 0.0:
         raise LearnerError("labels have zero variance")
     grid = np.sort(np.asarray(alphas if alphas is not None else DEFAULT_ALPHAS, dtype=np.float64))
+    penalties = grid[:, None, None] * np.eye(d)
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
@@ -83,11 +106,13 @@ def ridge_fit_cv(
     for fold_rows in fold_slices:
         val = np.zeros(n, dtype=bool)
         val[fold_rows] = True
-        X_tr, y_tr = X[~val], y[~val]
+        x_mean, y_mean, gram, rhs = _centered_gram(X[~val], y[~val])
         X_va, y_va = X[val], y[val]
-        for a_i, alpha in enumerate(grid):
-            w, b = ridge_solve(X_tr, y_tr, alpha)
-            pred = X_va @ w + b
+        # b stacked to (alphas, d, 1): numpy 1.x and 2.x both read that as one column per matrix
+        rhs_stack = np.broadcast_to(rhs[:, None], (len(grid), d, 1))
+        weights = np.linalg.solve(gram + penalties, rhs_stack)[:, :, 0]
+        for a_i, w in enumerate(weights):
+            pred = X_va @ w + float(y_mean - x_mean @ w)
             mean_mse[a_i] += float(np.mean((pred - y_va) ** 2)) / folds
 
     best = int(np.argmin(mean_mse))   # grid ascending -> ties resolve to smaller alpha
@@ -165,7 +190,7 @@ class KMeansResult:
     centroids: np.ndarray
     assignment: np.ndarray
     inertia: float
-    inertia_trace: tuple[float, ...]   # per-iteration inertia of the winning restart
+    inertia_trace: tuple[float, ...]   # winning restart's per-iteration inertia, expanded distances
 
 
 def _kmeanspp_init(X: np.ndarray, G: int, rng: np.random.Generator) -> np.ndarray:
@@ -184,33 +209,110 @@ def _kmeanspp_init(X: np.ndarray, G: int, rng: np.random.Generator) -> np.ndarra
     return centroids
 
 
+# Rows per block of the distance passes: a block's temporaries stay in cache.
+_BLOCK_ROWS = 2048
+
+
+def _nearest(
+    X: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid of every row, and the expanded squared distance to it.
+
+    The distances are ``|x|^2 - 2 x.c + |c|^2``, one GEMM per block of rows,
+    with ``x_sq`` holding ``|x|^2``. This expansion and the directly summed
+    ``sum((x - c)^2)`` each stay within their forward error bound of the true
+    distance, together under ``(2d + 5) eps (|x|^2 + max |c|^2)``. So only a
+    row whose runner-up lies within twice that of its minimum can have another
+    argmin than the direct sums; ``tol`` = ``8 (d + 4) eps (...)`` covers it
+    with room to spare. Those rows (and any with a NaN) are decided again from
+    the direct sums over all centroids, so the assignment equals the argmin of
+    the direct sums bit for bit, exact ties included (the lower index wins).
+    The returned distances, clipped at 0, are the expanded ones.
+    """
+    n, d = X.shape
+    G = centroids.shape[0]
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    tol = 8.0 * (d + 4) * np.finfo(np.float64).eps * (x_sq + c_sq.max())
+    index = np.arange(G)
+    assignment = np.empty(n, dtype=np.int64)
+    dist_sq = np.empty(n)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        # (G, rows) layout: the reductions over centroids run along contiguous rows
+        approx = centroids @ X[rows].T
+        approx *= -2.0
+        approx += c_sq[:, None]
+        approx += x_sq[rows]
+        low = approx.min(axis=0)
+        hits = approx <= low + tol[rows]
+        best = index @ hits   # the one hit's index wherever there is exactly one
+        close = np.flatnonzero(hits.sum(axis=0) != 1)
+        if close.size:
+            tied = X[start + close]
+            direct = ((tied[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            best[close] = direct.argmin(axis=1)
+        assignment[rows] = best
+        dist_sq[rows] = np.maximum(low, 0.0)
+    return assignment, dist_sq
+
+
+def _assigned_dist_sq(X: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """Directly summed ``sum((x - c)^2)`` of every row to its assigned centroid;
+    the same per-row reduction as the (n, G, d) difference tensor."""
+    dist_sq = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        diff = X[rows] - centroids[assignment[rows]]
+        diff *= diff
+        dist_sq[rows] = diff.sum(axis=1)
+    return dist_sq
+
+
 def _lloyd(
     X: np.ndarray, centroids: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+    """Lloyd iterations from ``centroids`` (updated in place).
+
+    Each pass assigns rows with `_nearest`; ``|x|^2`` is computed once per
+    call. A centroid is the mean of its rows, summed in row order by one
+    weighted ``bincount`` per feature column, which is bit-identical to
+    ``X[mask].mean(axis=0)`` for d > 1 (numpy sums a single column pairwise,
+    so d = 1 keeps the masked mean). An empty cluster takes over the row
+    farthest from its centroid, visiting the clusters in index order. The
+    returned inertia, which picks the winning restart, sums the exact per-row
+    distances `_assigned_dist_sq`; the per-iteration trace sums the expanded
+    ones, so it can differ from the exact sums in the last bits.
+    """
     n, G = X.shape[0], centroids.shape[0]
+    x_sq = np.einsum("ij,ij->i", X, X)
+    columns = np.ascontiguousarray(X.T)
     assignment = np.full(n, -1, dtype=np.int64)
     trace: list[float] = []
     for _ in range(max_iters):
-        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_assignment = np.argmin(d2, axis=1)
-        trace.append(float(d2[np.arange(n), new_assignment].sum()))
+        new_assignment, dist_sq = _nearest(X, x_sq, centroids)
+        trace.append(float(dist_sq.sum()))
         if np.array_equal(new_assignment, assignment):
-            break
+            break   # centroids unchanged since this pass: it is the final assignment
         assignment = new_assignment
+        counts = np.bincount(assignment, minlength=G)
+        if counts.all() and X.shape[1] > 1:
+            sums = [np.bincount(assignment, weights=col, minlength=G) for col in columns]
+            centroids[:] = np.stack(sums, axis=1) / counts[:, None]
+            continue
+        previous = centroids.copy()
         for j in range(G):
             mask = assignment == j
             if mask.any():
                 centroids[j] = X[mask].mean(axis=0)
             else:
                 # empty cluster: take over the point farthest from its centroid
-                per_point = d2[np.arange(n), assignment]
-                far = int(np.argmax(per_point))
+                far = int(np.argmax(_assigned_dist_sq(X, previous, assignment)))
                 centroids[j] = X[far]
                 assignment[far] = j
-    # final assignment pass so every point sits with its nearest centroid
-    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assignment = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(n), assignment].sum())
+    else:
+        # final assignment pass so every point sits with its nearest centroid
+        assignment, _ = _nearest(X, x_sq, centroids)
+    inertia = float(_assigned_dist_sq(X, centroids, assignment).sum())
     return centroids, assignment, inertia, trace
 
 
@@ -227,6 +329,8 @@ def kmeans_groups(
         raise LearnerError("features must be a 2-d matrix")
     if G < 1 or G > X.shape[0]:
         raise LearnerError(f"need 1 <= G <= {X.shape[0]}, got {G}")
+    if restarts < 1:
+        raise LearnerError(f"need restarts >= 1, got {restarts}")
     rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, np.ndarray, float, list[float]] | None = None
     for _ in range(restarts):

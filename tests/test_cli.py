@@ -77,6 +77,14 @@ class TestGroups:
         assert run_cli("groups", "--dataset", tmp_path / "nope", "--kind", "admin",
                        "--seed", 0, "--out-dir", tmp_path / "g") == 2
 
+    def test_meta_without_feature_dim_is_config_error(self, bundle, tmp_path, capsys):
+        meta = json.loads((bundle / "meta.json").read_text())
+        del meta["feature_dim"]
+        (bundle / "meta.json").write_text(json.dumps(meta))
+        assert run_cli("groups", "--dataset", bundle, "--kind", "feature", "--n-groups", 4,
+                       "--seed", 0, "--out-dir", tmp_path / "g") == 2
+        assert "'feature_dim'" in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_writes_solution_files(self, bundle, tmp_path):
@@ -187,6 +195,17 @@ class TestEvaluate:
             bundle, tmp_path, 2, lambda ds: ds.clusters[0].point_ids[:15]
         )
         assert code == 2
+
+    def test_sample_without_k_is_config_error(self, bundle, tmp_path, capsys):
+        self.evaluate_hand_sample(bundle, tmp_path, 10, lambda ds: ds.clusters[0].point_ids[:5])
+        sample = tmp_path / "sample.json"
+        doc = json.loads(sample.read_text())
+        del doc["k"]
+        sample.write_text(json.dumps(doc))
+        code = run_cli("evaluate", "--dataset", bundle, "--sample", sample,
+                       "--out-dir", tmp_path / "eval2", "--seed", 0)
+        assert code == 2
+        assert "'k'" in capsys.readouterr().err
 
 
 class TestExperimentCommands:

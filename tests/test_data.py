@@ -117,6 +117,18 @@ class TestBundleIO:
         with pytest.raises(DatasetError):
             load_dataset(tmp_path / "bundle")
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda meta: meta.pop("feature_dim"), "meta.json missing field 'feature_dim'"),
+        (lambda meta: meta["strata"][0].pop("stratum_id"), "strata entry missing field 'stratum_id'"),
+    ], ids=["feature_dim", "stratum_id"])
+    def test_missing_meta_field_names_it(self, tmp_path, edit, match):
+        write_hand_bundle(tmp_path / "bundle")
+        meta = json.loads((tmp_path / "bundle" / "meta.json").read_text())
+        edit(meta)
+        (tmp_path / "bundle" / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetError, match=match):
+            load_dataset(tmp_path / "bundle")
+
     def test_save_load_round_trip_is_identity(self, tmp_path, small_ds):
         save_dataset(small_ds, tmp_path / "out")
         again = load_dataset(tmp_path / "out")
@@ -342,6 +354,20 @@ class TestSampleState:
         save_sample_state(state, tmp_path / "sample.json")
         again = load_sample_state(tmp_path / "sample.json")
         assert again == state
+
+    @pytest.mark.parametrize("field", [
+        "initial_cluster_ids", "augment_cluster_ids", "labeled_points", "k", "spent",
+        "initial_strata",
+    ])
+    def test_missing_sample_field_names_it(self, tmp_path, field):
+        from geosampler.data import load_sample_state, save_sample_state
+
+        save_sample_state(self.make_state(), tmp_path / "sample.json")
+        doc = json.loads((tmp_path / "sample.json").read_text())
+        del doc[field]
+        (tmp_path / "sample.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match=f"sample.json missing field '{field}'"):
+            load_sample_state(tmp_path / "sample.json")
 
 
 class TestExpectedCounts:

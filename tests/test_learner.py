@@ -3,7 +3,10 @@ import pytest
 
 from geosampler.data import SampleState
 from geosampler.learner import (
+    DEFAULT_ALPHAS,
     LearnerError,
+    _kmeanspp_init,
+    _lloyd,
     average_ranks,
     evaluate_sample,
     kmeans_groups,
@@ -60,24 +63,45 @@ class TestRidge:
         rhs = Xc.T @ yc
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
+    @staticmethod
+    def replay_cv_table(X, y, seed, folds=5):
+        """Mean validation MSE per grid alpha from one ridge_solve per (fold, alpha)."""
+        n = len(y)
+        perm = np.random.default_rng(seed).permutation(n)
+        table = []
+        for alpha in sorted(DEFAULT_ALPHAS):
+            acc = 0.0
+            for fold_rows in np.array_split(perm, folds):
+                val = np.zeros(n, dtype=bool)
+                val[fold_rows] = True
+                w, b = ridge_solve(X[~val], y[~val], alpha)
+                acc += float(np.mean((X[val] @ w + b - y[val]) ** 2)) / folds
+            table.append((float(alpha), acc))
+        return tuple(table)
+
     def test_cv_table_consistency_replay(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(30, 2))
         y = X @ np.array([1.0, 2.0]) + 0.3 * rng.normal(size=30)
-        seed = 7
-        model = ridge_fit_cv(X, y, seed=seed)
-        # replay the fold assignment and recompute one grid entry
-        alphas = np.array([a for a, _ in model.cv_table])
-        target_alpha = alphas[3]
-        perm = np.random.default_rng(seed).permutation(30)
-        folds = np.array_split(perm, 5)
-        acc = 0.0
-        for fold_rows in folds:
-            val = np.zeros(30, dtype=bool)
-            val[fold_rows] = True
-            w, b = ridge_solve(X[~val], y[~val], target_alpha)
-            acc += float(np.mean((X[val] @ w + b - y[val]) ** 2)) / 5
-        assert model.cv_table[3][1] == pytest.approx(acc, rel=1e-12)
+        model = ridge_fit_cv(X, y, seed=7)
+        # the shared per-fold Gram matrix does ridge_solve's arithmetic exactly
+        assert model.cv_table == self.replay_cv_table(X, y, seed=7)
+
+    @pytest.mark.parametrize("n, d", [(8, 12), (6, 48), (40, 48)])
+    def test_degenerate_folds_replay_exactly(self, n, d):
+        # d at or above the training-fold size: Xc'Xc is singular, only alpha I
+        # makes the fold systems solvable
+        rng = np.random.default_rng(n * d)
+        X = rng.normal(size=(n, d))
+        y = X[:, 0] + 0.1 * rng.normal(size=n)
+        model = ridge_fit_cv(X, y, seed=3)
+        table = self.replay_cv_table(X, y, seed=3)
+        assert model.cv_table == table
+        assert all(np.isfinite(m) for _, m in table)
+        assert model.alpha == min(table, key=lambda row: row[1])[0]
+        w, b = ridge_solve(X, y, model.alpha)
+        np.testing.assert_array_equal(model.weights, w)
+        assert model.intercept == b
 
     def test_too_few_rows(self):
         with pytest.raises(LearnerError, match="5-fold"):
@@ -235,6 +259,111 @@ class TestKMeans:
     def test_too_many_groups(self):
         with pytest.raises(LearnerError, match="G"):
             kmeans_groups(np.ones((3, 2)), G=4)
+
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(LearnerError, match="restarts"):
+            kmeans_groups(np.ones((3, 2)), G=1, restarts=0)
+
+
+def tensor_lloyd(X, centroids, max_iters):
+    """The (n, G, d) difference-tensor Lloyd kernel the GEMM kernel replaced."""
+    n, G = X.shape[0], centroids.shape[0]
+    assignment = np.full(n, -1, dtype=np.int64)
+    trace = []
+    for _ in range(max_iters):
+        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_assignment = np.argmin(d2, axis=1)
+        trace.append(float(d2[np.arange(n), new_assignment].sum()))
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        for j in range(G):
+            mask = assignment == j
+            if mask.any():
+                centroids[j] = X[mask].mean(axis=0)
+            else:
+                per_point = d2[np.arange(n), assignment]
+                far = int(np.argmax(per_point))
+                centroids[j] = X[far]
+                assignment[far] = j
+    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    assignment = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(n), assignment].sum())
+    return centroids, assignment, inertia, trace
+
+
+def lloyd_instances():
+    """(X, G, init) triples: Gaussian rows at several offsets and scales,
+    G = 1 and G = n, integer grids (exact distance ties), duplicate rows with
+    G above the number of distinct rows and coincident initial centroids
+    (empty clusters), d = 1, and blocks larger than one distance block."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for t in range(60):
+        kind = t % 6
+        n = int(rng.integers(2, 40))
+        d = int(rng.integers(1, 7))
+        if kind == 0:
+            X = rng.normal(size=(n, d))
+        elif kind == 1:
+            X = rng.normal(size=(n, d)) * 1e3 + 1e4
+        elif kind == 2:
+            X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        elif kind == 3:
+            distinct = rng.normal(size=(max(1, n // 5), d))
+            X = distinct[rng.integers(0, len(distinct), size=n)]
+        elif kind == 4:
+            n = int(rng.integers(2100, 4500))
+            X = rng.normal(size=(n, d))
+        else:
+            X = rng.normal(size=(n, 1 if t % 12 == 5 else d))
+        G = (1, n, int(rng.integers(1, n + 1)))[t % 3] if kind != 4 else int(rng.integers(1, 12))
+        init = _kmeanspp_init(X, G, np.random.default_rng(t))
+        if kind == 3 and t % 2:
+            init[:] = init[0]
+        cases.append((X, G, init))
+    return cases
+
+
+class TestLloydKernel:
+    def test_matches_difference_tensor_kernel(self):
+        for X, G, init in lloyd_instances():
+            ref = tensor_lloyd(X, init.copy(), 100)
+            got = _lloyd(X, init.copy(), 100)
+            np.testing.assert_array_equal(got[1], ref[1])
+            np.testing.assert_array_equal(got[0], ref[0])
+            assert got[2] == ref[2]
+            # the trace sums the expanded distances: equal up to their rounding
+            scale = float((X ** 2).sum()) + len(X) * float((ref[0] ** 2).sum(axis=1).max())
+            np.testing.assert_allclose(got[3], ref[3], rtol=0, atol=1e-12 * scale)
+
+    def test_near_ties_follow_the_direct_sums(self):
+        # rows within 1e-9 of the bisector of two centroids far from the origin:
+        # the expanded distances' rounding (~1e-8) picks the wrong side for
+        # about half of them, the direct sums for none
+        rng = np.random.default_rng(5)
+        origin = np.array([1e4, -2e4, 5e3])
+        e, f, g = np.array([0.6, 0.8, 0.0]), np.array([-0.8, 0.6, 0.0]), np.eye(3)[2]
+        X = (origin + rng.normal(size=(1000, 1)) * f + rng.normal(size=(1000, 1)) * g
+             + rng.uniform(-1e-9, 1e-9, size=(1000, 1)) * e)
+        centroids = np.array([origin + e, origin - e])
+        ref = tensor_lloyd(X, centroids.copy(), 0)
+        got = _lloyd(X, centroids.copy(), 0)
+        np.testing.assert_array_equal(got[1], ref[1])
+        assert got[2] == ref[2]
+
+    def test_kmeans_groups_matches_difference_tensor_restarts(self):
+        X = np.random.default_rng(8).normal(size=(300, 5))
+        rng = np.random.default_rng(3)
+        best = None
+        for _ in range(10):
+            cand = tensor_lloyd(X, _kmeanspp_init(X, 6, rng), 100)
+            if best is None or cand[2] < best[2]:
+                best = cand
+        res = kmeans_groups(X, 6, seed=3)
+        np.testing.assert_array_equal(res.assignment, best[1])
+        np.testing.assert_array_equal(res.centroids, best[0])
+        assert res.inertia == best[2]
 
 
 def full_source_sample(ds):
