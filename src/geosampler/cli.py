@@ -25,7 +25,6 @@ from .data import (
     save_cost_model,
     save_dataset,
     save_sample_state,
-    validate_sample_state,
 )
 from .experiments import (
     ConfigError,
@@ -307,7 +306,7 @@ def cmd_optimize(args) -> int:
     )
     out = Path(args.out_dir)
     save_solve_result(ds, result, out, selected=selected)
-    save_sample_state(augmented, out / "sample.json")
+    save_sample_state(ds, augmented, out / "sample.json")
     print(f"solved in {result.iterations} iterations, gap {result.gap:.3g}, "
           f"utility {result.utility:.6g}; rounded to {len(selected)} clusters")
     return 0
@@ -323,8 +322,7 @@ def cmd_augment(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ds = load_dataset(args.dataset)
-    state = load_sample_state(args.sample)
-    validate_sample_state(ds, state)
+    state = load_sample_state(ds, args.sample)
     model, r2 = fit_on_sample(ds, state, seed=args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

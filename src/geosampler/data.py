@@ -4,9 +4,10 @@ In memory a :class:`Dataset` is columnar and integer-indexed. Points,
 clusters and strata are rows of the sorted id tuples ``point_ids``,
 ``cluster_ids`` and ``stratum_ids``; the structure is two index arrays,
 ``point_cluster`` (a ``cluster_ids`` row per point) and ``cluster_stratum``
-(a ``stratum_ids`` row per cluster), plus a per-stratum initial flag. String
-ids are translated only at the I/O boundaries: ``build_dataset``, bundle
-load/save and sample files.
+(a ``stratum_ids`` row per cluster), plus a per-stratum initial flag. A
+:class:`SampleState` holds cluster and point rows too. String ids are
+translated only at the I/O boundaries: ``build_dataset``, bundle load/save
+and ``sample.json`` (``save_sample_state``/``load_sample_state``).
 
 A dataset is stored on disk as a bundle directory:
 
@@ -402,9 +403,9 @@ def cluster_costs(cm: CostModel, ds: Dataset) -> np.ndarray:
     return costs
 
 
-def set_cost(cm: CostModel, ds: Dataset, cluster_ids: Iterable[str]) -> float:
-    """Sum of cluster costs over a set of cluster ids, added in the given order."""
-    costs = cluster_costs(cm, ds)[ds.cluster_indices(cluster_ids)]
+def set_cost(cm: CostModel, ds: Dataset, clusters: np.ndarray) -> float:
+    """Sum of the costs of the given cluster rows, added in the given order."""
+    costs = cluster_costs(cm, ds)[clusters]
     return float(np.cumsum(costs)[-1]) if costs.size else 0.0
 
 
@@ -440,17 +441,22 @@ def load_cost_model(bundle: str | Path) -> CostModel:
 # -- sample state ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleState:
     """The realized labeled set: chosen clusters and the points labeled in them.
 
-    ``spent`` counts the cost of augmentation clusters only (the initial
-    sample is treated as sunk cost under the default budget convention).
+    ``initial`` (ascending) and ``augment`` (ascending within each
+    augmentation step) are rows of ``Dataset.cluster_ids``; ``labeled`` holds
+    rows of ``Dataset.point_ids`` grouped by cluster in that order, each
+    cluster's points in draw order. The int64 arrays are read-only copies, so
+    one state can be shared by every arm that augments it. ``spent`` counts
+    augmentation clusters only (the initial sample is sunk cost under the
+    default budget convention).
     """
 
-    initial_cluster_ids: tuple[str, ...]
-    augment_cluster_ids: tuple[str, ...]
-    labeled_points: Mapping[str, tuple[str, ...]]
+    initial: np.ndarray
+    augment: np.ndarray
+    labeled: np.ndarray
     k: int
     spent: float
     initial_strata: frozenset[str]
@@ -458,53 +464,37 @@ class SampleState:
     lineage: tuple[str, ...] = ()
 
     def __post_init__(self):
-        overlap = set(self.initial_cluster_ids) & set(self.augment_cluster_ids)
+        for name in ("initial", "augment", "labeled"):
+            rows = np.array(getattr(self, name), dtype=np.int64)
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
+        overlap = set(self.initial.tolist()) & set(self.augment.tolist())
         if overlap:
-            raise DatasetError(
-                f"cluster {sorted(overlap)[0]!r} is in both the initial and augment sets"
-            )
+            raise DatasetError(f"cluster row {min(overlap)} is in both the initial and augment sets")
         if self.k < 1:
             raise DatasetError("k must be >= 1")
-        for cid in self.labeled_points:
-            if cid not in self.initial_cluster_ids and cid not in self.augment_cluster_ids:
-                raise DatasetError(f"labeled points recorded for unselected cluster {cid!r}")
 
-    def all_cluster_ids(self) -> tuple[str, ...]:
-        return tuple(self.initial_cluster_ids) + tuple(self.augment_cluster_ids)
-
-    def labeled_point_ids(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for cid in self.all_cluster_ids():
-            out.extend(self.labeled_points.get(cid, ()))
-        return tuple(out)
+    @property
+    def clusters(self) -> np.ndarray:
+        """Every selected cluster row: ``initial`` then ``augment``."""
+        return np.concatenate((self.initial, self.augment))
 
     @property
     def n_labeled(self) -> int:
-        return sum(len(v) for v in self.labeled_points.values())
+        return len(self.labeled)
 
 
-def validate_sample_state(ds: Dataset, state: SampleState) -> None:
-    """Check a sample against its dataset: known cluster and point ids, each
-    labeled point inside its cluster, at most min(k, size) points per cluster."""
-    for cid, j in zip(state.all_cluster_ids(), ds.cluster_indices(state.all_cluster_ids())):
-        labeled = state.labeled_points.get(cid, ())
-        cap = min(state.k, int(ds.cluster_sizes[j]))
-        if len(labeled) > cap:
-            raise DatasetError(
-                f"cluster {cid!r} has {len(labeled)} labeled points, cap is {cap}"
-            )
-        outside = np.flatnonzero(ds.point_cluster[ds.point_indices(labeled)] != j)
-        if outside.size:
-            raise DatasetError(
-                f"point {labeled[outside[0]]!r} labeled under wrong cluster {cid!r}"
-            )
-
-
-def save_sample_state(state: SampleState, path: str | Path) -> None:
+def save_sample_state(ds: Dataset, state: SampleState, path: str | Path) -> None:
+    """Write ``state`` as sample.json, translating rows to ids. Each selected
+    cluster lists its labeled points in the order ``state.labeled`` holds them."""
+    owner = ds.point_cluster[state.labeled]
     doc = {
-        "initial_cluster_ids": list(state.initial_cluster_ids),
-        "augment_cluster_ids": list(state.augment_cluster_ids),
-        "labeled_points": {cid: list(pids) for cid, pids in state.labeled_points.items()},
+        "initial_cluster_ids": [ds.cluster_ids[j] for j in state.initial],
+        "augment_cluster_ids": [ds.cluster_ids[j] for j in state.augment],
+        "labeled_points": {
+            ds.cluster_ids[j]: [ds.point_ids[i] for i in state.labeled[owner == j]]
+            for j in state.clusters
+        },
         "k": state.k,
         "spent": state.spent,
         "initial_strata": sorted(state.initial_strata),
@@ -525,17 +515,66 @@ def _require_fields(doc, fields: tuple[str, ...], source: str) -> None:
             raise DatasetError(f"{source} missing field {field!r}")
 
 
-def load_sample_state(path: str | Path) -> SampleState:
+def _is_id_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+_IDS = (_is_id_list, "a list of ids")
+# sample.json field -> (type check, what it must hold); the first six are required
+_SAMPLE_FIELDS = {
+    "initial_cluster_ids": _IDS,
+    "augment_cluster_ids": _IDS,
+    "labeled_points": (
+        lambda v: isinstance(v, dict) and all(map(_is_id_list, v.values())), "an object of id lists"
+    ),
+    "k": (lambda v: type(v) is int, "an integer"),
+    "spent": (lambda v: type(v) in (int, float), "a number"),
+    "initial_strata": _IDS,
+    "lineage": _IDS,
+}
+
+
+def load_sample_state(ds: Dataset, path: str | Path) -> SampleState:
+    """Read a sample.json against ``ds``, translating ids to rows. A missing or
+    mistyped field, an unknown or repeated id, points recorded for an
+    unselected cluster or under the wrong cluster, and more than
+    ``min(k, size)`` points in a cluster raise :class:`DatasetError`."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    required = (
-        "initial_cluster_ids", "augment_cluster_ids", "labeled_points", "k", "spent", "initial_strata"
-    )
-    _require_fields(doc, required, "sample.json")
+    _require_fields(doc, tuple(_SAMPLE_FIELDS)[:6], "sample.json")
+    for field, (ok, what) in _SAMPLE_FIELDS.items():
+        if field in doc and not ok(doc[field]):
+            raise DatasetError(f"sample.json field {field!r} must be {what}")
+
+    cluster_ids = doc["initial_cluster_ids"] + doc["augment_cluster_ids"]
+    listed = doc["labeled_points"]
+    unselected = sorted(set(listed) - set(cluster_ids))
+    if unselected:
+        raise DatasetError(f"labeled points recorded for unselected cluster {unselected[0]!r}")
+    per_cluster = [listed.get(cid, []) for cid in cluster_ids]
+    point_ids = [pid for pids in per_cluster for pid in pids]
+    clusters = ds.cluster_indices(cluster_ids)
+    labeled = ds.point_indices(point_ids)
+    owner = np.repeat(clusters, [len(pids) for pids in per_cluster])
+    wrong = np.flatnonzero(ds.point_cluster[labeled] != owner)
+    if wrong.size:
+        i = int(wrong[0])
+        raise DatasetError(
+            f"point {point_ids[i]!r} labeled under wrong cluster {ds.cluster_ids[owner[i]]!r}"
+        )
+    for kind, ids in (("cluster", cluster_ids), ("point", point_ids)):
+        repeated = [i for i, n in Counter(ids).items() if n > 1]
+        if repeated:
+            raise DatasetError(f"{kind} id {repeated[0]!r} listed twice in sample.json")
+    for cid, j, pids in zip(cluster_ids, clusters, per_cluster):
+        cap = min(doc["k"], int(ds.cluster_sizes[j]))
+        if len(pids) > cap:
+            raise DatasetError(f"cluster {cid!r} has {len(pids)} labeled points, cap is {cap}")
+    n_initial = len(doc["initial_cluster_ids"])
     return SampleState(
-        initial_cluster_ids=tuple(doc["initial_cluster_ids"]),
-        augment_cluster_ids=tuple(doc["augment_cluster_ids"]),
-        labeled_points={cid: tuple(pids) for cid, pids in doc["labeled_points"].items()},
-        k=int(doc["k"]),
+        initial=clusters[:n_initial],
+        augment=clusters[n_initial:],
+        labeled=labeled,
+        k=doc["k"],
         spent=float(doc["spent"]),
         initial_strata=frozenset(doc["initial_strata"]),
         infeasible=bool(doc.get("infeasible", False)),
@@ -555,10 +594,8 @@ class ExpectedCounts:
     sum back to ``e[i]`` exactly.
     """
 
-    cluster_ids: tuple[str, ...]
-    e: np.ndarray           # (m,)
+    e: np.ndarray           # (m,), rows of Dataset.cluster_ids
     e_group: np.ndarray     # (m, G); G = 0 when built without groups
-    k: int
 
 
 def expected_counts(ds: Dataset, gm, k: int) -> ExpectedCounts:
@@ -578,12 +615,7 @@ def expected_counts(ds: Dataset, gm, k: int) -> ExpectedCounts:
         G = len(gm.gamma)
         counts = np.bincount(ds.point_cluster * G + gm.assignment, minlength=m * G)
         e_group = e[:, None] * counts.reshape(m, G).astype(np.float64) / sizes[:, None]
-    return ExpectedCounts(
-        cluster_ids=ds.cluster_ids,
-        e=e,
-        e_group=e_group,
-        k=k,
-    )
+    return ExpectedCounts(e=e, e_group=e_group)
 
 
 # -- bundle I/O -----------------------------------------------------------

@@ -334,9 +334,9 @@ def _run_grid(cfg: ExperimentConfig, out_dir: str | Path, study: _Study) -> list
                         "delta_r2": r2 - r0,
                         "budget": budget,
                         "spent": state.spent,
-                        "total_cost": set_cost(cm, ds, state0.initial_cluster_ids)
+                        "total_cost": set_cost(cm, ds, state0.initial)
                         + state.spent,
-                        "clusters_added": len(state.augment_cluster_ids),
+                        "clusters_added": len(state.augment),
                         "points_added": state.n_labeled - state0.n_labeled,
                         "infeasible": state.infeasible,
                     }
@@ -447,10 +447,10 @@ def run_rank_study(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
                     "size": size,
                     "seed": seed,
                     "r2": r2,
-                    "u_size": utility_of_sample(ds, state, size_spec),
+                    "u_size": utility_of_sample(state, size_spec),
                 }
                 for name, spec in specs.items():
-                    rec[f"u_{name}"] = utility_of_sample(ds, state, spec)
+                    rec[f"u_{name}"] = utility_of_sample(state, spec)
                 records.append(rec)
 
     u_cols = ["u_size"] + [f"u_{name}" for name in specs]

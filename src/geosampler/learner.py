@@ -353,12 +353,12 @@ def kmeans_groups(
 def fit_on_sample(ds: Dataset, state: SampleState, seed: int = 0) -> tuple[RidgeModel, float]:
     """Train the ridge head on the sample's labeled points; returns the model
     and its R^2 on the held-out test split."""
-    labeled = sorted(state.labeled_point_ids())
-    if not labeled:
+    rows = np.sort(state.labeled)
+    if not rows.size:
         raise LearnerError("cannot evaluate an empty sample")
-    rows = ds.point_indices(labeled)
-    if np.any(np.isnan(ds.labels[rows])):
-        bad = labeled[int(np.flatnonzero(np.isnan(ds.labels[rows]))[0])]
+    unknown = np.flatnonzero(np.isnan(ds.labels[rows]))
+    if unknown.size:
+        bad = ds.point_ids[rows[unknown[0]]]
         raise LearnerError(f"sample contains point {bad!r} with unknown label")
     model = ridge_fit_cv(ds.features[rows], ds.labels[rows], seed=seed)
     test_rows = np.flatnonzero(ds.test_mask)

@@ -126,7 +126,7 @@ def remaining_budget(ds: Dataset, cm: CostModel, state: SampleState) -> float:
     """Budget left for new clusters under the cost model's budget scope."""
     if cm.budget_scope == "augmentation":
         return cm.budget - state.spent
-    return cm.budget - set_cost(cm, ds, state.all_cluster_ids())
+    return cm.budget - set_cost(cm, ds, state.clusters)
 
 
 def bind_costs(cm: CostModel, state: SampleState) -> CostModel:
@@ -159,7 +159,7 @@ def solve_relaxation(
 
     m = ds.n_clusters
     committed = np.zeros(m, dtype=bool)
-    committed[ds.cluster_indices(state.all_cluster_ids())] = True
+    committed[state.clusters] = True
     available = ds.cluster_is_source & ~committed
     decision = np.flatnonzero(committed | available)
     locked_dec = committed[decision]

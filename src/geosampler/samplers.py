@@ -12,7 +12,6 @@ probability concentrated near anchor locations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -77,14 +76,19 @@ def _labelable_counts(ds: Dataset) -> np.ndarray:
 
 def _label_in_cluster(
     ds: Dataset, j: int, k: int, rng: np.random.Generator | None
-) -> tuple[str, ...]:
-    """Ids of up to k labeled points of cluster j, drawn uniformly without
+) -> np.ndarray:
+    """Rows of up to k labeled points of cluster j, drawn uniformly without
     replacement (the first k in id order when rng is None)."""
     rows = ds.rows_of_cluster(j)
     rows = rows[ds.labeled_mask[rows]]
     take = min(k, len(rows))
-    picks = rows[:take] if rng is None else rows[rng.permutation(len(rows))[:take]]
-    return tuple(ds.point_ids[i] for i in picks)
+    return rows[:take] if rng is None else rows[rng.permutation(len(rows))[:take]]
+
+
+def _by_cluster(picks: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The drawn clusters ascending, and their labeled rows concatenated in that order."""
+    clusters = np.array(sorted(picks), dtype=np.int64)
+    return clusters, np.concatenate([np.empty(0, dtype=np.int64)] + [picks[j] for j in clusters])
 
 
 def _pps_draw(rng: np.random.Generator, ds: Dataset, ids: np.ndarray) -> int:
@@ -156,24 +160,19 @@ def draw_initial_sample(
             f"chosen strata (at most {reachable})"
         )
 
-    labeled: dict[str, tuple[str, ...]] = {}
-    drawn: list[str] = []
+    picks: dict[int, np.ndarray] = {}
     total = 0
     while total < cfg.initial_size:
         j = _pps_draw(rng, ds, cand)
         cand = cand[cand != j]
-        pts = _label_in_cluster(ds, j, cfg.k, rng)
-        if total + len(pts) > cfg.initial_size:
-            pts = pts[: cfg.initial_size - total]
-        cid = ds.cluster_ids[j]
-        drawn.append(cid)
-        labeled[cid] = pts
-        total += len(pts)
+        picks[j] = _label_in_cluster(ds, j, cfg.k, rng)[: cfg.initial_size - total]
+        total += len(picks[j])
 
+    initial, labeled = _by_cluster(picks)
     return SampleState(
-        initial_cluster_ids=tuple(sorted(drawn)),
-        augment_cluster_ids=(),
-        labeled_points=labeled,
+        initial=initial,
+        augment=(),
+        labeled=labeled,
         k=cfg.k,
         spent=0.0,
         initial_strata=initial_strata,
@@ -185,25 +184,26 @@ def draw_initial_sample(
 def _augment_candidates(ds: Dataset, state: SampleState) -> np.ndarray:
     """Unsampled source clusters with at least one labeled point, ascending."""
     available = ds.cluster_is_source & (_labelable_counts(ds) > 0)
-    available[ds.cluster_indices(state.all_cluster_ids())] = False
+    available[state.clusters] = False
     return np.flatnonzero(available)
 
 
 def _extend(
+    ds: Dataset,
+    cm: CostModel,
     state: SampleState,
-    added: list[str],
-    labeled: Mapping[str, tuple[str, ...]],
-    cost: float,
+    picks: dict[int, np.ndarray],
     tag: str,
     infeasible: bool = False,
 ) -> SampleState:
-    merged = dict(state.labeled_points)
-    merged.update(labeled)
+    """``state`` plus one augmentation step; ``picks`` maps each cluster drawn,
+    in draw order, to its labeled rows. Costs are added in draw order."""
+    added, labeled = _by_cluster(picks)
     return replace(
         state,
-        augment_cluster_ids=tuple(state.augment_cluster_ids) + tuple(sorted(added)),
-        labeled_points=merged,
-        spent=state.spent + cost,
+        augment=np.concatenate((state.augment, added)),
+        labeled=np.concatenate((state.labeled, labeled)),
+        spent=state.spent + set_cost(cm, ds, list(picks)),
         infeasible=state.infeasible or infeasible,
         lineage=state.lineage + (tag,),
     )
@@ -224,23 +224,17 @@ def default_cluster_augment(
     rem = remaining_budget(ds, cm, state)
     cand = _augment_candidates(ds, state)
     ids = cand[ds.stratum_flags(state.initial_strata)[ds.cluster_stratum[cand]]]
-    added: list[str] = []
-    labeled: dict[str, tuple[str, ...]] = {}
-    cost_total = 0.0
+    picks: dict[int, np.ndarray] = {}
     while ids.size:
         affordable = ids[costs[ids] <= rem]
         if not affordable.size:
             break
         j = _pps_draw(rng, ds, affordable)
         ids = ids[ids != j]
-        c = float(costs[j])
-        cid = ds.cluster_ids[j]
-        added.append(cid)
-        labeled[cid] = _label_in_cluster(ds, j, state.k, rng)
-        rem -= c
-        cost_total += c
+        picks[j] = _label_in_cluster(ds, j, state.k, rng)
+        rem -= float(costs[j])
     infeasible = not ids.size and rem >= cm.c1
-    return _extend(state, added, labeled, cost_total, "augment:default", infeasible)
+    return _extend(ds, cm, state, picks, "augment:default", infeasible)
 
 
 def greedy_size_augment(
@@ -257,19 +251,14 @@ def greedy_size_augment(
     rem = remaining_budget(ds, cm, state)
     cand = _augment_candidates(ds, state)
     keyed = cand[np.lexsort((cand, -np.minimum(state.k, ds.cluster_sizes[cand]), costs[cand]))]
-    added: list[str] = []
-    labeled: dict[str, tuple[str, ...]] = {}
-    cost_total = 0.0
+    drawn: list[int] = []
     for j in keyed:
-        c = float(costs[j])
-        if c > rem:
+        if costs[j] > rem:
             break
-        cid = ds.cluster_ids[j]
-        added.append(cid)
-        labeled[cid] = _label_in_cluster(ds, j, state.k, rng)
-        rem -= c
-        cost_total += c
-    return _extend(state, added, labeled, cost_total, "augment:greedy")
+        drawn.append(j)
+        rem -= float(costs[j])
+    picks = {j: _label_in_cluster(ds, j, state.k, rng) for j in drawn}
+    return _extend(ds, cm, state, picks, "augment:greedy")
 
 
 def random_cluster_augment(
@@ -285,19 +274,13 @@ def random_cluster_augment(
     costs = cluster_costs(cm, ds)
     rem = remaining_budget(ds, cm, state)
     cand = _augment_candidates(ds, state)
-    added: list[str] = []
-    labeled: dict[str, tuple[str, ...]] = {}
-    cost_total = 0.0
+    drawn: list[int] = []
     for j in cand[rng.permutation(len(cand))]:
-        c = float(costs[j])
-        if c > rem:
-            continue
-        cid = ds.cluster_ids[j]
-        added.append(cid)
-        labeled[cid] = _label_in_cluster(ds, j, state.k, rng)
-        rem -= c
-        cost_total += c
-    return _extend(state, added, labeled, cost_total, "augment:random")
+        if costs[j] <= rem:
+            drawn.append(j)
+            rem -= float(costs[j])
+    picks = {j: _label_in_cluster(ds, j, state.k, rng) for j in drawn}
+    return _extend(ds, cm, state, picks, "augment:random")
 
 
 def solve_and_augment(
@@ -317,13 +300,10 @@ def solve_and_augment(
     result = solve_relaxation(ds, counts, cm, spec, state, opts)
     rem = remaining_budget(ds, cm, state)
     selected = round_inclusion(ds, result.inclusion, cm, rem, rng)
-    labeled = {
-        cid: _label_in_cluster(ds, j, state.k, rng)
-        for cid, j in zip(selected, ds.cluster_indices(selected))
-    }
-    cost_total = set_cost(cm, ds, selected)
-    tag = f"augment:optimized({spec.kind})"
-    return _extend(state, list(selected), labeled, cost_total, tag), result, selected
+    # round_inclusion returns ids for its callers outside the package
+    picks = {j: _label_in_cluster(ds, j, state.k, rng) for j in ds.cluster_indices(selected)}
+    augmented = _extend(ds, cm, state, picks, f"augment:optimized({spec.kind})")
+    return augmented, result, selected
 
 
 def optimized_augment(
@@ -374,15 +354,14 @@ def random_point_sample(
 
 
 def _point_sample_state(ds: Dataset, rows: np.ndarray, tag: str) -> SampleState:
-    labeled: dict[str, list[str]] = {}
-    for i in rows:
-        labeled.setdefault(ds.cluster_ids[ds.point_cluster[i]], []).append(ds.point_ids[i])
-    clusters = tuple(sorted(labeled))
-    strata = frozenset(ds.stratum_ids[s] for s in ds.cluster_stratum[ds.point_cluster[rows]])
+    """A point-level sample as a state: its clusters and their rows ascending."""
+    owner = ds.point_cluster[rows]
+    clusters = np.flatnonzero(np.bincount(owner, minlength=ds.n_clusters))
+    strata = frozenset(ds.stratum_ids[s] for s in ds.cluster_stratum[clusters])
     return SampleState(
-        initial_cluster_ids=clusters,
-        augment_cluster_ids=(),
-        labeled_points={cid: tuple(sorted(pids)) for cid, pids in labeled.items()},
+        initial=clusters,
+        augment=(),
+        labeled=rows[np.lexsort((rows, owner))],
         k=int(ds.cluster_sizes.max()),
         spent=0.0,
         initial_strata=strata,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, ExpectedCounts, SampleState
+from .data import ExpectedCounts, SampleState
 from .groups import GroupModel
 
 UTILITY_KINDS = ("size", "group_rep")
@@ -169,22 +169,12 @@ def utility_gradient_raw(
     return counts.e_group @ w[:-1] + grad
 
 
-def utility_of_sample(ds: Dataset, state: SampleState, spec: UtilitySpec) -> float:
+def utility_of_sample(state: SampleState, spec: UtilitySpec) -> float:
     """Evaluate the utility on a realized sample, using the actual labeled
-    points per group rather than expectations: the sample enters as a single
-    fully included unit carrying those counts."""
-    rows = ds.point_indices(state.labeled_point_ids())
+    points per group rather than expectations: the aggregates are the
+    sample's own group counts and size."""
+    n = float(state.n_labeled)
     if spec.kind == "size":
-        e_group = np.zeros((1, 0))
-    else:
-        gm = spec.groups
-        if gm is None:
-            raise UtilityError("group_rep utility requires a group model")
-        e_group = np.bincount(gm.assignment[rows], minlength=gm.n_groups)[None, :]
-    counts = ExpectedCounts(
-        cluster_ids=("sample",),
-        e=np.array([float(len(rows))]),
-        e_group=e_group.astype(np.float64),
-        k=state.k,
-    )
-    return utility_value_raw(np.ones(1), counts, spec)
+        return phi(np.array([n]), spec)
+    n_g = np.bincount(spec.groups.assignment[state.labeled], minlength=spec.groups.n_groups)
+    return phi(np.append(n_g.astype(np.float64), n), spec)

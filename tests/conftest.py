@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geosampler.data import build_dataset
+from geosampler.data import SampleState, build_dataset
 from geosampler.synth import SynthConfig, generate
 
 
@@ -38,6 +38,39 @@ def toy_dataset(
         cluster_stratum=cluster_stratum,
         split_seed=seed,
         test_fraction=test_fraction,
+    )
+
+
+def state_from_ids(ds, initial=(), augment=(), labeled=None, **fields):
+    """A SampleState named by ids: ``labeled`` maps a selected cluster id to
+    its labeled point ids. Rows follow the state's layout: grouped by cluster
+    in ``initial`` then ``augment`` order."""
+    labeled = labeled or {}
+    pids = [pid for cid in (*initial, *augment) for pid in labeled.get(cid, ())]
+    return SampleState(
+        initial=ds.cluster_indices(initial),
+        augment=ds.cluster_indices(augment),
+        labeled=ds.point_indices(pids),
+        **fields,
+    )
+
+
+def labeled_ids(ds, state):
+    """{cluster id: labeled point ids} of a state, in the state's order."""
+    owner = ds.point_cluster[state.labeled]
+    return {
+        ds.cluster_ids[j]: tuple(ds.point_ids[i] for i in state.labeled[owner == j])
+        for j in state.clusters
+    }
+
+
+def assert_states_equal(a, b):
+    for name in ("initial", "augment", "labeled"):
+        got = getattr(b, name)
+        np.testing.assert_array_equal(got, getattr(a, name))
+        assert got.dtype == np.int64
+    assert (a.k, a.spent, a.initial_strata, a.infeasible, a.lineage) == (
+        b.k, b.spent, b.initial_strata, b.infeasible, b.lineage
     )
 
 

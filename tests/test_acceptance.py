@@ -87,8 +87,7 @@ def exhaustive_binary_best(ds, counts, cm, spec, state) -> float:
     """Vectorized enumeration of every binary feasible subset of the free
     clusters; independent of the solver path."""
     committed = np.zeros(ds.n_clusters, dtype=bool)
-    for cid in state.all_cluster_ids():
-        committed[ds.cluster_index[cid]] = True
+    committed[state.clusters] = True
     free = np.flatnonzero(ds.cluster_is_source & ~committed)
     budget = remaining_budget(ds, cm, state)
     costs = np.array([cluster_cost(cm, ds.clusters[j]) for j in free])
@@ -153,7 +152,7 @@ def test_criterion_2_rounding_feasibility_and_fidelity():
             for seed in range(2000):
                 sel = round_inclusion(ds, res.inclusion, cm, budget,
                                       np.random.default_rng(seed))
-                assert set_cost(cm, ds, sel) <= budget + 1e-9
+                assert set_cost(cm, ds, ds.cluster_indices(sel)) <= budget + 1e-9
                 values = committed_mask.astype(float)
                 for cid in sel:
                     values[ds.cluster_index[cid]] = 1.0
@@ -193,9 +192,7 @@ def test_criterion_3_gradient_matches_finite_differences():
                 groups=gm,
             )
             from geosampler.data import ExpectedCounts
-            counts = ExpectedCounts(
-                cluster_ids=tuple(f"c{i}" for i in range(m)), e=e, e_group=eg, k=5
-            )
+            counts = ExpectedCounts(e=e, e_group=eg)
             s = rng.uniform(0.1, 0.95, size=m)
             com = np.zeros(m, dtype=bool)
             grad = group_rep_gradient(InclusionVector(s, com), counts, spec)
@@ -233,9 +230,7 @@ def test_criterion_4_midpoint_concavity():
                 groups=gm,
             )
             from geosampler.data import ExpectedCounts
-            counts = ExpectedCounts(
-                cluster_ids=tuple(f"c{i}" for i in range(m)), e=e, e_group=eg, k=5
-            )
+            counts = ExpectedCounts(e=e, e_group=eg)
             com = np.zeros(m, dtype=bool)
             for _ in range(50):
                 s = rng.uniform(0, 1, size=m)

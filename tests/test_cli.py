@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from geosampler.cli import main
-from geosampler.data import SampleState, load_dataset, save_sample_state
+from geosampler.data import load_dataset
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*argv):
@@ -165,18 +170,21 @@ class TestEvaluate:
         assert (out / "model.json").exists()
 
     @staticmethod
-    def evaluate_hand_sample(bundle, tmp_path, k, labeled_points):
+    def evaluate_hand_sample(bundle, tmp_path, k, labeled_points, overrides=()):
+        """Evaluate a sample.json naming the first cluster and the point ids
+        ``labeled_points(ds)`` in it; ``overrides`` replace document fields."""
         ds = load_dataset(bundle)
-        cid = ds.clusters[0].cluster_id
-        state = SampleState(
-            initial_cluster_ids=(cid,),
-            augment_cluster_ids=(),
-            labeled_points={cid: labeled_points(ds)},
-            k=k,
-            spent=0.0,
-            initial_strata=frozenset({ds.cluster(cid).stratum_id}),
-        )
-        save_sample_state(state, tmp_path / "sample.json")
+        cluster = ds.clusters[0]
+        doc = {
+            "initial_cluster_ids": [cluster.cluster_id],
+            "augment_cluster_ids": [],
+            "labeled_points": {cluster.cluster_id: list(labeled_points(ds))},
+            "k": k,
+            "spent": 0.0,
+            "initial_strata": [cluster.stratum_id],
+        }
+        doc.update(overrides)
+        (tmp_path / "sample.json").write_text(json.dumps(doc))
         return run_cli("evaluate", "--dataset", bundle, "--sample", tmp_path / "sample.json",
                        "--out-dir", tmp_path / "eval", "--seed", 0)
 
@@ -206,6 +214,33 @@ class TestEvaluate:
                        "--out-dir", tmp_path / "eval2", "--seed", 0)
         assert code == 2
         assert "'k'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("labeled_points", []), ("spent", None), ("k", "10"), ("lineage", 3),
+    ])
+    def test_mistyped_sample_field_is_config_error(self, bundle, tmp_path, capsys, field, value):
+        code = self.evaluate_hand_sample(
+            bundle, tmp_path, 10, lambda ds: ds.clusters[0].point_ids[:5], {field: value}
+        )
+        assert code == 2
+        assert repr(field) in capsys.readouterr().err
+
+    def test_repeated_cluster_id_is_config_error(self, bundle, tmp_path, capsys):
+        cid = load_dataset(bundle).clusters[0].cluster_id
+        code = self.evaluate_hand_sample(
+            bundle, tmp_path, 10, lambda ds: ds.clusters[0].point_ids[:5],
+            {"initial_cluster_ids": [cid, cid]},
+        )
+        assert code == 2
+        assert repr(cid) in capsys.readouterr().err
+
+    def test_repeated_point_id_is_config_error(self, bundle, tmp_path, capsys):
+        # 6 listed points: under both k and the cluster size
+        code = self.evaluate_hand_sample(
+            bundle, tmp_path, 10, lambda ds: ds.clusters[0].point_ids[:3] * 2
+        )
+        assert code == 2
+        assert repr(load_dataset(bundle).clusters[0].point_ids[0]) in capsys.readouterr().err
 
 
 class TestExperimentCommands:
@@ -266,3 +301,26 @@ class TestExperimentCommands:
         with pytest.raises(SystemExit) as exc:
             run_cli("augment", "--dataset", bundle, "--out-dir", tmp_path / "x")
         assert exc.value.code == 2
+
+
+def readme_cli_commands():
+    """argv of every ``geosampler`` command in README's fenced bash blocks,
+    with comments dropped and continuation lines joined."""
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["geosampler"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch):
+    commands = readme_cli_commands()
+    assert [argv[0] for argv in commands] == [
+        "generate", "groups", "optimize", "evaluate",
+        "augment", "rank-study", "cost-sweep", "size-sweep",
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv

@@ -82,7 +82,7 @@ def ref_split_masks(ds, split_seed, test_fraction):
 def ref_augment_candidates(ds, state):
     rows = ref_rows_by_cluster(ds)
     source = ref_cluster_is_source(ds)
-    sampled = set(state.all_cluster_ids())
+    sampled = {ds.cluster_ids[j] for j in state.clusters}
     return [
         j for j, cid in enumerate(ds.cluster_ids)
         if source[j] and np.any(~np.isnan(ds.labels[rows[cid]])) and cid not in sampled
@@ -174,8 +174,7 @@ def test_expected_counts_match_reference_bit_for_bit(ds, k):
 
 def test_augment_candidates_match_reference(ds):
     state = SampleState(
-        initial_cluster_ids=ds.cluster_ids[:2], augment_cluster_ids=(),
-        labeled_points={}, k=3, spent=0.0, initial_strata=frozenset(),
+        initial=[0, 1], augment=(), labeled=(), k=3, spent=0.0, initial_strata=frozenset(),
     )
     assert _augment_candidates(ds, state).tolist() == ref_augment_candidates(ds, state)
 

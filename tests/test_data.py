@@ -20,7 +20,7 @@ from geosampler.data import (
 from geosampler.groups import admin_groups
 from geosampler.synth import SynthConfig, generate
 
-from conftest import toy_dataset
+from conftest import assert_states_equal, state_from_ids, toy_dataset
 
 
 def write_hand_bundle(root):
@@ -280,7 +280,7 @@ class TestCosts:
 
     def test_set_cost_additivity(self, small_ds):
         cm = self.make_cm().with_initial_strata({"s0"})
-        assert set_cost(cm, small_ds, ["ca", "cc"]) == 75.0
+        assert set_cost(cm, small_ds, small_ds.cluster_indices(["ca", "cc"])) == 75.0
 
     def test_set_cost_matches_brute_force_and_is_monotone(self, synth_ds):
         rng = np.random.default_rng(0)
@@ -292,13 +292,14 @@ class TestCosts:
             a = [cid for cid in ids if rng.random() < 0.4]
             b = sorted(set(a) | {cid for cid in ids if rng.random() < 0.2})
             brute = sum(cluster_cost(cm, synth_ds.cluster(cid)) for cid in a)
-            assert set_cost(cm, synth_ds, a) == pytest.approx(brute, abs=1e-12)
-            assert set_cost(cm, synth_ds, a) <= set_cost(cm, synth_ds, b) + 1e-12
+            rows_a, rows_b = synth_ds.cluster_indices(a), synth_ds.cluster_indices(b)
+            assert set_cost(cm, synth_ds, rows_a) == pytest.approx(brute, abs=1e-12)
+            assert set_cost(cm, synth_ds, rows_a) <= set_cost(cm, synth_ds, rows_b) + 1e-12
 
     def test_set_cost_unknown_id(self, small_ds):
         cm = self.make_cm().with_initial_strata({"s0"})
         with pytest.raises(DatasetError, match="zz"):
-            set_cost(cm, small_ds, ["zz"])
+            set_cost(cm, small_ds, small_ds.cluster_indices(["zz"]))
 
     def test_cost_model_file_round_trip(self, tmp_path):
         cm = self.make_cm(per_cluster_override={"c3": 12.0})
@@ -309,65 +310,122 @@ class TestCosts:
 
 
 class TestSampleState:
-    def make_state(self, **kw):
-        from geosampler.data import SampleState
-
+    def make_state(self, ds, **kw):
         base = dict(
-            initial_cluster_ids=("ca",),
-            augment_cluster_ids=("cb",),
-            labeled_points={"ca": ("p0000", "p0001"), "cb": ("p0004",)},
+            initial=("ca",),
+            augment=("cb",),
+            labeled={"ca": ("p0000", "p0001"), "cb": ("p0004",)},
             k=5,
             spent=25.0,
             initial_strata=frozenset({"s0"}),
         )
         base.update(kw)
-        return SampleState(**base)
+        return state_from_ids(ds, **base)
 
-    def test_overlapping_initial_and_augment_rejected(self):
+    def write_sample(self, ds, path, state, **fields):
+        """Save ``state`` to ``path``, then overwrite the given JSON fields."""
+        from geosampler.data import save_sample_state
+
+        save_sample_state(ds, state, path)
+        doc = json.loads(path.read_text())
+        doc.update(fields)
+        path.write_text(json.dumps(doc))
+
+    def test_overlapping_initial_and_augment_rejected(self, small_ds):
         with pytest.raises(DatasetError, match="both"):
-            self.make_state(augment_cluster_ids=("ca",), labeled_points={"ca": ()})
+            self.make_state(small_ds, augment=("ca",), labeled={"ca": ()})
 
-    def test_labeled_points_for_unselected_cluster_rejected(self):
-        with pytest.raises(DatasetError, match="unselected"):
-            self.make_state(labeled_points={"ca": (), "zz": ("p0000",)})
+    def test_labeled_points_for_unselected_cluster_rejected(self, small_ds, tmp_path):
+        from geosampler.data import load_sample_state
 
-    def test_validate_against_dataset(self, small_ds):
-        from geosampler.data import validate_sample_state
-
-        state = self.make_state()
-        validate_sample_state(small_ds, state)
-        too_many = self.make_state(
-            k=1, labeled_points={"ca": ("p0000", "p0001"), "cb": ()}
+        path = tmp_path / "sample.json"
+        self.write_sample(
+            small_ds, path, self.make_state(small_ds), labeled_points={"ca": [], "zz": ["p0000"]}
         )
+        with pytest.raises(DatasetError, match="unselected"):
+            load_sample_state(small_ds, path)
+
+    def test_validate_against_dataset(self, small_ds, tmp_path):
+        from geosampler.data import load_sample_state
+
+        path = tmp_path / "sample.json"
+        self.write_sample(small_ds, path, self.make_state(small_ds))
+        load_sample_state(small_ds, path)
+        too_many = self.make_state(small_ds, k=1, labeled={"ca": ("p0000", "p0001")})
+        self.write_sample(small_ds, path, too_many)
         with pytest.raises(DatasetError, match="cap"):
-            validate_sample_state(small_ds, too_many)
-        wrong_cluster = self.make_state(
-            labeled_points={"ca": ("p0000",), "cb": ("p0000",)}
+            load_sample_state(small_ds, path)
+        self.write_sample(
+            small_ds, path, self.make_state(small_ds),
+            labeled_points={"ca": ["p0000"], "cb": ["p0000"]},
         )
         with pytest.raises(DatasetError, match="wrong cluster"):
-            validate_sample_state(small_ds, wrong_cluster)
+            load_sample_state(small_ds, path)
 
-    def test_sample_state_file_round_trip(self, tmp_path):
+    def test_sample_state_file_round_trip(self, small_ds, tmp_path):
         from geosampler.data import load_sample_state, save_sample_state
 
-        state = self.make_state(lineage=("initial:pps", "augment:greedy"))
-        save_sample_state(state, tmp_path / "sample.json")
-        again = load_sample_state(tmp_path / "sample.json")
-        assert again == state
+        state = self.make_state(small_ds, lineage=("initial:pps", "augment:greedy"))
+        save_sample_state(small_ds, state, tmp_path / "sample.json")
+        again = load_sample_state(small_ds, tmp_path / "sample.json")
+        assert_states_equal(state, again)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("method", [
+        "initial", "default", "greedy", "random", "optimized", "convenience", "random-points",
+    ])
+    def test_sampler_state_crosses_sample_json(self, synth_ds, tmp_path, method, seed):
+        from dataclasses import replace
+
+        from geosampler import samplers
+        from geosampler.data import load_sample_state, save_sample_state
+        from geosampler.utility import UtilitySpec
+
+        ds, rng = synth_ds, np.random.default_rng(seed)
+        cfg = samplers.SamplerConfig(n_strata=3, k=5, initial_size=30, strata_seed=seed)
+        state0 = samplers.draw_initial_sample(ds, cfg, rng)
+        snapshot = replace(state0)   # copies the arrays
+        cm = CostModel(c1=25.0, c2=50.0, budget=0.0)
+        spec = UtilitySpec(kind="group_rep", groups=admin_groups(ds))
+        anchor = tuple(float(v) for v in ds.coords.mean(axis=0))
+        state = {
+            "initial": lambda: state0,
+            "default": lambda: samplers.default_cluster_augment(ds, state0, cm, 100.0, rng),
+            "greedy": lambda: samplers.greedy_size_augment(ds, state0, cm, 100.0, rng),
+            "random": lambda: samplers.random_cluster_augment(ds, state0, cm, 100.0, rng),
+            "optimized": lambda: samplers.optimized_augment(
+                ds, state0, cm, 100.0, spec, rng=rng
+            ),
+            "convenience": lambda: samplers.convenience_sample(
+                ds, samplers.ConvenienceConfig(anchors=(anchor,), temperature=0.5, size=25), rng
+            ),
+            "random-points": lambda: samplers.random_point_sample(ds, 25, rng),
+        }[method]()
+        assert_states_equal(snapshot, state0)
+        for name in ("initial", "augment", "labeled"):
+            assert not getattr(state, name).flags.writeable
+            assert not getattr(state0, name).flags.writeable
+
+        path, again_path = tmp_path / "sample.json", tmp_path / "again.json"
+        save_sample_state(ds, state, path)
+        again = load_sample_state(ds, path)
+        assert_states_equal(state, again)
+        save_sample_state(ds, again, again_path)
+        assert again_path.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("field", [
         "initial_cluster_ids", "augment_cluster_ids", "labeled_points", "k", "spent",
         "initial_strata",
     ])
-    def test_missing_sample_field_names_it(self, tmp_path, field):
+    def test_missing_sample_field_names_it(self, small_ds, tmp_path, field):
         from geosampler.data import load_sample_state, save_sample_state
 
-        save_sample_state(self.make_state(), tmp_path / "sample.json")
+        save_sample_state(small_ds, self.make_state(small_ds), tmp_path / "sample.json")
         doc = json.loads((tmp_path / "sample.json").read_text())
         del doc[field]
         (tmp_path / "sample.json").write_text(json.dumps(doc))
         with pytest.raises(DatasetError, match=f"sample.json missing field '{field}'"):
-            load_sample_state(tmp_path / "sample.json")
+            load_sample_state(small_ds, tmp_path / "sample.json")
 
 
 class TestExpectedCounts:

@@ -367,16 +367,11 @@ class TestLloydKernel:
 
 
 def full_source_sample(ds):
-    labeled = {}
-    clusters = []
-    for j, c in enumerate(ds.clusters):
-        if ds.cluster_is_source[j]:
-            clusters.append(c.cluster_id)
-            labeled[c.cluster_id] = c.point_ids
+    clusters = np.flatnonzero(ds.cluster_is_source)
     return SampleState(
-        initial_cluster_ids=tuple(clusters),
-        augment_cluster_ids=(),
-        labeled_points=labeled,
+        initial=clusters,
+        augment=(),
+        labeled=np.concatenate([ds.rows_of_cluster(j) for j in clusters]),
         k=int(ds.cluster_sizes.max()),
         spent=0.0,
         initial_strata=frozenset(s.stratum_id for s in ds.strata),
@@ -410,14 +405,14 @@ class TestEvaluateSample:
         )
         ds, _ = generate(cfg)
         full = full_source_sample(ds)
-        one_cid = full.initial_cluster_ids[0]
+        one = full.initial[0]
         single = SampleState(
-            initial_cluster_ids=(one_cid,),
-            augment_cluster_ids=(),
-            labeled_points={one_cid: ds.cluster(one_cid).point_ids},
+            initial=[one],
+            augment=(),
+            labeled=ds.rows_of_cluster(one),
             k=full.k,
             spent=0.0,
-            initial_strata=frozenset({ds.cluster(one_cid).stratum_id}),
+            initial_strata=frozenset({ds.stratum_ids[ds.cluster_stratum[one]]}),
         )
         assert evaluate_sample(ds, single, seed=0) < evaluate_sample(ds, full, seed=0)
 
@@ -431,13 +426,10 @@ class TestEvaluateSample:
         # labeled points are sorted before fitting, so the order in which the
         # sample accumulated them cannot change the evaluation
         state = full_source_sample(synth_ds)
-        shuffled = {
-            cid: tuple(reversed(pids)) for cid, pids in state.labeled_points.items()
-        }
         state2 = SampleState(
-            initial_cluster_ids=tuple(reversed(state.initial_cluster_ids)),
-            augment_cluster_ids=(),
-            labeled_points=shuffled,
+            initial=state.initial[::-1],
+            augment=(),
+            labeled=state.labeled[::-1],
             k=state.k,
             spent=0.0,
             initial_strata=state.initial_strata,
@@ -448,9 +440,9 @@ class TestEvaluateSample:
 
     def test_empty_sample_rejected(self, synth_ds):
         state = SampleState(
-            initial_cluster_ids=(),
-            augment_cluster_ids=(),
-            labeled_points={},
+            initial=(),
+            augment=(),
+            labeled=(),
             k=5,
             spent=0.0,
             initial_strata=frozenset(),

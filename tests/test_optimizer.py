@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from geosampler import optimizer
-from geosampler.data import CostModel, SampleState, cluster_cost, expected_counts
+from dataclasses import replace
+
+from geosampler.data import CostModel, cluster_cost, expected_counts
 from geosampler.groups import GroupModel
 from geosampler.optimizer import (
     STEP_RULES,
@@ -27,7 +29,7 @@ from geosampler.utility import (
     utility_value,
 )
 
-from conftest import toy_dataset
+from conftest import state_from_ids, toy_dataset
 
 
 def brute_force_lmo(grad, costs, budget):
@@ -172,10 +174,10 @@ def make_instance(
     )
     committed = tuple(sorted(committed))
     labeled = {cid: ds.cluster(cid).point_ids[: min(5, sizes[cid])] for cid in committed}
-    state = SampleState(
-        initial_cluster_ids=committed,
-        augment_cluster_ids=(),
-        labeled_points=labeled,
+    state = state_from_ids(
+        ds,
+        initial=committed,
+        labeled=labeled,
         k=5,
         spent=0.0,
         initial_strata=frozenset({"s0"}),
@@ -200,8 +202,7 @@ def binary_best(ds, counts, cm, spec, state):
     from geosampler.optimizer import remaining_budget
 
     committed = np.zeros(ds.n_clusters, dtype=bool)
-    for cid in state.all_cluster_ids():
-        committed[ds.cluster_index[cid]] = True
+    committed[state.clusters] = True
     free = np.flatnonzero(~committed)
     costs = np.array([cluster_cost(cm, ds.clusters[j]) for j in free])
     budget = remaining_budget(ds, cm, state)
@@ -248,9 +249,8 @@ class TestSolveRelaxation:
             committed=("c00", "c01"), seed=1, budget=0.0
         )
         res = solve_relaxation(ds, counts, cm, spec, state, SolveOptions(step_rule=rule))
-        committed_idx = [ds.cluster_index[c] for c in state.all_cluster_ids()]
         expect = np.zeros(ds.n_clusters)
-        expect[committed_idx] = 1.0
+        expect[state.clusters] = 1.0
         np.testing.assert_allclose(res.inclusion.values, expect)
         assert res.budget_used == 0.0
 
@@ -327,14 +327,7 @@ class TestSolveRelaxation:
 
     def test_negative_remaining_budget_raises(self):
         ds, cm, state, spec, counts = make_instance(committed=("c00",), budget=5.0)
-        state = SampleState(
-            initial_cluster_ids=state.initial_cluster_ids,
-            augment_cluster_ids=state.augment_cluster_ids,
-            labeled_points=state.labeled_points,
-            k=state.k,
-            spent=10.0,
-            initial_strata=state.initial_strata,
-        )
+        state = replace(state, spent=10.0)
         with pytest.raises(InfeasibleError):
             solve_relaxation(ds, counts, cm, spec, state)
 
@@ -342,12 +335,7 @@ class TestSolveRelaxation:
         ds, cm, state, _, _ = make_instance(committed=(), budget=50.0)
         spec = UtilitySpec(kind="size")
         counts = expected_counts(ds, None, k=5)
-        zeroed = type(counts)(
-            cluster_ids=counts.cluster_ids,
-            e=np.zeros_like(counts.e),
-            e_group=counts.e_group,
-            k=counts.k,
-        )
+        zeroed = type(counts)(e=np.zeros_like(counts.e), e_group=counts.e_group)
         with pytest.raises(OptimizerError, match="gradient"):
             solve_relaxation(ds, zeroed, cm, spec, state)
 
@@ -545,7 +533,7 @@ class TestRoundInclusion:
         for seed in range(500):
             budget = float(rng.uniform(0, 60))
             chosen = round_inclusion(ds, s, cm, budget, np.random.default_rng(seed))
-            assert set_cost(cm, ds, chosen) <= budget + 1e-12
+            assert set_cost(cm, ds, ds.cluster_indices(chosen)) <= budget + 1e-12
 
 
 def test_solve_result_serialization(tmp_path):

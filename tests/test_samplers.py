@@ -19,7 +19,7 @@ from geosampler.samplers import (
 )
 from geosampler.utility import UtilitySpec
 
-from conftest import toy_dataset
+from conftest import labeled_ids, toy_dataset
 
 
 def survey_ds(n_strata=4, clusters_per_stratum=8, size_lo=25, size_hi=35, seed=0):
@@ -35,6 +35,10 @@ def survey_ds(n_strata=4, clusters_per_stratum=8, size_lo=25, size_hi=35, seed=0
     return toy_dataset(sizes, strata, d=3, seed=seed, test_fraction=0.0)
 
 
+def ids(ds, clusters):
+    return tuple(ds.cluster_ids[j] for j in clusters)
+
+
 class TestInitialSample:
     def test_two_strata_survey_hits_point_target(self):
         # N=2, k=25, target 500 over clusters of >= 25 points: 20 clusters
@@ -42,10 +46,9 @@ class TestInitialSample:
         cfg = SamplerConfig(n_strata=2, k=25, initial_size=500, strata_seed=3)
         state = draw_initial_sample(ds, cfg, np.random.default_rng(0))
         assert state.n_labeled == 500
-        assert len(state.initial_cluster_ids) == 20
-        assert all(
-            len(state.labeled_points[cid]) == 25 for cid in state.initial_cluster_ids
-        )
+        assert len(state.initial) == 20
+        labeled = labeled_ids(ds, state)
+        assert all(len(labeled[cid]) == 25 for cid in ids(ds, state.initial))
         assert len(state.initial_strata) == 2
 
     def test_small_cluster_fully_labeled(self):
@@ -53,14 +56,14 @@ class TestInitialSample:
         cfg = SamplerConfig(n_strata=1, k=10, initial_size=14, strata_seed=0)
         state = draw_initial_sample(ds, cfg, np.random.default_rng(5))
         assert state.n_labeled == 14
-        assert len(state.labeled_points["ca"]) == 4  # all points of the small cluster
+        assert len(labeled_ids(ds, state)["ca"]) == 4  # all points of the small cluster
 
     def test_final_cluster_trimmed_to_target(self):
         ds = survey_ds(n_strata=2, clusters_per_stratum=12, size_lo=30, size_hi=30)
         cfg = SamplerConfig(n_strata=2, k=25, initial_size=510, strata_seed=1)
         state = draw_initial_sample(ds, cfg, np.random.default_rng(2))
         assert state.n_labeled == 510
-        sizes = sorted(len(v) for v in state.labeled_points.values())
+        sizes = sorted(len(v) for v in labeled_ids(ds, state).values())
         assert sizes[0] == 10 and all(s == 25 for s in sizes[1:])
 
     def test_strata_seed_fixes_strata_but_not_clusters(self):
@@ -69,7 +72,7 @@ class TestInitialSample:
         a = draw_initial_sample(ds, cfg, np.random.default_rng(1))
         b = draw_initial_sample(ds, cfg, np.random.default_rng(2))
         assert a.initial_strata == b.initial_strata
-        assert a.initial_cluster_ids != b.initial_cluster_ids
+        assert ids(ds, a.initial) != ids(ds, b.initial)
 
     def test_target_unreachable(self):
         ds = toy_dataset({"ca": 5}, {"ca": "s0"}, seed=2)
@@ -88,7 +91,7 @@ class TestInitialSample:
         trials = 4000
         for seed in range(trials):
             state = draw_initial_sample(ds, cfg, np.random.default_rng(seed))
-            first[state.initial_cluster_ids[0]] += 1
+            first[ids(ds, state.initial)[0]] += 1
         assert first["cc"] / trials == pytest.approx(0.6, abs=0.03)
         assert first["cb"] / trials == pytest.approx(0.3, abs=0.03)
 
@@ -99,7 +102,7 @@ class TestInitialSample:
         trials = 10_000
         for seed in range(trials):
             state = draw_initial_sample(ds, cfg, np.random.default_rng(seed))
-            for pid in state.labeled_points["ca"]:
+            for pid in labeled_ids(ds, state)["ca"]:
                 hits[pid] += 1
         freqs = np.array([hits[pid] / trials for pid in ds.point_ids])
         assert np.all(np.abs(freqs - 0.5) <= 0.02)
@@ -116,7 +119,7 @@ class TestDefaultClusterAugment:
         state = starter_state(ds)
         cm = CostModel(c1=25, c2=50, budget=0)
         out = default_cluster_augment(ds, state, cm, budget=20.0, rng=np.random.default_rng(0))
-        assert out.augment_cluster_ids == ()
+        assert ids(ds, out.augment) == ()
         assert out.spent == 0.0
 
     def test_budget_of_three_units_adds_three(self):
@@ -124,7 +127,7 @@ class TestDefaultClusterAugment:
         state = starter_state(ds)
         cm = CostModel(c1=25, c2=50, budget=0)
         out = default_cluster_augment(ds, state, cm, budget=75.0, rng=np.random.default_rng(0))
-        assert len(out.augment_cluster_ids) == 3
+        assert len(out.augment) == 3
         assert out.spent == 75.0
 
     def test_stays_within_initial_strata(self):
@@ -132,7 +135,7 @@ class TestDefaultClusterAugment:
         state = starter_state(ds)
         cm = CostModel(c1=25, c2=50, budget=0)
         out = default_cluster_augment(ds, state, cm, budget=200.0, rng=np.random.default_rng(1))
-        for cid in out.augment_cluster_ids:
+        for cid in ids(ds, out.augment):
             assert ds.cluster(cid).stratum_id in state.initial_strata
 
     def test_flagged_infeasible_when_strata_run_dry(self):
@@ -148,10 +151,11 @@ class TestDefaultClusterAugment:
         state = starter_state(ds)
         cm = CostModel(c1=25, c2=50, budget=0)
         out = default_cluster_augment(ds, state, cm, budget=100.0, rng=np.random.default_rng(0))
-        assert out.initial_cluster_ids == state.initial_cluster_ids
-        assert set(out.initial_cluster_ids).isdisjoint(out.augment_cluster_ids)
-        for cid in state.initial_cluster_ids:
-            assert out.labeled_points[cid] == state.labeled_points[cid]
+        assert ids(ds, out.initial) == ids(ds, state.initial)
+        assert set(out.initial).isdisjoint(out.augment)
+        before, after = labeled_ids(ds, state), labeled_ids(ds, out)
+        for cid in ids(ds, state.initial):
+            assert after[cid] == before[cid]
 
 
 class TestGreedySizeAugment:
@@ -161,14 +165,14 @@ class TestGreedySizeAugment:
         cm = CostModel(c1=25, c2=50, budget=0)
         out = greedy_size_augment(ds, state, cm, budget=150.0)
         in_strata = [
-            cid for cid in out.augment_cluster_ids
+            cid for cid in ids(ds, out.augment)
             if ds.cluster(cid).stratum_id in state.initial_strata
         ]
         # every unsampled in-strata cluster must be taken before any outside one
         unsampled_in = [
             c.cluster_id for c in ds.clusters
             if c.stratum_id in state.initial_strata
-            and c.cluster_id not in state.initial_cluster_ids
+            and c.cluster_id not in ids(ds, state.initial)
         ]
         assert sorted(in_strata) == sorted(unsampled_in)
 
@@ -177,7 +181,7 @@ class TestGreedySizeAugment:
         state = starter_state(ds)
         cm = CostModel(c1=25, c2=50, budget=0)
         out = greedy_size_augment(ds, state, cm, budget=100.0)
-        assert len(out.augment_cluster_ids) == 4
+        assert len(out.augment) == 4
         assert out.spent == 100.0
 
     def test_matches_size_optimization_plus_rounding(self):
@@ -196,11 +200,11 @@ class TestGreedySizeAugment:
             opt = optimized_augment(
                 ds, state, cm, budget, spec, SolveOptions(), np.random.default_rng(trial)
             )
-            n_candidates = ds.n_clusters - len(state.initial_cluster_ids)
-            assert len(opt.augment_cluster_ids) == len(greedy.augment_cluster_ids)
-            assert len(greedy.augment_cluster_ids) == min(int(budget // cost), n_candidates)
-            u_opt = 10 * len(opt.augment_cluster_ids)
-            u_greedy = 10 * len(greedy.augment_cluster_ids)
+            n_candidates = ds.n_clusters - len(state.initial)
+            assert len(opt.augment) == len(greedy.augment)
+            assert len(greedy.augment) == min(int(budget // cost), n_candidates)
+            u_opt = 10 * len(opt.augment)
+            u_greedy = 10 * len(greedy.augment)
             assert u_opt == u_greedy
             # with an exact multiple of the cost there is no fractional tail
             # and the selected sets coincide as well
@@ -209,7 +213,7 @@ class TestGreedySizeAugment:
             opt3 = optimized_augment(
                 ds, state, cm, budget_exact, spec, SolveOptions(), np.random.default_rng(trial)
             )
-            assert set(opt3.augment_cluster_ids) == set(greedy3.augment_cluster_ids)
+            assert set(opt3.augment) == set(greedy3.augment)
 
 
 class TestRandomClusterAugment:
@@ -218,14 +222,14 @@ class TestRandomClusterAugment:
         state = starter_state(ds, target=20)
         cm = CostModel(c1=25, c2=50, budget=0)
         out = random_cluster_augment(ds, state, cm, budget=1e6, rng=np.random.default_rng(0))
-        assert len(out.all_cluster_ids()) == ds.n_clusters
+        assert len(out.clusters) == ds.n_clusters
 
     def test_zero_budget_none(self):
         ds = survey_ds()
         state = starter_state(ds)
         cm = CostModel(c1=25, c2=50, budget=0)
         out = random_cluster_augment(ds, state, cm, budget=0.0, rng=np.random.default_rng(0))
-        assert out.augment_cluster_ids == ()
+        assert ids(ds, out.augment) == ()
 
     def test_mean_residual_below_max_cluster_cost(self):
         ds = survey_ds(n_strata=2, clusters_per_stratum=6)
@@ -258,7 +262,7 @@ class TestOptimizedAugment:
             out = optimized_augment(
                 ds, state, cm, budget=25.0, spec=spec, rng=np.random.default_rng(seed)
             )
-            assert out.augment_cluster_ids == ("cb0",)
+            assert ids(ds, out.augment) == ("cb0",)
 
     def test_zero_budget_leaves_state_unchanged(self):
         ds = survey_ds()
@@ -267,9 +271,9 @@ class TestOptimizedAugment:
         spec = UtilitySpec(kind="group_rep", lam=0.5, epsilon=1e-6, groups=gm)
         cm = CostModel(c1=25, c2=50, budget=0)
         out = optimized_augment(ds, state, cm, budget=0.0, spec=spec, rng=np.random.default_rng(0))
-        assert out.augment_cluster_ids == ()
+        assert ids(ds, out.augment) == ()
         assert out.spent == state.spent
-        assert out.labeled_points == dict(state.labeled_points)
+        assert labeled_ids(ds, out) == labeled_ids(ds, state)
 
     def test_spent_within_budget_and_k_respected(self):
         ds = survey_ds(n_strata=3)
@@ -281,10 +285,11 @@ class TestOptimizedAugment:
         assert out.spent <= 130.0
         cm_bound = cm.with_initial_strata(state.initial_strata)
         assert out.spent == pytest.approx(
-            set_cost(cm_bound, ds, out.augment_cluster_ids)
+            set_cost(cm_bound, ds, out.augment)
         )
-        for cid in out.augment_cluster_ids:
-            assert len(out.labeled_points[cid]) <= min(7, ds.cluster(cid).size)
+        labeled = labeled_ids(ds, out)
+        for cid in ids(ds, out.augment):
+            assert len(labeled[cid]) <= min(7, ds.cluster(cid).size)
 
 
 class TestConvenienceSample:
@@ -300,8 +305,7 @@ class TestConvenienceSample:
         trials = 10_000
         for seed in range(trials):
             state = convenience_sample(ds, cfg, np.random.default_rng(seed))
-            pid = state.labeled_point_ids()[0]
-            counts[ds.point_index[pid]] += 1
+            counts[state.labeled[0]] += 1
         freq = counts / trials
         kl = float(np.sum(freq[freq > 0] * np.log(freq[freq > 0] * 10)))
         assert kl < 1e-3
@@ -314,7 +318,7 @@ class TestConvenienceSample:
         nearest = {ds.point_ids[i] for i in np.argsort(dists)[:3]}
         for seed in range(25):
             state = convenience_sample(ds, cfg, np.random.default_rng(seed))
-            assert set(state.labeled_point_ids()) == nearest
+            assert {ds.point_ids[i] for i in state.labeled} == nearest
 
     def test_frequencies_match_softmax_weights(self):
         ds = toy_dataset({"c0": 12}, {"c0": "s0"}, seed=7, test_fraction=0.0)
@@ -327,7 +331,7 @@ class TestConvenienceSample:
         trials = 10_000
         for seed in range(trials):
             state = convenience_sample(ds, cfg, np.random.default_rng(seed))
-            counts[ds.point_index[state.labeled_point_ids()[0]]] += 1
+            counts[state.labeled[0]] += 1
         freq = counts / trials
         sigma = np.sqrt(w * (1 - w) / trials)
         assert np.all(np.abs(freq - w) <= 3 * sigma + 1e-12)
@@ -343,8 +347,9 @@ def test_random_point_sample_shape_and_determinism(synth_ds):
     a = random_point_sample(synth_ds, 40, np.random.default_rng(4))
     b = random_point_sample(synth_ds, 40, np.random.default_rng(4))
     assert a.n_labeled == 40
-    assert a.labeled_points == b.labeled_points
-    for cid, pids in a.labeled_points.items():
+    assert labeled_ids(synth_ds, a) == labeled_ids(synth_ds, b)
+    assert sum(map(len, labeled_ids(synth_ds, a).values())) == a.n_labeled
+    for cid, pids in labeled_ids(synth_ds, a).items():
         member = set(synth_ds.cluster(cid).point_ids)
         assert all(pid in member for pid in pids)
 

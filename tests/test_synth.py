@@ -95,13 +95,11 @@ def test_heterogeneity_penalizes_concentrated_training():
         spread = [int(rng.choice(by_stratum[s])) for s in sorted(by_stratum)][:5]
 
         def state_of(idx):
-            labeled = {
-                ds.clusters[j].cluster_id: ds.clusters[j].point_ids[:10] for j in idx
-            }
+            initial = np.sort(idx)
             return SampleState(
-                initial_cluster_ids=tuple(sorted(labeled)),
-                augment_cluster_ids=(),
-                labeled_points=labeled,
+                initial=initial,
+                augment=(),
+                labeled=np.concatenate([ds.rows_of_cluster(j)[:10] for j in initial]),
                 k=10,
                 spent=0.0,
                 initial_strata=frozenset(ds.clusters[j].stratum_id for j in idx),

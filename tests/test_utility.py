@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geosampler.data import ExpectedCounts, SampleState, expected_counts
+from geosampler.data import ExpectedCounts, expected_counts
 from geosampler.groups import GroupModel
 from geosampler.utility import (
     InclusionVector,
@@ -13,17 +13,14 @@ from geosampler.utility import (
     utility_of_sample,
 )
 
+from conftest import state_from_ids
 
-def counts_of(e, e_group=None, k=10):
+
+def counts_of(e, e_group=None):
     e = np.asarray(e, dtype=float)
     if e_group is None:
         e_group = np.zeros((len(e), 0))
-    return ExpectedCounts(
-        cluster_ids=tuple(f"c{i}" for i in range(len(e))),
-        e=e,
-        e_group=np.asarray(e_group, dtype=float),
-        k=k,
-    )
+    return ExpectedCounts(e=e, e_group=np.asarray(e_group, dtype=float))
 
 
 def vec(values, committed=None):
@@ -224,10 +221,10 @@ class TestUtilityOfSample:
         labeled = {}
         for cid, count in per_cluster.items():
             labeled[cid] = ds.cluster(cid).point_ids[:count]
-        return SampleState(
-            initial_cluster_ids=tuple(sorted(per_cluster)),
-            augment_cluster_ids=(),
-            labeled_points=labeled,
+        return state_from_ids(
+            ds,
+            initial=tuple(sorted(per_cluster)),
+            labeled=labeled,
             k=100,
             spent=0.0,
             initial_strata=frozenset({"s0", "s1"}),
@@ -236,7 +233,7 @@ class TestUtilityOfSample:
     def test_realized_size(self, small_ds):
         state = self.make_sample(small_ds, {"ca": 2, "cb": 3})
         spec = UtilitySpec(kind="size")
-        assert utility_of_sample(small_ds, state, spec) == 5.0
+        assert utility_of_sample(state, spec) == 5.0
 
     def test_adding_a_point_strictly_increases(self, small_ds):
         from geosampler.groups import admin_groups
@@ -245,9 +242,7 @@ class TestUtilityOfSample:
         spec = UtilitySpec(kind="group_rep", lam=0.5, epsilon=1e-6, groups=gm)
         lo = self.make_sample(small_ds, {"ca": 2})
         hi = self.make_sample(small_ds, {"ca": 3})
-        assert utility_of_sample(small_ds, hi, spec) > utility_of_sample(
-            small_ds, lo, spec
-        )
+        assert utility_of_sample(hi, spec) > utility_of_sample(lo, spec)
 
     def test_matches_inclusion_vector_when_fully_labeled(self, small_ds):
         from geosampler.groups import admin_groups
@@ -258,7 +253,7 @@ class TestUtilityOfSample:
         state = self.make_sample(small_ds, sizes)   # k >= size everywhere
         counts = expected_counts(small_ds, gm, k=100)
         s = vec(np.ones(small_ds.n_clusters))
-        assert utility_of_sample(small_ds, state, spec) == pytest.approx(
+        assert utility_of_sample(state, spec) == pytest.approx(
             group_rep_utility(s, counts, spec), rel=1e-12
         )
 
