@@ -19,6 +19,15 @@ A dataset is stored on disk as a bundle directory:
 ``features.bin`` is little-endian float32, row-major, preceded by a 16-byte
 header: magic ``GSOF``, u32 rows, u32 dim, u32 reserved.
 
+The CSV files are UTF-8 with a header row. Fields are comma-separated and
+may be quoted with ``"`` (a quote inside a quoted field is doubled); no
+line is a comment, so ``#`` is an ordinary character; lines end in LF or
+CRLF; and every row has exactly the header's field count. ``save_dataset``
+writes ``csv`` module rows with CRLF endings. ``load_dataset`` checks each
+header and then parses the rows with ``np.loadtxt`` (numbers straight to
+float64, ids as str); a malformed row raises :class:`DatasetError` naming
+its file and line.
+
 All ordering is lexicographic by identifier so that identical seeds give
 identical runs across platforms.
 """
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -68,7 +78,7 @@ class Stratum:
     cluster_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable population over which sampling and prediction happen.
 
@@ -77,7 +87,8 @@ class Dataset:
     tuples are sorted lexicographically. ``labels`` uses NaN for unknown
     (prediction-only) points. The train/test split is assigned at the cluster
     level so that the source set is a set of sampling units; masks are derived
-    from ``split_seed`` and are reproducible from the bundle alone.
+    from ``split_seed`` and are reproducible from the bundle alone. ``==``
+    is identity; :func:`datasets_equal` compares contents.
     """
 
     point_ids: tuple[str, ...]
@@ -271,12 +282,19 @@ def build_dataset(
     test_fraction: float = 0.2,
 ) -> Dataset:
     """Assemble a validated Dataset from per-point rows, sorting everything
-    by identifier and deriving the index arrays and split masks."""
+    by identifier and deriving the index arrays and split masks.
+
+    Rows whose point ids are already strictly ascending (every bundle
+    :func:`save_dataset` writes) are not re-indexed: float64 ``coords``,
+    ``features`` and ``labels`` arrays are then held as given, not copied.
+    """
     pids = np.array(list(point_ids), dtype=str)
     pcl = np.array(list(point_cluster), dtype=str)
     if pcl.shape != pids.shape:
         raise DatasetError("point_cluster must name one cluster per point")
-    order = np.argsort(pids, kind="stable")
+    order = (
+        slice(None) if np.all(pids[1:] > pids[:-1]) else np.argsort(pids, kind="stable")
+    )
     pids, pcl = pids[order], pcl[order]
     dup = np.flatnonzero(pids[1:] == pids[:-1])
     if dup.size:
@@ -620,16 +638,26 @@ def expected_counts(ds: Dataset, gm, k: int) -> ExpectedCounts:
 
 # -- bundle I/O -----------------------------------------------------------
 
-
-def _format_float(x: float) -> str:
-    return repr(float(x))
+# the bundle CSV dialect (see the module docstring) as np.loadtxt options
+_CSV = {"delimiter": ",", "quotechar": '"', "comments": None, "encoding": "utf-8"}
+_POINTS_COLUMNS = ["point_id", "x", "y", "label", "cluster_id", "stratum_id"]
+_POINTS_DTYPE = np.dtype([
+    ("point_id", object), ("x", np.float64), ("y", np.float64),
+    ("label", np.float64), ("cluster_id", object), ("stratum_id", object),
+])
+# a label is a number or NA (unknown)
+_LABEL_CONVERTER = {3: lambda text: float("nan" if text == "NA" else text)}
+# features.bin is read into the float64 matrix this many bytes at a time
+_BIN_BLOCK_BYTES = 1 << 22
 
 
 def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") -> None:
     """Write a dataset bundle; ``load_dataset`` reproduces it exactly.
 
     ``features_format='bin'`` stores features as float32 and is only lossless
-    when the feature values are float32-representable.
+    when the feature values are float32-representable. Rows are streamed:
+    floats are written as their shortest round-trip ``repr``, one row's
+    values converted at a time.
     """
     if features_format not in ("csv", "bin"):
         raise DatasetError(f"unknown features format {features_format!r}")
@@ -658,34 +686,119 @@ def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") ->
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
+    # csv.writer writes a float field as its repr
     cluster_stratum_ids = [ds.stratum_ids[s] for s in ds.cluster_stratum]
     with (out / "points.csv").open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["point_id", "x", "y", "label", "cluster_id", "stratum_id"])
-        for i, (pid, j) in enumerate(zip(ds.point_ids, ds.point_cluster.tolist())):
-            label = ds.labels[i]
-            w.writerow(
-                [
-                    pid,
-                    _format_float(ds.coords[i, 0]),
-                    _format_float(ds.coords[i, 1]),
-                    "NA" if np.isnan(label) else _format_float(label),
-                    ds.cluster_ids[j],
-                    cluster_stratum_ids[j],
-                ]
+        w.writerow(_POINTS_COLUMNS)
+        w.writerows(
+            (pid, *xy.tolist(), "NA" if math.isnan(label) else label,
+             ds.cluster_ids[j], cluster_stratum_ids[j])
+            for pid, xy, label, j in zip(
+                ds.point_ids, ds.coords, ds.labels.tolist(), ds.point_cluster.tolist()
             )
+        )
 
     if features_format == "csv":
         with (out / "features.csv").open("w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["point_id"] + [f"f{j}" for j in range(ds.feature_dim)])
-            for i, pid in enumerate(ds.point_ids):
-                w.writerow([pid] + [_format_float(v) for v in ds.features[i]])
+            w.writerows([pid, *row.tolist()] for pid, row in zip(ds.point_ids, ds.features))
     else:
         with (out / "features.bin").open("wb") as fh:
-            fh.write(FEATURES_BIN_MAGIC)
-            fh.write(struct.pack("<III", ds.n_points, ds.feature_dim, 0))
-            fh.write(ds.features.astype("<f4").tobytes(order="C"))
+            fh.write(FEATURES_BIN_MAGIC + struct.pack("<III", ds.n_points, ds.feature_dim, 0))
+            ds.features.astype("<f4").tofile(fh)
+
+
+def _csv_header(path: Path) -> tuple[list[str] | None, bool]:
+    """The header row of a bundle CSV, and whether a data row follows it."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        return next(reader, None), any(reader)
+
+
+def _read_rows(path: Path, n_fields: int, **options) -> np.ndarray:
+    """``np.loadtxt`` of the rows below a bundle CSV's header. A row it
+    rejects raises :class:`DatasetError` naming the file and the line."""
+    try:
+        return np.loadtxt(path, skiprows=1, **_CSV, **options)
+    except ValueError as exc:
+        # loadtxt's row number is not the file's line number; drop it
+        reason = str(exc).partition(" at row")[0]
+    # read the file again a line at a time: the failing row is the last line fed
+    line, text = 0, ""
+
+    def counted(fh):
+        nonlocal line, text
+        for line, text in enumerate(fh, 1):
+            yield text
+
+    with path.open(newline="", encoding="utf-8") as fh:
+        try:
+            np.loadtxt(counted(fh), skiprows=1, **_CSV, **options)
+        except ValueError:
+            pass
+    fields = np.loadtxt([text], dtype=object, ndmin=2, **_CSV).shape[1]
+    if fields != n_fields:
+        raise DatasetError(
+            f"{path.name} line {line} has {fields} fields; rows must have {n_fields} fields"
+        )
+    raise DatasetError(f"{path.name} line {line}: {reason}")
+
+
+def _read_features_csv(path: Path, d: int, pids: np.ndarray) -> np.ndarray:
+    """(n, d) features of ``path`` in the row order of ``pids``."""
+    header, has_rows = _csv_header(path)
+    if header != ["point_id"] + [f"f{j}" for j in range(d)]:
+        raise DatasetError(f"features.csv header mismatch: expected {d + 1} columns")
+    if has_rows:
+        # ids first: d one-byte fields make loadtxt require d + 1 fields per
+        # row without parsing a float
+        ids = _read_rows(path, d + 1, dtype=[("point_id", object), ("f", "S1", (d,))],
+                         ndmin=1)["point_id"]
+        features = _read_rows(path, d + 1, usecols=range(1, d + 1), ndmin=2)
+    else:
+        ids, features = np.empty(0, dtype=object), np.empty((0, d))
+    if len(ids) == len(pids) and np.all(ids == pids):
+        return features     # the order save_dataset writes
+    if set(ids) != set(pids):
+        orphan = sorted(set(pids) ^ set(ids))[0]
+        raise DatasetError(f"feature table does not match points ({orphan!r})")
+    if len(ids) != len(pids):
+        # equal id sets, so the longer table repeats an id
+        longer, name = (ids, "features.csv") if len(ids) > len(pids) else (pids, "points.csv")
+        ordered = np.sort(longer)
+        dup = ordered[1:][ordered[1:] == ordered[:-1]][0]
+        raise DatasetError(f"duplicate point id {dup!r} in {name}")
+    by_point = np.empty(len(pids), dtype=np.int64)
+    by_point[np.argsort(pids)] = np.argsort(ids)
+    return features[by_point]
+
+
+def _read_features_bin(path: Path, n: int, d: int) -> np.ndarray:
+    """(n, d) float64 features of ``path``, filled block by block."""
+    size = path.stat().st_size
+    expected = 16 + 4 * n * d
+    with path.open("rb") as fh:
+        header = fh.read(16)
+        if header[:4] != FEATURES_BIN_MAGIC:
+            raise DatasetError("features.bin has wrong magic")
+        if size != expected:
+            raise DatasetError(
+                f"features.bin holds {size} bytes; {n} x {d} float32 "
+                f"features and the 16-byte header take {expected}"
+            )
+        nrows, dim, _reserved = struct.unpack("<III", header[4:])
+        if nrows != n or dim != d:
+            raise DatasetError(
+                f"features.bin header ({nrows} x {dim}) disagrees with meta ({n} x {d})"
+            )
+        features = np.empty((n, d))
+        step = max(1, _BIN_BLOCK_BYTES // (4 * d))
+        for lo in range(0, n, step):
+            rows = min(step, n - lo)
+            features[lo:lo + rows] = np.fromfile(fh, dtype="<f4", count=rows * d).reshape(rows, d)
+    return features
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -703,20 +816,17 @@ def load_dataset(path: str | Path) -> Dataset:
     points_path = root / "points.csv"
     if not points_path.exists():
         raise DatasetError(f"missing points.csv in {root}")
-    expect = ["point_id", "x", "y", "label", "cluster_id", "stratum_id"]
-    with points_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expect:
-            missing = [c for c in expect if header is None or c not in header]
-            raise DatasetError(f"points.csv missing columns {missing}")
-        columns = list(zip(*reader)) or [()] * len(expect)
-    if len(columns) != len(expect):
-        raise DatasetError(f"points.csv rows must have {len(expect)} fields")
-    pids, xs, ys, label_text, point_cluster, point_stratum = columns
-    coords = np.column_stack((np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)))
-    labels = np.array(label_text, dtype=str)
-    labels = np.where(labels == "NA", "nan", labels).astype(np.float64)
+    header, has_rows = _csv_header(points_path)
+    if header != _POINTS_COLUMNS:
+        missing = [c for c in _POINTS_COLUMNS if header is None or c not in header]
+        raise DatasetError(f"points.csv missing columns {missing}")
+    if has_rows:
+        points = _read_rows(points_path, len(_POINTS_COLUMNS), dtype=_POINTS_DTYPE,
+                            converters=_LABEL_CONVERTER, ndmin=1)
+    else:
+        points = np.empty(0, dtype=_POINTS_DTYPE)
+    pids = points["point_id"]
+    point_cluster = points["cluster_id"].tolist()
 
     # the strata list in meta.json is the authoritative cluster table
     listed = [
@@ -730,7 +840,7 @@ def load_dataset(path: str | Path) -> Dataset:
         raise DatasetError(f"cluster {cid!r} listed under two strata")
     if not cluster_stratum:
         raise DatasetError("meta.json strata list carries no cluster rosters")
-    stray = set(zip(point_cluster, point_stratum)) - set(listed)
+    stray = set(zip(point_cluster, points["stratum_id"].tolist())) - set(listed)
     if stray:
         cid, sid = min(stray)
         if cid not in cluster_stratum:
@@ -756,53 +866,16 @@ def load_dataset(path: str | Path) -> Dataset:
     fpath = root / features_file
     if not fpath.exists():
         raise DatasetError(f"missing {features_file} in {root}")
-
     if features_file.endswith(".csv"):
-        with fpath.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            expect = ["point_id"] + [f"f{j}" for j in range(d)]
-            if header != expect:
-                raise DatasetError(
-                    f"features.csv header mismatch: expected {len(expect)} columns"
-                )
-            feat_rows = {r[0]: r[1:] for r in reader}
-        if set(feat_rows) != set(pids):
-            orphan = sorted(set(pids) ^ set(feat_rows))[0]
-            raise DatasetError(f"feature table does not match points ({orphan!r})")
-        features = np.array(
-            [[float(v) for v in feat_rows[pid]] for pid in pids], dtype=np.float64
-        )
-        if features.shape[1] != d:
-            raise DatasetError(
-                f"inconsistent feature dimension: meta says {d}, table has "
-                f"{features.shape[1]}"
-            )
+        features = _read_features_csv(fpath, d, pids)
     else:
-        blob = fpath.read_bytes()
-        if blob[:4] != FEATURES_BIN_MAGIC:
-            raise DatasetError("features.bin has wrong magic")
-        size = 16 + 4 * len(pids) * d
-        if len(blob) != size:
-            raise DatasetError(
-                f"features.bin holds {len(blob)} bytes; {len(pids)} x {d} float32 "
-                f"features and the 16-byte header take {size}"
-            )
-        nrows, dim, _reserved = struct.unpack("<III", blob[4:16])
-        if nrows != len(pids) or dim != d:
-            raise DatasetError(
-                f"features.bin header ({nrows} x {dim}) disagrees with meta "
-                f"({len(pids)} x {d})"
-            )
-        features = (
-            np.frombuffer(blob, dtype="<f4", offset=16).reshape(nrows, dim).astype(np.float64)
-        )
+        features = _read_features_bin(fpath, len(pids), d)
 
     ds = build_dataset(
         point_ids=pids,
-        coords=coords,
+        coords=np.column_stack((points["x"], points["y"])),
         features=features,
-        labels=labels,
+        labels=points["label"].copy(),   # not a view that keeps the table alive
         point_cluster=point_cluster,
         cluster_stratum=cluster_stratum,
         split_seed=int(meta.get("split_seed", 0)),

@@ -118,18 +118,6 @@ def gumbel_topk(rng: np.random.Generator, logits: np.ndarray, size: int) -> np.n
     return order[:size]
 
 
-def weighted_sample_without_replacement(
-    rng: np.random.Generator, weights: np.ndarray, size: int
-) -> np.ndarray:
-    """Weighted draws without replacement; returns drawn indices."""
-    w = np.asarray(weights, dtype=np.float64)
-    if np.any(w < 0):
-        raise SamplingError("weights must be non-negative")
-    with np.errstate(divide="ignore"):
-        logits = np.log(w)
-    return gumbel_topk(rng, logits, size)
-
-
 def draw_initial_sample(
     ds: Dataset, cfg: SamplerConfig, rng: np.random.Generator
 ) -> SampleState:

@@ -19,6 +19,9 @@ import numpy as np
 
 from .data import Dataset, build_dataset
 
+# rows of feature noise drawn at once
+_NOISE_BLOCK_ROWS = 8192
+
 
 class SynthError(ValueError):
     pass
@@ -67,56 +70,56 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     n_strata = rx * ry
     d = cfg.feature_dim
 
-    # feature field: smooth sinusoidal mean per feature over the map
     freq = rng.normal(0.0, 1.5, size=(d, 2))
     phase = rng.uniform(0.0, 2 * np.pi, size=d)
 
     w_base = rng.normal(0.0, 1.0, size=d)
     w_by_stratum: dict[str, np.ndarray] = {}
 
+    # clusters are numbered stratum by stratum, points cluster by cluster
     sid_width = len(str(n_strata - 1)) if n_strata > 1 else 1
-    point_rows = []
-    s_index = 0
+    cluster_coords = []
     for gx in range(rx):
         for gy in range(ry):
-            sid = f"s{s_index:0{sid_width}d}"
+            sid = f"s{len(w_by_stratum):0{sid_width}d}"
             w_by_stratum[sid] = w_base + cfg.coef_dispersion * rng.normal(size=d)
-            for ci in range(cfg.clusters_per_stratum):
+            for _ in range(cfg.clusters_per_stratum):
                 center = np.array([gx, gy]) + rng.uniform(0.1, 0.9, size=2)
                 n_pts = int(
                     rng.integers(cfg.points_per_cluster[0], cfg.points_per_cluster[1] + 1)
                 )
-                offsets = rng.uniform(-0.08, 0.08, size=(n_pts, 2))
-                for p in range(n_pts):
-                    point_rows.append((sid, ci, center + offsets[p]))
-            s_index += 1
+                cluster_coords.append(center + rng.uniform(-0.08, 0.08, size=(n_pts, 2)))
 
-    n = len(point_rows)
+    coords = np.concatenate(cluster_coords)
+    sizes = [len(c) for c in cluster_coords]
+    n, m = len(coords), len(cluster_coords)
     pid_width = len(str(n - 1))
-    cid_width = len(str(n_strata * cfg.clusters_per_stratum - 1))
+    cid_width = len(str(m - 1))
+    point_ids = [f"p{i:0{pid_width}d}" for i in range(n)]
+    cluster_ids = [f"c{j:0{cid_width}d}" for j in range(m)]
+    stratum_ids = list(w_by_stratum)
+    cluster_stratum = {
+        cid: stratum_ids[j // cfg.clusters_per_stratum] for j, cid in enumerate(cluster_ids)
+    }
+    point_cluster = [cid for cid, size in zip(cluster_ids, sizes) for _ in range(size)]
+    point_stratum = np.repeat(np.arange(m) // cfg.clusters_per_stratum, sizes)
 
-    point_ids = []
-    coords = np.empty((n, 2))
-    point_cluster = []
-    cluster_stratum: dict[str, str] = {}
-    cluster_counter: dict[tuple[str, int], str] = {}
-    next_cluster = 0
-    for i, (sid, ci, xy) in enumerate(point_rows):
-        key = (sid, ci)
-        if key not in cluster_counter:
-            cluster_counter[key] = f"c{next_cluster:0{cid_width}d}"
-            cluster_stratum[cluster_counter[key]] = sid
-            next_cluster += 1
-        point_ids.append(f"p{i:0{pid_width}d}")
-        coords[i] = xy
-        point_cluster.append(cluster_counter[key])
+    # feature field: a smooth sinusoidal mean per feature plus noise, built in
+    # place; the noise is drawn a block of rows at a time (the same normal
+    # stream as one (n, d) draw), so no second (n, d) matrix is held
+    features = coords @ freq.T
+    features += phase
+    np.sin(features, out=features)
+    features *= cfg.feature_scale
+    for lo in range(0, n, _NOISE_BLOCK_ROWS):
+        noise = rng.normal(size=(min(_NOISE_BLOCK_ROWS, n - lo), d))
+        noise *= cfg.feature_noise
+        features[lo:lo + len(noise)] += noise
 
-    mean = cfg.feature_scale * np.sin(coords @ freq.T + phase)
-    features = mean + cfg.feature_noise * rng.normal(size=(n, d))
-
+    ws = list(w_by_stratum.values())
     signal = np.empty(n)
-    for i, (sid, _, _) in enumerate(point_rows):
-        signal[i] = w_by_stratum[sid] @ features[i]
+    for i, s in enumerate(point_stratum.tolist()):
+        signal[i] = ws[s] @ features[i]
 
     signal_var = float(np.var(signal))
     if cfg.target_snr is not None:

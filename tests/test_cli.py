@@ -90,6 +90,16 @@ class TestGroups:
                        "--seed", 0, "--out-dir", tmp_path / "g") == 2
         assert "'feature_dim'" in capsys.readouterr().err
 
+    def test_extra_points_field_is_config_error(self, bundle, tmp_path, capsys):
+        path = bundle / "points.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        lines[2] += b",7.25"
+        path.write_bytes(b"\r\n".join(lines))
+        assert run_cli("groups", "--dataset", bundle, "--kind", "admin",
+                       "--seed", 0, "--out-dir", tmp_path / "g") == 2
+        assert "points.csv line 3 has 7 fields" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
 
 class TestOptimize:
     def test_writes_solution_files(self, bundle, tmp_path):

@@ -1,4 +1,7 @@
+import csv
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +57,84 @@ def write_hand_bundle(root):
     )
 
 
+def ref_load_dataset(path):
+    """The csv-module bundle loader that ``load_dataset`` replaced, kept as the
+    parsing reference for valid bundles (its validation is left out)."""
+    root = Path(path)
+    meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
+    with (root / "points.csv").open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        pids, xs, ys, label_text, point_cluster, _ = list(zip(*reader))
+    coords = np.column_stack((np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)))
+    labels = np.array(label_text, dtype=str)
+    labels = np.where(labels == "NA", "nan", labels).astype(np.float64)
+    cluster_stratum = {
+        cid: entry["stratum_id"] for entry in meta["strata"] for cid in entry["cluster_ids"]
+    }
+    if meta["features_file"] == "features.csv":
+        with (root / "features.csv").open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            feat_rows = {r[0]: r[1:] for r in reader}
+        features = np.array([[float(v) for v in feat_rows[pid]] for pid in pids], dtype=np.float64)
+    else:
+        blob = (root / "features.bin").read_bytes()
+        nrows, dim, _ = struct.unpack("<III", blob[4:16])
+        features = np.frombuffer(blob, dtype="<f4", offset=16).reshape(nrows, dim)
+        features = features.astype(np.float64)
+    ds = build_dataset(
+        point_ids=pids,
+        coords=coords,
+        features=features,
+        labels=labels,
+        point_cluster=point_cluster,
+        cluster_stratum=cluster_stratum,
+        split_seed=int(meta.get("split_seed", 0)),
+        test_fraction=float(meta.get("test_fraction", 0.2)),
+    )
+    in_initial = [s["stratum_id"] for s in meta["strata"] if s.get("in_initial")]
+    return ds.with_initial_strata(in_initial) if in_initial else ds
+
+
+def assert_same_bits(a, b):
+    """datasets_equal, with coords and features also equal bit for bit."""
+    assert datasets_equal(a, b)
+    for name in ("coords", "features"):
+        assert np.array_equal(getattr(a, name).view(np.int64), getattr(b, name).view(np.int64))
+
+
+# ids the bundle CSV dialect must carry through quoting unchanged
+ODD_IDS = ("p#1", "p,2", 'p"3', " p4", "p\u00e95")
+
+
+def write_csv_bundle(root, newline, feature_order):
+    """A 5-point, 2-cluster, d=2 bundle with ODD_IDS as point ids, written
+    with the csv module using ``newline`` line endings; features.csv lists
+    the points in ``feature_order``. The second point's label is NA."""
+    root.mkdir(parents=True, exist_ok=True)
+    clusters = ["c,0", 'c"1']
+    (root / "meta.json").write_text(json.dumps({
+        "feature_dim": 2,
+        "n_clusters": 2,
+        "split_seed": 5,
+        "test_fraction": 0.25,
+        "features_file": "features.csv",
+        "strata": [{"stratum_id": "s#0", "cluster_ids": clusters, "in_initial": True}],
+    }), encoding="utf-8")
+    with (root / "points.csv").open("w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator=newline)
+        w.writerow(["point_id", "x", "y", "label", "cluster_id", "stratum_id"])
+        for i, pid in enumerate(ODD_IDS):
+            label = "NA" if i == 1 else repr(0.1 * i - 0.35)
+            w.writerow([pid, repr(i / 3), repr(-i / 7), label, clusters[i % 2], "s#0"])
+    with (root / "features.csv").open("w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator=newline)
+        w.writerow(["point_id", "f0", "f1"])
+        for i in feature_order:
+            w.writerow([ODD_IDS[i], repr(1 / (i + 3)), repr(1e-300 * (i - 2))])
+
+
 class TestBundleIO:
     def test_hand_written_bundle_round_trip(self, tmp_path):
         write_hand_bundle(tmp_path / "bundle")
@@ -79,7 +160,16 @@ class TestBundleIO:
          "c1.*two strata"),
         ("points.csv", "p3,1.0,1.0,0.5,c1,s0\n", "p3,1.0,1.0,0.5,c1,s0\np4,0.0\n",
          "6 fields"),
-    ], ids=["stratum-mismatch", "cluster-in-two-strata", "short-row"])
+        ("points.csv", "p1,1.0,0.0,2.5,c0,s0", "p1,1.0,0.0,2.5,c0,s0,7.25",
+         "points.csv line 3 has 7 fields; rows must have 6 fields"),
+        ("features.csv", "p1,1.1,1.2,1.3", "p1,1.1,1.2,1.3,7.25",
+         "features.csv line 3 has 5 fields; rows must have 4 fields"),
+        ("points.csv", "p2,0.0,1.0", "p2,abc,1.0", "points.csv line 4: .*'abc'"),
+        ("points.csv", "1.0,0.5,c1", "1.0,xyz,c1", "points.csv line 5: .*'xyz'"),
+        ("features.csv", "p3,3.1", "p3,abc", "features.csv line 5: .*'abc'"),
+    ], ids=["stratum-mismatch", "cluster-in-two-strata", "short-row", "points-extra-field",
+            "features-extra-value", "points-non-numeric", "label-non-numeric",
+            "features-non-numeric"])
     def test_inconsistent_cluster_table_rejected(self, tmp_path, name, old, new, match):
         write_hand_bundle(tmp_path / "bundle")
         path = tmp_path / "bundle" / name
@@ -87,6 +177,44 @@ class TestBundleIO:
         assert old in text
         path.write_text(text.replace(old, new, 1))
         with pytest.raises(DatasetError, match=match):
+            load_dataset(tmp_path / "bundle")
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("features_format", ["csv", "bin"])
+    def test_loader_matches_csv_reference_on_synth(self, tmp_path, seed, features_format):
+        cfg = SynthConfig(strata_grid=(3, 2), clusters_per_stratum=4, points_per_cluster=(3, 9),
+                          feature_dim=1 + seed, seed=seed)
+        ds, _ = generate(cfg)
+        save_dataset(ds.with_initial_strata(ds.stratum_ids[:1]), tmp_path / "b",
+                     features_format=features_format)
+        assert_same_bits(load_dataset(tmp_path / "b"), ref_load_dataset(tmp_path / "b"))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("feature_order", [range(5), (3, 0, 4, 2, 1)],
+                             ids=["in-order", "shuffled"])
+    def test_loader_matches_csv_reference_on_odd_ids(self, tmp_path, newline, feature_order):
+        write_csv_bundle(tmp_path / "b", newline, feature_order)
+        ds = load_dataset(tmp_path / "b")
+        assert_same_bits(ds, ref_load_dataset(tmp_path / "b"))
+        assert set(ds.point_ids) == set(ODD_IDS)
+        assert ds.cluster_ids == ("c\"1", "c,0") and ds.stratum_ids == ("s#0",)
+        assert np.isnan(ds.labels[ds.point_index["p,2"]])
+        assert ds.features[ds.point_index["p\u00e95"]].tolist() == [1 / 7, 1e-300 * 2]
+
+    def test_header_only_tables_load_without_a_warning(self, tmp_path, recwarn):
+        write_hand_bundle(tmp_path / "bundle")
+        for name in ("points.csv", "features.csv"):
+            path = tmp_path / "bundle" / name
+            path.write_text(path.read_text().splitlines()[0] + "\n")
+        with pytest.raises(DatasetError, match="empty"):
+            load_dataset(tmp_path / "bundle")
+        assert not recwarn.list
+
+    def test_repeated_feature_row_rejected(self, tmp_path):
+        write_hand_bundle(tmp_path / "bundle")
+        path = tmp_path / "bundle" / "features.csv"
+        path.write_text(path.read_text() + "p2,2.1,2.2,2.3\n")
+        with pytest.raises(DatasetError, match="duplicate point id 'p2' in features.csv"):
             load_dataset(tmp_path / "bundle")
 
     def test_duplicate_point_id_rejected(self):
@@ -218,6 +346,14 @@ class TestBundleIO:
                 point_cluster=["c0", "c0"],
                 cluster_stratum={"c0": "s0"},
             )
+
+
+def test_dataset_equality_is_identity_and_does_not_raise():
+    a = toy_dataset({"c0": 3, "c1": 2}, {"c0": "s0", "c1": "s0"})
+    b = toy_dataset({"c0": 3, "c1": 2}, {"c0": "s0", "c1": "s0"})
+    assert datasets_equal(a, b)
+    assert a == a and a != b
+    assert len({a, b}) == 2
 
 
 class TestPartitionInvariants:

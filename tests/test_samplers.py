@@ -15,7 +15,6 @@ from geosampler.samplers import (
     optimized_augment,
     random_cluster_augment,
     random_point_sample,
-    weighted_sample_without_replacement,
 )
 from geosampler.utility import UtilitySpec
 
@@ -352,11 +351,3 @@ def test_random_point_sample_shape_and_determinism(synth_ds):
     for cid, pids in labeled_ids(synth_ds, a).items():
         member = set(synth_ds.cluster(cid).point_ids)
         assert all(pid in member for pid in pids)
-
-
-def test_weighted_sampling_errors():
-    rng = np.random.default_rng(0)
-    with pytest.raises(SamplingError):
-        weighted_sample_without_replacement(rng, np.ones(3), 4)
-    with pytest.raises(SamplingError):
-        weighted_sample_without_replacement(rng, np.array([1.0, -0.5]), 1)
