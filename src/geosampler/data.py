@@ -375,13 +375,13 @@ class CostModel:
     def __post_init__(self):
         if not (self.c2 >= self.c1 > 0):
             raise CostError("cost model requires c2 >= c1 > 0")
-        if self.budget < 0:
+        if not (self.budget >= 0):
             raise CostError("budget must be non-negative")
         if self.budget_scope not in ("augmentation", "total"):
             raise CostError(f"unknown budget_scope {self.budget_scope!r}")
         if self.per_cluster_override:
             for cid, v in self.per_cluster_override.items():
-                if v <= 0:
+                if not (v > 0):
                     raise CostError(f"override for {cid!r} must be positive")
 
     def with_initial_strata(self, stratum_ids: Iterable[str]) -> "CostModel":

@@ -104,7 +104,7 @@ class ExperimentConfig:
             raise ConfigError("exactly one of dataset path or synth config is required")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        if any(b < 0 for b in self.budgets):
+        if not all(b >= 0 for b in self.budgets):
             raise ConfigError("budgets must be non-negative")
         for m in self.baselines:
             if m not in BASELINES:

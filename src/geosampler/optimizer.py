@@ -7,6 +7,14 @@ current point and moves toward the vertex returned by a fractional-knapsack
 linear maximization oracle. Termination is certified by the duality gap
 grad(s) . (d - s), which upper-bounds the suboptimality of s for concave
 utilities.
+
+The utility depends on s only through its aggregates z = s @ A (see
+:func:`geosampler.utility.aggregates`). Each iteration computes z once and
+takes the value phi(z) and the gradient A @ grad phi(z) from it, so an
+iteration costs two m x (G+1) products for ``diminishing`` and three for
+``line-search`` and ``away``, whose line search needs the aggregates of the
+step direction as well. The knapsack oracle sorts only the items that can
+enter its fill, and rounding draws all its uniforms in one vector.
 """
 
 from __future__ import annotations
@@ -24,9 +32,10 @@ from .utility import (
     InclusionVector,
     UtilitySpec,
     aggregates,
-    phi_gradient,
+    phi,
     utility_gradient_raw,
-    utility_value_raw,
+    # unused here; perfbench/tracer.py counts calls under this binding
+    utility_value_raw,  # noqa: F401
 )
 
 STEP_RULES = ("diminishing", "line-search", "away")
@@ -59,7 +68,7 @@ class SolveOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise OptimizerError("max_iters must be >= 1")
-        if self.gap_tol <= 0:
+        if not (self.gap_tol > 0):
             raise OptimizerError("gap_tol must be positive")
         if self.step_rule not in STEP_RULES:
             raise OptimizerError(f"unknown step rule {self.step_rule!r}")
@@ -91,10 +100,16 @@ def lmo_knapsack(
     the lower index) until the budget binds; the last item may be fractional,
     so the output has at most one fractional coordinate. Locked coordinates
     are returned as 1 and charge nothing.
+
+    At most floor(budget / min c) items fill whole, and one more is
+    fractional or overflows, so only the cap = floor(budget / min c) + 2
+    largest ratios (plus any that tie the smallest of them) are selected by
+    ``np.partition`` and sorted; that is the same prefix the full sort would
+    give. A cap of n or more, including an infinite budget, sorts every item.
     """
     grad = np.asarray(grad, dtype=np.float64)
     costs = np.asarray(costs, dtype=np.float64)
-    if budget < 0:
+    if not (budget >= 0):
         raise OptimizerError("budget must be non-negative")
     m = len(grad)
     if locked is None:
@@ -104,9 +119,15 @@ def lmo_knapsack(
     idx = np.flatnonzero(~locked)
     if idx.size == 0:
         return d
-    if np.any(costs[idx] <= 0):
+    c_idx = costs[idx]
+    if not np.all(c_idx > 0):
         raise OptimizerError("costs must be positive for unlocked clusters")
-    ratio = grad[idx] / costs[idx]
+    ratio = grad[idx] / c_idx
+    cap = float(budget) // float(c_idx.min()) + 2   # nan for an infinite budget
+    if cap < idx.size:
+        cut = idx.size - int(cap)
+        top = np.flatnonzero(ratio >= np.partition(ratio, cut)[cut])
+        idx, ratio = idx[top], ratio[top]
     order = idx[np.lexsort((idx, -ratio))]
     nonpositive = grad[order] <= 0
     if nonpositive.any():
@@ -174,8 +195,9 @@ def solve_relaxation(
     iterations = 0
     for t in range(opts.max_iters):
         iterations = t + 1
-        f = utility_value_raw(s, counts, spec)
-        grad = utility_gradient_raw(s, counts, spec)
+        z = aggregates(s, counts, spec)
+        f = phi(z, spec)
+        grad = utility_gradient_raw(z, counts, spec)
         trace.append(f)
         if t == 0 and budget > 0 and np.any(~locked_dec):
             if not np.any(grad[decision][~locked_dec] > 0):
@@ -197,13 +219,11 @@ def solve_relaxation(
             s = np.clip(s + (2.0 / (t + 2.0)) * fw_delta, 0.0, 1.0)
             s[committed] = 1.0
         elif opts.step_rule == "line-search":
-            step = _bisect_step(
-                aggregates(s, counts, spec), aggregates(fw_delta, counts, spec), spec, 1.0
-            )
+            step = _bisect_step(z, aggregates(fw_delta, counts, spec), spec, 1.0)
             s = np.clip(s + step * fw_delta, 0.0, 1.0)
             s[committed] = 1.0
         else:
-            s = _away_step(active, grad, s, d_full, fw_delta, gap, counts, spec)
+            s = _away_step(active, grad, s, z, d_full, fw_delta, gap, counts, spec)
 
     values = best_s
     spent = float(costs_dec[~locked_dec] @ values[decision][~locked_dec])
@@ -229,10 +249,26 @@ def _bisect_step(z: np.ndarray, dz: np.ndarray, spec: UtilitySpec, step_max: flo
     """Exact line search on [0, step_max] along s + t * delta, given the
     aggregates z = s @ A and dz = delta @ A: the directional derivative
     grad phi(z + t dz) . dz costs O(G) per probe, and for a concave utility it
-    is monotone decreasing, so bisect on its sign."""
+    is monotone decreasing, so bisect on its sign.
 
-    def dd(t: float) -> float:
-        return float(phi_gradient(z + t * dz, spec) @ dz)
+    Each probe repeats :func:`phi_gradient`'s arithmetic operation for
+    operation, with its coefficients taken once per call; the total term
+    stays a scalar power, whose last bit can differ from numpy's array
+    power, so that probe signs match the gradient's exactly."""
+    if spec.kind == "size":
+        def dd(t: float) -> float:   # phi is linear in n(s)
+            return float(dz[0])
+    else:
+        eps = spec.epsilon
+        coef_group = spec.lam * 0.5 * spec.groups.gamma
+        coef_total = (1.0 - spec.lam) * 0.5
+        w = np.empty(len(z))
+
+        def dd(t: float) -> float:
+            zt = z + t * dz
+            w[:-1] = coef_group * (zt[:-1] + eps) ** -1.5
+            w[-1] = coef_total * (zt[-1] + eps) ** -1.5
+            return float(w @ dz)
 
     if dd(0.0) <= 0:
         return 0.0
@@ -320,17 +356,18 @@ def _away_step(
     active: _ActiveSet,
     grad: np.ndarray,
     s: np.ndarray,
+    z: np.ndarray,
     d_full: np.ndarray,
     fw_delta: np.ndarray,
     fw_gap: float,
     counts: ExpectedCounts,
     spec: UtilitySpec,
 ) -> np.ndarray:
-    """One away-step Frank-Wolfe update, maintaining the active vertex set."""
+    """One away-step Frank-Wolfe update, maintaining the active vertex set;
+    z are the aggregates of s."""
     ai = int(np.argmin(active.scores(grad)))
     away_delta = s - active.vertex(ai)
     away_gap = float(grad @ away_delta)
-    z = aggregates(s, counts, spec)
 
     if fw_gap >= away_gap:
         step = _bisect_step(z, aggregates(fw_delta, counts, spec), spec, 1.0)
@@ -359,27 +396,37 @@ def round_inclusion(
     with probability s_i. An inclusion that would push the cumulative cost
     over the budget is never made; the scan terminates at the first such
     violation, so the returned set always fits the budget.
+
+    The uniforms for every visited cluster with 0 < s_i < 1 are drawn in one
+    vector and the budget is scanned with a cumulative subtraction. The
+    generator is then rewound and advanced by exactly the draws the scan
+    consumed (those before the stop, plus the stopping cluster's own), so it
+    ends where a one-draw-per-visit loop would leave it.
     """
-    if budget < 0:
+    if not (budget >= 0):
         raise OptimizerError("budget must be non-negative")
     unlocked = np.flatnonzero(~s.committed)
     order = rng.permutation(unlocked)
     # a zero-probability cluster draws no random number, so skipping it
     # leaves the rng stream unchanged
     order = order[s.values[order] > 0.0]
-    costs = cluster_costs(cm, ds)
-    rem = float(budget)
-    chosen: list[str] = []
-    for j in order:
-        p = float(s.values[j])
-        if p >= 1.0 or rng.random() < p:
-            cost = float(costs[j])
-            if cost <= rem:
-                chosen.append(ds.cluster_ids[j])
-                rem -= cost
-            else:
-                break
-    return tuple(sorted(chosen))
+    p = s.values[order]
+    draws = p < 1.0
+    start = rng.bit_generator.state
+    taken = ~draws
+    taken[draws] = rng.random(int(draws.sum())) < p[draws]
+    cand = np.flatnonzero(taken)
+    c = cluster_costs(cm, ds)[order[cand]]
+    # rem[k]: budget left before candidate k, subtracted in visiting order
+    rem = np.subtract.accumulate(np.concatenate(([float(budget)], c)))
+    overflow = c > rem[:-1]
+    if overflow.any():
+        k = int(np.argmax(overflow))
+        rng.bit_generator.state = start
+        rng.random(int(draws[: cand[k] + 1].sum()))
+    else:
+        k = len(cand)
+    return tuple(sorted(ds.cluster_ids[j] for j in order[cand[:k]]))
 
 
 def save_solve_result(

@@ -63,7 +63,7 @@ class ConvenienceConfig:
     def __post_init__(self):
         if not self.anchors:
             raise SamplingError("convenience sampling needs at least one anchor")
-        if self.temperature <= 0:
+        if not (self.temperature > 0):
             raise SamplingError("temperature must be positive")
         if self.size < 1:
             raise SamplingError("sample size must be >= 1")

@@ -13,7 +13,8 @@ smoothing keeps the expression bounded when a group count is zero.
 
 Both utilities depend on s only through the aggregates z = (n_g(s), n(s))
 (just n(s) for size), so each is implemented once as a function phi(z) with
-gradient grad phi(z); the solver's line search works on z directly.
+gradient grad phi(z). The solver computes z once per iteration and takes the
+value, the gradient and the line search from it.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class UtilitySpec:
             raise UtilityError(f"unknown utility kind {self.kind!r}")
         if not (0.0 <= self.lam <= 1.0):
             raise UtilityError("lambda must lie in [0, 1]")
-        if self.epsilon <= 0:
+        if not (self.epsilon > 0):
             raise UtilityError("epsilon must be positive")
         if self.kind == "group_rep" and self.groups is None:
             raise UtilityError("group_rep utility requires a group model")
@@ -109,7 +110,7 @@ def group_rep_gradient(
     e_i > 0, zero where e_i = 0."""
     _check_dims(s, counts)
     _check_group_model(counts, spec)
-    return utility_gradient_raw(s.values, counts, spec)
+    return utility_gradient_raw(aggregates(s.values, counts, spec), counts, spec)
 
 
 def utility_value(s: InclusionVector, counts: ExpectedCounts, spec: UtilitySpec) -> float:
@@ -159,10 +160,12 @@ def utility_value_raw(values: np.ndarray, counts: ExpectedCounts, spec: UtilityS
 
 
 def utility_gradient_raw(
-    values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec
+    z: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec
 ) -> np.ndarray:
-    """Gradient counterpart of :func:`utility_value_raw`: A @ grad phi(z)."""
-    w = phi_gradient(aggregates(values, counts, spec), spec)
+    """Gradient in s at the point whose aggregates are z (see
+    :func:`aggregates`): A @ grad phi(z). Taking z rather than s lets a caller
+    that already holds the aggregates skip a second m x (G+1) product."""
+    w = phi_gradient(z, spec)
     grad = counts.e * w[-1]
     if spec.kind == "size":
         return grad

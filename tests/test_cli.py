@@ -165,6 +165,22 @@ class TestOptimize:
         assert code == 3
 
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--budget", "budget"), ("--gap-tol", "gap_tol"), ("--epsilon", "epsilon"),
+    ])
+    def test_nan_numeric_flag_is_config_error(self, bundle, tmp_path, capsys, flag, field):
+        argv = {
+            "--dataset": bundle, "--out-dir": tmp_path / "o", "--seed": 1,
+            "--n-strata": 2, "--k": 10, "--initial-size": 30,
+            "--budget": 200, "--utility": "rep-admin",
+        }
+        argv[flag] = "nan"
+        code = run_cli("optimize", *(x for kv in argv.items() for x in kv))
+        assert code == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestEvaluate:
     def test_scores_saved_sample(self, bundle, tmp_path):
         opt = tmp_path / "opt"
@@ -266,6 +282,15 @@ class TestExperimentCommands:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_nan_budget_is_config_error(self, bundle, tmp_path, capsys):
+        code = run_cli(
+            "augment", "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "a",
+            "--n-strata", 2, "--k", 10, "--initial-size", 80,
+            "--budgets", "100,nan", "--methods", "default,rep-admin",
+        )
+        assert code == 2
+        assert "budgets must be" in capsys.readouterr().err
 
     def test_rank_study_runs(self, bundle, tmp_path):
         code = run_cli(

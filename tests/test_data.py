@@ -410,6 +410,19 @@ class TestCosts:
         with pytest.raises(CostError):
             CostModel(c1=1.0, c2=2.0, budget=-1.0)
 
+    def test_nan_budget_and_override_rejected(self, tmp_path):
+        # NaN fails every comparison, so `budget < 0` and `v <= 0` let it pass
+        with pytest.raises(CostError, match="budget"):
+            CostModel(c1=1.0, c2=2.0, budget=float("nan"))
+        with pytest.raises(CostError, match="override for 'x'"):
+            self.make_cm(per_cluster_override={"x": float("nan")})
+        # Python's json reads NaN, so a costs.json can carry one
+        (tmp_path / "costs.json").write_text(
+            '{"c1": 25.0, "c2": 50.0, "budget": 100.0, "overrides": {"x": NaN}}'
+        )
+        with pytest.raises(CostError, match="override for 'x'"):
+            load_cost_model(tmp_path)
+
     def test_set_cost_empty_is_zero(self, small_ds):
         cm = self.make_cm().with_initial_strata({"s0"})
         assert set_cost(cm, small_ds, []) == 0.0

@@ -285,7 +285,29 @@ class TestSolveRelaxation:
             SolveOptions(max_iters=300, gap_tol=1e-9, step_rule=rule),
         )
         assert res.iterations > 1
-        assert len(calls) <= res.iterations + 1
+        assert len(calls) == res.iterations
+
+    @pytest.mark.parametrize("rule", STEP_RULES)
+    def test_aggregate_products_per_iteration(self, rule, monkeypatch):
+        # one m x (G+1) product for the iterate, plus one for the line-search
+        # direction; the gradient reuses the iterate's aggregates
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return aggregates(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "aggregates", counted)
+        ds, cm, state, spec, counts = make_instance(
+            n_clusters=12, committed=("c00",), seed=2, budget=55.0
+        )
+        res = solve_relaxation(
+            ds, counts, cm, spec, state,
+            SolveOptions(max_iters=300, gap_tol=1e-9, step_rule=rule),
+        )
+        assert res.iterations > 1
+        per_iter = 1 if rule == "diminishing" else 2
+        assert res.iterations <= len(calls) <= per_iter * res.iterations
 
     @pytest.mark.parametrize("rule", STEP_RULES)
     def test_result_reports_rule_convergence_and_active_set(self, rule):
@@ -374,7 +396,8 @@ def _dense_bisect_step(counts, spec, s, delta, step_max, iters=40):
     """Reference line search on the full gradient in s."""
 
     def dd(t):
-        return float(utility_gradient_raw(s + t * delta, counts, spec) @ delta)
+        z = aggregates(s + t * delta, counts, spec)
+        return float(utility_gradient_raw(z, counts, spec) @ delta)
 
     if dd(0.0) <= 0:
         return 0.0
@@ -404,7 +427,7 @@ def test_aggregate_line_search_matches_dense_gradient(kind):
         # a Frank-Wolfe direction at a random point of equal cost
         s = rng.uniform(0, 1, size=ds.n_clusters)
         costs = np.array([cluster_cost(cm, c) for c in ds.clusters])
-        grad = utility_gradient_raw(s, counts, spec)
+        grad = utility_gradient_raw(aggregates(s, counts, spec), counts, spec)
         delta = lmo_knapsack(grad, costs, float(costs @ s)) - s
         step_max = float(rng.choice([1.0, rng.uniform(0.1, 1.0)]))
         step = _bisect_step(

@@ -1,0 +1,481 @@
+"""The solver, its knapsack oracle, line search and rounding against the
+straightforward versions they replaced.
+
+Each ``ref_*`` function (and ``RefActiveSet``) is the earlier implementation:
+value and gradient recomputed from s on every call, the knapsack oracle
+sorting every ratio, the line search probing through ``phi_gradient``, and
+rounding drawing one uniform per visited cluster. The current code must give
+the same bits, and leave the random generator at the same position.
+"""
+
+import numpy as np
+import pytest
+
+from geosampler.data import CostModel, SampleState, cluster_costs, expected_counts
+from geosampler.groups import GroupModel, admin_groups
+from geosampler.optimizer import (
+    STEP_RULES,
+    OptimizerError,
+    SolveOptions,
+    _bisect_step,
+    bind_costs,
+    lmo_knapsack,
+    remaining_budget,
+    round_inclusion,
+    solve_relaxation,
+)
+from geosampler.synth import SynthConfig, generate
+from geosampler.utility import (
+    InclusionVector,
+    UtilitySpec,
+    aggregates,
+    phi_gradient,
+    utility_value_raw,
+)
+
+
+def ref_utility_gradient_raw(values, counts, spec):
+    w = phi_gradient(aggregates(values, counts, spec), spec)
+    grad = counts.e * w[-1]
+    if spec.kind == "size":
+        return grad
+    return counts.e_group @ w[:-1] + grad
+
+
+def ref_lmo_knapsack(grad, costs, budget, locked=None):
+    grad = np.asarray(grad, dtype=np.float64)
+    costs = np.asarray(costs, dtype=np.float64)
+    m = len(grad)
+    if locked is None:
+        locked = np.zeros(m, dtype=bool)
+    d = np.zeros(m, dtype=np.float64)
+    d[locked] = 1.0
+    idx = np.flatnonzero(~locked)
+    if idx.size == 0:
+        return d
+    ratio = grad[idx] / costs[idx]
+    order = idx[np.lexsort((idx, -ratio))]
+    nonpositive = grad[order] <= 0
+    if nonpositive.any():
+        order = order[: int(np.argmax(nonpositive))]
+    c = costs[order]
+    rem = np.subtract.accumulate(np.concatenate(([float(budget)], c)))
+    overflow = c > rem[:-1]
+    k = int(np.argmax(overflow)) if overflow.any() else len(order)
+    d[order[:k]] = 1.0
+    if k < len(order) and rem[k] > 0:
+        d[order[k]] = rem[k] / c[k]
+    return d
+
+
+def ref_bisect_step(z, dz, spec, step_max, iters=40):
+    def dd(t):
+        return float(phi_gradient(z + t * dz, spec) @ dz)
+
+    if dd(0.0) <= 0:
+        return 0.0
+    if dd(step_max) >= 0:
+        return step_max
+    lo, hi = 0.0, step_max
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if dd(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class RefActiveSet:
+    def __init__(self, s):
+        self.m = len(s)
+        self.keys = {}
+        self.idx = []
+        self.vals = []
+        self.weights = np.zeros(0)
+        self.add(s, 1.0)
+        self.prune()
+
+    def add(self, v, weight):
+        idx = np.flatnonzero(v)
+        vals = v[idx]
+        key = idx.tobytes() + vals.tobytes()
+        k = self.keys.get(key)
+        if k is None:
+            self.keys[key] = len(self.idx)
+            self.idx.append(idx)
+            self.vals.append(vals)
+            self.weights = np.append(self.weights, weight)
+        else:
+            self.weights[k] += weight
+
+    def prune(self):
+        keep = self.weights > 1e-14
+        if not keep.all():
+            kept = np.flatnonzero(keep)
+            self.idx = [self.idx[k] for k in kept]
+            self.vals = [self.vals[k] for k in kept]
+            renumber = {int(old): new for new, old in enumerate(kept)}
+            self.keys = {
+                key: renumber[k] for key, k in self.keys.items() if k in renumber
+            }
+        kept_weights = self.weights[keep]
+        self.weights = kept_weights / kept_weights.sum()
+        self._idx = np.concatenate(self.idx)
+        self._vals = np.concatenate(self.vals)
+        self._owner = np.repeat(np.arange(len(self.idx)), [len(i) for i in self.idx])
+
+    def scores(self, grad):
+        return np.bincount(
+            self._owner, weights=grad[self._idx] * self._vals, minlength=len(self.idx)
+        )
+
+    def vertex(self, k):
+        v = np.zeros(self.m)
+        v[self.idx[k]] = self.vals[k]
+        return v
+
+    def iterate(self):
+        return np.bincount(
+            self._idx, weights=self._vals * self.weights[self._owner], minlength=self.m
+        )
+
+
+def ref_away_step(active, grad, s, d_full, fw_delta, fw_gap, counts, spec):
+    ai = int(np.argmin(active.scores(grad)))
+    away_delta = s - active.vertex(ai)
+    away_gap = float(grad @ away_delta)
+    z = aggregates(s, counts, spec)
+    if fw_gap >= away_gap:
+        step = ref_bisect_step(z, aggregates(fw_delta, counts, spec), spec, 1.0)
+        active.weights *= 1.0 - step
+        active.add(d_full, step)
+    else:
+        w = active.weights[ai]
+        step_max = w / (1.0 - w) if w < 1.0 else 1.0
+        step = ref_bisect_step(z, aggregates(away_delta, counts, spec), spec, step_max)
+        active.weights *= 1.0 + step
+        active.weights[ai] -= step
+    active.prune()
+    return active.iterate()
+
+
+def ref_solve_relaxation(ds, counts, cm, spec, state, opts):
+    """The earlier solver loop, returning (values, utility, gap, iterations,
+    active-set size, utility trace)."""
+    cm = bind_costs(cm, state)
+    budget = remaining_budget(ds, cm, state)
+    m = ds.n_clusters
+    committed = np.zeros(m, dtype=bool)
+    committed[state.clusters] = True
+    available = ds.cluster_is_source & ~committed
+    decision = np.flatnonzero(committed | available)
+    locked_dec = committed[decision]
+    costs_dec = cluster_costs(cm, ds)[decision]
+
+    s = np.zeros(m, dtype=np.float64)
+    s[committed] = 1.0
+    active = RefActiveSet(s) if opts.step_rule == "away" else None
+    trace = []
+    best_s, best_f, best_gap = s.copy(), -np.inf, np.inf
+    iterations = 0
+    for t in range(opts.max_iters):
+        iterations = t + 1
+        f = utility_value_raw(s, counts, spec)
+        grad = ref_utility_gradient_raw(s, counts, spec)
+        trace.append(f)
+        d_dec = ref_lmo_knapsack(grad[decision], costs_dec, budget, locked_dec)
+        d_full = s.copy()
+        d_full[decision] = d_dec
+        fw_delta = d_full - s
+        gap = float(grad @ fw_delta)
+        if f > best_f:
+            best_s, best_f, best_gap = s.copy(), f, gap
+        if gap <= opts.gap_tol * max(1.0, abs(f)):
+            best_s, best_f, best_gap = s.copy(), f, gap
+            break
+        if opts.step_rule == "diminishing":
+            s = np.clip(s + (2.0 / (t + 2.0)) * fw_delta, 0.0, 1.0)
+            s[committed] = 1.0
+        elif opts.step_rule == "line-search":
+            step = ref_bisect_step(
+                aggregates(s, counts, spec), aggregates(fw_delta, counts, spec), spec, 1.0
+            )
+            s = np.clip(s + step * fw_delta, 0.0, 1.0)
+            s[committed] = 1.0
+        else:
+            s = ref_away_step(active, grad, s, d_full, fw_delta, gap, counts, spec)
+    size = len(active.idx) if active is not None else 1
+    return best_s, best_f, best_gap, iterations, size, tuple(trace)
+
+
+def ref_round_inclusion(ds, s, cm, budget, rng):
+    unlocked = np.flatnonzero(~s.committed)
+    order = rng.permutation(unlocked)
+    order = order[s.values[order] > 0.0]
+    costs = cluster_costs(cm, ds)
+    rem = float(budget)
+    chosen = []
+    for j in order:
+        p = float(s.values[j])
+        if p >= 1.0 or rng.random() < p:
+            cost = float(costs[j])
+            if cost <= rem:
+                chosen.append(ds.cluster_ids[j])
+                rem -= cost
+            else:
+                break
+    return tuple(sorted(chosen))
+
+
+# -- instances ---------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ds():
+    # 300 clusters, ~240 of them on the train side
+    cfg = SynthConfig(
+        strata_grid=(5, 4), clusters_per_stratum=15, points_per_cluster=(3, 12),
+        feature_dim=2, seed=4,
+    )
+    return generate(cfg)[0]
+
+
+def _utility(ds, which):
+    if which == "size":
+        return UtilitySpec(kind="size"), expected_counts(ds, None, k=5)
+    if which == "group-per-cluster":
+        gm = admin_groups(ds)
+    else:
+        # each point in its stratum's group or the next one: most clusters
+        # span two groups, in shares that vary from cluster to cluster
+        rng = np.random.default_rng(8)
+        G = len(ds.stratum_ids)
+        stratum = ds.cluster_stratum[ds.point_cluster]
+        assignment = (stratum + rng.integers(0, 2, size=ds.n_points)) % G
+        gm = GroupModel(
+            kind="admin",
+            group_ids=tuple(f"g{g}" for g in range(G)),
+            assignment=assignment,
+            gamma=np.bincount(assignment, minlength=G) / ds.n_points,
+        )
+    return UtilitySpec(kind="group_rep", lam=0.6, groups=gm), expected_counts(ds, gm, k=5)
+
+
+def _state(ds, initial):
+    initial = np.sort(np.asarray(initial, dtype=np.int64))
+    return SampleState(
+        initial=initial,
+        augment=np.zeros(0, dtype=np.int64),
+        labeled=np.zeros(0, dtype=np.int64),
+        k=5,
+        spent=0.0,
+        initial_strata=frozenset(ds.stratum_ids[:6]),
+    )
+
+
+def _case(ds, case):
+    """(state, budget) for a named budget case; c1 = 10 inside the initial
+    strata, c2 = 25 outside."""
+    source = np.flatnonzero(ds.cluster_is_source)
+    committed = source[::17]
+    state = _state(ds, committed)
+    cm = bind_costs(CostModel(c1=10.0, c2=25.0, budget=0.0), state)
+    costs = cluster_costs(cm, ds)
+    if case == "committed":
+        return state, 300.0
+    if case == "zero-budget":
+        return state, 0.0
+    if case == "nothing-to-buy":
+        return _state(ds, source), 300.0
+    if case == "budget-covers-all":
+        return state, float(costs[source].sum()) + 5.0
+    return state, np.inf
+
+
+CASES = ("committed", "zero-budget", "nothing-to-buy", "budget-covers-all", "inf-budget")
+UTILITIES = ("group-per-cluster", "multi-group", "size")
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("which", UTILITIES)
+@pytest.mark.parametrize("rule", STEP_RULES)
+def test_solve_matches_reference_bit_for_bit(ds, rule, which, case):
+    spec, counts = _utility(ds, which)
+    state, budget = _case(ds, case)
+    cm = CostModel(c1=10.0, c2=25.0, budget=budget)
+    opts = SolveOptions(max_iters=120, gap_tol=1e-9, step_rule=rule)
+    res = solve_relaxation(ds, counts, cm, spec, state, opts)
+    values, utility, gap, iterations, size, trace = ref_solve_relaxation(
+        ds, counts, cm, spec, state, opts
+    )
+    assert res.inclusion.values.tobytes() == values.tobytes()
+    assert res.utility == utility
+    assert res.gap == gap
+    assert res.iterations == iterations
+    assert res.active_set_size == size
+    assert res.utility_trace == trace
+
+
+def test_reference_instances_exercise_the_prefix_sort(ds):
+    # the oracle's cap floor(budget / min cost) + 2 stays below the number of
+    # unlocked items in the "committed" case, so its solves sort only a prefix
+    state, budget = _case(ds, "committed")
+    n_free = int(ds.cluster_is_source.sum()) - len(state.clusters)
+    assert budget // 10.0 + 2 < n_free
+
+
+# -- knapsack oracle --------------------------------------------------------
+
+def _assert_lmo_equal(grad, costs, budget, locked=None):
+    got = lmo_knapsack(grad, costs, budget, locked)
+    expect = ref_lmo_knapsack(grad, costs, budget, locked)
+    assert got.tobytes() == expect.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lmo_matches_reference_with_ties_at_the_cut(seed):
+    rng = np.random.default_rng(seed)
+    n = 400
+    grad = rng.integers(-1, 6, size=n).astype(np.float64)
+    costs = rng.integers(1, 5, size=n).astype(np.float64)
+    locked = rng.random(n) < 0.1
+    for budget in (0.0, 1.0, 7.5, 37.0, 100.0, float(costs.sum()), np.inf):
+        _assert_lmo_equal(grad, costs, budget)
+        _assert_lmo_equal(grad, costs, budget, locked)
+    # a single ratio everywhere: every unlocked item ties the cut
+    _assert_lmo_equal(np.full(n, 3.0), np.full(n, 2.0), 21.0)
+
+
+def test_lmo_matches_reference_on_continuous_ratios():
+    rng = np.random.default_rng(11)
+    n = 500
+    grad = rng.exponential(size=n)
+    costs = rng.uniform(5.0, 30.0, size=n)
+    for budget in (0.0, 4.0, 60.0, 333.3, 5000.0, np.inf):
+        d = _assert_lmo_equal(grad, costs, budget)
+        assert costs @ d <= budget * (1 + 1e-12) or budget == np.inf
+
+
+def test_lmo_with_no_positive_gradient_selects_nothing():
+    rng = np.random.default_rng(3)
+    n = 300
+    grad = -rng.integers(0, 4, size=n).astype(np.float64)
+    costs = rng.integers(1, 5, size=n).astype(np.float64)
+    locked = np.zeros(n, dtype=bool)
+    locked[:5] = True
+    d = _assert_lmo_equal(grad, costs, 20.0, locked)
+    np.testing.assert_array_equal(d, locked.astype(np.float64))
+
+
+@pytest.mark.parametrize("budget", [np.nan, -1.0])
+def test_lmo_rejects_invalid_budget(budget):
+    with pytest.raises(OptimizerError, match="budget"):
+        lmo_knapsack(np.ones(3), np.ones(3), budget)
+
+
+# -- line search ------------------------------------------------------------
+
+@pytest.mark.parametrize("which", UTILITIES)
+def test_bisect_step_matches_reference_exactly(ds, which):
+    spec, counts = _utility(ds, which)
+    rng = np.random.default_rng(21)
+    interior = 0
+    costs = rng.integers(5, 30, size=ds.n_clusters).astype(np.float64)
+    for _ in range(40):
+        # a Frank-Wolfe direction at a random point, to a vertex of equal cost
+        s = rng.uniform(0, 1, size=ds.n_clusters) * (rng.random(ds.n_clusters) < 0.3)
+        grad = ref_utility_gradient_raw(s, counts, spec)
+        delta = ref_lmo_knapsack(grad, costs, float(costs @ s)) - s
+        z, dz = aggregates(s, counts, spec), aggregates(delta, counts, spec)
+        step_max = float(rng.choice([1.0, rng.uniform(0.05, 1.0)]))
+        step = _bisect_step(z, dz, spec, step_max)
+        expect = ref_bisect_step(z, dz, spec, step_max)
+        assert step == expect
+        # 60 halvings reach the root at the last bit, where the probe's sign
+        # is rounding noise that only identical arithmetic reproduces
+        assert _bisect_step(z, dz, spec, step_max, 60) == ref_bisect_step(
+            z, dz, spec, step_max, 60
+        )
+        interior += 0.0 < expect < step_max
+    if which != "size":
+        assert interior >= 5
+
+
+def test_bisect_step_matches_reference_at_the_last_bit():
+    # one group, and aggregates built so that the group and total terms of
+    # the directional derivative cancel at a known interior root; 60 halvings
+    # probe where its sign is rounding noise, which only the same arithmetic
+    # (the total term as a scalar power) reproduces
+    gm = GroupModel(
+        kind="admin", group_ids=("g0",), assignment=np.zeros(1, dtype=np.int64),
+        gamma=np.ones(1),
+    )
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        t = rng.uniform(0.1, 0.9)
+        root = rng.uniform(60.0, 1000.0, size=2)
+        dz = np.array([rng.uniform(0.5, 50.0), -rng.uniform(0.5, 50.0)])
+        up, down = root ** -1.5 * np.abs(dz)
+        spec = UtilitySpec(kind="group_rep", lam=float(down / (up + down)), groups=gm)
+        z = root - t * dz
+        expect = ref_bisect_step(z, dz, spec, 1.0, 60)
+        assert 0.0 < expect < 1.0
+        assert _bisect_step(z, dz, spec, 1.0, 60) == expect
+
+
+# -- rounding -----------------------------------------------------------------
+
+GENERATORS = {
+    "pcg64": lambda seed: np.random.default_rng(seed),
+    "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
+    "philox": lambda seed: np.random.Generator(np.random.Philox(seed)),
+}
+
+
+def _same_state(a, b):
+    """Bit-generator states are nested dicts that may hold arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _rounding_case(ds, case, rng):
+    """(inclusion vector, budget) for a named rounding case."""
+    m = ds.n_clusters
+    committed = np.zeros(m, dtype=bool)
+    committed[::13] = True
+    if case == "binary":
+        values = (rng.random(m) < 0.3).astype(np.float64)
+        budget = 400.0
+    else:
+        values = rng.uniform(0, 1, size=m) * (rng.random(m) < 0.7)
+        values[rng.random(m) < 0.1] = 1.0
+        budget = {"first-overflows": 5.0, "no-overflow": 1e9, "fractional": 400.0}[case]
+    values[committed] = 1.0
+    return InclusionVector(values=values, committed=committed), budget
+
+
+@pytest.mark.parametrize("gen", sorted(GENERATORS))
+@pytest.mark.parametrize("case", ["first-overflows", "binary", "no-overflow", "fractional"])
+def test_round_inclusion_matches_reference_and_rng_position(ds, case, gen):
+    state = _state(ds, [])
+    cm = bind_costs(CostModel(c1=10.0, c2=25.0, budget=0.0), state)
+    for seed in range(5):
+        s, budget = _rounding_case(ds, case, np.random.default_rng([seed, 1]))
+        rng, ref_rng = GENERATORS[gen](seed), GENERATORS[gen](seed)
+        got = round_inclusion(ds, s, cm, budget, rng)
+        expect = ref_round_inclusion(ds, s, cm, budget, ref_rng)
+        assert got == expect
+        if case == "first-overflows":
+            assert got == ()
+        assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+        assert rng.random() == ref_rng.random()
+
+
+def test_round_inclusion_rejects_nan_budget(ds):
+    state = _state(ds, [])
+    cm = bind_costs(CostModel(c1=10.0, c2=25.0, budget=0.0), state)
+    s, _ = _rounding_case(ds, "fractional", np.random.default_rng(0))
+    with pytest.raises(OptimizerError, match="budget"):
+        round_inclusion(ds, s, cm, np.nan, np.random.default_rng(0))

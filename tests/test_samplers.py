@@ -335,6 +335,11 @@ class TestConvenienceSample:
         sigma = np.sqrt(w * (1 - w) / trials)
         assert np.all(np.abs(freq - w) <= 3 * sigma + 1e-12)
 
+    @pytest.mark.parametrize("temperature", [0.0, float("nan")])
+    def test_nonpositive_or_nan_temperature_rejected(self, temperature):
+        with pytest.raises(SamplingError, match="temperature"):
+            ConvenienceConfig(anchors=((0.0, 0.0),), temperature=temperature, size=1)
+
     def test_size_exceeding_population(self):
         ds = toy_dataset({"c0": 5}, {"c0": "s0"}, seed=8, test_fraction=0.0)
         cfg = ConvenienceConfig(anchors=((0.0, 0.0),), temperature=1.0, size=9)
