@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 Subcommands: generate, groups, optimize, augment, evaluate, rank-study,
-cost-sweep, size-sweep. ``--config FILE`` accepts a JSON document whose keys
-override the corresponding flags. Exit codes: 0 success, 2 config error,
-3 infeasible request.
+cost-sweep, size-sweep. On ``generate`` and the four study commands,
+``--config FILE`` accepts a JSON document whose keys override the
+corresponding flags. Exit codes: 0 success, 2 config error (any bad input,
+including a missing input file), 3 infeasible request.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
-    CostError,
     CostModel,
-    DatasetError,
     load_dataset,
     load_sample_state,
     save_cost_model,
@@ -29,27 +29,21 @@ from .data import (
 from .experiments import (
     ConfigError,
     ExperimentConfig,
-    UtilityConfig,
     build_utility_spec,
     config_from_dict,
-    config_to_dict,
     dataset_content_hash,
+    parse_methods,
     run_augmentation,
     run_cost_sweep,
     run_initial_size_sweep,
     run_rank_study,
+    synth_from_dict,
 )
-from .groups import GroupError, admin_groups, auxiliary_kmeans_groups, feature_kmeans_groups, save_group_model
-from .learner import LearnerError, fit_on_sample, save_model
-from .optimizer import (
-    STEP_RULES,
-    InfeasibleError,
-    OptimizerError,
-    SolveOptions,
-    save_solve_result,
-)
-from .samplers import SamplerConfig, SamplingError, draw_initial_sample, solve_and_augment
-from .synth import SynthConfig, SynthError, generate, save_truth
+from .groups import admin_groups, auxiliary_kmeans_groups, feature_kmeans_groups, save_group_model
+from .learner import fit_on_sample, save_model
+from .optimizer import STEP_RULES, InfeasibleError, SolveOptions, save_solve_result
+from .samplers import SamplerConfig, draw_initial_sample, solve_and_augment
+from .synth import SynthConfig, generate, save_truth
 
 # cmd_optimize reaches these through solve_and_augment; they stay bound here
 # because perfbench/tracer.py times calls per calling module and rebinds them
@@ -57,17 +51,14 @@ from .data import expected_counts  # noqa: F401
 from .optimizer import round_inclusion, solve_relaxation  # noqa: F401
 from .samplers import optimized_augment  # noqa: F401
 
-CONFIG_ERRORS = (
-    ConfigError,
-    DatasetError,
-    CostError,
-    GroupError,
-    SamplingError,
-    SynthError,
-    LearnerError,
-    OptimizerError,
-    ValueError,
+# flags stored under the ExperimentConfig field of the same name
+_PLAIN_FIELDS = (
+    "dataset", "n_strata", "k", "initial_size", "strata_seed", "c1", "c2",
+    "budget_scope", "convenience_temperature", "n_anchors", "max_iters", "gap_tol",
+    "step_rule",
 )
+# comma-separated flags -> element type of their ExperimentConfig tuple
+_LIST_FIELDS = {"budgets": float, "c2_sweep": float, "rank_sizes": int, "initial_sizes": int}
 
 
 def _parse_pair(text: str, sep: str, caster=int) -> tuple:
@@ -84,6 +75,9 @@ def _parse_list(text: str, caster=float) -> tuple:
 def _add_out_and_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--seed", required=True, type=int, help="base random seed")
+
+
+def _add_config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file whose keys override these flags")
 
 
@@ -120,7 +114,15 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--step-rule", choices=STEP_RULES, default="diminishing")
 
 
+def _add_utility_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lam", type=float, default=0.5)
+    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--n-groups", type=int, default=8)
+    p.add_argument("--group-seed", type=int, default=0)
+
+
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
+    _add_config_flag(p)
     p.add_argument("--dataset", help="dataset bundle directory")
     _add_synth_flags(p)
     _add_sampler_flags(p)
@@ -130,10 +132,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c2-sweep", default="25,30,40,50")
     p.add_argument("--methods", default="default,greedy,random,rep-admin",
                    help="baselines and/or opt-size, rep-admin, rep-feature")
-    p.add_argument("--lam", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--n-groups", type=int, default=8)
-    p.add_argument("--group-seed", type=int, default=0)
+    _add_utility_flags(p)
     p.add_argument("--rank-sizes", default="100,200,300,400,500,600,700,800,900,1000")
     p.add_argument("--initial-sizes", default="50,100,150")
     p.add_argument("--convenience-temperature", type=float, default=0.025)
@@ -142,98 +141,48 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
                    help="comma-separated seeds; defaults to the single --seed")
 
 
-def _synth_config(args, seed: int) -> SynthConfig:
-    return SynthConfig(
-        strata_grid=_parse_pair(args.strata_grid, "x"),
-        clusters_per_stratum=args.clusters_per_stratum,
-        points_per_cluster=_parse_pair(args.points_per_cluster, ":"),
-        feature_dim=args.feature_dim,
-        coef_dispersion=args.coef_dispersion,
-        noise=args.noise,
-        feature_noise=args.feature_noise,
-        feature_scale=args.feature_scale,
-        target_snr=args.target_snr,
-        test_fraction=args.test_fraction,
-        seed=seed,
-    )
+def _synth_fields(args) -> dict:
+    """SynthConfig fields from the synth flags and --seed, which carry their names."""
+    doc = {f.name: getattr(args, f.name) for f in fields(SynthConfig)}
+    doc["strata_grid"] = _parse_pair(args.strata_grid, "x")
+    doc["points_per_cluster"] = _parse_pair(args.points_per_cluster, ":")
+    return doc
 
 
-def _utilities_from_methods(args, methods: tuple[str, ...]) -> tuple[UtilityConfig, ...]:
-    utilities = []
-    for m in methods:
-        if m == "opt-size":
-            utilities.append(UtilityConfig(kind="size"))
-        elif m.startswith("rep-"):
-            utilities.append(
-                UtilityConfig(
-                    kind="group_rep",
-                    groups=m.removeprefix("rep-"),
-                    lam=args.lam,
-                    epsilon=args.epsilon,
-                    n_groups=args.n_groups,
-                    group_seed=args.group_seed,
-                )
-            )
-    return tuple(utilities)
+def _config_file(args) -> dict:
+    """The ``--config`` document, empty without the flag."""
+    if args.config is None:
+        return {}
+    path = Path(args.config)
+    if not path.exists():
+        raise ConfigError(f"--config file {path} does not exist")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ConfigError(f"--config file {path} must hold a JSON object")
+    return doc
+
+
+def _utility_params(args) -> dict:
+    return {"lam": args.lam, "epsilon": args.epsilon, "n_groups": args.n_groups,
+            "group_seed": args.group_seed}
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    methods = tuple(_parse_list(args.methods, str))
-    baselines = tuple(m for m in methods if m in ("default", "greedy", "random"))
-    seeds = (
-        tuple(_parse_list(args.seeds, int)) if args.seeds else (args.seed,)
+    """One dict of ExperimentConfig fields from the flags, overlaid by the
+    ``--config`` document."""
+    doc = {name: getattr(args, name) for name in _PLAIN_FIELDS}
+    for name, caster in _LIST_FIELDS.items():
+        doc[name] = _parse_list(getattr(args, name), caster)
+    doc["synth"] = None if args.dataset else _synth_fields(args)
+    doc["baselines"], doc["utilities"] = parse_methods(
+        _parse_list(args.methods, str), **_utility_params(args)
     )
-    cfg = ExperimentConfig(
-        dataset=args.dataset,
-        synth=None if args.dataset else _synth_config(args, args.seed),
-        n_strata=args.n_strata,
-        k=args.k,
-        initial_size=args.initial_size,
-        strata_seed=args.strata_seed,
-        c1=args.c1,
-        c2=args.c2,
-        budgets=tuple(_parse_list(args.budgets, float)),
-        c2_sweep=tuple(_parse_list(args.c2_sweep, float)),
-        budget_scope=args.budget_scope,
-        baselines=baselines,
-        utilities=_utilities_from_methods(args, methods),
-        rank_sizes=tuple(_parse_list(args.rank_sizes, int)),
-        convenience_temperature=args.convenience_temperature,
-        n_anchors=args.n_anchors,
-        initial_sizes=tuple(_parse_list(args.initial_sizes, int)),
-        seeds=seeds,
-        max_iters=args.max_iters,
-        gap_tol=args.gap_tol,
-        step_rule=args.step_rule,
-    )
-    if args.config:
-        doc = config_to_dict(cfg)
-        doc.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
-        cfg = config_from_dict(doc)
-    return cfg
+    doc["seeds"] = _parse_list(args.seeds, int) if args.seeds else (args.seed,)
+    return config_from_dict({**doc, **_config_file(args)})
 
 
 def cmd_generate(args) -> int:
-    cfg = _synth_config(args, args.seed)
-    if args.config:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        base = {
-            "strata_grid": cfg.strata_grid,
-            "clusters_per_stratum": cfg.clusters_per_stratum,
-            "points_per_cluster": cfg.points_per_cluster,
-            "feature_dim": cfg.feature_dim,
-            "coef_dispersion": cfg.coef_dispersion,
-            "noise": cfg.noise,
-            "feature_noise": cfg.feature_noise,
-            "feature_scale": cfg.feature_scale,
-            "target_snr": cfg.target_snr,
-            "test_fraction": cfg.test_fraction,
-            "seed": cfg.seed,
-        }
-        base.update({k: v for k, v in doc.items() if k in base})
-        for key in ("strata_grid", "points_per_cluster"):
-            base[key] = tuple(base[key])
-        cfg = SynthConfig(**base)
+    cfg = synth_from_dict({**_synth_fields(args), **_config_file(args)})
     ds, truth = generate(cfg)
     out = Path(args.out_dir)
     save_dataset(ds, out, features_format=args.features_format)
@@ -249,6 +198,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_groups(args) -> int:
+    if args.kind == "aux" and args.aux_file is None:
+        raise ConfigError("--kind aux needs --aux-file")
     ds = load_dataset(args.dataset)
     if args.kind == "admin":
         gm = admin_groups(ds)
@@ -292,12 +243,11 @@ def _initial_state_and_costs(args, ds):
 
 
 def cmd_optimize(args) -> int:
+    _, utilities = parse_methods((args.utility,), **_utility_params(args))
+    if not utilities:
+        raise ConfigError(f"--utility {args.utility!r} is a baseline, not a utility")
     ds = load_dataset(args.dataset)
     state, cm = _initial_state_and_costs(args, ds)
-    method = args.utility
-    utilities = _utilities_from_methods(args, (method,))
-    if not utilities:
-        raise ConfigError(f"unknown utility {method!r}")
     spec = build_utility_spec(ds, utilities[0])
     opts = SolveOptions(max_iters=args.max_iters, gap_tol=args.gap_tol,
                         step_rule=args.step_rule)
@@ -371,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic dataset bundle")
     _add_out_and_seed(p)
+    _add_config_flag(p)
     _add_synth_flags(p)
     _add_cost_flags(p)
     p.add_argument("--budget", type=float, default=500.0)
@@ -394,10 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--utility", default="rep-admin",
                    help="opt-size, rep-admin, or rep-feature")
-    p.add_argument("--lam", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--n-groups", type=int, default=8)
-    p.add_argument("--group-seed", type=int, default=0)
+    _add_utility_flags(p)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("augment", help="run the augmentation comparison table")
@@ -437,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except CONFIG_ERRORS as exc:
+    except ValueError as exc:   # every package error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -557,7 +557,10 @@ def load_sample_state(ds: Dataset, path: str | Path) -> SampleState:
     mistyped field, an unknown or repeated id, points recorded for an
     unselected cluster or under the wrong cluster, and more than
     ``min(k, size)`` points in a cluster raise :class:`DatasetError`."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    path = Path(path)
+    if not path.exists():
+        raise DatasetError(f"sample file {path} does not exist")
+    doc = json.loads(path.read_text(encoding="utf-8"))
     _require_fields(doc, tuple(_SAMPLE_FIELDS)[:6], "sample.json")
     for field, (ok, what) in _SAMPLE_FIELDS.items():
         if field in doc and not ok(doc[field]):

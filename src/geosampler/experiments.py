@@ -45,6 +45,9 @@ class ConfigError(ValueError):
 
 
 BASELINES = ("default", "greedy", "random")
+GROUP_SOURCES = ("admin", "feature")
+# every method name: the baselines, then each UtilityConfig.method_name()
+METHODS = BASELINES + ("opt-size",) + tuple(f"rep-{g}" for g in GROUP_SOURCES)
 
 
 @dataclass(frozen=True)
@@ -61,11 +64,29 @@ class UtilityConfig:
     def __post_init__(self):
         if self.kind not in ("size", "group_rep"):
             raise ConfigError(f"unknown utility kind {self.kind!r}")
-        if self.kind == "group_rep" and self.groups not in ("admin", "feature"):
+        if self.kind == "group_rep" and self.groups not in GROUP_SOURCES:
             raise ConfigError(f"unknown group source {self.groups!r}")
 
     def method_name(self) -> str:
         return "opt-size" if self.kind == "size" else f"rep-{self.groups}"
+
+
+def parse_methods(names, **params) -> tuple[tuple[str, ...], tuple[UtilityConfig, ...]]:
+    """Split method names into baselines and utility configs, keeping their
+    order; the inverse of ``BASELINES`` and ``UtilityConfig.method_name``.
+    ``params`` (lam, epsilon, n_groups, group_seed) configure every ``rep-*``
+    utility; ``opt-size`` takes the defaults."""
+    baselines, utilities = [], []
+    for name in names:
+        if name not in METHODS:
+            raise ConfigError(f"unknown method {name!r}; known: {', '.join(METHODS)}")
+        if name in BASELINES:
+            baselines.append(name)
+        elif name == "opt-size":
+            utilities.append(UtilityConfig(kind="size"))
+        else:
+            utilities.append(UtilityConfig(groups=name.removeprefix("rep-"), **params))
+    return tuple(baselines), tuple(utilities)
 
 
 @dataclass(frozen=True)
@@ -139,25 +160,33 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return doc
 
 
+def synth_from_dict(doc: dict) -> SynthConfig:
+    """A SynthConfig from JSON-style fields, whose pairs may be lists."""
+    try:
+        doc = dict(doc)
+        for key in ("strata_grid", "points_per_cluster"):
+            if key in doc:
+                doc[key] = tuple(doc[key])
+        return SynthConfig(**doc)
+    except TypeError as exc:
+        raise ConfigError(f"bad synth config: {exc}") from None
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     doc = dict(doc)
     if doc.get("synth") is not None:
-        synth = dict(doc["synth"])
-        for key in ("strata_grid", "points_per_cluster"):
-            if key in synth:
-                synth[key] = tuple(synth[key])
-        doc["synth"] = SynthConfig(**synth)
-    if "utilities" in doc:
-        doc["utilities"] = tuple(
-            UtilityConfig(**u) if isinstance(u, dict) else u for u in doc["utilities"]
-        )
-    for key in ("budgets", "c2_sweep", "rank_sizes", "initial_sizes", "seeds",
-                "baselines"):
-        if key in doc and doc[key] is not None:
-            doc[key] = tuple(doc[key])
-    if doc.get("convenience_anchors") is not None:
-        doc["convenience_anchors"] = tuple(tuple(a) for a in doc["convenience_anchors"])
+        doc["synth"] = synth_from_dict(doc["synth"])
     try:
+        if "utilities" in doc:
+            doc["utilities"] = tuple(
+                UtilityConfig(**u) if isinstance(u, dict) else u for u in doc["utilities"]
+            )
+        for key in ("budgets", "c2_sweep", "rank_sizes", "initial_sizes", "seeds",
+                    "baselines"):
+            if key in doc and doc[key] is not None:
+                doc[key] = tuple(doc[key])
+        if doc.get("convenience_anchors") is not None:
+            doc["convenience_anchors"] = tuple(tuple(a) for a in doc["convenience_anchors"])
         return ExperimentConfig(**doc)
     except TypeError as exc:
         raise ConfigError(f"bad experiment config: {exc}") from None
@@ -250,6 +279,13 @@ def build_utility_spec(ds: Dataset, ucfg: UtilityConfig) -> UtilitySpec:
 
 def _methods(cfg: ExperimentConfig) -> tuple[str, ...]:
     return tuple(cfg.baselines) + tuple(u.method_name() for u in cfg.utilities)
+
+
+def _require_nonempty(**axes) -> None:
+    """Reject an empty axis of the study about to run, before any output."""
+    for name, values in axes.items():
+        if not values:
+            raise ConfigError(f"{name} must be non-empty")
 
 
 def _apply_method(
@@ -380,6 +416,7 @@ def _write_grid(
 def run_augmentation(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     """One row per (budget, method, seed): augment the seed's initial sample
     and score the result; aggregate to a budget x method table."""
+    _require_nonempty(budgets=cfg.budgets, methods=_methods(cfg))
     return _run_grid(cfg, out_dir, _Study(
         level="budget", levels=cfg.budgets, arm="method", arms=_methods(cfg),
         utilities={u.method_name(): u for u in cfg.utilities},
@@ -405,6 +442,11 @@ def run_rank_study(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     """Samples of growing size under cluster / convenience / random sampling,
     scored by the prediction head and by each utility; Spearman rho per
     sampling type plus overall."""
+    _require_nonempty(rank_sizes=cfg.rank_sizes)
+    if not cfg.convenience_anchors and cfg.n_anchors < 1:
+        raise ConfigError(f"n_anchors must be >= 1, got {cfg.n_anchors}")
+    if not (cfg.convenience_temperature > 0):
+        raise ConfigError("convenience_temperature must be positive")
     out, ds, hashes = _prepare(cfg, out_dir)
     specs = {u.method_name(): build_utility_spec(ds, u) for u in cfg.utilities}
     size_spec = UtilitySpec(kind="size")
@@ -479,6 +521,7 @@ def run_rank_study(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
 def run_cost_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     """Fix c1, vary c2; report the R^2 gain over the initial sample per
     method and cost level."""
+    _require_nonempty(c2_sweep=cfg.c2_sweep, budgets=cfg.budgets, methods=_methods(cfg))
     for c2 in cfg.c2_sweep:
         if c2 < cfg.c1:
             raise ConfigError(f"swept c2 {c2} below c1 {cfg.c1}")
@@ -496,6 +539,7 @@ def run_cost_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
 def run_initial_size_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     """Optimized augmentation versus extending default cluster sampling, for a
     range of initial sample sizes at matched cost."""
+    _require_nonempty(initial_sizes=cfg.initial_sizes, budgets=cfg.budgets, utilities=cfg.utilities)
     budget = cfg.budgets[0]
     return _run_grid(cfg, out_dir, _Study(
         level="initial_size", levels=cfg.initial_sizes, arm="arm",

@@ -52,6 +52,14 @@ class TestGenerate:
                        "--feature-dim", 3, "--config", cfgfile) == 0
         assert load_dataset(out).feature_dim == 7
 
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"feature_dimm": 7}))
+        assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 1,
+                       "--config", cfgfile) == 2
+        assert "feature_dimm" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     def test_bad_grid_is_config_error(self, tmp_path):
         assert run_cli("generate", "--out-dir", tmp_path / "x", "--seed", 1,
                        "--strata-grid", "3x2x1") == 2
@@ -77,6 +85,11 @@ class TestGroups:
         assert run_cli("groups", "--dataset", bundle, "--kind", "aux",
                        "--aux-file", aux, "--n-groups", 3, "--seed", 0,
                        "--out-dir", tmp_path / "gx") == 0
+
+    def test_aux_kind_without_aux_file_is_config_error(self, bundle, tmp_path, capsys):
+        assert run_cli("groups", "--dataset", bundle, "--kind", "aux", "--n-groups", 3,
+                       "--seed", 0, "--out-dir", tmp_path / "gx") == 2
+        assert "--aux-file" in capsys.readouterr().err
 
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert run_cli("groups", "--dataset", tmp_path / "nope", "--kind", "admin",
@@ -155,6 +168,15 @@ class TestOptimize:
         assert selected
         assert selected == sample["augment_cluster_ids"]
 
+    @pytest.mark.parametrize("utility", ["default", "rep-bogus"])
+    def test_non_utility_method_is_config_error(self, bundle, tmp_path, capsys, utility):
+        code = run_cli(
+            "optimize", "--dataset", bundle, "--out-dir", tmp_path / "o", "--seed", 1,
+            "--initial-size", 30, "--budget", 100, "--utility", utility,
+        )
+        assert code == 2
+        assert repr(utility) in capsys.readouterr().err
+
     def test_infeasible_exit_code(self, bundle, tmp_path):
         # total scope with a budget below the initial sample cost
         code = run_cli(
@@ -213,6 +235,13 @@ class TestEvaluate:
         (tmp_path / "sample.json").write_text(json.dumps(doc))
         return run_cli("evaluate", "--dataset", bundle, "--sample", tmp_path / "sample.json",
                        "--out-dir", tmp_path / "eval", "--seed", 0)
+
+    def test_missing_sample_file_is_config_error(self, bundle, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert run_cli("evaluate", "--dataset", bundle, "--sample", missing,
+                       "--out-dir", tmp_path / "eval", "--seed", 0) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_unknown_point_id_is_config_error(self, bundle, tmp_path):
         code = self.evaluate_hand_sample(bundle, tmp_path, 10, lambda ds: ("p-missing",))
@@ -331,6 +360,81 @@ class TestExperimentCommands:
         ) == 0
         rows = list(csv.DictReader((tmp_path / "a" / "runs.csv").open()))
         assert all(r["budget"] == "50.0" for r in rows)
+
+    def test_missing_config_file_is_config_error(self, bundle, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert run_cli(
+            "augment", "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "a",
+            "--methods", "random", "--config", missing,
+        ) == 2
+        assert f"--config file {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("command", ["augment", "rank-study", "cost-sweep", "size-sweep"])
+    def test_empty_config_keeps_config_hash(self, bundle, tmp_path, command):
+        args = [
+            command, "--dataset", bundle, "--seed", 0, "--n-strata", 3, "--k", 10,
+            "--initial-size", 60, "--initial-sizes", "60", "--rank-sizes", "40",
+            "--budgets", "50", "--c2-sweep", "50", "--methods", "rep-admin",
+        ]
+        (tmp_path / "empty.json").write_text("{}")
+        assert run_cli(*args, "--out-dir", tmp_path / "flags") == 0
+        assert run_cli(*args, "--out-dir", tmp_path / "cfg",
+                       "--config", tmp_path / "empty.json") == 0
+        meta = [json.loads((tmp_path / d / "meta.json").read_text()) for d in ("flags", "cfg")]
+        assert meta[0]["config_hash"] == meta[1]["config_hash"]
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("augment", ["--methods", "defualt"], "unknown method 'defualt'"),
+        ("augment", ["--budgets", ""], "budgets must be non-empty"),
+        ("augment", ["--methods", ""], "methods must be non-empty"),
+        ("rank-study", ["--rank-sizes", ""], "rank_sizes must be non-empty"),
+        ("cost-sweep", ["--budgets", ""], "budgets must be non-empty"),
+        ("cost-sweep", ["--c2-sweep", ""], "c2_sweep must be non-empty"),
+        ("size-sweep", ["--budgets", ""], "budgets must be non-empty"),
+        ("size-sweep", ["--initial-sizes", ""], "initial_sizes must be non-empty"),
+        ("size-sweep", ["--methods", "default"], "utilities must be non-empty"),
+    ])
+    def test_empty_or_unknown_axis_is_config_error(
+        self, bundle, tmp_path, capsys, command, flags, message
+    ):
+        code = run_cli(command, "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "x",
+                       "--n-strata", 2, "--k", 10, "--initial-size", 80, *flags)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_rank_study_ignores_empty_budgets(self, bundle, tmp_path):
+        assert run_cli(
+            "rank-study", "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "r",
+            "--n-strata", 3, "--k", 10, "--rank-sizes", "40", "--methods", "rep-admin",
+            "--budgets", "",
+        ) == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-anchors", "0"), ("--convenience-temperature", "0"),
+        ("--convenience-temperature", "nan"),
+    ])
+    def test_bad_convenience_setting_is_config_error(self, bundle, tmp_path, capsys, flag, value):
+        code = run_cli(
+            "rank-study", "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "r",
+            "--n-strata", 3, "--k", 10, "--rank-sizes", "40", "--methods", "rep-admin",
+            flag, value,
+        )
+        assert code == 2
+        assert flag.removeprefix("--").replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("groups", ["--kind", "admin"]),
+        ("optimize", ["--budget", "100"]),
+        ("evaluate", ["--sample", "sample.json"]),
+    ])
+    def test_config_flag_only_where_read(self, bundle, tmp_path, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "o",
+                    *flags, "--config", tmp_path / "x.json")
+        assert exc.value.code == 2
 
     def test_missing_required_flags_exit_2(self, bundle, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ from geosampler.experiments import (
     config_hash,
     config_to_dict,
     dataset_content_hash,
+    parse_methods,
     run_augmentation,
     run_cost_sweep,
     run_initial_size_sweep,
@@ -68,6 +69,28 @@ class TestConfig:
     def test_unknown_baseline_rejected(self):
         with pytest.raises(ConfigError, match="baseline"):
             small_cfg(baselines=("bogus",))
+
+    def test_bad_synth_field_is_config_error(self):
+        doc = config_to_dict(small_cfg())
+        doc["synth"]["bogus"] = 1
+        with pytest.raises(ConfigError, match="bogus"):
+            config_from_dict(doc)
+
+
+class TestParseMethods:
+    def test_inverts_method_names(self):
+        names = ("rep-feature", "random", "opt-size", "default", "rep-admin")
+        baselines, utilities = parse_methods(names, lam=0.25, n_groups=5)
+        assert baselines == ("random", "default")
+        assert [u.method_name() for u in utilities] == ["rep-feature", "opt-size", "rep-admin"]
+        assert utilities[0] == UtilityConfig(groups="feature", lam=0.25, n_groups=5)
+        # opt-size has no group or lam settings: it keeps the defaults
+        assert utilities[1] == UtilityConfig(kind="size")
+
+    @pytest.mark.parametrize("name", ["defualt", "rep-bogus", "size", ""])
+    def test_unknown_name_rejected(self, name):
+        with pytest.raises(ConfigError, match="unknown method"):
+            parse_methods(("default", name))
 
 
 class TestRunAugmentation:
@@ -165,6 +188,12 @@ class TestRunRankStudy:
         rho = read_csv(tmp_path / "rho.csv")
         row = [r for r in rho if r["scope"] == "random" and r["utility"] == "u_size"][0]
         assert float(row["rho"]) > 0
+
+    def test_explicit_anchors_need_no_n_anchors(self, tmp_path):
+        cfg = small_cfg(synth=self.rank_cfg().synth, n_strata=3, rank_sizes=(40,), seeds=(0,),
+                        convenience_anchors=((0.5, 0.5),), n_anchors=0)
+        assert {r["sampling_type"] for r in run_rank_study(cfg, tmp_path)} == {
+            "cluster", "convenience", "random"}
 
     def test_unreachable_cluster_sizes_skipped_with_warning(self, tmp_path):
         cfg = self.rank_cfg()
