@@ -7,7 +7,6 @@ from .data import (
     DatasetError,
     ExpectedCounts,
     SampleState,
-    Stratum,
     cluster_cost,
     expected_counts,
     load_cost_model,
@@ -52,10 +51,8 @@ from .synth import SynthConfig, generate
 from .utility import (
     InclusionVector,
     UtilitySpec,
-    group_rep_gradient,
-    group_rep_utility,
-    size_utility,
     utility_of_sample,
+    utility_value,
 )
 
 __version__ = "0.1.0"

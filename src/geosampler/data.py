@@ -7,7 +7,10 @@ clusters and strata are rows of the sorted id tuples ``point_ids``,
 (a ``stratum_ids`` row per cluster), plus a per-stratum initial flag. A
 :class:`SampleState` holds cluster and point rows too. String ids are
 translated only at the I/O boundaries: ``build_dataset``, bundle load/save
-and ``sample.json`` (``save_sample_state``/``load_sample_state``).
+and ``sample.json`` (``save_sample_state``/``load_sample_state``). The one
+id-keyed record left is :class:`Cluster`, built on demand by
+``Dataset.cluster(cid)`` for :func:`cluster_cost`, because ``perfbench/``
+prices the cluster ids that rounding returns that way.
 
 A dataset is stored on disk as a bundle directory:
 
@@ -68,14 +71,6 @@ class Cluster:
     @property
     def size(self) -> int:
         return len(self.point_ids)
-
-
-@dataclass(frozen=True)
-class Stratum:
-    """Top-level region grouping clusters; initial samples are confined to strata."""
-
-    stratum_id: str
-    cluster_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,27 +167,12 @@ class Dataset:
         chosen = frozenset(stratum_ids)
         return np.array([sid in chosen for sid in self.stratum_ids], dtype=bool)
 
-    # -- id-keyed records for the public API ------------------------------
+    # -- the one id-keyed record (see the module docstring) ----------------
 
     def cluster(self, cluster_id: str) -> Cluster:
-        return self._cluster_record(int(self.cluster_indices([cluster_id])[0]))
-
-    @cached_property
-    def clusters(self) -> tuple[Cluster, ...]:
-        return tuple(self._cluster_record(j) for j in range(self.n_clusters))
-
-    @cached_property
-    def strata(self) -> tuple[Stratum, ...]:
-        order = np.argsort(self.cluster_stratum, kind="stable")
-        counts = np.bincount(self.cluster_stratum, minlength=len(self.stratum_ids))
-        return tuple(
-            Stratum(sid, tuple(self.cluster_ids[j] for j in members))
-            for sid, members in zip(self.stratum_ids, np.split(order, np.cumsum(counts)[:-1]))
-        )
-
-    def _cluster_record(self, j: int) -> Cluster:
+        j = int(self.cluster_indices([cluster_id])[0])
         return Cluster(
-            cluster_id=self.cluster_ids[j],
+            cluster_id=cluster_id,
             stratum_id=self.stratum_ids[self.cluster_stratum[j]],
             point_ids=tuple(self.point_ids[i] for i in self.rows_of_cluster(j)),
         )
@@ -668,6 +648,9 @@ def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") ->
     out.mkdir(parents=True, exist_ok=True)
 
     features_file = "features.csv" if features_format == "csv" else "features.bin"
+    members: list[list[str]] = [[] for _ in ds.stratum_ids]   # cluster ids per stratum
+    for cid, sj in zip(ds.cluster_ids, ds.cluster_stratum.tolist()):
+        members[sj].append(cid)
     meta = {
         "feature_dim": ds.feature_dim,
         "n_points": ds.n_points,
@@ -677,12 +660,8 @@ def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") ->
         "test_fraction": ds.test_fraction,
         "features_file": features_file,
         "strata": [
-            {
-                "stratum_id": s.stratum_id,
-                "cluster_ids": list(s.cluster_ids),
-                "in_initial": bool(flag),
-            }
-            for s, flag in zip(ds.strata, ds.stratum_initial)
+            {"stratum_id": sid, "cluster_ids": cids, "in_initial": bool(flag)}
+            for sid, cids, flag in zip(ds.stratum_ids, members, ds.stratum_initial)
         ],
     }
     (out / "meta.json").write_text(
@@ -755,11 +734,10 @@ def _read_features_csv(path: Path, d: int, pids: np.ndarray) -> np.ndarray:
     if header != ["point_id"] + [f"f{j}" for j in range(d)]:
         raise DatasetError(f"features.csv header mismatch: expected {d + 1} columns")
     if has_rows:
-        # ids first: d one-byte fields make loadtxt require d + 1 fields per
-        # row without parsing a float
-        ids = _read_rows(path, d + 1, dtype=[("point_id", object), ("f", "S1", (d,))],
-                         ndmin=1)["point_id"]
-        features = _read_rows(path, d + 1, usecols=range(1, d + 1), ndmin=2)
+        # one pass; the structured dtype makes loadtxt require d + 1 fields per row
+        rows = _read_rows(path, d + 1, dtype=[("point_id", object), ("f", np.float64, (d,))],
+                          ndmin=1)
+        ids, features = rows["point_id"], np.ascontiguousarray(rows["f"])
     else:
         ids, features = np.empty(0, dtype=object), np.empty((0, d))
     if len(ids) == len(pids) and np.all(ids == pids):

@@ -288,6 +288,13 @@ def _require_nonempty(**axes) -> None:
             raise ConfigError(f"{name} must be non-empty")
 
 
+def _only(name: str, values: tuple):
+    """The one value of an axis the study holds fixed; more is rejected before any output."""
+    if len(values) > 1:
+        raise ConfigError(f"{name} must hold exactly one value, got {len(values)}")
+    return values[0]
+
+
 def _apply_method(
     ds: Dataset,
     state: SampleState,
@@ -525,7 +532,7 @@ def run_cost_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     for c2 in cfg.c2_sweep:
         if c2 < cfg.c1:
             raise ConfigError(f"swept c2 {c2} below c1 {cfg.c1}")
-    budget = cfg.budgets[0]
+    budget = _only("budgets", cfg.budgets)
     return _run_grid(cfg, out_dir, _Study(
         level="c2", levels=cfg.c2_sweep, arm="method", arms=_methods(cfg),
         utilities={u.method_name(): u for u in cfg.utilities},
@@ -540,10 +547,11 @@ def run_initial_size_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[d
     """Optimized augmentation versus extending default cluster sampling, for a
     range of initial sample sizes at matched cost."""
     _require_nonempty(initial_sizes=cfg.initial_sizes, budgets=cfg.budgets, utilities=cfg.utilities)
-    budget = cfg.budgets[0]
+    budget = _only("budgets", cfg.budgets)
+    utility = _only("utilities", cfg.utilities)
     return _run_grid(cfg, out_dir, _Study(
         level="initial_size", levels=cfg.initial_sizes, arm="arm",
-        arms=("optimized", "default"), utilities={"optimized": cfg.utilities[0]},
+        arms=("optimized", "default"), utilities={"optimized": utility},
         initial=lambda seed, ii, size: (
             cfg.sampler_config(initial_size=size), (seed, 6, ii)),
         cell=lambda seed, ii, size, ai: (cfg.cost_model(), budget, (seed, 7, ii, ai)),

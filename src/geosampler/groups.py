@@ -61,48 +61,33 @@ def _shares_from_assignment(assignment: np.ndarray, G: int) -> np.ndarray:
     return counts / counts.sum()
 
 
-def admin_groups(ds: Dataset, gamma: np.ndarray | None = None) -> GroupModel:
-    """One group per stratum; shares default to population proportions."""
+def admin_groups(ds: Dataset) -> GroupModel:
+    """One group per stratum; shares are population proportions."""
     assignment = ds.cluster_stratum[ds.point_cluster]
-    group_ids = ds.stratum_ids
-    g = _shares_from_assignment(assignment, len(group_ids)) if gamma is None else np.asarray(gamma, dtype=np.float64)
-    return GroupModel(kind="admin", group_ids=group_ids, assignment=assignment, gamma=g)
+    gamma = _shares_from_assignment(assignment, len(ds.stratum_ids))
+    return GroupModel(kind="admin", group_ids=ds.stratum_ids, assignment=assignment, gamma=gamma)
 
 
-def feature_kmeans_groups(
-    ds: Dataset,
-    n_groups: int,
-    seed: int = 0,
-    gamma: np.ndarray | None = None,
-) -> GroupModel:
+def _kmeans_model(kind: str, X: np.ndarray, n_groups: int, seed: int) -> GroupModel:
+    """Groups g0, g1, ... from k-means over the rows of X; shares are population proportions."""
+    assignment = kmeans_groups(X, n_groups, seed=seed).assignment
+    gamma = _shares_from_assignment(assignment, n_groups)
+    return GroupModel(kind, tuple(f"g{j}" for j in range(n_groups)), assignment, gamma)
+
+
+def feature_kmeans_groups(ds: Dataset, n_groups: int, seed: int = 0) -> GroupModel:
     """Groups from k-means clustering of the points in feature space."""
-    result = kmeans_groups(ds.features, n_groups, seed=seed)
-    group_ids = tuple(f"g{j}" for j in range(n_groups))
-    g = _shares_from_assignment(result.assignment, n_groups) if gamma is None else np.asarray(gamma, dtype=np.float64)
-    return GroupModel(
-        kind="feature-kmeans", group_ids=group_ids, assignment=result.assignment, gamma=g
-    )
+    return _kmeans_model("feature-kmeans", ds.features, n_groups, seed)
 
 
 def auxiliary_kmeans_groups(
-    ds: Dataset,
-    auxiliary: np.ndarray,
-    n_groups: int,
-    seed: int = 0,
-    gamma: np.ndarray | None = None,
+    ds: Dataset, auxiliary: np.ndarray, n_groups: int, seed: int = 0
 ) -> GroupModel:
     """Groups from k-means over an externally supplied per-point matrix."""
     aux = np.asarray(auxiliary, dtype=np.float64)
     if aux.shape[0] != ds.n_points:
-        raise GroupError(
-            f"auxiliary matrix has {aux.shape[0]} rows for {ds.n_points} points"
-        )
-    result = kmeans_groups(aux, n_groups, seed=seed)
-    group_ids = tuple(f"g{j}" for j in range(n_groups))
-    g = _shares_from_assignment(result.assignment, n_groups) if gamma is None else np.asarray(gamma, dtype=np.float64)
-    return GroupModel(
-        kind="auxiliary-kmeans", group_ids=group_ids, assignment=result.assignment, gamma=g
-    )
+        raise GroupError(f"auxiliary matrix has {aux.shape[0]} rows for {ds.n_points} points")
+    return _kmeans_model("auxiliary-kmeans", aux, n_groups, seed)
 
 
 def save_group_model(gm: GroupModel, ds: Dataset, out_dir: str | Path) -> None:

@@ -74,49 +74,15 @@ class UtilitySpec:
             raise UtilityError("group_rep utility requires a group model")
 
 
-def _check_dims(s: InclusionVector, counts: ExpectedCounts) -> None:
+def utility_value(s: InclusionVector, counts: ExpectedCounts, spec: UtilitySpec) -> float:
+    """U(s), after checking that ``s`` and the group model match ``counts``."""
     if len(s.values) != len(counts.e):
         raise UtilityError(
             f"inclusion vector has {len(s.values)} clusters, counts have {len(counts.e)}"
         )
-
-
-def _check_group_model(counts: ExpectedCounts, spec: UtilitySpec) -> None:
-    if spec.groups is None:
-        raise UtilityError("group_rep utility requires a group model")
-    if counts.e_group.shape[1] != spec.groups.n_groups:
+    if spec.kind == "group_rep" and counts.e_group.shape[1] != spec.groups.n_groups:
         raise UtilityError("expected counts were built with a different group model")
-
-
-_SIZE = UtilitySpec(kind="size")
-
-
-def size_utility(s: InclusionVector, counts: ExpectedCounts) -> float:
-    """Relaxed expected labeled-point count, sum_i s_i * e_i."""
-    _check_dims(s, counts)
-    return utility_value_raw(s.values, counts, _SIZE)
-
-
-def group_rep_utility(s: InclusionVector, counts: ExpectedCounts, spec: UtilitySpec) -> float:
-    _check_dims(s, counts)
-    _check_group_model(counts, spec)
     return utility_value_raw(s.values, counts, spec)
-
-
-def group_rep_gradient(
-    s: InclusionVector, counts: ExpectedCounts, spec: UtilitySpec
-) -> np.ndarray:
-    """Gradient of the group-representation utility; strictly positive wherever
-    e_i > 0, zero where e_i = 0."""
-    _check_dims(s, counts)
-    _check_group_model(counts, spec)
-    return utility_gradient_raw(aggregates(s.values, counts, spec), counts, spec)
-
-
-def utility_value(s: InclusionVector, counts: ExpectedCounts, spec: UtilitySpec) -> float:
-    if spec.kind == "size":
-        return size_utility(s, counts)
-    return group_rep_utility(s, counts, spec)
 
 
 def aggregates(values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec) -> np.ndarray:

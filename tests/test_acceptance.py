@@ -29,8 +29,8 @@ from geosampler.synth import SynthConfig
 from geosampler.utility import (
     InclusionVector,
     UtilitySpec,
-    group_rep_gradient,
-    group_rep_utility,
+    aggregates,
+    utility_gradient_raw,
     utility_value,
 )
 
@@ -90,7 +90,7 @@ def exhaustive_binary_best(ds, counts, cm, spec, state) -> float:
     committed[state.clusters] = True
     free = np.flatnonzero(ds.cluster_is_source & ~committed)
     budget = remaining_budget(ds, cm, state)
-    costs = np.array([cluster_cost(cm, ds.clusters[j]) for j in free])
+    costs = np.array([cluster_cost(cm, ds.cluster(ds.cluster_ids[j])) for j in free])
 
     mfree = len(free)
     assert mfree <= 15
@@ -195,14 +195,14 @@ def test_criterion_3_gradient_matches_finite_differences():
             counts = ExpectedCounts(e=e, e_group=eg)
             s = rng.uniform(0.1, 0.95, size=m)
             com = np.zeros(m, dtype=bool)
-            grad = group_rep_gradient(InclusionVector(s, com), counts, spec)
+            grad = utility_gradient_raw(aggregates(s, counts, spec), counts, spec)
             for i in range(m):
                 up, dn = s.copy(), s.copy()
                 up[i] += h
                 dn[i] -= h
                 fd = (
-                    group_rep_utility(InclusionVector(up, com), counts, spec)
-                    - group_rep_utility(InclusionVector(dn, com), counts, spec)
+                    utility_value(InclusionVector(up, com), counts, spec)
+                    - utility_value(InclusionVector(dn, com), counts, spec)
                 ) / (2 * h)
                 if abs(fd) > 1e-9:
                     assert abs(grad[i] - fd) <= 1e-4 * abs(fd)
@@ -235,11 +235,11 @@ def test_criterion_4_midpoint_concavity():
             for _ in range(50):
                 s = rng.uniform(0, 1, size=m)
                 t = rng.uniform(0, 1, size=m)
-                u_mid = group_rep_utility(
+                u_mid = utility_value(
                     InclusionVector(0.5 * (s + t), com), counts, spec
                 )
-                u_s = group_rep_utility(InclusionVector(s, com), counts, spec)
-                u_t = group_rep_utility(InclusionVector(t, com), counts, spec)
+                u_s = utility_value(InclusionVector(s, com), counts, spec)
+                u_t = utility_value(InclusionVector(t, com), counts, spec)
                 assert u_mid >= 0.5 * u_s + 0.5 * u_t - 1e-9
                 checked += 1
 

@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -222,7 +225,7 @@ class TestEvaluate:
         """Evaluate a sample.json naming the first cluster and the point ids
         ``labeled_points(ds)`` in it; ``overrides`` replace document fields."""
         ds = load_dataset(bundle)
-        cluster = ds.clusters[0]
+        cluster = ds.cluster(ds.cluster_ids[0])
         doc = {
             "initial_cluster_ids": [cluster.cluster_id],
             "augment_cluster_ids": [],
@@ -249,18 +252,18 @@ class TestEvaluate:
 
     def test_point_of_another_cluster_is_config_error(self, bundle, tmp_path):
         code = self.evaluate_hand_sample(
-            bundle, tmp_path, 10, lambda ds: ds.clusters[1].point_ids[:10]
+            bundle, tmp_path, 10, lambda ds: ds.cluster(ds.cluster_ids[1]).point_ids[:10]
         )
         assert code == 2
 
     def test_sample_over_k_cap_is_config_error(self, bundle, tmp_path):
         code = self.evaluate_hand_sample(
-            bundle, tmp_path, 2, lambda ds: ds.clusters[0].point_ids[:15]
+            bundle, tmp_path, 2, lambda ds: ds.cluster(ds.cluster_ids[0]).point_ids[:15]
         )
         assert code == 2
 
     def test_sample_without_k_is_config_error(self, bundle, tmp_path, capsys):
-        self.evaluate_hand_sample(bundle, tmp_path, 10, lambda ds: ds.clusters[0].point_ids[:5])
+        self.evaluate_hand_sample(bundle, tmp_path, 10, lambda ds: ds.cluster(ds.cluster_ids[0]).point_ids[:5])
         sample = tmp_path / "sample.json"
         doc = json.loads(sample.read_text())
         del doc["k"]
@@ -275,15 +278,15 @@ class TestEvaluate:
     ])
     def test_mistyped_sample_field_is_config_error(self, bundle, tmp_path, capsys, field, value):
         code = self.evaluate_hand_sample(
-            bundle, tmp_path, 10, lambda ds: ds.clusters[0].point_ids[:5], {field: value}
+            bundle, tmp_path, 10, lambda ds: ds.cluster(ds.cluster_ids[0]).point_ids[:5], {field: value}
         )
         assert code == 2
         assert repr(field) in capsys.readouterr().err
 
     def test_repeated_cluster_id_is_config_error(self, bundle, tmp_path, capsys):
-        cid = load_dataset(bundle).clusters[0].cluster_id
+        cid = load_dataset(bundle).cluster_ids[0]
         code = self.evaluate_hand_sample(
-            bundle, tmp_path, 10, lambda ds: ds.clusters[0].point_ids[:5],
+            bundle, tmp_path, 10, lambda ds: ds.cluster(ds.cluster_ids[0]).point_ids[:5],
             {"initial_cluster_ids": [cid, cid]},
         )
         assert code == 2
@@ -292,10 +295,11 @@ class TestEvaluate:
     def test_repeated_point_id_is_config_error(self, bundle, tmp_path, capsys):
         # 6 listed points: under both k and the cluster size
         code = self.evaluate_hand_sample(
-            bundle, tmp_path, 10, lambda ds: ds.clusters[0].point_ids[:3] * 2
+            bundle, tmp_path, 10, lambda ds: ds.cluster(ds.cluster_ids[0]).point_ids[:3] * 2
         )
         assert code == 2
-        assert repr(load_dataset(bundle).clusters[0].point_ids[0]) in capsys.readouterr().err
+        ds = load_dataset(bundle)
+        assert repr(ds.point_ids[ds.rows_of_cluster(0)[0]]) in capsys.readouterr().err
 
 
 class TestExperimentCommands:
@@ -394,6 +398,11 @@ class TestExperimentCommands:
         ("size-sweep", ["--budgets", ""], "budgets must be non-empty"),
         ("size-sweep", ["--initial-sizes", ""], "initial_sizes must be non-empty"),
         ("size-sweep", ["--methods", "default"], "utilities must be non-empty"),
+        # axes a study holds fixed take one value, not only their first
+        ("cost-sweep", ["--budgets", "100,250"], "budgets must hold exactly one value, got 2"),
+        ("size-sweep", ["--budgets", "100,250"], "budgets must hold exactly one value, got 2"),
+        ("size-sweep", ["--methods", "rep-admin,opt-size"],
+         "utilities must hold exactly one value, got 2"),
     ])
     def test_empty_or_unknown_axis_is_config_error(
         self, bundle, tmp_path, capsys, command, flags, message
@@ -463,3 +472,15 @@ def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+def test_readme_library_block_runs(tmp_path):
+    """README's fenced python block runs as written against ``src/``."""
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    path = [str(README.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run(
+        [sys.executable, "-c", block], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()

@@ -56,7 +56,7 @@ def ref_e_group(ds, gm, k):
 
 
 def ref_admin_assignment(ds):
-    stratum_of = {c.cluster_id: c.stratum_id for c in ds.clusters}
+    stratum_of = {c.cluster_id: c.stratum_id for c in map(ds.cluster, ds.cluster_ids)}
     sid_index = {sid: i for i, sid in enumerate(ds.stratum_ids)}
     return np.array([sid_index[stratum_of[cid]] for cid in point_cluster_ids(ds)])
 
@@ -93,7 +93,7 @@ def ref_content_hash(ds):
     h = hashlib.sha256()
     h.update("\x00".join(ds.point_ids).encode("utf-8"))
     h.update("\x00".join(point_cluster_ids(ds)).encode("utf-8"))
-    for c in ds.clusters:
+    for c in map(ds.cluster, ds.cluster_ids):
         h.update(f"{c.cluster_id}|{c.stratum_id}".encode("utf-8"))
     for arr in (ds.coords, ds.features, ds.labels, ds.train_mask, ds.test_mask):
         h.update(arr.tobytes())
@@ -192,7 +192,7 @@ def test_cluster_costs_match_cluster_cost(ds):
         .with_initial_strata(initial),
         CostModel(c1=30.0, c2=30.0, budget=100.0, per_cluster_override=overrides),
     ):
-        want = [cluster_cost(cm, c) for c in ds.clusters]
+        want = [cluster_cost(cm, ds.cluster(cid)) for cid in ds.cluster_ids]
         assert cluster_costs(cm, ds).tolist() == want
 
 

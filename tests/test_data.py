@@ -164,11 +164,13 @@ class TestBundleIO:
          "points.csv line 3 has 7 fields; rows must have 6 fields"),
         ("features.csv", "p1,1.1,1.2,1.3", "p1,1.1,1.2,1.3,7.25",
          "features.csv line 3 has 5 fields; rows must have 4 fields"),
+        ("features.csv", "p1,1.1,1.2,1.3", "p1,1.1,1.2",
+         "features.csv line 3 has 3 fields; rows must have 4 fields"),
         ("points.csv", "p2,0.0,1.0", "p2,abc,1.0", "points.csv line 4: .*'abc'"),
         ("points.csv", "1.0,0.5,c1", "1.0,xyz,c1", "points.csv line 5: .*'xyz'"),
         ("features.csv", "p3,3.1", "p3,abc", "features.csv line 5: .*'abc'"),
     ], ids=["stratum-mismatch", "cluster-in-two-strata", "short-row", "points-extra-field",
-            "features-extra-value", "points-non-numeric", "label-non-numeric",
+            "features-extra-value", "features-short-row", "points-non-numeric", "label-non-numeric",
             "features-non-numeric"])
     def test_inconsistent_cluster_table_rejected(self, tmp_path, name, old, new, match):
         write_hand_bundle(tmp_path / "bundle")
@@ -288,7 +290,7 @@ class TestBundleIO:
             features=ds.features.astype(np.float32).astype(np.float64),
             labels=ds.labels,
             point_cluster=[ds.cluster_ids[j] for j in ds.point_cluster],
-            cluster_stratum={c.cluster_id: c.stratum_id for c in ds.clusters},
+            cluster_stratum={c.cluster_id: c.stratum_id for c in map(ds.cluster, ds.cluster_ids)},
             split_seed=ds.split_seed,
             test_fraction=ds.test_fraction,
         )
@@ -359,10 +361,15 @@ def test_dataset_equality_is_identity_and_does_not_raise():
 class TestPartitionInvariants:
     def test_strata_partition_clusters_and_clusters_partition_points(self, synth_ds):
         ds = synth_ds
-        seen_clusters = [cid for s in ds.strata for cid in s.cluster_ids]
-        assert sorted(seen_clusters) == sorted(c.cluster_id for c in ds.clusters)
+        members = [
+            [cid for cid, s in zip(ds.cluster_ids, ds.cluster_stratum) if s == sj]
+            for sj in range(len(ds.stratum_ids))
+        ]
+        assert all(members)   # no stratum without a cluster
+        seen_clusters = [cid for cids in members for cid in cids]
+        assert sorted(seen_clusters) == sorted(ds.cluster_ids)
         assert len(seen_clusters) == len(set(seen_clusters))
-        seen_points = [pid for c in ds.clusters for pid in c.point_ids]
+        seen_points = [pid for cid in ds.cluster_ids for pid in ds.cluster(cid).point_ids]
         assert sorted(seen_points) == sorted(ds.point_ids)
         assert len(seen_points) == len(set(seen_points))
 
@@ -434,9 +441,9 @@ class TestCosts:
     def test_set_cost_matches_brute_force_and_is_monotone(self, synth_ds):
         rng = np.random.default_rng(0)
         cm = self.make_cm().with_initial_strata(
-            {synth_ds.strata[0].stratum_id, synth_ds.strata[1].stratum_id}
+            {synth_ds.stratum_ids[0], synth_ds.stratum_ids[1]}
         )
-        ids = [c.cluster_id for c in synth_ds.clusters]
+        ids = list(synth_ds.cluster_ids)
         for _ in range(25):
             a = [cid for cid in ids if rng.random() < 0.4]
             b = sorted(set(a) | {cid for cid in ids if rng.random() < 0.2})

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,11 @@ from geosampler.groups import (
 def test_admin_groups_follow_strata(synth_ds):
     gm = admin_groups(synth_ds)
     assert gm.kind == "admin"
-    assert gm.group_ids == tuple(s.stratum_id for s in synth_ds.strata)
-    sid_of = {pid: c.stratum_id for c in synth_ds.clusters for pid in c.point_ids}
+    assert gm.group_ids == synth_ds.stratum_ids
+    sid_of = {
+        pid: c.stratum_id
+        for c in map(synth_ds.cluster, synth_ds.cluster_ids) for pid in c.point_ids
+    }
     for i, pid in enumerate(synth_ds.point_ids):
         assert gm.group_ids[gm.assignment[i]] == sid_of[pid]
 
@@ -28,16 +33,16 @@ def test_gamma_is_population_share(synth_ds):
 
 
 def test_gamma_override(synth_ds):
-    G = len(synth_ds.strata)
+    G = len(synth_ds.stratum_ids)
     gamma = np.full(G, 1.0 / G)
-    gm = admin_groups(synth_ds, gamma=gamma)
+    gm = replace(admin_groups(synth_ds), gamma=gamma)
     np.testing.assert_array_equal(gm.gamma, gamma)
 
 
 def test_gamma_must_sum_to_one(synth_ds):
-    G = len(synth_ds.strata)
+    G = len(synth_ds.stratum_ids)
     with pytest.raises(GroupError, match="sum to 1"):
-        admin_groups(synth_ds, gamma=np.full(G, 0.3))
+        replace(admin_groups(synth_ds), gamma=np.full(G, 0.3))
 
 
 def test_feature_kmeans_groups_deterministic(synth_ds):

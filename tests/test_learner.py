@@ -374,7 +374,7 @@ def full_source_sample(ds):
         labeled=np.concatenate([ds.rows_of_cluster(j) for j in clusters]),
         k=int(ds.cluster_sizes.max()),
         spent=0.0,
-        initial_strata=frozenset(s.stratum_id for s in ds.strata),
+        initial_strata=frozenset(ds.stratum_ids),
     )
 
 

@@ -204,7 +204,7 @@ def binary_best(ds, counts, cm, spec, state):
     committed = np.zeros(ds.n_clusters, dtype=bool)
     committed[state.clusters] = True
     free = np.flatnonzero(~committed)
-    costs = np.array([cluster_cost(cm, ds.clusters[j]) for j in free])
+    costs = np.array([cluster_cost(cm, ds.cluster(ds.cluster_ids[j])) for j in free])
     budget = remaining_budget(ds, cm, state)
     best = -np.inf
     for bits in itertools.product([0, 1], repeat=len(free)):
@@ -343,7 +343,7 @@ class TestSolveRelaxation:
             values = res.inclusion.values
             assert np.all(values >= 0.0) and np.all(values <= 1.0 + 1e-12)
             free = ~res.inclusion.committed
-            costs = np.array([cluster_cost(cm, c) for c in ds.clusters])
+            costs = np.array([cluster_cost(cm, ds.cluster(cid)) for cid in ds.cluster_ids])
             budget = remaining_budget(ds, cm, state)
             assert costs[free] @ values[free] <= budget * (1 + 1e-9) + 1e-12
 
@@ -426,7 +426,7 @@ def test_aggregate_line_search_matches_dense_gradient(kind):
             spec = UtilitySpec(kind="size")
         # a Frank-Wolfe direction at a random point of equal cost
         s = rng.uniform(0, 1, size=ds.n_clusters)
-        costs = np.array([cluster_cost(cm, c) for c in ds.clusters])
+        costs = np.array([cluster_cost(cm, ds.cluster(cid)) for cid in ds.cluster_ids])
         grad = utility_gradient_raw(aggregates(s, counts, spec), counts, spec)
         delta = lmo_knapsack(grad, costs, float(costs @ s)) - s
         step_max = float(rng.choice([1.0, rng.uniform(0.1, 1.0)]))
@@ -452,9 +452,9 @@ class TestRoundInclusion:
                 if p <= 0.0:
                     continue
                 if p >= 1.0 or rng.random() < p:
-                    cost = cluster_cost(cm, ds.clusters[j])
+                    cost = cluster_cost(cm, ds.cluster(ds.cluster_ids[j]))
                     if cost <= rem:
-                        chosen.append(ds.clusters[j].cluster_id)
+                        chosen.append(ds.cluster_ids[j])
                         rem -= cost
                     else:
                         break

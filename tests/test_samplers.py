@@ -169,7 +169,7 @@ class TestGreedySizeAugment:
         ]
         # every unsampled in-strata cluster must be taken before any outside one
         unsampled_in = [
-            c.cluster_id for c in ds.clusters
+            c.cluster_id for c in map(ds.cluster, ds.cluster_ids)
             if c.stratum_id in state.initial_strata
             and c.cluster_id not in ids(ds, state.initial)
         ]

@@ -22,13 +22,13 @@ def test_same_seed_gives_identical_dataset():
 def test_generated_dataset_passes_validation_and_round_trips(tmp_path):
     cfg = SynthConfig(strata_grid=(2, 3), clusters_per_stratum=4, seed=8)
     ds, truth = generate(cfg)   # Dataset construction validates
-    assert len(ds.strata) == 6
+    assert len(ds.stratum_ids) == 6
     assert ds.n_clusters == 24
     save_dataset(ds, tmp_path / "b")
     save_truth(truth, tmp_path / "b")
     assert datasets_equal(ds, load_dataset(tmp_path / "b"))
     doc = json.loads((tmp_path / "b" / "truth.json").read_text())
-    assert set(doc["coefficients"]) == {s.stratum_id for s in ds.strata}
+    assert set(doc["coefficients"]) == set(ds.stratum_ids)
 
 
 def test_snr_matches_target_within_ten_percent():
@@ -44,7 +44,7 @@ def test_snr_matches_target_within_ten_percent():
     ds, truth = generate(cfg)
     assert ds.n_points >= 10_000
     # empirical noise variance from the generator residuals
-    sid_of = {c.cluster_id: c.stratum_id for c in ds.clusters}
+    sid_of = {cid: ds.stratum_ids[s] for cid, s in zip(ds.cluster_ids, ds.cluster_stratum)}
     signal = np.array([
         truth.coefficients[sid_of[ds.cluster_ids[ds.point_cluster[i]]]] @ ds.features[i]
         for i in range(ds.n_points)
@@ -89,7 +89,7 @@ def test_heterogeneity_penalizes_concentrated_training():
         source = [j for j in range(ds.n_clusters) if ds.cluster_is_source[j]]
         by_stratum: dict[str, list[int]] = {}
         for j in source:
-            by_stratum.setdefault(ds.clusters[j].stratum_id, []).append(j)
+            by_stratum.setdefault(ds.stratum_ids[ds.cluster_stratum[j]], []).append(j)
         sid = max(by_stratum, key=lambda s: len(by_stratum[s]))
         concentrated = by_stratum[sid][:5]
         spread = [int(rng.choice(by_stratum[s])) for s in sorted(by_stratum)][:5]
@@ -102,7 +102,7 @@ def test_heterogeneity_penalizes_concentrated_training():
                 labeled=np.concatenate([ds.rows_of_cluster(j)[:10] for j in initial]),
                 k=10,
                 spent=0.0,
-                initial_strata=frozenset(ds.clusters[j].stratum_id for j in idx),
+                initial_strata=frozenset(ds.stratum_ids[ds.cluster_stratum[j]] for j in idx),
             )
 
         r_conc = evaluate_sample(ds, state_of(concentrated), seed=seed)

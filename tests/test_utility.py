@@ -7,10 +7,10 @@ from geosampler.utility import (
     InclusionVector,
     UtilityError,
     UtilitySpec,
-    group_rep_gradient,
-    group_rep_utility,
-    size_utility,
+    aggregates,
+    utility_gradient_raw,
     utility_of_sample,
+    utility_value,
 )
 
 from conftest import state_from_ids
@@ -42,24 +42,31 @@ def group_spec(gamma, lam=0.5, eps=1e-12):
     return UtilitySpec(kind="group_rep", lam=lam, epsilon=eps, groups=gm)
 
 
+SIZE = UtilitySpec(kind="size")
+
+
+def gradient(values, counts, spec):
+    return utility_gradient_raw(aggregates(values, counts, spec), counts, spec)
+
+
 class TestSizeUtility:
     def test_full_inclusion(self):
-        assert size_utility(vec([1, 1, 1]), counts_of([10, 10, 5])) == 25.0
+        assert utility_value(vec([1, 1, 1]), counts_of([10, 10, 5]), SIZE) == 25.0
 
     def test_all_zero(self):
-        assert size_utility(vec([0, 0, 0]), counts_of([10, 10, 5])) == 0.0
+        assert utility_value(vec([0, 0, 0]), counts_of([10, 10, 5]), SIZE) == 0.0
 
     def test_linearity(self):
         c = counts_of([10, 10, 5])
-        assert size_utility(vec([1, 0.5, 0]), c) == 15.0
+        assert utility_value(vec([1, 0.5, 0]), c, SIZE) == 15.0
         s = np.array([0.3, 0.7, 0.2])
-        assert size_utility(vec(0.5 * s), c) == pytest.approx(
-            0.5 * size_utility(vec(s), c), rel=1e-12
+        assert utility_value(vec(0.5 * s), c, SIZE) == pytest.approx(
+            0.5 * utility_value(vec(s), c, SIZE), rel=1e-12
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(UtilityError, match="clusters"):
-            size_utility(vec([1, 0]), counts_of([10, 10, 5]))
+            utility_value(vec([1, 0]), counts_of([10, 10, 5]), SIZE)
 
 
 class TestGroupRepUtility:
@@ -67,21 +74,21 @@ class TestGroupRepUtility:
         # gamma=1, lam=0.5, n=100: both terms are -0.5/10
         spec = group_spec([1.0])
         c = counts_of([100.0], [[100.0]])
-        u = group_rep_utility(vec([1.0]), c, spec)
+        u = utility_value(vec([1.0]), c, spec)
         assert u == pytest.approx(-0.100, abs=1e-6)
 
     def test_lambda_zero_is_pure_size_term(self):
         spec = group_spec([1.0], lam=0.0)
         c = counts_of([25.0], [[25.0]])
-        u = group_rep_utility(vec([1.0]), c, spec)
+        u = utility_value(vec([1.0]), c, spec)
         assert u == pytest.approx(-0.200, abs=1e-6)
 
     def test_balanced_allocation_beats_skewed(self):
         spec = group_spec([0.5, 0.5])
         balanced = counts_of([50.0, 50.0], [[50, 0], [0, 50]])
         skewed = counts_of([90.0, 10.0], [[90, 0], [0, 10]])
-        u_bal = group_rep_utility(vec([1, 1]), balanced, spec)
-        u_skw = group_rep_utility(vec([1, 1]), skewed, spec)
+        u_bal = utility_value(vec([1, 1]), balanced, spec)
+        u_skw = utility_value(vec([1, 1]), skewed, spec)
         # independent evaluation of the formula at both allocations
         ref_bal = -0.5 * (0.5 * 50**-0.5 + 0.5 * 50**-0.5) - 0.5 * 100**-0.5
         ref_skw = -0.5 * (0.5 * 90**-0.5 + 0.5 * 10**-0.5) - 0.5 * 100**-0.5
@@ -94,6 +101,11 @@ class TestGroupRepUtility:
     def test_requires_group_model(self):
         with pytest.raises(UtilityError):
             UtilitySpec(kind="group_rep", groups=None)
+
+    def test_group_model_mismatch(self):
+        c = counts_of([10.0, 10.0], [[10.0], [10.0]])
+        with pytest.raises(UtilityError, match="different group model"):
+            utility_value(vec([1, 1]), c, group_spec([0.5, 0.5]))
 
 
 def random_instance(rng, eps=1e-6):
@@ -123,14 +135,14 @@ class TestGroupRepGradient:
         for _ in range(20):
             counts, spec = random_instance(rng)
             s = rng.uniform(0.05, 0.95, size=len(counts.e))
-            grad = group_rep_gradient(vec(s), counts, spec)
+            grad = gradient(s, counts, spec)
             for i in range(len(s)):
                 up, dn = s.copy(), s.copy()
                 up[i] += h
                 dn[i] -= h
                 fd = (
-                    group_rep_utility(vec(up), counts, spec)
-                    - group_rep_utility(vec(dn), counts, spec)
+                    utility_value(vec(up), counts, spec)
+                    - utility_value(vec(dn), counts, spec)
                 ) / (2 * h)
                 if abs(fd) > 1e-12:
                     assert grad[i] == pytest.approx(fd, rel=1e-4)
@@ -138,7 +150,7 @@ class TestGroupRepGradient:
     def test_zero_expected_count_gives_zero_component(self):
         counts = counts_of([0.0, 10.0], [[0.0], [10.0]])
         spec = group_spec([1.0])
-        grad = group_rep_gradient(vec([0.5, 0.5]), counts, spec)
+        grad = gradient(np.array([0.5, 0.5]), counts, spec)
         assert grad[0] == 0.0
         assert grad[1] > 0.0
 
@@ -146,7 +158,7 @@ class TestGroupRepGradient:
         counts = counts_of([3.0, 7.0, 1.0], [[3.0], [7.0], [1.0]])
         spec = group_spec([1.0], lam=0.0)
         s = vec([0.5, 0.5, 0.5])
-        grad = group_rep_gradient(s, counts, spec)
+        grad = gradient(s.values, counts, spec)
         n = float(s.values @ counts.e)
         factor = 0.5 * (n + spec.epsilon) ** -1.5
         np.testing.assert_allclose(grad, factor * counts.e, rtol=1e-12)
@@ -161,10 +173,10 @@ class TestInvariants:
             i = int(rng.integers(len(s)))
             up = s.copy()
             up[i] += 0.1
-            assert group_rep_utility(vec(up), counts, spec) >= group_rep_utility(
+            assert utility_value(vec(up), counts, spec) >= utility_value(
                 vec(s), counts, spec
             ) - 1e-12
-            assert size_utility(vec(up), counts) >= size_utility(vec(s), counts)
+            assert utility_value(vec(up), counts, SIZE) >= utility_value(vec(s), counts, SIZE)
 
     def test_midpoint_concavity(self):
         rng = np.random.default_rng(1)
@@ -173,9 +185,9 @@ class TestInvariants:
             s = rng.uniform(0, 1, size=len(counts.e))
             t = rng.uniform(0, 1, size=len(counts.e))
             mid = 0.5 * (s + t)
-            assert group_rep_utility(vec(mid), counts, spec) >= (
-                0.5 * group_rep_utility(vec(s), counts, spec)
-                + 0.5 * group_rep_utility(vec(t), counts, spec)
+            assert utility_value(vec(mid), counts, spec) >= (
+                0.5 * utility_value(vec(s), counts, spec)
+                + 0.5 * utility_value(vec(t), counts, spec)
                 - 1e-9
             )
 
@@ -189,10 +201,10 @@ class TestInvariants:
         candidates = [rng.uniform(0, 1, size=m) for _ in range(20)]
         # continuity: value at lam=1e-9 close to value at lam=0
         s = candidates[0]
-        u0 = group_rep_utility(
+        u0 = utility_value(
             vec(s), counts, UtilitySpec("group_rep", lam=0.0, epsilon=1e-6, groups=gm)
         )
-        u_eps = group_rep_utility(
+        u_eps = utility_value(
             vec(s), counts, UtilitySpec("group_rep", lam=1e-9, epsilon=1e-6, groups=gm)
         )
         assert u_eps == pytest.approx(u0, abs=1e-8)
@@ -200,11 +212,11 @@ class TestInvariants:
         spec0 = UtilitySpec("group_rep", lam=0.0, epsilon=1e-6, groups=gm)
         by_group_rep = max(
             range(len(candidates)),
-            key=lambda i: group_rep_utility(vec(candidates[i]), counts, spec0),
+            key=lambda i: utility_value(vec(candidates[i]), counts, spec0),
         )
         by_size = max(
             range(len(candidates)),
-            key=lambda i: size_utility(vec(candidates[i]), counts),
+            key=lambda i: utility_value(vec(candidates[i]), counts, SIZE),
         )
         assert by_group_rep == by_size
 
@@ -249,12 +261,12 @@ class TestUtilityOfSample:
 
         gm = admin_groups(small_ds)
         spec = UtilitySpec(kind="group_rep", lam=0.5, epsilon=1e-6, groups=gm)
-        sizes = {c.cluster_id: c.size for c in small_ds.clusters}
+        sizes = dict(zip(small_ds.cluster_ids, small_ds.cluster_sizes.tolist()))
         state = self.make_sample(small_ds, sizes)   # k >= size everywhere
         counts = expected_counts(small_ds, gm, k=100)
         s = vec(np.ones(small_ds.n_clusters))
         assert utility_of_sample(state, spec) == pytest.approx(
-            group_rep_utility(s, counts, spec), rel=1e-12
+            utility_value(s, counts, spec), rel=1e-12
         )
 
     def test_empty_sample_with_zero_epsilon(self, small_ds):
