@@ -20,6 +20,8 @@ import numpy as np
 
 from .data import (
     CostModel,
+    _csv_header,
+    _read_rows,
     load_dataset,
     load_sample_state,
     save_cost_model,
@@ -214,16 +216,25 @@ def cmd_groups(args) -> int:
 
 
 def _read_aux_matrix(path: Path, ds) -> np.ndarray:
+    """The rows of ``path`` (``point_id`` then numbers, in the bundle CSV
+    dialect) for the points of ``ds``; rows of other points are ignored."""
     if not path.exists():
         raise ConfigError(f"auxiliary file {path} does not exist")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "point_id":
-            raise ConfigError("auxiliary csv must start with a point_id column")
-        rows = {r[0]: [float(v) for v in r[1:]] for r in reader}
+    header, has_rows = _csv_header(path)
+    if not header or header[0] != "point_id":
+        raise ConfigError("auxiliary csv must start with a point_id column")
+    dtype = [("point_id", object), ("v", np.float64, (len(header) - 1,))]
+    rows = _read_rows(path, len(header), dtype=dtype, ndmin=1) if has_rows else np.empty(0, dtype)
+    row_of: dict[str, int] = {}
+    for row, pid in enumerate(rows["point_id"]):
+        if row_of.setdefault(pid, row) != row:
+            with path.open(newline="", encoding="utf-8") as fh:   # loadtxt skips blank lines
+                reader = csv.reader(fh)
+                next(reader)
+                line = [reader.line_num for r in reader if r[:1] == [pid]][1]
+            raise ConfigError(f"{path.name} line {line} repeats point id {pid!r}")
     try:
-        return np.array([rows[pid] for pid in ds.point_ids], dtype=np.float64)
+        return rows["v"][[row_of[pid] for pid in ds.point_ids]]
     except KeyError as exc:
         raise ConfigError(f"auxiliary csv missing point {exc}") from None
 

@@ -4,13 +4,15 @@ In memory a :class:`Dataset` is columnar and integer-indexed. Points,
 clusters and strata are rows of the sorted id tuples ``point_ids``,
 ``cluster_ids`` and ``stratum_ids``; the structure is two index arrays,
 ``point_cluster`` (a ``cluster_ids`` row per point) and ``cluster_stratum``
-(a ``stratum_ids`` row per cluster), plus a per-stratum initial flag. A
-:class:`SampleState` holds cluster and point rows too. String ids are
-translated only at the I/O boundaries: ``build_dataset``, bundle load/save
-and ``sample.json`` (``save_sample_state``/``load_sample_state``). The one
-id-keyed record left is :class:`Cluster`, built on demand by
-``Dataset.cluster(cid)`` for :func:`cluster_cost`, because ``perfbench/``
-prices the cluster ids that rounding returns that way.
+(a ``stratum_ids`` row per cluster). The train/test split masks are not
+stored: they are derived from the labels, ``split_seed`` and
+``test_fraction``. A :class:`SampleState` holds cluster and point rows too.
+String ids are translated only at the I/O boundaries: ``build_dataset``,
+bundle load/save and ``sample.json`` (``save_sample_state``/
+``load_sample_state``). The one id-keyed record left is :class:`Cluster`,
+built on demand by ``Dataset.cluster(cid)`` for :func:`cluster_cost`,
+because ``perfbench/`` prices the cluster ids that rounding returns that
+way.
 
 A dataset is stored on disk as a bundle directory:
 
@@ -81,9 +83,12 @@ class Dataset:
     ``cluster_ids`` and per-stratum arrays with ``stratum_ids``; all three id
     tuples are sorted lexicographically. ``labels`` uses NaN for unknown
     (prediction-only) points. The train/test split is assigned at the cluster
-    level so that the source set is a set of sampling units; masks are derived
-    from ``split_seed`` and are reproducible from the bundle alone. ``==``
-    is identity; :func:`datasets_equal` compares contents.
+    level so that the source set is a set of sampling units: ``train_mask``
+    and ``test_mask`` are computed on first use by
+    :func:`split_masks_from_seed` from ``split_seed`` and ``test_fraction``,
+    so they are reproducible from the bundle alone. Only labeled points are
+    in either mask, so every source cluster is fully labeled. ``==`` is
+    identity; :func:`datasets_equal` compares contents.
     """
 
     point_ids: tuple[str, ...]
@@ -94,9 +99,6 @@ class Dataset:
     labels: np.ndarray          # (n,) float64, NaN = unknown
     point_cluster: np.ndarray   # (n,) int64, row of cluster_ids
     cluster_stratum: np.ndarray # (m,) int64, row of stratum_ids
-    stratum_initial: np.ndarray # (S,) bool, strata of the initial sample
-    train_mask: np.ndarray      # (n,) bool
-    test_mask: np.ndarray       # (n,) bool
     split_seed: int = 0
     test_fraction: float = 0.2
 
@@ -142,14 +144,21 @@ class Dataset:
         return np.concatenate(([0], np.cumsum(self.cluster_sizes)))
 
     @cached_property
+    def train_mask(self) -> np.ndarray:
+        """(n,) bool: the labeled points outside the test clusters."""
+        return split_masks_from_seed(self.point_cluster, self.n_clusters, self.labels,
+                                     self.split_seed, self.test_fraction)[0]
+
+    @cached_property
+    def test_mask(self) -> np.ndarray:
+        """(n,) bool: the labeled points not in ``train_mask``."""
+        return ~self.train_mask & ~np.isnan(self.labels)
+
+    @cached_property
     def cluster_is_source(self) -> np.ndarray:
         """True for clusters whose points all belong to the train split."""
         outside = np.bincount(self.point_cluster[~self.train_mask], minlength=self.n_clusters)
         return outside == 0
-
-    @cached_property
-    def labeled_mask(self) -> np.ndarray:
-        return ~np.isnan(self.labels)
 
     def rows_of_cluster(self, j: int) -> np.ndarray:
         return self.cluster_rows[self.cluster_ptr[j]:self.cluster_ptr[j + 1]]
@@ -177,14 +186,6 @@ class Dataset:
             point_ids=tuple(self.point_ids[i] for i in self.rows_of_cluster(j)),
         )
 
-    def with_initial_strata(self, stratum_ids: Iterable[str]) -> "Dataset":
-        """Return a copy whose ``stratum_initial`` flags mark the given strata."""
-        chosen = frozenset(stratum_ids)
-        unknown = chosen - set(self.stratum_ids)
-        if unknown:
-            raise DatasetError(f"unknown stratum id {sorted(unknown)[0]!r}")
-        return replace(self, stratum_initial=self.stratum_flags(chosen))
-
 
 def _indices(index: Mapping[str, int], ids: Iterable[str], kind: str) -> np.ndarray:
     try:
@@ -194,10 +195,10 @@ def _indices(index: Mapping[str, int], ids: Iterable[str], kind: str) -> np.ndar
 
 
 def _validate_dataset(ds: Dataset) -> None:
-    """Check what outside input can break: shapes, empty clusters and the
-    split masks. :func:`build_dataset` makes the id tuples sorted and unique
-    and the index arrays in range."""
-    n, m, S = len(ds.point_ids), len(ds.cluster_ids), len(ds.stratum_ids)
+    """Check what outside input can break: shapes and empty clusters.
+    :func:`build_dataset` makes the id tuples sorted and unique and the index
+    arrays in range."""
+    n, m = len(ds.point_ids), len(ds.cluster_ids)
     if ds.features.ndim != 2 or ds.features.shape[0] != n:
         raise DatasetError("feature matrix shape inconsistent with point count")
     if ds.features.shape[1] < 1:
@@ -206,23 +207,11 @@ def _validate_dataset(ds: Dataset) -> None:
         raise DatasetError("coords must have shape (n, 2)")
     if ds.labels.shape != (n,):
         raise DatasetError("labels must have shape (n,)")
-    if ds.train_mask.shape != (n,) or ds.test_mask.shape != (n,):
-        raise DatasetError("split masks must have shape (n,)")
-    if (ds.point_cluster.shape, ds.cluster_stratum.shape, ds.stratum_initial.shape) != (
-        (n,), (m,), (S,)
-    ):
+    if (ds.point_cluster.shape, ds.cluster_stratum.shape) != ((n,), (m,)):
         raise DatasetError("index arrays must align with the id tuples")
     empty = np.flatnonzero(ds.cluster_sizes == 0)
     if empty.size:
         raise DatasetError(f"cluster {ds.cluster_ids[empty[0]]!r} is empty")
-
-    # split masks: disjoint, cover all labeled points
-    if np.any(ds.train_mask & ds.test_mask):
-        raise DatasetError("train/test masks overlap")
-    uncovered = ~np.isnan(ds.labels) & ~(ds.train_mask | ds.test_mask)
-    if np.any(uncovered):
-        pid = ds.point_ids[int(np.flatnonzero(uncovered)[0])]
-        raise DatasetError(f"labeled point {pid!r} not covered by the split")
 
 
 def split_masks_from_seed(
@@ -262,7 +251,7 @@ def build_dataset(
     test_fraction: float = 0.2,
 ) -> Dataset:
     """Assemble a validated Dataset from per-point rows, sorting everything
-    by identifier and deriving the index arrays and split masks.
+    by identifier and deriving the index arrays.
 
     Rows whose point ids are already strictly ascending (every bundle
     :func:`save_dataset` writes) are not re-indexed: float64 ``coords``,
@@ -292,22 +281,15 @@ def build_dataset(
         i = unknown[0]
         raise DatasetError(f"point {str(pids[i])!r} references unknown cluster {str(pcl[i])!r}")
 
-    labels = np.asarray(labels, dtype=np.float64)[order]
-    train_mask, test_mask = split_masks_from_seed(
-        pos, len(cids), labels, split_seed, test_fraction
-    )
     return Dataset(
         point_ids=tuple(pids.tolist()),
         cluster_ids=tuple(cids.tolist()),
         stratum_ids=tuple(sids.tolist()),
         coords=np.asarray(coords, dtype=np.float64)[order],
         features=np.asarray(features, dtype=np.float64)[order],
-        labels=labels,
+        labels=np.asarray(labels, dtype=np.float64)[order],
         point_cluster=pos.astype(np.int64),
         cluster_stratum=cluster_strat.astype(np.int64),
-        stratum_initial=np.zeros(len(sids), dtype=bool),
-        train_mask=train_mask,
-        test_mask=test_mask,
         split_seed=split_seed,
         test_fraction=test_fraction,
     )
@@ -323,12 +305,9 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
         and a.test_fraction == b.test_fraction
         and np.array_equal(a.point_cluster, b.point_cluster)
         and np.array_equal(a.cluster_stratum, b.cluster_stratum)
-        and np.array_equal(a.stratum_initial, b.stratum_initial)
         and np.array_equal(a.coords, b.coords)
         and np.array_equal(a.features, b.features)
         and np.array_equal(a.labels, b.labels, equal_nan=True)
-        and np.array_equal(a.train_mask, b.train_mask)
-        and np.array_equal(a.test_mask, b.test_mask)
     )
 
 
@@ -660,8 +639,8 @@ def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") ->
         "test_fraction": ds.test_fraction,
         "features_file": features_file,
         "strata": [
-            {"stratum_id": sid, "cluster_ids": cids, "in_initial": bool(flag)}
-            for sid, cids, flag in zip(ds.stratum_ids, members, ds.stratum_initial)
+            {"stratum_id": sid, "cluster_ids": cids}
+            for sid, cids in zip(ds.stratum_ids, members)
         ],
     }
     (out / "meta.json").write_text(
@@ -852,7 +831,7 @@ def load_dataset(path: str | Path) -> Dataset:
     else:
         features = _read_features_bin(fpath, len(pids), d)
 
-    ds = build_dataset(
+    return build_dataset(
         point_ids=pids,
         coords=np.column_stack((points["x"], points["y"])),
         features=features,
@@ -862,9 +841,3 @@ def load_dataset(path: str | Path) -> Dataset:
         split_seed=int(meta.get("split_seed", 0)),
         test_fraction=float(meta.get("test_fraction", 0.2)),
     )
-    in_initial = [
-        s["stratum_id"] for s in meta.get("strata", []) if s.get("in_initial")
-    ]
-    if in_initial:
-        ds = ds.with_initial_strata(in_initial)
-    return ds

@@ -31,7 +31,10 @@ class LearnerError(ValueError):
     pass
 
 
-DEFAULT_ALPHAS = tuple(np.logspace(-5, 5, 10))
+DEFAULT_ALPHAS = tuple(np.logspace(-5, 5, 10))   # ascending
+CV_FOLDS = 5
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -70,14 +73,8 @@ def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray,
     return w, float(y_mean - x_mean @ w)
 
 
-def ridge_fit_cv(
-    X: np.ndarray,
-    y: np.ndarray,
-    folds: int = 5,
-    alphas=None,
-    seed: int = 0,
-) -> RidgeModel:
-    """Fit ridge regression, selecting alpha by k-fold cross-validation.
+def ridge_fit_cv(X: np.ndarray, y: np.ndarray, seed: int = 0) -> RidgeModel:
+    """Fit ridge regression, choosing alpha from DEFAULT_ALPHAS by CV_FOLDS-fold CV.
 
     Alpha minimizing the mean validation squared error wins; ties go to the
     smaller alpha. The final model is refit on all rows.
@@ -91,16 +88,16 @@ def ridge_fit_cv(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
-    if n < folds:
-        raise LearnerError(f"need at least {folds} rows for {folds}-fold CV, got {n}")
+    if n < CV_FOLDS:
+        raise LearnerError(f"need at least {CV_FOLDS} rows for {CV_FOLDS}-fold CV, got {n}")
     if float(np.var(y)) == 0.0:
         raise LearnerError("labels have zero variance")
-    grid = np.sort(np.asarray(alphas if alphas is not None else DEFAULT_ALPHAS, dtype=np.float64))
+    grid = np.asarray(DEFAULT_ALPHAS)
     penalties = grid[:, None, None] * np.eye(d)
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    fold_slices = np.array_split(perm, folds)
+    fold_slices = np.array_split(perm, CV_FOLDS)
 
     mean_mse = np.zeros(len(grid))
     for fold_rows in fold_slices:
@@ -113,7 +110,7 @@ def ridge_fit_cv(
         weights = np.linalg.solve(gram + penalties, rhs_stack)[:, :, 0]
         for a_i, w in enumerate(weights):
             pred = X_va @ w + float(y_mean - x_mean @ w)
-            mean_mse[a_i] += float(np.mean((pred - y_va) ** 2)) / folds
+            mean_mse[a_i] += float(np.mean((pred - y_va) ** 2)) / CV_FOLDS
 
     best = int(np.argmin(mean_mse))   # grid ascending -> ties resolve to smaller alpha
     alpha = float(grid[best])
@@ -316,26 +313,18 @@ def _lloyd(
     return centroids, assignment, inertia, trace
 
 
-def kmeans_groups(
-    features: np.ndarray,
-    G: int,
-    seed: int = 0,
-    restarts: int = 10,
-    max_iters: int = 100,
-) -> KMeansResult:
-    """Lloyd's algorithm with k-means++ seeding, best inertia over restarts."""
+def kmeans_groups(features: np.ndarray, G: int, seed: int = 0) -> KMeansResult:
+    """Lloyd's algorithm with k-means++ seeding, best inertia of KMEANS_RESTARTS runs."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise LearnerError("features must be a 2-d matrix")
     if G < 1 or G > X.shape[0]:
         raise LearnerError(f"need 1 <= G <= {X.shape[0]}, got {G}")
-    if restarts < 1:
-        raise LearnerError(f"need restarts >= 1, got {restarts}")
     rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, np.ndarray, float, list[float]] | None = None
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         init = _kmeanspp_init(X, G, rng)
-        cand = _lloyd(X, init.copy(), max_iters)
+        cand = _lloyd(X, init.copy(), KMEANS_MAX_ITERS)
         if best is None or cand[2] < best[2]:
             best = cand
     centroids, assignment, inertia, trace = best

@@ -69,18 +69,12 @@ class ConvenienceConfig:
             raise SamplingError("sample size must be >= 1")
 
 
-def _labelable_counts(ds: Dataset) -> np.ndarray:
-    """(m,) number of points with a known label in each cluster."""
-    return np.bincount(ds.point_cluster[ds.labeled_mask], minlength=ds.n_clusters)
-
-
 def _label_in_cluster(
     ds: Dataset, j: int, k: int, rng: np.random.Generator | None
 ) -> np.ndarray:
-    """Rows of up to k labeled points of cluster j, drawn uniformly without
-    replacement (the first k in id order when rng is None)."""
+    """Rows of up to k points of source cluster j (all labeled), drawn
+    uniformly without replacement (the first k in id order when rng is None)."""
     rows = ds.rows_of_cluster(j)
-    rows = rows[ds.labeled_mask[rows]]
     take = min(k, len(rows))
     return rows[:take] if rng is None else rows[rng.permutation(len(rows))[:take]]
 
@@ -138,10 +132,9 @@ def draw_initial_sample(
     chosen = strata_rng.choice(n_strata, size=cfg.n_strata, replace=False)
     initial_strata = frozenset(ds.stratum_ids[i] for i in sorted(chosen))
 
-    labelable = _labelable_counts(ds)
     in_initial = ds.stratum_flags(initial_strata)[ds.cluster_stratum]
-    cand = np.flatnonzero(ds.cluster_is_source & (labelable > 0) & in_initial)
-    reachable = int(np.minimum(cfg.k, labelable[cand]).sum())
+    cand = np.flatnonzero(ds.cluster_is_source & in_initial)
+    reachable = int(np.minimum(cfg.k, ds.cluster_sizes[cand]).sum())
     if reachable < cfg.initial_size:
         raise SamplingError(
             f"target of {cfg.initial_size} labeled points unreachable within the "
@@ -170,8 +163,8 @@ def draw_initial_sample(
 
 
 def _augment_candidates(ds: Dataset, state: SampleState) -> np.ndarray:
-    """Unsampled source clusters with at least one labeled point, ascending."""
-    available = ds.cluster_is_source & (_labelable_counts(ds) > 0)
+    """Unsampled source clusters, ascending."""
+    available = ds.cluster_is_source.copy()
     available[state.clusters] = False
     return np.flatnonzero(available)
 
@@ -232,7 +225,7 @@ def greedy_size_augment(
     budget: float,
     rng: np.random.Generator | None = None,
 ) -> SampleState:
-    """Cheapest-first augmentation (ties to larger labelable count, then
+    """Cheapest-first augmentation (ties to larger ``min(k, size)``, then
     cluster index). With no rng, labels the lexicographically first points."""
     cm = bind_costs(cm, state).with_budget(budget)
     costs = cluster_costs(cm, ds)
@@ -314,7 +307,7 @@ def convenience_sample(
 
     Per-point weight is a softmax over the negative max-min-normalized
     distance to the nearest anchor; points are drawn without replacement."""
-    cand = np.flatnonzero(ds.train_mask & ds.labeled_mask)
+    cand = np.flatnonzero(ds.train_mask)
     if cfg.size > len(cand):
         raise SamplingError(
             f"requested {cfg.size} points but only {len(cand)} are available"
@@ -334,7 +327,7 @@ def random_point_sample(
     ds: Dataset, size: int, rng: np.random.Generator
 ) -> SampleState:
     """Uniform point-level sample over the source set, without replacement."""
-    cand = np.flatnonzero(ds.train_mask & ds.labeled_mask)
+    cand = np.flatnonzero(ds.train_mask)
     if size > len(cand):
         raise SamplingError(f"requested {size} points but only {len(cand)} are available")
     picks = cand[rng.choice(len(cand), size=size, replace=False)]

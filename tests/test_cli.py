@@ -89,6 +89,44 @@ class TestGroups:
                        "--aux-file", aux, "--n-groups", 3, "--seed", 0,
                        "--out-dir", tmp_path / "gx") == 0
 
+    @staticmethod
+    def write_aux(path, ds, extra):
+        """Two aux values for every point of ``ds``, then the rows ``extra``."""
+        with path.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["point_id", "a0", "a1"])
+            w.writerows([pid, i % 3, (i // 3) % 2] for i, pid in enumerate(ds.point_ids))
+            w.writerows(extra)
+
+    def run_aux_groups(self, bundle, aux, out):
+        return run_cli("groups", "--dataset", bundle, "--kind", "aux", "--aux-file", aux,
+                       "--n-groups", 3, "--seed", 0, "--out-dir", out)
+
+    def test_aux_rows_for_other_points_are_ignored(self, bundle, tmp_path):
+        ds = load_dataset(bundle)
+        self.write_aux(tmp_path / "aux.csv", ds, [])
+        self.write_aux(tmp_path / "more.csv", ds, [["not-a-point", 9, 9]])
+        assert self.run_aux_groups(bundle, tmp_path / "aux.csv", tmp_path / "g1") == 0
+        assert self.run_aux_groups(bundle, tmp_path / "more.csv", tmp_path / "g2") == 0
+        groups = [(tmp_path / g / "groups.csv").read_bytes() for g in ("g1", "g2")]
+        assert groups[0] == groups[1]
+
+    @pytest.mark.parametrize("blank_lines", [0, 2])
+    def test_aux_repeated_point_id_names_file_and_line(self, bundle, tmp_path, capsys,
+                                                        blank_lines):
+        ds = load_dataset(bundle)
+        self.write_aux(tmp_path / "aux.csv", ds, [[]] * blank_lines + [[ds.point_ids[1], 9, 9]])
+        assert self.run_aux_groups(bundle, tmp_path / "aux.csv", tmp_path / "g") == 2
+        line = ds.n_points + 2 + blank_lines
+        assert f"aux.csv line {line} repeats point id {ds.point_ids[1]!r}" in capsys.readouterr().err
+
+    def test_aux_short_row_names_file_and_line(self, bundle, tmp_path, capsys):
+        ds = load_dataset(bundle)
+        self.write_aux(tmp_path / "aux.csv", ds, [["not-a-point", 9]])
+        assert self.run_aux_groups(bundle, tmp_path / "aux.csv", tmp_path / "g") == 2
+        err = capsys.readouterr().err
+        assert f"aux.csv line {ds.n_points + 2} has 2 fields; rows must have 3 fields" in err
+
     def test_aux_kind_without_aux_file_is_config_error(self, bundle, tmp_path, capsys):
         assert run_cli("groups", "--dataset", bundle, "--kind", "aux", "--n-groups", 3,
                        "--seed", 0, "--out-dir", tmp_path / "gx") == 2

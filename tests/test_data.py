@@ -83,7 +83,7 @@ def ref_load_dataset(path):
         nrows, dim, _ = struct.unpack("<III", blob[4:16])
         features = np.frombuffer(blob, dtype="<f4", offset=16).reshape(nrows, dim)
         features = features.astype(np.float64)
-    ds = build_dataset(
+    return build_dataset(
         point_ids=pids,
         coords=coords,
         features=features,
@@ -93,8 +93,6 @@ def ref_load_dataset(path):
         split_seed=int(meta.get("split_seed", 0)),
         test_fraction=float(meta.get("test_fraction", 0.2)),
     )
-    in_initial = [s["stratum_id"] for s in meta["strata"] if s.get("in_initial")]
-    return ds.with_initial_strata(in_initial) if in_initial else ds
 
 
 def assert_same_bits(a, b):
@@ -146,6 +144,18 @@ class TestBundleIO:
         assert ds.labels[ds.point_index["p0"]] == 1.5
         assert ds.cluster("c0").point_ids == ("p0", "p1")
 
+    def test_legacy_in_initial_flags_are_ignored(self, tmp_path):
+        write_hand_bundle(tmp_path / "bundle")
+        meta_path = tmp_path / "bundle" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["strata"][0]["in_initial"] = True
+        meta_path.write_text(json.dumps(meta))
+        ds = load_dataset(tmp_path / "bundle")
+        save_dataset(ds, tmp_path / "saved")
+        saved = json.loads((tmp_path / "saved" / "meta.json").read_text())
+        assert saved["strata"] == [{"stratum_id": "s0", "cluster_ids": ["c0", "c1"]}]
+        assert datasets_equal(load_dataset(tmp_path / "saved"), ds)
+
     def test_dangling_cluster_reference_names_offender(self, tmp_path):
         write_hand_bundle(tmp_path / "bundle")
         points = (tmp_path / "bundle" / "points.csv").read_text()
@@ -187,8 +197,7 @@ class TestBundleIO:
         cfg = SynthConfig(strata_grid=(3, 2), clusters_per_stratum=4, points_per_cluster=(3, 9),
                           feature_dim=1 + seed, seed=seed)
         ds, _ = generate(cfg)
-        save_dataset(ds.with_initial_strata(ds.stratum_ids[:1]), tmp_path / "b",
-                     features_format=features_format)
+        save_dataset(ds, tmp_path / "b", features_format=features_format)
         assert_same_bits(load_dataset(tmp_path / "b"), ref_load_dataset(tmp_path / "b"))
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])

@@ -242,7 +242,7 @@ class TestKMeans:
     def test_inertia_non_increasing_across_iterations(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(80, 2))
-        res = kmeans_groups(X, G=4, seed=3, restarts=1)
+        res = kmeans_groups(X, G=4, seed=3)
         trace = np.array(res.inertia_trace)
         assert np.all(np.diff(trace) <= 1e-9)
 
@@ -259,10 +259,6 @@ class TestKMeans:
     def test_too_many_groups(self):
         with pytest.raises(LearnerError, match="G"):
             kmeans_groups(np.ones((3, 2)), G=4)
-
-    def test_zero_restarts_rejected(self):
-        with pytest.raises(LearnerError, match="restarts"):
-            kmeans_groups(np.ones((3, 2)), G=1, restarts=0)
 
 
 def tensor_lloyd(X, centroids, max_iters):

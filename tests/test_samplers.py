@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geosampler.data import CostModel, set_cost
+from geosampler.data import CostModel, build_dataset, set_cost
 from geosampler.groups import admin_groups
 from geosampler.optimizer import SolveOptions
 from geosampler.samplers import (
@@ -16,6 +16,7 @@ from geosampler.samplers import (
     random_cluster_augment,
     random_point_sample,
 )
+from geosampler.synth import SynthConfig, generate
 from geosampler.utility import UtilitySpec
 
 from conftest import labeled_ids, toy_dataset
@@ -356,3 +357,52 @@ def test_random_point_sample_shape_and_determinism(synth_ds):
     for cid, pids in labeled_ids(synth_ds, a).items():
         member = set(synth_ds.cluster(cid).point_ids)
         assert all(pid in member for pid in pids)
+
+
+def unlabeled_points_ds(seed):
+    """A synthetic population rebuilt with about 3% of its labels unknown."""
+    ds, _ = generate(SynthConfig(strata_grid=(3, 2), clusters_per_stratum=8,
+                                 points_per_cluster=(12, 20), feature_dim=4, seed=5))
+    labels = ds.labels.copy()
+    labels[np.random.default_rng(seed).random(ds.n_points) < 0.03] = np.nan
+    return build_dataset(
+        point_ids=ds.point_ids,
+        coords=ds.coords,
+        features=ds.features,
+        labels=labels,
+        point_cluster=[ds.cluster_ids[j] for j in ds.point_cluster],
+        cluster_stratum={cid: ds.stratum_ids[s] for cid, s in zip(ds.cluster_ids, ds.cluster_stratum)},
+        split_seed=ds.split_seed,
+        test_fraction=ds.test_fraction,
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unlabeled_points_are_never_labeled(seed):
+    ds = unlabeled_points_ds(seed)
+    unknown = np.isnan(ds.labels)
+    partly_unknown = np.bincount(ds.point_cluster[unknown], minlength=ds.n_clusters) > 0
+    assert partly_unknown.any()
+    # the split keeps unknown labels out of train, so source clusters are fully labeled
+    assert not np.any(partly_unknown & ds.cluster_is_source)
+    assert not np.any(unknown & (ds.train_mask | ds.test_mask))
+
+    rng = np.random.default_rng(seed)
+    state = starter_state(ds, n_strata=2, k=8, target=24, strata_seed=seed, rng_seed=seed)
+    cm = CostModel(c1=25, c2=50, budget=0)
+    spec = UtilitySpec(kind="group_rep", lam=0.5, epsilon=1e-6, groups=admin_groups(ds))
+    anchors = tuple(map(tuple, ds.coords[:2].tolist()))
+    samples = {
+        "initial": state,
+        "default": default_cluster_augment(ds, state, cm, 400.0, rng),
+        "greedy": greedy_size_augment(ds, state, cm, 400.0, rng),
+        "random": random_cluster_augment(ds, state, cm, 400.0, rng),
+        "optimized": optimized_augment(ds, state, cm, 400.0, spec, rng=rng),
+        "convenience": convenience_sample(ds, ConvenienceConfig(anchors, 0.5, 60), rng),
+        "random-point": random_point_sample(ds, 60, rng),
+    }
+    for name, sample in samples.items():
+        assert sample.n_labeled > 0, name
+        assert not unknown[sample.labeled].any(), name
+    for name in ("default", "greedy", "random", "optimized"):
+        assert len(samples[name].augment) > 0, name
