@@ -263,7 +263,7 @@ def cmd_optimize(args) -> int:
     opts = SolveOptions(max_iters=args.max_iters, gap_tol=args.gap_tol,
                         step_rule=args.step_rule)
     augmented, result, selected = solve_and_augment(
-        ds, state, cm, args.budget, spec, opts, np.random.default_rng([args.seed, 1])
+        ds, state, cm, spec, np.random.default_rng([args.seed, 1]), opts
     )
     out = Path(args.out_dir)
     save_solve_result(ds, result, out, selected=selected)

@@ -321,7 +321,9 @@ class CostModel:
     ``c1`` applies to clusters inside the initial strata, ``c2`` outside;
     ``per_cluster_override`` wins over both. ``initial_strata`` must be bound
     (via :meth:`with_initial_strata`) before stratum-dependent costs can be
-    queried, unless ``c1 == c2``.
+    queried, unless ``c1 == c2``. ``budget`` is the one budget every
+    augmentation spends: new clusters only under the default
+    ``budget_scope="augmentation"``, the whole sample under ``"total"``.
     """
 
     c1: float
@@ -345,9 +347,6 @@ class CostModel:
 
     def with_initial_strata(self, stratum_ids: Iterable[str]) -> "CostModel":
         return replace(self, initial_strata=frozenset(stratum_ids))
-
-    def with_budget(self, budget: float) -> "CostModel":
-        return replace(self, budget=float(budget))
 
 
 def cluster_cost(cm: CostModel, cluster: Cluster) -> float:

@@ -144,11 +144,11 @@ class ExperimentConfig:
             strata_seed=self.strata_seed,
         )
 
-    def cost_model(self, c2: float | None = None) -> CostModel:
+    def cost_model(self, budget: float, c2: float | None = None) -> CostModel:
         return CostModel(
             c1=self.c1,
             c2=self.c2 if c2 is None else c2,
-            budget=0.0,
+            budget=budget,
             budget_scope=self.budget_scope,
         )
 
@@ -299,19 +299,18 @@ def _apply_method(
     ds: Dataset,
     state: SampleState,
     cm: CostModel,
-    budget: float,
     method: str,
     specs: dict[str, UtilitySpec],
     opts: SolveOptions,
     rng: np.random.Generator,
 ) -> SampleState:
     if method == "default":
-        return default_cluster_augment(ds, state, cm, budget, rng)
+        return default_cluster_augment(ds, state, cm, rng)
     if method == "greedy":
-        return greedy_size_augment(ds, state, cm, budget, rng)
+        return greedy_size_augment(ds, state, cm, rng)
     if method == "random":
-        return random_cluster_augment(ds, state, cm, budget, rng)
-    return optimized_augment(ds, state, cm, budget, specs[method], opts, rng)
+        return random_cluster_augment(ds, state, cm, rng)
+    return optimized_augment(ds, state, cm, specs[method], rng, opts)
 
 
 def _aggregate(values: list[float]) -> tuple[float, float, float]:
@@ -328,7 +327,7 @@ class _Study:
 
     ``initial(seed, li, level)`` gives the sampler config and rng key of the
     initial sample a level augments; ``cell(seed, li, level, ai)`` gives the
-    cost model, budget and rng key of one arm at that level.
+    cost model (with its budget) and rng key of one arm at that level.
     """
 
     level: str                      # record key of the swept level
@@ -337,7 +336,7 @@ class _Study:
     arms: tuple[str, ...]
     utilities: dict[str, UtilityConfig]     # arm -> utility, optimized arms only
     initial: Callable[[int, int, Any], tuple[SamplerConfig, tuple[int, ...]]]
-    cell: Callable[[int, int, Any, int], tuple[CostModel, float, tuple[int, ...]]]
+    cell: Callable[[int, int, Any, int], tuple[CostModel, tuple[int, ...]]]
     runs_csv: str
     run_cols: tuple[str, ...]       # per-run columns between delta_r2 and infeasible
     table_csv: str
@@ -348,7 +347,7 @@ class _Study:
 def _run_grid(cfg: ExperimentConfig, out_dir: str | Path, study: _Study) -> list[dict]:
     """Score every (seed, level, arm) cell and write the study's tables. Each
     distinct initial sample of a seed is drawn and scored once; each arm
-    augments it under its own cost model, budget and rng stream."""
+    augments it under its own cost model and rng stream."""
     out, ds, hashes = _prepare(cfg, out_dir)
     specs = {arm: build_utility_spec(ds, u) for arm, u in study.utilities.items()}
     opts = cfg.solve_options()
@@ -362,10 +361,10 @@ def _run_grid(cfg: ExperimentConfig, out_dir: str | Path, study: _Study) -> list
                 initials[key] = state0, evaluate_sample(ds, state0, seed=seed)
             state0, r0 = initials[key]
             for ai, arm in enumerate(study.arms):
-                cm, budget, key = study.cell(seed, li, level, ai)
+                cm, key = study.cell(seed, li, level, ai)
                 cm = cm.with_initial_strata(state0.initial_strata)
                 rng = np.random.default_rng(key)
-                state = _apply_method(ds, state0, cm, budget, arm, specs, opts, rng)
+                state = _apply_method(ds, state0, cm, arm, specs, opts, rng)
                 r2 = evaluate_sample(ds, state, seed=seed)
                 records.append(
                     {
@@ -375,7 +374,7 @@ def _run_grid(cfg: ExperimentConfig, out_dir: str | Path, study: _Study) -> list
                         "r2": r2,
                         "initial_r2": r0,
                         "delta_r2": r2 - r0,
-                        "budget": budget,
+                        "budget": cm.budget,
                         "spent": state.spent,
                         "total_cost": set_cost(cm, ds, state0.initial)
                         + state.spent,
@@ -428,7 +427,7 @@ def run_augmentation(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
         level="budget", levels=cfg.budgets, arm="method", arms=_methods(cfg),
         utilities={u.method_name(): u for u in cfg.utilities},
         initial=lambda seed, bi, budget: (cfg.sampler_config(), (seed, 0)),
-        cell=lambda seed, bi, budget, mi: (cfg.cost_model(), budget, (seed, 1 + bi, mi)),
+        cell=lambda seed, bi, budget, mi: (cfg.cost_model(budget), (seed, 1 + bi, mi)),
         runs_csv="runs.csv", run_cols=("spent", "clusters_added", "points_added"),
         table_csv="table.csv", stat="r2",
     ))
@@ -537,7 +536,7 @@ def run_cost_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
         level="c2", levels=cfg.c2_sweep, arm="method", arms=_methods(cfg),
         utilities={u.method_name(): u for u in cfg.utilities},
         initial=lambda seed, ci, c2: (cfg.sampler_config(), (seed, 0)),
-        cell=lambda seed, ci, c2, mi: (cfg.cost_model(c2=c2), budget, (seed, 5, ci, mi)),
+        cell=lambda seed, ci, c2, mi: (cfg.cost_model(budget, c2), (seed, 5, ci, mi)),
         runs_csv="sweep_runs.csv", run_cols=("spent",),
         table_csv="sweep.csv", stat="delta_r2",
     ))
@@ -554,7 +553,7 @@ def run_initial_size_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[d
         arms=("optimized", "default"), utilities={"optimized": utility},
         initial=lambda seed, ii, size: (
             cfg.sampler_config(initial_size=size), (seed, 6, ii)),
-        cell=lambda seed, ii, size, ai: (cfg.cost_model(), budget, (seed, 7, ii, ai)),
+        cell=lambda seed, ii, size, ai: (cfg.cost_model(budget), (seed, 7, ii, ai)),
         runs_csv="size_runs.csv", run_cols=("budget", "spent", "total_cost"),
         table_csv="size_sweep.csv", stat="r2", extra_means=("total_cost",),
     ))

@@ -316,8 +316,8 @@ def _lloyd(
 def kmeans_groups(features: np.ndarray, G: int, seed: int = 0) -> KMeansResult:
     """Lloyd's algorithm with k-means++ seeding, best inertia of KMEANS_RESTARTS runs."""
     X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2:
-        raise LearnerError("features must be a 2-d matrix")
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise LearnerError(f"features must be a 2-d matrix with a column, not shape {X.shape}")
     if G < 1 or G > X.shape[0]:
         raise LearnerError(f"need 1 <= G <= {X.shape[0]}, got {G}")
     rng = np.random.default_rng(seed)

@@ -3,10 +3,12 @@
 The initial sample mimics a clustered survey: N strata are fixed by a
 dedicated seed, clusters are drawn within them with probability proportional
 to size (PPS, without replacement), and up to k points per cluster are
-labeled uniformly at random. Augmentation strategies extend a sample under a
-monetary budget: status-quo cluster sampling, cheapest-first, uniform random,
-and utility-optimized selection. A convenience sampler draws points with
-probability concentrated near anchor locations.
+labeled uniformly at random. Augmentation strategies extend a sample under
+the budget of its cost model (``cm.budget``): status-quo cluster sampling,
+cheapest-first, uniform random, and utility-optimized selection. Each takes
+``(ds, state, cm, rng)``, the optimized ones a utility spec before the rng.
+A convenience sampler draws points with probability concentrated near
+anchor locations.
 """
 
 from __future__ import annotations
@@ -69,14 +71,11 @@ class ConvenienceConfig:
             raise SamplingError("sample size must be >= 1")
 
 
-def _label_in_cluster(
-    ds: Dataset, j: int, k: int, rng: np.random.Generator | None
-) -> np.ndarray:
+def _label_in_cluster(ds: Dataset, j: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Rows of up to k points of source cluster j (all labeled), drawn
-    uniformly without replacement (the first k in id order when rng is None)."""
+    uniformly without replacement."""
     rows = ds.rows_of_cluster(j)
-    take = min(k, len(rows))
-    return rows[:take] if rng is None else rows[rng.permutation(len(rows))[:take]]
+    return rows[rng.permutation(len(rows))[:k]]
 
 
 def _by_cluster(picks: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -162,11 +161,15 @@ def draw_initial_sample(
     )
 
 
-def _augment_candidates(ds: Dataset, state: SampleState) -> np.ndarray:
-    """Unsampled source clusters, ascending."""
+def _priced(
+    ds: Dataset, state: SampleState, cm: CostModel
+) -> tuple[CostModel, np.ndarray, float, np.ndarray]:
+    """The cost model priced by the sample's strata, every cluster's cost, the
+    budget left, and the unsampled source clusters ascending."""
+    cm = bind_costs(cm, state)
     available = ds.cluster_is_source.copy()
     available[state.clusters] = False
-    return np.flatnonzero(available)
+    return cm, cluster_costs(cm, ds), remaining_budget(ds, cm, state), np.flatnonzero(available)
 
 
 def _extend(
@@ -191,19 +194,12 @@ def _extend(
 
 
 def default_cluster_augment(
-    ds: Dataset,
-    state: SampleState,
-    cm: CostModel,
-    budget: float,
-    rng: np.random.Generator,
+    ds: Dataset, state: SampleState, cm: CostModel, rng: np.random.Generator
 ) -> SampleState:
     """Status-quo augmentation: PPS cluster draws restricted to the initial
     strata until the budget is exhausted. Flagged infeasible when the strata
     run out of clusters while the budget could still buy one."""
-    cm = bind_costs(cm, state).with_budget(budget)
-    costs = cluster_costs(cm, ds)
-    rem = remaining_budget(ds, cm, state)
-    cand = _augment_candidates(ds, state)
+    cm, costs, rem, cand = _priced(ds, state, cm)
     ids = cand[ds.stratum_flags(state.initial_strata)[ds.cluster_stratum[cand]]]
     picks: dict[int, np.ndarray] = {}
     while ids.size:
@@ -219,18 +215,11 @@ def default_cluster_augment(
 
 
 def greedy_size_augment(
-    ds: Dataset,
-    state: SampleState,
-    cm: CostModel,
-    budget: float,
-    rng: np.random.Generator | None = None,
+    ds: Dataset, state: SampleState, cm: CostModel, rng: np.random.Generator
 ) -> SampleState:
     """Cheapest-first augmentation (ties to larger ``min(k, size)``, then
-    cluster index). With no rng, labels the lexicographically first points."""
-    cm = bind_costs(cm, state).with_budget(budget)
-    costs = cluster_costs(cm, ds)
-    rem = remaining_budget(ds, cm, state)
-    cand = _augment_candidates(ds, state)
+    cluster index); ``rng`` draws only the labeled points."""
+    cm, costs, rem, cand = _priced(ds, state, cm)
     keyed = cand[np.lexsort((cand, -np.minimum(state.k, ds.cluster_sizes[cand]), costs[cand]))]
     drawn: list[int] = []
     for j in keyed:
@@ -243,18 +232,11 @@ def greedy_size_augment(
 
 
 def random_cluster_augment(
-    ds: Dataset,
-    state: SampleState,
-    cm: CostModel,
-    budget: float,
-    rng: np.random.Generator,
+    ds: Dataset, state: SampleState, cm: CostModel, rng: np.random.Generator
 ) -> SampleState:
     """Uniformly permute all unsampled clusters and add every one that still
     fits the remaining budget."""
-    cm = bind_costs(cm, state).with_budget(budget)
-    costs = cluster_costs(cm, ds)
-    rem = remaining_budget(ds, cm, state)
-    cand = _augment_candidates(ds, state)
+    cm, costs, rem, cand = _priced(ds, state, cm)
     drawn: list[int] = []
     for j in cand[rng.permutation(len(cand))]:
         if costs[j] <= rem:
@@ -268,18 +250,15 @@ def solve_and_augment(
     ds: Dataset,
     state: SampleState,
     cm: CostModel,
-    budget: float,
     spec: UtilitySpec,
+    rng: np.random.Generator,
     opts: SolveOptions | None = None,
-    rng: np.random.Generator | None = None,
 ) -> tuple[SampleState, SolveResult, tuple[str, ...]]:
     """Utility-optimized augmentation: relax, solve, round, label. Returns the
     augmented state with the relaxed solution and the rounded selection."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    cm = bind_costs(cm, state).with_budget(budget)
+    cm, _, rem, _ = _priced(ds, state, cm)
     counts = expected_counts(ds, spec.groups, state.k)
     result = solve_relaxation(ds, counts, cm, spec, state, opts)
-    rem = remaining_budget(ds, cm, state)
     selected = round_inclusion(ds, result.inclusion, cm, rem, rng)
     # round_inclusion returns ids for its callers outside the package
     picks = {j: _label_in_cluster(ds, j, state.k, rng) for j in ds.cluster_indices(selected)}
@@ -291,13 +270,12 @@ def optimized_augment(
     ds: Dataset,
     state: SampleState,
     cm: CostModel,
-    budget: float,
     spec: UtilitySpec,
+    rng: np.random.Generator,
     opts: SolveOptions | None = None,
-    rng: np.random.Generator | None = None,
 ) -> SampleState:
     """The augmented state of :func:`solve_and_augment`."""
-    return solve_and_augment(ds, state, cm, budget, spec, opts, rng)[0]
+    return solve_and_augment(ds, state, cm, spec, rng, opts)[0]
 
 
 def convenience_sample(
@@ -305,9 +283,11 @@ def convenience_sample(
 ) -> SampleState:
     """Point-level convenience sample concentrated near the anchors.
 
-    Per-point weight is a softmax over the negative max-min-normalized
-    distance to the nearest anchor; points are drawn without replacement."""
-    cand = np.flatnonzero(ds.train_mask)
+    Candidates are the points of source clusters, the clusters the cluster
+    samplers draw from. Per-point weight is a softmax over the negative
+    max-min-normalized distance to the nearest anchor; points are drawn
+    without replacement."""
+    cand = np.flatnonzero(ds.cluster_is_source[ds.point_cluster])
     if cfg.size > len(cand):
         raise SamplingError(
             f"requested {cfg.size} points but only {len(cand)} are available"
@@ -326,8 +306,9 @@ def convenience_sample(
 def random_point_sample(
     ds: Dataset, size: int, rng: np.random.Generator
 ) -> SampleState:
-    """Uniform point-level sample over the source set, without replacement."""
-    cand = np.flatnonzero(ds.train_mask)
+    """Uniform point-level sample over the points of source clusters, without
+    replacement."""
+    cand = np.flatnonzero(ds.cluster_is_source[ds.point_cluster])
     if size > len(cand):
         raise SamplingError(f"requested {size} points but only {len(cand)} are available")
     picks = cand[rng.choice(len(cand), size=size, replace=False)]

@@ -258,11 +258,11 @@ def test_criterion_5_size_optimization_matches_greedy():
             )
             state = starter_state(ds, k=10, target=20, rng_seed=trial)
             cost = float(rng.integers(8, 40))
-            cm = CostModel(c1=cost, c2=cost, budget=0)
             budget = float(rng.uniform(1.2, 6.0)) * cost
-            greedy = greedy_size_augment(ds, state, cm, budget)
+            cm = CostModel(c1=cost, c2=cost, budget=budget)
+            greedy = greedy_size_augment(ds, state, cm, np.random.default_rng(0))
             opt = optimized_augment(
-                ds, state, cm, budget, spec, SOLVER, np.random.default_rng(trial)
+                ds, state, cm, spec, np.random.default_rng(trial), SOLVER
             )
             u_greedy = float(greedy.n_labeled - state.n_labeled)
             u_opt = float(opt.n_labeled - state.n_labeled)

@@ -127,6 +127,13 @@ class TestGroups:
         err = capsys.readouterr().err
         assert f"aux.csv line {ds.n_points + 2} has 2 fields; rows must have 3 fields" in err
 
+    def test_aux_without_value_columns_is_config_error(self, bundle, tmp_path, capsys):
+        ds = load_dataset(bundle)
+        (tmp_path / "aux.csv").write_text("\n".join(("point_id",) + ds.point_ids) + "\n")
+        assert self.run_aux_groups(bundle, tmp_path / "aux.csv", tmp_path / "g") == 2
+        assert "with a column, not shape" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
     def test_aux_kind_without_aux_file_is_config_error(self, bundle, tmp_path, capsys):
         assert run_cli("groups", "--dataset", bundle, "--kind", "aux", "--n-groups", 3,
                        "--seed", 0, "--out-dir", tmp_path / "gx") == 2
@@ -392,16 +399,24 @@ class TestExperimentCommands:
         assert code == 0
         assert (tmp_path / "s" / "size_sweep.csv").exists()
 
-    def test_config_json_overrides_experiment_flags(self, bundle, tmp_path):
+    @pytest.mark.parametrize("command, methods, budget, runs_csv, column", [
+        ("augment", "random", 50.0, "runs.csv", "50.0"),
+        # a budget is written as the config gave it: an integer has no ".0"
+        ("augment", "random", 250, "runs.csv", "250"),
+        ("size-sweep", "rep-admin", 250, "size_runs.csv", "250"),
+    ], ids=["augment-float", "augment-int", "size-sweep-int"])
+    def test_config_json_overrides_experiment_flags(
+        self, bundle, tmp_path, command, methods, budget, runs_csv, column
+    ):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"budgets": [50.0], "seeds": [0]}))
+        cfgfile.write_text(json.dumps({"budgets": [budget], "seeds": [0]}))
         assert run_cli(
-            "augment", "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "a",
-            "--n-strata", 2, "--k", 10, "--initial-size", 80,
-            "--budgets", "999", "--methods", "random", "--config", cfgfile,
+            command, "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "a",
+            "--n-strata", 2, "--k", 10, "--initial-size", 80, "--initial-sizes", "80",
+            "--budgets", "999", "--methods", methods, "--config", cfgfile,
         ) == 0
-        rows = list(csv.DictReader((tmp_path / "a" / "runs.csv").open()))
-        assert all(r["budget"] == "50.0" for r in rows)
+        rows = list(csv.DictReader((tmp_path / "a" / runs_csv).open()))
+        assert rows and all(r["budget"] == column for r in rows)
 
     def test_missing_config_file_is_config_error(self, bundle, tmp_path, capsys):
         missing = tmp_path / "nope.json"

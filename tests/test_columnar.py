@@ -21,7 +21,7 @@ from geosampler.data import (
 )
 from geosampler.experiments import dataset_content_hash
 from geosampler.groups import GroupModel, admin_groups
-from geosampler.samplers import _augment_candidates
+from geosampler.samplers import _priced
 from geosampler.synth import SynthConfig, generate
 
 from conftest import toy_dataset
@@ -176,7 +176,8 @@ def test_augment_candidates_match_reference(ds):
     state = SampleState(
         initial=[0, 1], augment=(), labeled=(), k=3, spent=0.0, initial_strata=frozenset(),
     )
-    assert _augment_candidates(ds, state).tolist() == ref_augment_candidates(ds, state)
+    cand = _priced(ds, state, CostModel(c1=25.0, c2=25.0, budget=0.0))[3]
+    assert cand.tolist() == ref_augment_candidates(ds, state)
 
 
 def test_content_hash_bytes_unchanged(ds):

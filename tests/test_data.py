@@ -550,17 +550,15 @@ class TestSampleState:
         cfg = samplers.SamplerConfig(n_strata=3, k=5, initial_size=30, strata_seed=seed)
         state0 = samplers.draw_initial_sample(ds, cfg, rng)
         snapshot = replace(state0)   # copies the arrays
-        cm = CostModel(c1=25.0, c2=50.0, budget=0.0)
+        cm = CostModel(c1=25.0, c2=50.0, budget=100.0)
         spec = UtilitySpec(kind="group_rep", groups=admin_groups(ds))
         anchor = tuple(float(v) for v in ds.coords.mean(axis=0))
         state = {
             "initial": lambda: state0,
-            "default": lambda: samplers.default_cluster_augment(ds, state0, cm, 100.0, rng),
-            "greedy": lambda: samplers.greedy_size_augment(ds, state0, cm, 100.0, rng),
-            "random": lambda: samplers.random_cluster_augment(ds, state0, cm, 100.0, rng),
-            "optimized": lambda: samplers.optimized_augment(
-                ds, state0, cm, 100.0, spec, rng=rng
-            ),
+            "default": lambda: samplers.default_cluster_augment(ds, state0, cm, rng),
+            "greedy": lambda: samplers.greedy_size_augment(ds, state0, cm, rng),
+            "random": lambda: samplers.random_cluster_augment(ds, state0, cm, rng),
+            "optimized": lambda: samplers.optimized_augment(ds, state0, cm, spec, rng),
             "convenience": lambda: samplers.convenience_sample(
                 ds, samplers.ConvenienceConfig(anchors=(anchor,), temperature=0.5, size=25), rng
             ),

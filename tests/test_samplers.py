@@ -117,40 +117,40 @@ class TestDefaultClusterAugment:
     def test_budget_below_cost_adds_nothing(self):
         ds = survey_ds(n_strata=2)
         state = starter_state(ds)
-        cm = CostModel(c1=25, c2=50, budget=0)
-        out = default_cluster_augment(ds, state, cm, budget=20.0, rng=np.random.default_rng(0))
+        cm = CostModel(c1=25, c2=50, budget=20.0)
+        out = default_cluster_augment(ds, state, cm, np.random.default_rng(0))
         assert ids(ds, out.augment) == ()
         assert out.spent == 0.0
 
     def test_budget_of_three_units_adds_three(self):
         ds = survey_ds(n_strata=2)
         state = starter_state(ds)
-        cm = CostModel(c1=25, c2=50, budget=0)
-        out = default_cluster_augment(ds, state, cm, budget=75.0, rng=np.random.default_rng(0))
+        cm = CostModel(c1=25, c2=50, budget=75.0)
+        out = default_cluster_augment(ds, state, cm, np.random.default_rng(0))
         assert len(out.augment) == 3
         assert out.spent == 75.0
 
     def test_stays_within_initial_strata(self):
         ds = survey_ds(n_strata=3)
         state = starter_state(ds)
-        cm = CostModel(c1=25, c2=50, budget=0)
-        out = default_cluster_augment(ds, state, cm, budget=200.0, rng=np.random.default_rng(1))
+        cm = CostModel(c1=25, c2=50, budget=200.0)
+        out = default_cluster_augment(ds, state, cm, np.random.default_rng(1))
         for cid in ids(ds, out.augment):
             assert ds.cluster(cid).stratum_id in state.initial_strata
 
     def test_flagged_infeasible_when_strata_run_dry(self):
         ds = survey_ds(n_strata=2, clusters_per_stratum=3)
         state = starter_state(ds, target=20)
-        cm = CostModel(c1=25, c2=50, budget=0)
-        out = default_cluster_augment(ds, state, cm, budget=1000.0, rng=np.random.default_rng(0))
+        cm = CostModel(c1=25, c2=50, budget=1000.0)
+        out = default_cluster_augment(ds, state, cm, np.random.default_rng(0))
         assert out.infeasible
         assert out.spent < 1000.0
 
     def test_initial_sample_untouched(self):
         ds = survey_ds()
         state = starter_state(ds)
-        cm = CostModel(c1=25, c2=50, budget=0)
-        out = default_cluster_augment(ds, state, cm, budget=100.0, rng=np.random.default_rng(0))
+        cm = CostModel(c1=25, c2=50, budget=100.0)
+        out = default_cluster_augment(ds, state, cm, np.random.default_rng(0))
         assert ids(ds, out.initial) == ids(ds, state.initial)
         assert set(out.initial).isdisjoint(out.augment)
         before, after = labeled_ids(ds, state), labeled_ids(ds, out)
@@ -162,8 +162,8 @@ class TestGreedySizeAugment:
     def test_cheap_strata_exhausted_first(self):
         ds = survey_ds(n_strata=2, clusters_per_stratum=4)
         state = starter_state(ds, target=20)
-        cm = CostModel(c1=25, c2=50, budget=0)
-        out = greedy_size_augment(ds, state, cm, budget=150.0)
+        cm = CostModel(c1=25, c2=50, budget=150.0)
+        out = greedy_size_augment(ds, state, cm, np.random.default_rng(0))
         in_strata = [
             cid for cid in ids(ds, out.augment)
             if ds.cluster(cid).stratum_id in state.initial_strata
@@ -179,8 +179,8 @@ class TestGreedySizeAugment:
     def test_budget_one_hundred_buys_four(self):
         ds = survey_ds(n_strata=2)
         state = starter_state(ds)
-        cm = CostModel(c1=25, c2=50, budget=0)
-        out = greedy_size_augment(ds, state, cm, budget=100.0)
+        cm = CostModel(c1=25, c2=50, budget=100.0)
+        out = greedy_size_augment(ds, state, cm, np.random.default_rng(0))
         assert len(out.augment) == 4
         assert out.spent == 100.0
 
@@ -193,12 +193,12 @@ class TestGreedySizeAugment:
             ds = survey_ds(n_strata=2, clusters_per_stratum=5, seed=100 + trial)
             state = starter_state(ds, target=20, rng_seed=trial)
             cost = float(rng.integers(10, 31))
-            cm = CostModel(c1=cost, c2=cost, budget=0)
             budget = float(rng.uniform(40, 160))
-            greedy = greedy_size_augment(ds, state, cm, budget)
+            cm = CostModel(c1=cost, c2=cost, budget=budget)
+            greedy = greedy_size_augment(ds, state, cm, np.random.default_rng(0))
             spec = UtilitySpec(kind="size")
             opt = optimized_augment(
-                ds, state, cm, budget, spec, SolveOptions(), np.random.default_rng(trial)
+                ds, state, cm, spec, np.random.default_rng(trial), SolveOptions()
             )
             n_candidates = ds.n_clusters - len(state.initial)
             assert len(opt.augment) == len(greedy.augment)
@@ -208,10 +208,10 @@ class TestGreedySizeAugment:
             assert u_opt == u_greedy
             # with an exact multiple of the cost there is no fractional tail
             # and the selected sets coincide as well
-            budget_exact = cost * 3
-            greedy3 = greedy_size_augment(ds, state, cm, budget_exact)
+            cm3 = CostModel(c1=cost, c2=cost, budget=cost * 3)
+            greedy3 = greedy_size_augment(ds, state, cm3, np.random.default_rng(0))
             opt3 = optimized_augment(
-                ds, state, cm, budget_exact, spec, SolveOptions(), np.random.default_rng(trial)
+                ds, state, cm3, spec, np.random.default_rng(trial), SolveOptions()
             )
             assert set(opt3.augment) == set(greedy3.augment)
 
@@ -220,25 +220,25 @@ class TestRandomClusterAugment:
     def test_huge_budget_takes_everything(self):
         ds = survey_ds(n_strata=2, clusters_per_stratum=3)
         state = starter_state(ds, target=20)
-        cm = CostModel(c1=25, c2=50, budget=0)
-        out = random_cluster_augment(ds, state, cm, budget=1e6, rng=np.random.default_rng(0))
+        cm = CostModel(c1=25, c2=50, budget=1e6)
+        out = random_cluster_augment(ds, state, cm, np.random.default_rng(0))
         assert len(out.clusters) == ds.n_clusters
 
     def test_zero_budget_none(self):
         ds = survey_ds()
         state = starter_state(ds)
-        cm = CostModel(c1=25, c2=50, budget=0)
-        out = random_cluster_augment(ds, state, cm, budget=0.0, rng=np.random.default_rng(0))
+        cm = CostModel(c1=25, c2=50, budget=0.0)
+        out = random_cluster_augment(ds, state, cm, np.random.default_rng(0))
         assert ids(ds, out.augment) == ()
 
     def test_mean_residual_below_max_cluster_cost(self):
         ds = survey_ds(n_strata=2, clusters_per_stratum=6)
         state = starter_state(ds, target=20)
-        cm = CostModel(c1=25, c2=50, budget=0)
         budget = 280.0
+        cm = CostModel(c1=25, c2=50, budget=budget)
         residuals = []
         for seed in range(1000):
-            out = random_cluster_augment(ds, state, cm, budget, np.random.default_rng(seed))
+            out = random_cluster_augment(ds, state, cm, np.random.default_rng(seed))
             assert out.spent <= budget
             residuals.append(budget - out.spent)
         assert np.mean(residuals) < 50.0   # max cluster cost
@@ -257,11 +257,9 @@ class TestOptimizedAugment:
         assert state.initial_strata == frozenset({"s0"})
         gm = admin_groups(ds)
         spec = UtilitySpec(kind="group_rep", lam=0.5, epsilon=1e-6, groups=gm)
-        cm = CostModel(c1=25, c2=25, budget=0)
+        cm = CostModel(c1=25, c2=25, budget=25.0)
         for seed in range(100):
-            out = optimized_augment(
-                ds, state, cm, budget=25.0, spec=spec, rng=np.random.default_rng(seed)
-            )
+            out = optimized_augment(ds, state, cm, spec, np.random.default_rng(seed))
             assert ids(ds, out.augment) == ("cb0",)
 
     def test_zero_budget_leaves_state_unchanged(self):
@@ -269,8 +267,8 @@ class TestOptimizedAugment:
         state = starter_state(ds)
         gm = admin_groups(ds)
         spec = UtilitySpec(kind="group_rep", lam=0.5, epsilon=1e-6, groups=gm)
-        cm = CostModel(c1=25, c2=50, budget=0)
-        out = optimized_augment(ds, state, cm, budget=0.0, spec=spec, rng=np.random.default_rng(0))
+        cm = CostModel(c1=25, c2=50, budget=0.0)
+        out = optimized_augment(ds, state, cm, spec, np.random.default_rng(0))
         assert ids(ds, out.augment) == ()
         assert out.spent == state.spent
         assert labeled_ids(ds, out) == labeled_ids(ds, state)
@@ -280,8 +278,8 @@ class TestOptimizedAugment:
         state = starter_state(ds, n_strata=2, k=7, target=35)
         gm = admin_groups(ds)
         spec = UtilitySpec(kind="group_rep", lam=0.5, epsilon=1e-6, groups=gm)
-        cm = CostModel(c1=25, c2=50, budget=0)
-        out = optimized_augment(ds, state, cm, budget=130.0, spec=spec, rng=np.random.default_rng(3))
+        cm = CostModel(c1=25, c2=50, budget=130.0)
+        out = optimized_augment(ds, state, cm, spec, np.random.default_rng(3))
         assert out.spent <= 130.0
         cm_bound = cm.with_initial_strata(state.initial_strata)
         assert out.spent == pytest.approx(
@@ -389,20 +387,21 @@ def test_unlabeled_points_are_never_labeled(seed):
 
     rng = np.random.default_rng(seed)
     state = starter_state(ds, n_strata=2, k=8, target=24, strata_seed=seed, rng_seed=seed)
-    cm = CostModel(c1=25, c2=50, budget=0)
+    cm = CostModel(c1=25, c2=50, budget=400.0)
     spec = UtilitySpec(kind="group_rep", lam=0.5, epsilon=1e-6, groups=admin_groups(ds))
     anchors = tuple(map(tuple, ds.coords[:2].tolist()))
     samples = {
         "initial": state,
-        "default": default_cluster_augment(ds, state, cm, 400.0, rng),
-        "greedy": greedy_size_augment(ds, state, cm, 400.0, rng),
-        "random": random_cluster_augment(ds, state, cm, 400.0, rng),
-        "optimized": optimized_augment(ds, state, cm, 400.0, spec, rng=rng),
+        "default": default_cluster_augment(ds, state, cm, rng),
+        "greedy": greedy_size_augment(ds, state, cm, rng),
+        "random": random_cluster_augment(ds, state, cm, rng),
+        "optimized": optimized_augment(ds, state, cm, spec, rng),
         "convenience": convenience_sample(ds, ConvenienceConfig(anchors, 0.5, 60), rng),
         "random-point": random_point_sample(ds, 60, rng),
     }
     for name, sample in samples.items():
         assert sample.n_labeled > 0, name
         assert not unknown[sample.labeled].any(), name
+        assert ds.cluster_is_source[sample.clusters].all(), name
     for name in ("default", "greedy", "random", "optimized"):
         assert len(samples[name].augment) > 0, name
