@@ -305,7 +305,9 @@ def cmd_evaluate(args) -> int:
 def cmd_rank_study(args) -> int:
     cfg = _experiment_config(args)
     records = run_rank_study(cfg, args.out_dir)
-    print(f"wrote {len(records)} scored samples to {args.out_dir}")
+    n_skipped = sum(r["status"] == "skipped" for r in records)
+    print(f"wrote {len(records) - n_skipped} scored and {n_skipped} skipped samples "
+          f"to {args.out_dir}")
     return 0
 
 

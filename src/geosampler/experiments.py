@@ -1,11 +1,18 @@
 """Experiment orchestration: augmentation comparison, utility rank study,
 cost-structure sweep, and initial-size sweep.
 
+Each study is a grid of (seed, level, arm) cells, run by one loop that writes
+one per-run CSV row per cell and then the study's summary tables. The three
+augmentation studies share one cell function; a rank-study cell draws and
+scores one sample.
+
 Every emitted table carries provenance columns (seed, config hash, dataset
 content hash) and is written deterministically: rerunning a command with the
 same config and seeds into a fresh directory reproduces the files byte for
 byte. Aggregates report both the standard deviation and the standard error;
-infeasible cells are reported as such, never silently truncated.
+infeasible cells are reported as such, never silently truncated, and a rank
+sample that cannot be drawn or scored is a ``skipped`` row with the error as
+its reason, left out of the rank correlations.
 """
 
 from __future__ import annotations
@@ -13,8 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
@@ -296,13 +302,8 @@ def _only(name: str, values: tuple):
 
 
 def _apply_method(
-    ds: Dataset,
-    state: SampleState,
-    cm: CostModel,
-    method: str,
-    specs: dict[str, UtilitySpec],
-    opts: SolveOptions,
-    rng: np.random.Generator,
+    ds: Dataset, state: SampleState, cm: CostModel, method: str,
+    specs: dict[str, UtilitySpec], opts: SolveOptions, rng: np.random.Generator,
 ) -> SampleState:
     if method == "default":
         return default_cluster_augment(ds, state, cm, rng)
@@ -323,111 +324,126 @@ def _aggregate(values: list[float]) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class _Study:
-    """An augmentation study: for every seed, a grid of (level, arm) cells.
+    """An experiment study: for every seed, a grid of (level, arm) cells.
 
-    ``initial(seed, li, level)`` gives the sampler config and rng key of the
-    initial sample a level augments; ``cell(seed, li, level, ai)`` gives the
-    cost model (with its budget) and rng key of one arm at that level.
+    ``cell(seed, li, level, ai, arm)`` scores one cell and returns its record
+    columns besides the level, arm and seed; ``run_cols`` names the columns
+    of the per-run CSV, in order. ``tables(records)`` gives the summary
+    tables as (file name, header, rows); ``meta`` adds to meta.json.
     """
 
     level: str                      # record key of the swept level
     levels: tuple
     arm: str                        # record key of the arm
     arms: tuple[str, ...]
-    utilities: dict[str, UtilityConfig]     # arm -> utility, optimized arms only
-    initial: Callable[[int, int, Any], tuple[SamplerConfig, tuple[int, ...]]]
-    cell: Callable[[int, int, Any, int], tuple[CostModel, tuple[int, ...]]]
+    cell: Callable[[int, int, Any, int, str], dict]
     runs_csv: str
-    run_cols: tuple[str, ...]       # per-run columns between delta_r2 and infeasible
-    table_csv: str
-    stat: str                       # the record key a table cell summarizes
-    extra_means: tuple[str, ...] = ()
+    run_cols: tuple[str, ...]
+    tables: Callable[[list[dict]], list[tuple[str, list[str], list[list]]]]
+    meta: dict = field(default_factory=dict)
 
 
-def _run_grid(cfg: ExperimentConfig, out_dir: str | Path, study: _Study) -> list[dict]:
-    """Score every (seed, level, arm) cell and write the study's tables. Each
-    distinct initial sample of a seed is drawn and scored once; each arm
-    augments it under its own cost model and rng stream."""
-    out, ds, hashes = _prepare(cfg, out_dir)
-    specs = {arm: build_utility_spec(ds, u) for arm, u in study.utilities.items()}
-    opts = cfg.solve_options()
-    records = []
-    for seed in cfg.seeds:
-        initials: dict[tuple[int, ...], tuple[SampleState, float]] = {}
-        for li, level in enumerate(study.levels):
-            scfg, key = study.initial(seed, li, level)
-            if key not in initials:
-                state0 = draw_initial_sample(ds, scfg, np.random.default_rng(key))
-                initials[key] = state0, evaluate_sample(ds, state0, seed=seed)
-            state0, r0 = initials[key]
-            for ai, arm in enumerate(study.arms):
-                cm, key = study.cell(seed, li, level, ai)
-                cm = cm.with_initial_strata(state0.initial_strata)
-                rng = np.random.default_rng(key)
-                state = _apply_method(ds, state0, cm, arm, specs, opts, rng)
-                r2 = evaluate_sample(ds, state, seed=seed)
-                records.append(
-                    {
-                        study.level: level,
-                        study.arm: arm,
-                        "seed": seed,
-                        "r2": r2,
-                        "initial_r2": r0,
-                        "delta_r2": r2 - r0,
-                        "budget": cm.budget,
-                        "spent": state.spent,
-                        "total_cost": set_cost(cm, ds, state0.initial)
-                        + state.spent,
-                        "clusters_added": len(state.augment),
-                        "points_added": state.n_labeled - state0.n_labeled,
-                        "infeasible": state.infeasible,
-                    }
-                )
-    _write_grid(out, cfg, study, records, hashes)
+def _run_grid(
+    cfg: ExperimentConfig, out: Path, hashes: tuple[str, str], study: _Study
+) -> list[dict]:
+    """Score every cell, seed by seed and level by level, and write the
+    per-run CSV, the summary tables and meta.json."""
+    records = [
+        {study.level: level, study.arm: arm, "seed": seed,
+         **study.cell(seed, li, level, ai, arm)}
+        for seed in cfg.seeds
+        for li, level in enumerate(study.levels)
+        for ai, arm in enumerate(study.arms)
+    ]
+    runs = [[r[c] for c in study.run_cols] for r in records]
+    for name, header, rows in [(study.runs_csv, list(study.run_cols), runs),
+                               *study.tables(records)]:
+        _write_csv(out / name, header, rows, hashes)
+    _write_meta(out, cfg, hashes, study.meta)
     return records
 
 
-def _write_grid(
-    out: Path, cfg: ExperimentConfig, study: _Study, records: list[dict],
-    hashes: tuple[str, str],
-) -> None:
-    """Write the per-run CSV, the level x arm table and meta.json. A cell with
-    any infeasible run gets blank statistics and status ``infeasible``."""
-    cols = [study.level, study.arm, "seed", "r2", "initial_r2", "delta_r2",
-            *study.run_cols, "infeasible"]
-    _write_csv(out / study.runs_csv, cols, [[r[c] for c in cols] for r in records], hashes)
-    rows = []
-    for level in study.levels:
-        for arm in study.arms:
-            cell = [r for r in records if r[study.level] == level and r[study.arm] == arm]
-            if any(r["infeasible"] for r in cell):
-                stats, status = [""] * (3 + len(study.extra_means)), "infeasible"
-            else:
-                stats = list(_aggregate([r[study.stat] for r in cell])) + [
-                    _aggregate([r[k] for r in cell])[0] for k in study.extra_means
-                ]
-                status = "ok"
-            rows.append([level, arm, *stats, len(cell), status])
-    stat = study.stat
-    _write_csv(
-        out / study.table_csv,
-        [study.level, study.arm, f"mean_{stat}", f"std_{stat}", f"stderr_{stat}",
-         *(f"mean_{k}" for k in study.extra_means), "n_seeds", "status"],
-        rows,
-        hashes,
+def _augmentation_study(
+    cfg: ExperimentConfig, ds: Dataset, *, level: str, levels: tuple, arm: str,
+    arms: tuple[str, ...], utilities: dict[str, UtilityConfig],
+    initial: Callable[[int, int, Any], tuple[SamplerConfig, tuple[int, ...]]],
+    cost: Callable[[int, int, Any, int], tuple[CostModel, tuple[int, ...]]],
+    runs_csv: str, run_cols: tuple[str, ...], table_csv: str, stat: str,
+    extra_means: tuple[str, ...] = (),
+) -> _Study:
+    """A study whose arms augment an initial sample under their own cost model
+    and rng stream.
+
+    ``initial(seed, li, level)`` gives the sampler config and rng key of the
+    initial sample a level augments; each distinct one is drawn and scored
+    once. ``cost(seed, li, level, ai)`` gives an arm's cost model (with its
+    budget) and rng key. ``run_cols`` go between delta_r2 and infeasible in
+    the per-run CSV. The summary is a level x arm table of ``stat``: a cell
+    with any infeasible run gets blank statistics and status ``infeasible``.
+    """
+    specs = {a: build_utility_spec(ds, u) for a, u in utilities.items()}
+    opts = cfg.solve_options()
+    initials: dict[tuple[int, ...], tuple[SampleState, float]] = {}
+
+    def cell(seed, li, lvl, ai, method):
+        scfg, key = initial(seed, li, lvl)
+        if key not in initials:
+            state0 = draw_initial_sample(ds, scfg, np.random.default_rng(key))
+            initials[key] = state0, evaluate_sample(ds, state0, seed=seed)
+        state0, r0 = initials[key]
+        cm, key = cost(seed, li, lvl, ai)
+        cm = cm.with_initial_strata(state0.initial_strata)
+        state = _apply_method(ds, state0, cm, method, specs, opts, np.random.default_rng(key))
+        r2 = evaluate_sample(ds, state, seed=seed)
+        return {
+            "r2": r2, "initial_r2": r0, "delta_r2": r2 - r0, "budget": cm.budget,
+            "spent": state.spent, "total_cost": set_cost(cm, ds, state0.initial) + state.spent,
+            "clusters_added": len(state.augment),
+            "points_added": state.n_labeled - state0.n_labeled, "infeasible": state.infeasible,
+        }
+
+    def table(records):
+        rows = []
+        for lvl in levels:
+            for a in arms:
+                runs = [r for r in records if r[level] == lvl and r[arm] == a]
+                if any(r["infeasible"] for r in runs):
+                    stats, status = [""] * (3 + len(extra_means)), "infeasible"
+                else:
+                    stats = list(_aggregate([r[stat] for r in runs])) + [
+                        _aggregate([r[k] for r in runs])[0] for k in extra_means
+                    ]
+                    status = "ok"
+                rows.append([lvl, a, *stats, len(runs), status])
+        header = [level, arm, f"mean_{stat}", f"std_{stat}", f"stderr_{stat}",
+                  *(f"mean_{k}" for k in extra_means), "n_seeds", "status"]
+        return [(table_csv, header, rows)]
+
+    return _Study(
+        level=level, levels=levels, arm=arm, arms=arms, cell=cell, runs_csv=runs_csv,
+        run_cols=(level, arm, "seed", "r2", "initial_r2", "delta_r2", *run_cols, "infeasible"),
+        tables=table,
     )
-    _write_meta(out, cfg, hashes)
+
+
+def _require_samplers(cfg: ExperimentConfig, sizes: tuple[int, ...]) -> None:
+    """Build the sampler config of every size before any output, so that a
+    size, n_strata or k the cluster sampler refuses is a config error."""
+    for size in sizes:
+        cfg.sampler_config(initial_size=size)
 
 
 def run_augmentation(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     """One row per (budget, method, seed): augment the seed's initial sample
     and score the result; aggregate to a budget x method table."""
     _require_nonempty(budgets=cfg.budgets, methods=_methods(cfg))
-    return _run_grid(cfg, out_dir, _Study(
-        level="budget", levels=cfg.budgets, arm="method", arms=_methods(cfg),
+    _require_samplers(cfg, (cfg.initial_size,))
+    out, ds, hashes = _prepare(cfg, out_dir)
+    return _run_grid(cfg, out, hashes, _augmentation_study(
+        cfg, ds, level="budget", levels=cfg.budgets, arm="method", arms=_methods(cfg),
         utilities={u.method_name(): u for u in cfg.utilities},
         initial=lambda seed, bi, budget: (cfg.sampler_config(), (seed, 0)),
-        cell=lambda seed, bi, budget, mi: (cfg.cost_model(budget), (seed, 1 + bi, mi)),
+        cost=lambda seed, bi, budget, mi: (cfg.cost_model(budget), (seed, 1 + bi, mi)),
         runs_csv="runs.csv", run_cols=("spent", "clusters_added", "points_added"),
         table_csv="table.csv", stat="r2",
     ))
@@ -447,96 +463,76 @@ def _auto_anchors(ds: Dataset, n_anchors: int) -> tuple[tuple[float, float], ...
 def run_rank_study(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     """Samples of growing size under cluster / convenience / random sampling,
     scored by the prediction head and by each utility; Spearman rho per
-    sampling type plus overall."""
+    sampling type plus overall, over the scored samples. A sample that cannot
+    be drawn or scored is a ``skipped`` row whose reason is the error."""
     _require_nonempty(rank_sizes=cfg.rank_sizes)
+    _require_samplers(cfg, cfg.rank_sizes)
     if not cfg.convenience_anchors and cfg.n_anchors < 1:
         raise ConfigError(f"n_anchors must be >= 1, got {cfg.n_anchors}")
     if not (cfg.convenience_temperature > 0):
         raise ConfigError("convenience_temperature must be positive")
     out, ds, hashes = _prepare(cfg, out_dir)
-    specs = {u.method_name(): build_utility_spec(ds, u) for u in cfg.utilities}
-    size_spec = UtilitySpec(kind="size")
+    specs = {"u_size": UtilitySpec(kind="size")}
+    specs.update((f"u_{u.method_name()}", build_utility_spec(ds, u)) for u in cfg.utilities)
     anchors = cfg.convenience_anchors or _auto_anchors(ds, cfg.n_anchors)
+    # the arm order fixes the row order and each arm's rng stream [seed, 2 + ti, si]
+    draws = {
+        "cluster": lambda size, rng: draw_initial_sample(
+            ds, cfg.sampler_config(initial_size=size), rng),
+        "convenience": lambda size, rng: convenience_sample(
+            ds, ConvenienceConfig(anchors=anchors, temperature=cfg.convenience_temperature,
+                                  size=size), rng),
+        "random": lambda size, rng: random_point_sample(ds, size, rng),
+    }
 
-    records = []
-    for seed in cfg.seeds:
-        for si, size in enumerate(cfg.rank_sizes):
-            draws = {}
-            try:
-                draws["cluster"] = draw_initial_sample(
-                    ds, cfg.sampler_config(initial_size=size),
-                    np.random.default_rng([seed, 2, si]),
-                )
-            except SamplingError as exc:
-                warnings.warn(f"cluster sample of size {size} skipped: {exc}")
-            try:
-                draws["convenience"] = convenience_sample(
-                    ds,
-                    ConvenienceConfig(
-                        anchors=anchors,
-                        temperature=cfg.convenience_temperature,
-                        size=size,
-                    ),
-                    np.random.default_rng([seed, 3, si]),
-                )
-                draws["random"] = random_point_sample(
-                    ds, size, np.random.default_rng([seed, 4, si])
-                )
-            except SamplingError as exc:
-                warnings.warn(f"point sample of size {size} skipped: {exc}")
-            for stype, state in sorted(draws.items()):
+    def cell(seed, si, size, ti, stype):
+        try:
+            state = draws[stype](size, np.random.default_rng([seed, 2 + ti, si]))
+            r2 = evaluate_sample(ds, state, seed=seed)
+        except (SamplingError, LearnerError) as exc:
+            return {"r2": "", **dict.fromkeys(specs, ""), "status": "skipped",
+                    "reason": str(exc)}
+        return {"r2": r2, **{c: utility_of_sample(state, spec) for c, spec in specs.items()},
+                "status": "ok", "reason": ""}
+
+    def rho_table(records):
+        scored = [r for r in records if r["status"] == "ok"]
+        rows = []
+        for ucol in specs:
+            for scope in sorted({r["sampling_type"] for r in scored}) + ["overall"]:
+                sub = [r for r in scored if scope in ("overall", r["sampling_type"])]
                 try:
-                    r2 = evaluate_sample(ds, state, seed=seed)
-                except LearnerError as exc:
-                    warnings.warn(f"degenerate sample ({stype}, {size}): {exc}")
-                    continue
-                rec = {
-                    "sampling_type": stype,
-                    "size": size,
-                    "seed": seed,
-                    "r2": r2,
-                    "u_size": utility_of_sample(state, size_spec),
-                }
-                for name, spec in specs.items():
-                    rec[f"u_{name}"] = utility_of_sample(state, spec)
-                records.append(rec)
+                    rho = spearman_rho(
+                        np.array([r[ucol] for r in sub]), np.array([r["r2"] for r in sub])
+                    )
+                except LearnerError:
+                    rho = "NA"
+                rows.append([scope, ucol, rho, len(sub)])
+        return [("rho.csv", ["scope", "utility", "rho", "n_samples"], rows)]
 
-    u_cols = ["u_size"] + [f"u_{name}" for name in specs]
-    cols = ["sampling_type", "size", "seed", "r2"] + u_cols
-    _write_csv(out / "samples.csv", cols, [[r[c] for c in cols] for r in records], hashes)
-
-    types = sorted({r["sampling_type"] for r in records})
-    rho_rows = []
-    for ucol in u_cols:
-        for scope in types + ["overall"]:
-            sub = [
-                r for r in records if scope == "overall" or r["sampling_type"] == scope
-            ]
-            try:
-                rho = spearman_rho(
-                    np.array([r[ucol] for r in sub]), np.array([r["r2"] for r in sub])
-                )
-            except LearnerError:
-                rho = "NA"
-            rho_rows.append([scope, ucol, rho, len(sub)])
-    _write_csv(out / "rho.csv", ["scope", "utility", "rho", "n_samples"], rho_rows, hashes)
-    _write_meta(out, cfg, hashes, {"anchors": [list(a) for a in anchors]})
-    return records
+    return _run_grid(cfg, out, hashes, _Study(
+        level="size", levels=cfg.rank_sizes, arm="sampling_type", arms=tuple(draws),
+        cell=cell, runs_csv="samples.csv",
+        run_cols=("sampling_type", "size", "seed", "r2", *specs, "status", "reason"),
+        tables=rho_table, meta={"anchors": [list(a) for a in anchors]},
+    ))
 
 
 def run_cost_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     """Fix c1, vary c2; report the R^2 gain over the initial sample per
     method and cost level."""
     _require_nonempty(c2_sweep=cfg.c2_sweep, budgets=cfg.budgets, methods=_methods(cfg))
+    _require_samplers(cfg, (cfg.initial_size,))
     for c2 in cfg.c2_sweep:
         if c2 < cfg.c1:
             raise ConfigError(f"swept c2 {c2} below c1 {cfg.c1}")
     budget = _only("budgets", cfg.budgets)
-    return _run_grid(cfg, out_dir, _Study(
-        level="c2", levels=cfg.c2_sweep, arm="method", arms=_methods(cfg),
+    out, ds, hashes = _prepare(cfg, out_dir)
+    return _run_grid(cfg, out, hashes, _augmentation_study(
+        cfg, ds, level="c2", levels=cfg.c2_sweep, arm="method", arms=_methods(cfg),
         utilities={u.method_name(): u for u in cfg.utilities},
         initial=lambda seed, ci, c2: (cfg.sampler_config(), (seed, 0)),
-        cell=lambda seed, ci, c2, mi: (cfg.cost_model(budget, c2), (seed, 5, ci, mi)),
+        cost=lambda seed, ci, c2, mi: (cfg.cost_model(budget, c2), (seed, 5, ci, mi)),
         runs_csv="sweep_runs.csv", run_cols=("spent",),
         table_csv="sweep.csv", stat="delta_r2",
     ))
@@ -546,14 +542,16 @@ def run_initial_size_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[d
     """Optimized augmentation versus extending default cluster sampling, for a
     range of initial sample sizes at matched cost."""
     _require_nonempty(initial_sizes=cfg.initial_sizes, budgets=cfg.budgets, utilities=cfg.utilities)
+    _require_samplers(cfg, cfg.initial_sizes)
     budget = _only("budgets", cfg.budgets)
     utility = _only("utilities", cfg.utilities)
-    return _run_grid(cfg, out_dir, _Study(
-        level="initial_size", levels=cfg.initial_sizes, arm="arm",
+    out, ds, hashes = _prepare(cfg, out_dir)
+    return _run_grid(cfg, out, hashes, _augmentation_study(
+        cfg, ds, level="initial_size", levels=cfg.initial_sizes, arm="arm",
         arms=("optimized", "default"), utilities={"optimized": utility},
         initial=lambda seed, ii, size: (
             cfg.sampler_config(initial_size=size), (seed, 6, ii)),
-        cell=lambda seed, ii, size, ai: (cfg.cost_model(budget), (seed, 7, ii, ai)),
+        cost=lambda seed, ii, size, ai: (cfg.cost_model(budget), (seed, 7, ii, ai)),
         runs_csv="size_runs.csv", run_cols=("budget", "spent", "total_cost"),
         table_csv="size_sweep.csv", stat="r2", extra_means=("total_cost",),
     ))

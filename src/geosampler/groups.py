@@ -106,29 +106,3 @@ def save_group_model(gm: GroupModel, ds: Dataset, out_dir: str | Path) -> None:
     (out / "gamma.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def load_group_model(in_dir: str | Path, ds: Dataset) -> GroupModel:
-    root = Path(in_dir)
-    doc = json.loads((root / "gamma.json").read_text(encoding="utf-8"))
-    group_ids = tuple(doc["group_ids"])
-    gid_index = {gid: i for i, gid in enumerate(group_ids)}
-    gamma = np.array([doc["gamma"][gid] for gid in group_ids], dtype=np.float64)
-
-    by_point: dict[str, str] = {}
-    with (root / "groups.csv").open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["point_id", "group_id"]:
-            raise GroupError("groups.csv must have header point_id,group_id")
-        for pid, gid in reader:
-            by_point[pid] = gid
-    try:
-        assignment = np.array(
-            [gid_index[by_point[pid]] for pid in ds.point_ids], dtype=np.int64
-        )
-    except KeyError as exc:
-        raise GroupError(f"groups.csv does not cover point/group {exc}") from None
-    return GroupModel(
-        kind=doc["kind"], group_ids=group_ids, assignment=assignment, gamma=gamma
-    )

@@ -370,13 +370,3 @@ def save_model(model: RidgeModel, path: str | Path) -> None:
         "cv_table": [[a, m] for a, m in model.cv_table],
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def load_model(path: str | Path) -> RidgeModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return RidgeModel(
-        weights=np.array(doc["weights"], dtype=np.float64),
-        intercept=float(doc["intercept"]),
-        alpha=float(doc["alpha"]),
-        cv_table=tuple((float(a), float(m)) for a, m in doc["cv_table"]),
-    )

@@ -53,7 +53,7 @@ class SamplerConfig:
         if self.k < 1:
             raise SamplingError("k must be >= 1")
         if self.initial_size < 1:
-            raise SamplingError("initial_size must be >= 1")
+            raise SamplingError(f"initial_size must be >= 1, got {self.initial_size}")
 
 
 @dataclass(frozen=True)

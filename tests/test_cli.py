@@ -456,6 +456,12 @@ class TestExperimentCommands:
         ("size-sweep", ["--budgets", "100,250"], "budgets must hold exactly one value, got 2"),
         ("size-sweep", ["--methods", "rep-admin,opt-size"],
          "utilities must hold exactly one value, got 2"),
+        # every sample size passes the cluster sampler's rules before any output
+        ("rank-study", ["--rank-sizes", "0,40"], "initial_size must be >= 1, got 0"),
+        ("rank-study", ["--rank-sizes", "-5"], "initial_size must be >= 1, got -5"),
+        ("size-sweep", ["--initial-sizes", "0"], "initial_size must be >= 1, got 0"),
+        ("augment", ["--initial-size", "0"], "initial_size must be >= 1, got 0"),
+        ("cost-sweep", ["--initial-size", "0"], "initial_size must be >= 1, got 0"),
     ])
     def test_empty_or_unknown_axis_is_config_error(
         self, bundle, tmp_path, capsys, command, flags, message

@@ -195,14 +195,50 @@ class TestRunRankStudy:
         assert {r["sampling_type"] for r in run_rank_study(cfg, tmp_path)} == {
             "cluster", "convenience", "random"}
 
-    def test_unreachable_cluster_sizes_skipped_with_warning(self, tmp_path):
-        cfg = self.rank_cfg()
+    def test_unreachable_sizes_are_skipped_rows(self, tmp_path):
         cfg = small_cfg(
-            synth=cfg.synth, n_strata=1, rank_sizes=(40, 100000), seeds=(0,)
+            synth=self.rank_cfg().synth, n_strata=1, rank_sizes=(40, 100000), seeds=(0,)
         )
-        with pytest.warns(UserWarning, match="skipped"):
-            records = run_rank_study(cfg, tmp_path)
-        assert all(r["size"] == 40 for r in records)
+        run_rank_study(cfg, tmp_path)
+        samples = read_csv(tmp_path / "samples.csv")
+        # one stratum of 8-point clusters holds at most 32 labeled points
+        assert [(r["sampling_type"], r["size"], r["status"]) for r in samples] == [
+            ("cluster", "40", "skipped"), ("convenience", "40", "ok"), ("random", "40", "ok"),
+            ("cluster", "100000", "skipped"), ("convenience", "100000", "skipped"),
+            ("random", "100000", "skipped"),
+        ]
+        skipped = [r for r in samples if r["status"] == "skipped"]
+        assert all(r["r2"] == r["u_size"] == r["u_rep-admin"] == "" for r in skipped)
+        assert skipped[0]["reason"].endswith("unreachable within the chosen strata (at most 32)")
+        assert skipped[2]["reason"].startswith("requested 100000 points but only")
+        assert samples[1]["reason"] == samples[2]["reason"] == ""
+        rho = read_csv(tmp_path / "rho.csv")
+        assert {(r["scope"], r["n_samples"]) for r in rho} == {
+            ("convenience", "1"), ("random", "1"), ("overall", "2")}
+
+    def test_degenerate_sample_is_a_skipped_row(self, tmp_path):
+        # three points cannot be split into the ridge head's five CV folds
+        cfg = small_cfg(synth=self.rank_cfg().synth, n_strata=3, rank_sizes=(3, 40), seeds=(0,))
+        records = run_rank_study(cfg, tmp_path)
+        assert [r["status"] for r in records] == ["skipped"] * 3 + ["ok"] * 3
+        assert all("5-fold CV" in r["reason"] for r in records[:3])
+        rho = read_csv(tmp_path / "rho.csv")
+        assert {r["n_samples"] for r in rho if r["scope"] == "overall"} == {"3"}
+
+    def test_samples_header_order(self, tmp_path):
+        cfg = small_cfg(synth=self.rank_cfg().synth, n_strata=3, rank_sizes=(40, 80),
+                        seeds=(0,), utilities=(UtilityConfig(kind="size"), UtilityConfig()))
+        run_rank_study(cfg, tmp_path)
+        with (tmp_path / "samples.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [
+            "sampling_type", "size", "seed", "r2", "u_size", "u_opt-size", "u_rep-admin",
+            "status", "reason", "config_hash", "dataset_hash",
+        ]
+        assert [row[:2] for row in rows[1:]] == [
+            [stype, size] for size in ("40", "80")
+            for stype in ("cluster", "convenience", "random")
+        ]
 
 
 class TestRunCostSweep:

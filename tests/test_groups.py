@@ -1,3 +1,5 @@
+import csv
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,6 @@ from geosampler.groups import (
     admin_groups,
     auxiliary_kmeans_groups,
     feature_kmeans_groups,
-    load_group_model,
     save_group_model,
 )
 
@@ -66,8 +67,13 @@ def test_auxiliary_kmeans_groups(synth_ds):
 def test_group_model_file_round_trip(tmp_path, synth_ds):
     gm = feature_kmeans_groups(synth_ds, n_groups=3, seed=2)
     save_group_model(gm, synth_ds, tmp_path)
-    again = load_group_model(tmp_path, synth_ds)
-    assert again.kind == gm.kind
-    assert again.group_ids == gm.group_ids
-    np.testing.assert_array_equal(again.assignment, gm.assignment)
-    np.testing.assert_allclose(again.gamma, gm.gamma)
+    with (tmp_path / "groups.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["point_id", "group_id"]
+    assert rows[1:] == [
+        [pid, gm.group_ids[g]] for pid, g in zip(synth_ds.point_ids, gm.assignment)
+    ]
+    doc = json.loads((tmp_path / "gamma.json").read_text(encoding="utf-8"))
+    assert doc["kind"] == gm.kind
+    assert tuple(doc["group_ids"]) == gm.group_ids
+    assert [doc["gamma"][gid] for gid in gm.group_ids] == gm.gamma.tolist()
