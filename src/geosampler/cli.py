@@ -185,14 +185,11 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def cmd_generate(args) -> int:
     cfg = synth_from_dict({**_synth_fields(args), **_config_file(args)})
+    cm = CostModel(c1=args.c1, c2=args.c2, budget=args.budget, budget_scope=args.budget_scope)
     ds, truth = generate(cfg)
     out = Path(args.out_dir)
     save_dataset(ds, out, features_format=args.features_format)
-    save_cost_model(
-        CostModel(c1=args.c1, c2=args.c2, budget=args.budget,
-                  budget_scope=args.budget_scope),
-        out,
-    )
+    save_cost_model(cm, out)
     save_truth(truth, out)
     print(f"wrote bundle with {ds.n_points} points, {ds.n_clusters} clusters, "
           f"{len(ds.stratum_ids)} strata to {out}")
@@ -286,8 +283,7 @@ def cmd_evaluate(args) -> int:
     state = load_sample_state(ds, args.sample)
     model, r2 = fit_on_sample(ds, state, seed=args.seed)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(model, out / "model.json")
+    save_model(model, out / "model.json")   # makes out, which the append below needs
     results = out / "results.csv"
     new_file = not results.exists()
     with results.open("a", newline="", encoding="utf-8") as fh:

@@ -27,11 +27,15 @@ header: magic ``GSOF``, u32 rows, u32 dim, u32 reserved.
 The CSV files are UTF-8 with a header row. Fields are comma-separated and
 may be quoted with ``"`` (a quote inside a quoted field is doubled); no
 line is a comment, so ``#`` is an ordinary character; lines end in LF or
-CRLF; and every row has exactly the header's field count. ``save_dataset``
-writes ``csv`` module rows with CRLF endings. ``load_dataset`` checks each
-header and then parses the rows with ``np.loadtxt`` (numbers straight to
-float64, ids as str); a malformed row raises :class:`DatasetError` naming
-its file and line.
+CRLF; and every row has exactly the header's field count. Every CSV and
+JSON output of the package, in a bundle or not, is written by
+:func:`write_csv` (``csv`` module rows with CRLF endings) or
+:func:`write_json` (indent 2, sorted keys, one trailing newline); each makes
+its file's directory, so a directory appears only with its first file. Only
+``geosampler evaluate``'s ``results.csv``, one row per run, is appended to.
+``load_dataset`` checks each header and then parses the rows with
+``np.loadtxt`` (numbers straight to float64, ids as str); a malformed row
+raises :class:`DatasetError` naming its file and line.
 
 All ordering is lexicographic by identifier so that identical seeds give
 identical runs across platforms.
@@ -385,8 +389,27 @@ def set_cost(cm: CostModel, ds: Dataset, clusters: np.ndarray) -> float:
     return float(np.cumsum(costs)[-1]) if costs.size else 0.0
 
 
+def write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` as JSON: indent 2, sorted keys, non-ASCII characters as
+    ``\\u`` escapes, one trailing newline. Makes the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
+    """Write ``header`` and then ``rows`` as UTF-8 ``csv`` module rows with
+    CRLF endings; the csv module writes a float field as its repr. Makes the
+    parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def save_cost_model(cm: CostModel, bundle: str | Path) -> None:
-    path = Path(bundle) / "costs.json"
     doc = {
         "c1": cm.c1,
         "c2": cm.c2,
@@ -394,7 +417,7 @@ def save_cost_model(cm: CostModel, bundle: str | Path) -> None:
         "overrides": dict(cm.per_cluster_override) if cm.per_cluster_override else {},
         "budget_scope": cm.budget_scope,
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(Path(bundle) / "costs.json", doc)
 
 
 def load_cost_model(bundle: str | Path) -> CostModel:
@@ -477,9 +500,7 @@ def save_sample_state(ds: Dataset, state: SampleState, path: str | Path) -> None
         "infeasible": state.infeasible,
         "lineage": list(state.lineage),
     }
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(path, doc)
 
 
 def _require_fields(doc, fields: tuple[str, ...], source: str) -> None:
@@ -623,8 +644,6 @@ def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") ->
     if features_format not in ("csv", "bin"):
         raise DatasetError(f"unknown features format {features_format!r}")
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-
     features_file = "features.csv" if features_format == "csv" else "features.bin"
     members: list[list[str]] = [[] for _ in ds.stratum_ids]   # cluster ids per stratum
     for cid, sj in zip(ds.cluster_ids, ds.cluster_stratum.tolist()):
@@ -642,29 +661,20 @@ def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") ->
             for sid, cids in zip(ds.stratum_ids, members)
         ],
     }
-    (out / "meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "meta.json", meta)
 
-    # csv.writer writes a float field as its repr
     cluster_stratum_ids = [ds.stratum_ids[s] for s in ds.cluster_stratum]
-    with (out / "points.csv").open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(_POINTS_COLUMNS)
-        w.writerows(
-            (pid, *xy.tolist(), "NA" if math.isnan(label) else label,
-             ds.cluster_ids[j], cluster_stratum_ids[j])
-            for pid, xy, label, j in zip(
-                ds.point_ids, ds.coords, ds.labels.tolist(), ds.point_cluster.tolist()
-            )
+    write_csv(out / "points.csv", _POINTS_COLUMNS, (
+        (pid, *xy.tolist(), "NA" if math.isnan(label) else label,
+         ds.cluster_ids[j], cluster_stratum_ids[j])
+        for pid, xy, label, j in zip(
+            ds.point_ids, ds.coords, ds.labels.tolist(), ds.point_cluster.tolist()
         )
-
+    ))
     if features_format == "csv":
-        with (out / "features.csv").open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["point_id"] + [f"f{j}" for j in range(ds.feature_dim)])
-            w.writerows([pid, *row.tolist()] for pid, row in zip(ds.point_ids, ds.features))
-    else:
+        write_csv(out / "features.csv", ["point_id"] + [f"f{j}" for j in range(ds.feature_dim)],
+                  ([pid, *row.tolist()] for pid, row in zip(ds.point_ids, ds.features)))
+    else:   # into the directory the writers above made
         with (out / "features.bin").open("wb") as fh:
             fh.write(FEATURES_BIN_MAGIC + struct.pack("<III", ds.n_points, ds.feature_dim, 0))
             ds.features.astype("<f4").tofile(fh)

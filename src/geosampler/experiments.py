@@ -1,8 +1,9 @@
 """Experiment orchestration: augmentation comparison, utility rank study,
 cost-structure sweep, and initial-size sweep.
 
-Each study is a grid of (seed, level, arm) cells, run by one loop that writes
-one per-run CSV row per cell and then the study's summary tables. The three
+Each study is a grid of (seed, level, arm) cells, run by one loop. Only once
+every cell has run does it write one per-run CSV row per cell, the study's
+summary tables and meta.json, so a study that fails leaves no output. The three
 augmentation studies share one cell function; a rank-study cell draws and
 scores one sample.
 
@@ -17,7 +18,6 @@ its reason, left out of the rank correlations.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .data import CostModel, Dataset, SampleState, load_dataset, set_cost
+from .data import CostModel, Dataset, SampleState, load_dataset, set_cost, write_csv, write_json
 from .groups import GroupModel, admin_groups, feature_kmeans_groups
 from .learner import LearnerError, evaluate_sample, spearman_rho
 from .samplers import (
@@ -225,45 +225,12 @@ def load_population(cfg: ExperimentConfig) -> Dataset:
     return ds
 
 
-def _prepare(
-    cfg: ExperimentConfig, out_dir: str | Path
-) -> tuple[Path, Dataset, tuple[str, str]]:
-    """Create the output directory and load the population; returns it with
-    the provenance hashes (config hash, dataset hash)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ds = load_population(cfg)
-    return out, ds, (config_hash(cfg), dataset_content_hash(ds))
-
-
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return str(int(x))
     if isinstance(x, float):
         return repr(x)
     return str(x)
-
-
-def _write_csv(
-    path: Path, header: list[str], rows: list[list], hashes: tuple[str, str]
-) -> None:
-    """Write a table whose every row ends with the provenance hashes."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header + ["config_hash", "dataset_hash"])
-        for row in rows:
-            w.writerow([_fmt(v) for v in row] + list(hashes))
-
-
-def _write_meta(
-    out: Path, cfg: ExperimentConfig, hashes: tuple[str, str], extra: dict | None = None
-) -> None:
-    doc = {"config": config_to_dict(cfg), "config_hash": hashes[0],
-           "dataset_hash": hashes[1], **(extra or {})}
-    (out / "meta.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def build_group_model(ds: Dataset, ucfg: UtilityConfig) -> GroupModel | None:
@@ -287,11 +254,15 @@ def _methods(cfg: ExperimentConfig) -> tuple[str, ...]:
     return tuple(cfg.baselines) + tuple(u.method_name() for u in cfg.utilities)
 
 
-def _require_nonempty(**axes) -> None:
-    """Reject an empty axis of the study about to run, before any output."""
+def _require_axes(**axes) -> None:
+    """Reject an empty axis of the study about to run, or one that repeats a
+    value (its runs would pool into one summary row), before any output."""
     for name, values in axes.items():
         if not values:
             raise ConfigError(f"{name} must be non-empty")
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"{name} repeats the value {value!r}")
 
 
 def _only(name: str, values: tuple):
@@ -344,10 +315,11 @@ class _Study:
 
 
 def _run_grid(
-    cfg: ExperimentConfig, out: Path, hashes: tuple[str, str], study: _Study
+    cfg: ExperimentConfig, ds: Dataset, out_dir: str | Path, study: _Study
 ) -> list[dict]:
-    """Score every cell, seed by seed and level by level, and write the
-    per-run CSV, the summary tables and meta.json."""
+    """Score every cell, seed by seed and level by level; only then write the
+    per-run CSV and the summary tables, each row ending with the provenance
+    hashes, and meta.json."""
     records = [
         {study.level: level, study.arm: arm, "seed": seed,
          **study.cell(seed, li, level, ai, arm)}
@@ -356,10 +328,14 @@ def _run_grid(
         for ai, arm in enumerate(study.arms)
     ]
     runs = [[r[c] for c in study.run_cols] for r in records]
-    for name, header, rows in [(study.runs_csv, list(study.run_cols), runs),
-                               *study.tables(records)]:
-        _write_csv(out / name, header, rows, hashes)
-    _write_meta(out, cfg, hashes, study.meta)
+    tables = [(study.runs_csv, list(study.run_cols), runs), *study.tables(records)]
+    hashes = [config_hash(cfg), dataset_content_hash(ds)]
+    out = Path(out_dir)
+    for name, header, rows in tables:
+        write_csv(out / name, header + ["config_hash", "dataset_hash"],
+                  ([_fmt(v) for v in row] + hashes for row in rows))
+    write_json(out / "meta.json", {"config": config_to_dict(cfg), "config_hash": hashes[0],
+                                   "dataset_hash": hashes[1], **study.meta})
     return records
 
 
@@ -436,10 +412,10 @@ def _require_samplers(cfg: ExperimentConfig, sizes: tuple[int, ...]) -> None:
 def run_augmentation(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     """One row per (budget, method, seed): augment the seed's initial sample
     and score the result; aggregate to a budget x method table."""
-    _require_nonempty(budgets=cfg.budgets, methods=_methods(cfg))
+    _require_axes(seeds=cfg.seeds, budgets=cfg.budgets, methods=_methods(cfg))
     _require_samplers(cfg, (cfg.initial_size,))
-    out, ds, hashes = _prepare(cfg, out_dir)
-    return _run_grid(cfg, out, hashes, _augmentation_study(
+    ds = load_population(cfg)
+    return _run_grid(cfg, ds, out_dir, _augmentation_study(
         cfg, ds, level="budget", levels=cfg.budgets, arm="method", arms=_methods(cfg),
         utilities={u.method_name(): u for u in cfg.utilities},
         initial=lambda seed, bi, budget: (cfg.sampler_config(), (seed, 0)),
@@ -465,13 +441,13 @@ def run_rank_study(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     scored by the prediction head and by each utility; Spearman rho per
     sampling type plus overall, over the scored samples. A sample that cannot
     be drawn or scored is a ``skipped`` row whose reason is the error."""
-    _require_nonempty(rank_sizes=cfg.rank_sizes)
+    _require_axes(seeds=cfg.seeds, rank_sizes=cfg.rank_sizes)
     _require_samplers(cfg, cfg.rank_sizes)
     if not cfg.convenience_anchors and cfg.n_anchors < 1:
         raise ConfigError(f"n_anchors must be >= 1, got {cfg.n_anchors}")
     if not (cfg.convenience_temperature > 0):
         raise ConfigError("convenience_temperature must be positive")
-    out, ds, hashes = _prepare(cfg, out_dir)
+    ds = load_population(cfg)
     specs = {"u_size": UtilitySpec(kind="size")}
     specs.update((f"u_{u.method_name()}", build_utility_spec(ds, u)) for u in cfg.utilities)
     anchors = cfg.convenience_anchors or _auto_anchors(ds, cfg.n_anchors)
@@ -510,7 +486,7 @@ def run_rank_study(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
                 rows.append([scope, ucol, rho, len(sub)])
         return [("rho.csv", ["scope", "utility", "rho", "n_samples"], rows)]
 
-    return _run_grid(cfg, out, hashes, _Study(
+    return _run_grid(cfg, ds, out_dir, _Study(
         level="size", levels=cfg.rank_sizes, arm="sampling_type", arms=tuple(draws),
         cell=cell, runs_csv="samples.csv",
         run_cols=("sampling_type", "size", "seed", "r2", *specs, "status", "reason"),
@@ -521,14 +497,15 @@ def run_rank_study(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
 def run_cost_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     """Fix c1, vary c2; report the R^2 gain over the initial sample per
     method and cost level."""
-    _require_nonempty(c2_sweep=cfg.c2_sweep, budgets=cfg.budgets, methods=_methods(cfg))
+    _require_axes(seeds=cfg.seeds, c2_sweep=cfg.c2_sweep, budgets=cfg.budgets,
+                  methods=_methods(cfg))
     _require_samplers(cfg, (cfg.initial_size,))
     for c2 in cfg.c2_sweep:
         if c2 < cfg.c1:
             raise ConfigError(f"swept c2 {c2} below c1 {cfg.c1}")
     budget = _only("budgets", cfg.budgets)
-    out, ds, hashes = _prepare(cfg, out_dir)
-    return _run_grid(cfg, out, hashes, _augmentation_study(
+    ds = load_population(cfg)
+    return _run_grid(cfg, ds, out_dir, _augmentation_study(
         cfg, ds, level="c2", levels=cfg.c2_sweep, arm="method", arms=_methods(cfg),
         utilities={u.method_name(): u for u in cfg.utilities},
         initial=lambda seed, ci, c2: (cfg.sampler_config(), (seed, 0)),
@@ -541,12 +518,13 @@ def run_cost_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
 def run_initial_size_sweep(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     """Optimized augmentation versus extending default cluster sampling, for a
     range of initial sample sizes at matched cost."""
-    _require_nonempty(initial_sizes=cfg.initial_sizes, budgets=cfg.budgets, utilities=cfg.utilities)
+    _require_axes(seeds=cfg.seeds, initial_sizes=cfg.initial_sizes, budgets=cfg.budgets,
+                  utilities=tuple(u.method_name() for u in cfg.utilities))
     _require_samplers(cfg, cfg.initial_sizes)
     budget = _only("budgets", cfg.budgets)
     utility = _only("utilities", cfg.utilities)
-    out, ds, hashes = _prepare(cfg, out_dir)
-    return _run_grid(cfg, out, hashes, _augmentation_study(
+    ds = load_population(cfg)
+    return _run_grid(cfg, ds, out_dir, _augmentation_study(
         cfg, ds, level="initial_size", levels=cfg.initial_sizes, arm="arm",
         arms=("optimized", "default"), utilities={"optimized": utility},
         initial=lambda seed, ii, size: (

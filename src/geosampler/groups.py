@@ -8,14 +8,12 @@ land-cover composition vectors). Serialized as ``groups.csv``
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_csv, write_json
 from .learner import kmeans_groups
 
 GROUP_KINDS = ("admin", "feature-kmeans", "auxiliary-kmeans")
@@ -92,17 +90,11 @@ def auxiliary_kmeans_groups(
 
 def save_group_model(gm: GroupModel, ds: Dataset, out_dir: str | Path) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "groups.csv").open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["point_id", "group_id"])
-        for pid, gi in zip(ds.point_ids, gm.assignment):
-            w.writerow([pid, gm.group_ids[int(gi)]])
+    write_csv(out / "groups.csv", ["point_id", "group_id"],
+              ([pid, gm.group_ids[int(gi)]] for pid, gi in zip(ds.point_ids, gm.assignment)))
     doc = {
         "kind": gm.kind,
         "gamma": {gid: float(s) for gid, s in zip(gm.group_ids, gm.gamma)},
         "group_ids": list(gm.group_ids),
     }
-    (out / "gamma.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "gamma.json", doc)

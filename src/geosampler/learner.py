@@ -18,13 +18,12 @@ the (n, G, d) difference-tensor form bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, SampleState
+from .data import Dataset, SampleState, write_json
 
 
 class LearnerError(ValueError):
@@ -369,4 +368,4 @@ def save_model(model: RidgeModel, path: str | Path) -> None:
         "weights": [float(w) for w in model.weights],
         "cv_table": [[a, m] for a, m in model.cv_table],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, doc)

@@ -19,14 +19,12 @@ enter its fill, and rounding draws all its uniforms in one vector.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import CostModel, Dataset, SampleState, cluster_costs, set_cost
+from .data import CostModel, Dataset, SampleState, cluster_costs, set_cost, write_csv, write_json
 from .utility import (
     ExpectedCounts,
     InclusionVector,
@@ -436,20 +434,14 @@ def save_solve_result(
     selected: tuple[str, ...] = (),
 ) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     selected_set = set(selected)
-    with (out / "inclusion.csv").open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cluster_id", "probability", "committed", "selected_after_rounding"])
-        for j, cid in enumerate(ds.cluster_ids):
-            w.writerow(
-                [
-                    cid,
-                    repr(float(result.inclusion.values[j])),
-                    int(bool(result.inclusion.committed[j])),
-                    int(cid in selected_set),
-                ]
-            )
+    inc = result.inclusion
+    write_csv(
+        out / "inclusion.csv",
+        ["cluster_id", "probability", "committed", "selected_after_rounding"],
+        ([cid, repr(float(inc.values[j])), int(bool(inc.committed[j])), int(cid in selected_set)]
+         for j, cid in enumerate(ds.cluster_ids)),
+    )
     meta = {
         "gap": result.gap,
         "iterations": result.iterations,
@@ -459,6 +451,4 @@ def save_solve_result(
         "converged": result.converged,
         "active_set_size": result.active_set_size,
     }
-    (out / "solve_meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "solve_meta.json", meta)

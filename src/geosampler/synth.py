@@ -11,13 +11,12 @@ trained in few strata transfers poorly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, build_dataset
+from .data import Dataset, build_dataset, write_json
 
 # rows of feature noise drawn at once
 _NOISE_BLOCK_ROWS = 8192
@@ -155,6 +154,4 @@ def save_truth(truth: GroundTruth, bundle: str | Path) -> None:
         "signal_variance": truth.signal_variance,
         "snr": truth.snr,
     }
-    (Path(bundle) / "truth.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(Path(bundle) / "truth.json", doc)

@@ -20,6 +20,12 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def csv_rows(path):
+    """The rows of a CSV output as dicts, the file closed again."""
+    with path.open() as fh:
+        return list(csv.DictReader(fh))
+
+
 @pytest.fixture
 def bundle(tmp_path):
     out = tmp_path / "bundle"
@@ -61,6 +67,12 @@ class TestGenerate:
         assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 1,
                        "--config", cfgfile) == 2
         assert "feature_dimm" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("flags", [["--c1", 60], ["--budget", -1]])
+    def test_bad_cost_model_writes_no_bundle(self, tmp_path, flags):
+        # the cost model is checked before the bundle's first file is written
+        assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 1, *flags) == 2
         assert not (tmp_path / "b").exists()
 
     def test_bad_grid_is_config_error(self, tmp_path):
@@ -210,7 +222,7 @@ class TestOptimize:
             "--budget", 200, "--utility", "rep-admin",
         ) == 0
         assert len(calls) == 1
-        rows = list(csv.DictReader((out / "inclusion.csv").open()))
+        rows = csv_rows(out / "inclusion.csv")
         selected = [r["cluster_id"] for r in rows if r["selected_after_rounding"] == "1"]
         sample = json.loads((out / "sample.json").read_text())
         assert selected
@@ -260,7 +272,7 @@ class TestEvaluate:
         out = tmp_path / "eval"
         assert run_cli("evaluate", "--dataset", bundle, "--sample",
                        opt / "sample.json", "--out-dir", out, "--seed", 0) == 0
-        rows = list(csv.DictReader((out / "results.csv").open()))
+        rows = csv_rows(out / "results.csv")
         assert len(rows) == 1
         assert -1.5 < float(rows[0]["r2"]) <= 1.0
         assert (out / "model.json").exists()
@@ -387,7 +399,7 @@ class TestExperimentCommands:
             "--methods", "default,rep-admin",
         )
         assert code == 0
-        rows = list(csv.DictReader((tmp_path / "c" / "sweep.csv").open()))
+        rows = csv_rows(tmp_path / "c" / "sweep.csv")
         assert len(rows) == 4
 
     def test_size_sweep_runs(self, bundle, tmp_path):
@@ -415,7 +427,7 @@ class TestExperimentCommands:
             "--n-strata", 2, "--k", 10, "--initial-size", 80, "--initial-sizes", "80",
             "--budgets", "999", "--methods", methods, "--config", cfgfile,
         ) == 0
-        rows = list(csv.DictReader((tmp_path / "a" / runs_csv).open()))
+        rows = csv_rows(tmp_path / "a" / runs_csv)
         assert rows and all(r["budget"] == column for r in rows)
 
     def test_missing_config_file_is_config_error(self, bundle, tmp_path, capsys):
@@ -462,12 +474,45 @@ class TestExperimentCommands:
         ("size-sweep", ["--initial-sizes", "0"], "initial_size must be >= 1, got 0"),
         ("augment", ["--initial-size", "0"], "initial_size must be >= 1, got 0"),
         ("cost-sweep", ["--initial-size", "0"], "initial_size must be >= 1, got 0"),
+        # a repeated value on a swept axis would pool its runs into wrong summary rows
+        ("augment", ["--methods", "random", "--budgets", "100,100", "--seeds", "0,0"],
+         "seeds repeats the value 0"),
+        ("augment", ["--methods", "random", "--budgets", "100,100"],
+         "budgets repeats the value 100.0"),
+        ("augment", ["--methods", "rep-admin,rep-admin"],
+         "methods repeats the value 'rep-admin'"),
+        ("cost-sweep", ["--c2-sweep", "40,50,40"], "c2_sweep repeats the value 40.0"),
+        ("size-sweep", ["--initial-sizes", "40,40", "--methods", "rep-admin"],
+         "initial_sizes repeats the value 40"),
+        ("rank-study", ["--rank-sizes", "40,60,40"], "rank_sizes repeats the value 40"),
     ])
     def test_empty_or_unknown_axis_is_config_error(
         self, bundle, tmp_path, capsys, command, flags, message
     ):
         code = run_cli(command, "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "x",
                        "--n-strata", 2, "--k", 10, "--initial-size", 80, *flags)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("augment", ["--n-strata", "1", "--k", "10", "--initial-size", "5000"],
+         "target of 5000 labeled points unreachable"),
+        ("size-sweep", ["--initial-sizes", "30,5000", "--methods", "rep-admin"],
+         "target of 5000 labeled points unreachable"),
+        ("augment", ["--c1", "60"], "cost model requires c2 >= c1 > 0"),
+        ("cost-sweep", ["--config", {"step_rule": "bogus"}], "unknown step rule 'bogus'"),
+    ], ids=["augment-unreachable", "size-sweep-unreachable", "augment-c1", "cost-sweep-rule"])
+    def test_error_in_a_cell_leaves_no_out_dir(
+        self, bundle, tmp_path, capsys, command, flags, message
+    ):
+        # the study fails after the config checks; a study writes only once
+        # every cell has run, so no output directory is made
+        if "--config" in flags:
+            (tmp_path / "cfg.json").write_text(json.dumps(flags[-1]))
+            flags = ["--config", tmp_path / "cfg.json"]
+        code = run_cli(command, "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "x",
+                       *flags)
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()

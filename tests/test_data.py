@@ -19,6 +19,8 @@ from geosampler.data import (
     save_cost_model,
     save_dataset,
     set_cost,
+    write_csv,
+    write_json,
 )
 from geosampler.groups import admin_groups
 from geosampler.synth import SynthConfig, generate
@@ -357,6 +359,27 @@ class TestBundleIO:
                 point_cluster=["c0", "c0"],
                 cluster_stratum={"c0": "s0"},
             )
+
+
+class TestWriters:
+    """The one output dialect: every CSV and JSON file the package writes
+    goes through these two writers."""
+
+    def test_json_bytes(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "doc.json"
+        write_json(path, {"b": [1, 0.1], "a": {"z": None, "y": "é"}})
+        assert path.read_bytes() == (
+            b'{\n  "a": {\n    "y": "\\u00e9",\n    "z": null\n  },\n'
+            b'  "b": [\n    1,\n    0.1\n  ]\n}\n'
+        )
+
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "rows.csv"
+        write_csv(path, ["id", "x", "n"],
+                  iter([["pé", 0.1, 3], ["q,1", 1e-20, "NA"], ["r", 0.1 + 0.2, ""]]))
+        assert path.read_bytes() == (
+            "id,x,n\r\npé,0.1,3\r\n\"q,1\",1e-20,NA\r\nr,0.30000000000000004,\r\n".encode("utf-8")
+        )
 
 
 def test_dataset_equality_is_identity_and_does_not_raise():
