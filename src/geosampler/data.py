@@ -589,13 +589,19 @@ def load_sample_state(ds: Dataset, path: str | Path) -> SampleState:
 class ExpectedCounts:
     """Per-cluster expected labeled points under uniform within-cluster choice.
 
-    ``e[i] = min(k, size_i)`` and ``e_group[i, g]`` splits ``e[i]``
-    proportionally to the cluster's group composition, so the group marginals
-    sum back to ``e[i]`` exactly.
+    ``e[i] = min(k, size_i)``. Its split over the G groups, proportional to
+    the cluster's group composition so that the group marginals sum back to
+    ``e[i]``, is kept as nonzero triples sorted by (row, col): cluster
+    ``rows[j]`` expects ``vals[j]`` labeled points in group ``cols[j]``. A
+    cluster has one triple per group it holds points of, so nnz = m for admin
+    groups and a product with the split costs O(nnz + m).
     """
 
     e: np.ndarray           # (m,), rows of Dataset.cluster_ids
-    e_group: np.ndarray     # (m, G); G = 0 when built without groups
+    rows: np.ndarray        # (nnz,) int, cluster row of each triple
+    cols: np.ndarray        # (nnz,) int, group of each triple
+    vals: np.ndarray        # (nnz,) expected labeled points
+    n_groups: int           # G; 0 when built without groups
 
 
 def expected_counts(ds: Dataset, gm, k: int) -> ExpectedCounts:
@@ -606,16 +612,16 @@ def expected_counts(ds: Dataset, gm, k: int) -> ExpectedCounts:
     """
     if k < 1:
         raise DatasetError("k must be >= 1")
-    m = ds.n_clusters
     sizes = ds.cluster_sizes.astype(np.float64)
     e = np.minimum(float(k), sizes)
     if gm is None:
-        e_group = np.zeros((m, 0))
-    else:
-        G = len(gm.gamma)
-        counts = np.bincount(ds.point_cluster * G + gm.assignment, minlength=m * G)
-        e_group = e[:, None] * counts.reshape(m, G).astype(np.float64) / sizes[:, None]
-    return ExpectedCounts(e=e, e_group=e_group)
+        none = np.zeros(0, dtype=np.int64)
+        return ExpectedCounts(e=e, rows=none, cols=none, vals=np.zeros(0), n_groups=0)
+    G = gm.n_groups
+    keys, n = np.unique(ds.point_cluster * G + gm.assignment, return_counts=True)
+    rows, cols = np.divmod(keys, G)
+    vals = e[rows] * n.astype(np.float64) / sizes[rows]
+    return ExpectedCounts(e=e, rows=rows, cols=cols, vals=vals, n_groups=G)
 
 
 # -- bundle I/O -----------------------------------------------------------

@@ -254,15 +254,20 @@ def _methods(cfg: ExperimentConfig) -> tuple[str, ...]:
     return tuple(cfg.baselines) + tuple(u.method_name() for u in cfg.utilities)
 
 
+def _require_distinct(name: str, values: tuple) -> None:
+    """Reject an axis that repeats a value (its runs would pool into one
+    summary row, or one column) before any output."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{name} repeats the value {value!r}")
+
+
 def _require_axes(**axes) -> None:
-    """Reject an empty axis of the study about to run, or one that repeats a
-    value (its runs would pool into one summary row), before any output."""
+    """Reject an empty or repeating axis of the study about to run before any output."""
     for name, values in axes.items():
         if not values:
             raise ConfigError(f"{name} must be non-empty")
-        for i, value in enumerate(values):
-            if value in values[:i]:
-                raise ConfigError(f"{name} repeats the value {value!r}")
+        _require_distinct(name, values)
 
 
 def _only(name: str, values: tuple):
@@ -442,6 +447,8 @@ def run_rank_study(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     sampling type plus overall, over the scored samples. A sample that cannot
     be drawn or scored is a ``skipped`` row whose reason is the error."""
     _require_axes(seeds=cfg.seeds, rank_sizes=cfg.rank_sizes)
+    # u_size is always scored, so the utilities may be empty but not repeat
+    _require_distinct("utilities", tuple(u.method_name() for u in cfg.utilities))
     _require_samplers(cfg, cfg.rank_sizes)
     if not cfg.convenience_anchors and cfg.n_anchors < 1:
         raise ConfigError(f"n_anchors must be >= 1, got {cfg.n_anchors}")

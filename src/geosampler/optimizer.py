@@ -11,10 +11,12 @@ utilities.
 The utility depends on s only through its aggregates z = s @ A (see
 :func:`geosampler.utility.aggregates`). Each iteration computes z once and
 takes the value phi(z) and the gradient A @ grad phi(z) from it, so an
-iteration costs two m x (G+1) products for ``diminishing`` and three for
+iteration costs two products with A for ``diminishing`` and three for
 ``line-search`` and ``away``, whose line search needs the aggregates of the
-step direction as well. The knapsack oracle sorts only the items that can
-enter its fill, and rounding draws all its uniforms in one vector.
+step direction as well. A keeps the group split as nonzero triples, so each
+product is O(nnz + m), nnz = m for admin groups. The knapsack oracle sorts
+only the items that can enter its fill, and rounding draws all its uniforms
+in one vector.
 """
 
 from __future__ import annotations

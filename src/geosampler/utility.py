@@ -80,7 +80,7 @@ def utility_value(s: InclusionVector, counts: ExpectedCounts, spec: UtilitySpec)
         raise UtilityError(
             f"inclusion vector has {len(s.values)} clusters, counts have {len(counts.e)}"
         )
-    if spec.kind == "group_rep" and counts.e_group.shape[1] != spec.groups.n_groups:
+    if spec.kind == "group_rep" and counts.n_groups != spec.groups.n_groups:
         raise UtilityError("expected counts were built with a different group model")
     return utility_value_raw(s.values, counts, spec)
 
@@ -88,12 +88,16 @@ def utility_value(s: InclusionVector, counts: ExpectedCounts, spec: UtilitySpec)
 def aggregates(values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec) -> np.ndarray:
     """The aggregates z = values @ A that both utilities depend on.
 
-    A = [e_group | e] for ``group_rep`` (G + 1 columns: n_g(s), then n(s))
-    and A = e for ``size``; U(s) = phi(z) and grad U(s) = A @ grad phi(z)."""
+    A is the (m, G + 1) matrix of the counts' group split followed by e for
+    ``group_rep`` (z = n_g(s), then n(s)) and A = e for ``size``; U(s) =
+    phi(z) and grad U(s) = A @ grad phi(z). The group sums are one weighted
+    bincount over the split's triples: O(nnz + m), nnz = m for admin groups."""
     if spec.kind == "size":
         return np.array([values @ counts.e], dtype=np.float64)
-    z = np.empty(counts.e_group.shape[1] + 1)
-    z[:-1] = values @ counts.e_group
+    z = np.empty(counts.n_groups + 1)
+    z[:-1] = np.bincount(
+        counts.cols, weights=values[counts.rows] * counts.vals, minlength=counts.n_groups
+    )
     z[-1] = values @ counts.e
     return z
 
@@ -129,13 +133,16 @@ def utility_gradient_raw(
     z: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec
 ) -> np.ndarray:
     """Gradient in s at the point whose aggregates are z (see
-    :func:`aggregates`): A @ grad phi(z). Taking z rather than s lets a caller
-    that already holds the aggregates skip a second m x (G+1) product."""
+    :func:`aggregates`): A @ grad phi(z), a bincount over the split's rows,
+    O(nnz + m) with nnz = m for admin groups. Taking z rather than s lets a
+    caller that already holds the aggregates skip a second product."""
     w = phi_gradient(z, spec)
     grad = counts.e * w[-1]
     if spec.kind == "size":
         return grad
-    return counts.e_group @ w[:-1] + grad
+    return np.bincount(
+        counts.rows, weights=counts.vals * w[counts.cols], minlength=len(counts.e)
+    ) + grad
 
 
 def utility_of_sample(state: SampleState, spec: UtilitySpec) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geosampler.data import SampleState, build_dataset
+from geosampler.data import ExpectedCounts, SampleState, build_dataset
 from geosampler.synth import SynthConfig, generate
 
 
@@ -62,6 +62,23 @@ def labeled_ids(ds, state):
         ds.cluster_ids[j]: tuple(ds.point_ids[i] for i in state.labeled[owner == j])
         for j in state.clusters
     }
+
+
+def counts_from_dense(e, e_group=None):
+    """ExpectedCounts from per-cluster totals ``e`` and a dense (m, G) group
+    split (None: no groups); its nonzero entries become the triples."""
+    e = np.asarray(e, dtype=float)
+    e_group = np.zeros((len(e), 0)) if e_group is None else np.asarray(e_group, dtype=float)
+    rows, cols = np.nonzero(e_group)
+    return ExpectedCounts(e=e, rows=rows, cols=cols, vals=e_group[rows, cols],
+                          n_groups=e_group.shape[1])
+
+
+def dense_groups(counts):
+    """The group split of ``counts`` as a dense (m, G) matrix."""
+    dense = np.zeros((len(counts.e), counts.n_groups))
+    dense[counts.rows, counts.cols] = counts.vals
+    return dense
 
 
 def assert_states_equal(a, b):

@@ -34,6 +34,7 @@ from geosampler.utility import (
     utility_value,
 )
 
+from conftest import counts_from_dense, dense_groups
 from test_optimizer import make_instance
 from test_samplers import starter_state, survey_ds
 
@@ -103,8 +104,9 @@ def exhaustive_binary_best(ds, counts, cm, spec, state) -> float:
     if spec.kind == "size":
         utilities = n
     else:
-        eg_free = counts.e_group[free]
-        n0g = counts.e_group[committed].sum(axis=0)
+        e_group = dense_groups(counts)
+        eg_free = e_group[free]
+        n0g = e_group[committed].sum(axis=0)
         n_g = n0g + bits @ eg_free
         eps = spec.epsilon
         utilities = (
@@ -191,8 +193,7 @@ def test_criterion_3_gradient_matches_finite_differences():
                 epsilon=float(10 ** rng.uniform(-5, -2)),
                 groups=gm,
             )
-            from geosampler.data import ExpectedCounts
-            counts = ExpectedCounts(e=e, e_group=eg)
+            counts = counts_from_dense(e, eg)
             s = rng.uniform(0.1, 0.95, size=m)
             com = np.zeros(m, dtype=bool)
             grad = utility_gradient_raw(aggregates(s, counts, spec), counts, spec)
@@ -229,8 +230,7 @@ def test_criterion_4_midpoint_concavity():
                 epsilon=1e-6,
                 groups=gm,
             )
-            from geosampler.data import ExpectedCounts
-            counts = ExpectedCounts(e=e, e_group=eg)
+            counts = counts_from_dense(e, eg)
             com = np.zeros(m, dtype=bool)
             for _ in range(50):
                 s = rng.uniform(0, 1, size=m)

@@ -485,6 +485,9 @@ class TestExperimentCommands:
         ("size-sweep", ["--initial-sizes", "40,40", "--methods", "rep-admin"],
          "initial_sizes repeats the value 40"),
         ("rank-study", ["--rank-sizes", "40,60,40"], "rank_sizes repeats the value 40"),
+        # one u_<method> column per utility: a repeat would merge two into one
+        ("rank-study", ["--rank-sizes", "40", "--methods", "rep-admin,rep-admin"],
+         "utilities repeats the value 'rep-admin'"),
     ])
     def test_empty_or_unknown_axis_is_config_error(
         self, bundle, tmp_path, capsys, command, flags, message

@@ -25,7 +25,7 @@ from geosampler.data import (
 from geosampler.groups import admin_groups
 from geosampler.synth import SynthConfig, generate
 
-from conftest import assert_states_equal, state_from_ids, toy_dataset
+from conftest import assert_states_equal, dense_groups, state_from_ids, toy_dataset
 
 
 def write_hand_bundle(root):
@@ -620,7 +620,7 @@ class TestExpectedCounts:
         gm = admin_groups(ds)
         counts = expected_counts(ds, gm, k=25)
         assert counts.e[0] == 10.0
-        assert counts.e_group[0, 0] == 10.0
+        assert dense_groups(counts)[0, 0] == 10.0
 
     def test_proportional_split(self):
         # one 100-point cluster, half in each of two strata-groups is not
@@ -641,8 +641,8 @@ class TestExpectedCounts:
         )
         counts = expected_counts(ds, gm2, k=10)
         assert counts.e[0] == 10.0
-        assert counts.e_group[0, 0] == pytest.approx(5.0, abs=1e-12)
-        assert counts.e_group[0, 1] == pytest.approx(5.0, abs=1e-12)
+        assert dense_groups(counts)[0, 0] == pytest.approx(5.0, abs=1e-12)
+        assert dense_groups(counts)[0, 1] == pytest.approx(5.0, abs=1e-12)
 
     def test_matches_monte_carlo_oracle(self):
         # random composition; oracle: mean group counts over 1e5 uniform k-subsets
@@ -662,13 +662,13 @@ class TestExpectedCounts:
             pick = rng.choice(size, size=k, replace=False)
             acc += np.bincount(assignment[pick], minlength=G)
         mc = acc / trials
-        assert np.all(np.abs(mc - counts.e_group[0]) <= 0.05)
+        assert np.all(np.abs(mc - dense_groups(counts)[0]) <= 0.05)
 
     def test_group_marginals_sum_to_e(self, synth_ds):
         gm = admin_groups(synth_ds)
         counts = expected_counts(synth_ds, gm, k=7)
         np.testing.assert_allclose(
-            counts.e_group.sum(axis=1), counts.e, rtol=0, atol=1e-12
+            dense_groups(counts).sum(axis=1), counts.e, rtol=0, atol=1e-12
         )
         np.testing.assert_array_equal(
             counts.e, np.minimum(7, synth_ds.cluster_sizes)
@@ -676,5 +676,5 @@ class TestExpectedCounts:
 
     def test_groupless_counts(self, small_ds):
         counts = expected_counts(small_ds, None, k=5)
-        assert counts.e_group.shape == (3, 0)
+        assert dense_groups(counts).shape == (3, 0)
         np.testing.assert_array_equal(counts.e, [4, 5, 5])

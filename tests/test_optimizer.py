@@ -357,7 +357,7 @@ class TestSolveRelaxation:
         ds, cm, state, _, _ = make_instance(committed=(), budget=50.0)
         spec = UtilitySpec(kind="size")
         counts = expected_counts(ds, None, k=5)
-        zeroed = type(counts)(e=np.zeros_like(counts.e), e_group=counts.e_group)
+        zeroed = replace(counts, e=np.zeros_like(counts.e))
         with pytest.raises(OptimizerError, match="gradient"):
             solve_relaxation(ds, zeroed, cm, spec, state)
 

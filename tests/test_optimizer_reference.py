@@ -33,13 +33,15 @@ from geosampler.utility import (
     utility_value_raw,
 )
 
+from conftest import dense_groups
+
 
 def ref_utility_gradient_raw(values, counts, spec):
     w = phi_gradient(aggregates(values, counts, spec), spec)
     grad = counts.e * w[-1]
     if spec.kind == "size":
         return grad
-    return counts.e_group @ w[:-1] + grad
+    return dense_groups(counts) @ w[:-1] + grad
 
 
 def ref_lmo_knapsack(grad, costs, budget, locked=None):

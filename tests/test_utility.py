@@ -1,26 +1,20 @@
 import numpy as np
 import pytest
 
-from geosampler.data import ExpectedCounts, expected_counts
-from geosampler.groups import GroupModel
+from geosampler.data import expected_counts
+from geosampler.groups import GroupModel, admin_groups, feature_kmeans_groups
 from geosampler.utility import (
     InclusionVector,
     UtilityError,
     UtilitySpec,
     aggregates,
+    phi_gradient,
     utility_gradient_raw,
     utility_of_sample,
     utility_value,
 )
 
-from conftest import state_from_ids
-
-
-def counts_of(e, e_group=None):
-    e = np.asarray(e, dtype=float)
-    if e_group is None:
-        e_group = np.zeros((len(e), 0))
-    return ExpectedCounts(e=e, e_group=np.asarray(e_group, dtype=float))
+from conftest import counts_from_dense, state_from_ids
 
 
 def vec(values, committed=None):
@@ -51,13 +45,13 @@ def gradient(values, counts, spec):
 
 class TestSizeUtility:
     def test_full_inclusion(self):
-        assert utility_value(vec([1, 1, 1]), counts_of([10, 10, 5]), SIZE) == 25.0
+        assert utility_value(vec([1, 1, 1]), counts_from_dense([10, 10, 5]), SIZE) == 25.0
 
     def test_all_zero(self):
-        assert utility_value(vec([0, 0, 0]), counts_of([10, 10, 5]), SIZE) == 0.0
+        assert utility_value(vec([0, 0, 0]), counts_from_dense([10, 10, 5]), SIZE) == 0.0
 
     def test_linearity(self):
-        c = counts_of([10, 10, 5])
+        c = counts_from_dense([10, 10, 5])
         assert utility_value(vec([1, 0.5, 0]), c, SIZE) == 15.0
         s = np.array([0.3, 0.7, 0.2])
         assert utility_value(vec(0.5 * s), c, SIZE) == pytest.approx(
@@ -66,27 +60,27 @@ class TestSizeUtility:
 
     def test_dimension_mismatch(self):
         with pytest.raises(UtilityError, match="clusters"):
-            utility_value(vec([1, 0]), counts_of([10, 10, 5]), SIZE)
+            utility_value(vec([1, 0]), counts_from_dense([10, 10, 5]), SIZE)
 
 
 class TestGroupRepUtility:
     def test_single_group_closed_form(self):
         # gamma=1, lam=0.5, n=100: both terms are -0.5/10
         spec = group_spec([1.0])
-        c = counts_of([100.0], [[100.0]])
+        c = counts_from_dense([100.0], [[100.0]])
         u = utility_value(vec([1.0]), c, spec)
         assert u == pytest.approx(-0.100, abs=1e-6)
 
     def test_lambda_zero_is_pure_size_term(self):
         spec = group_spec([1.0], lam=0.0)
-        c = counts_of([25.0], [[25.0]])
+        c = counts_from_dense([25.0], [[25.0]])
         u = utility_value(vec([1.0]), c, spec)
         assert u == pytest.approx(-0.200, abs=1e-6)
 
     def test_balanced_allocation_beats_skewed(self):
         spec = group_spec([0.5, 0.5])
-        balanced = counts_of([50.0, 50.0], [[50, 0], [0, 50]])
-        skewed = counts_of([90.0, 10.0], [[90, 0], [0, 10]])
+        balanced = counts_from_dense([50.0, 50.0], [[50, 0], [0, 50]])
+        skewed = counts_from_dense([90.0, 10.0], [[90, 0], [0, 10]])
         u_bal = utility_value(vec([1, 1]), balanced, spec)
         u_skw = utility_value(vec([1, 1]), skewed, spec)
         # independent evaluation of the formula at both allocations
@@ -103,7 +97,7 @@ class TestGroupRepUtility:
             UtilitySpec(kind="group_rep", groups=None)
 
     def test_group_model_mismatch(self):
-        c = counts_of([10.0, 10.0], [[10.0], [10.0]])
+        c = counts_from_dense([10.0, 10.0], [[10.0], [10.0]])
         with pytest.raises(UtilityError, match="different group model"):
             utility_value(vec([1, 1]), c, group_spec([0.5, 0.5]))
 
@@ -124,7 +118,7 @@ def random_instance(rng, eps=1e-6):
     spec = UtilitySpec(
         kind="group_rep", lam=float(rng.uniform(0, 1)), epsilon=eps, groups=gm
     )
-    counts = counts_of(e, e_group)
+    counts = counts_from_dense(e, e_group)
     return counts, spec
 
 
@@ -148,14 +142,14 @@ class TestGroupRepGradient:
                     assert grad[i] == pytest.approx(fd, rel=1e-4)
 
     def test_zero_expected_count_gives_zero_component(self):
-        counts = counts_of([0.0, 10.0], [[0.0], [10.0]])
+        counts = counts_from_dense([0.0, 10.0], [[0.0], [10.0]])
         spec = group_spec([1.0])
         grad = gradient(np.array([0.5, 0.5]), counts, spec)
         assert grad[0] == 0.0
         assert grad[1] > 0.0
 
     def test_lambda_zero_collapses_to_size_direction(self):
-        counts = counts_of([3.0, 7.0, 1.0], [[3.0], [7.0], [1.0]])
+        counts = counts_from_dense([3.0, 7.0, 1.0], [[3.0], [7.0], [1.0]])
         spec = group_spec([1.0], lam=0.0)
         s = vec([0.5, 0.5, 0.5])
         grad = gradient(s.values, counts, spec)
@@ -196,7 +190,7 @@ class TestInvariants:
         counts, _ = random_instance(rng)
         gm = group_spec([1.0]).groups
         m = len(counts.e)
-        counts = counts_of(rng.integers(1, 20, size=m).astype(float),
+        counts = counts_from_dense(rng.integers(1, 20, size=m).astype(float),
                            rng.uniform(0, 5, size=(m, 1)))
         candidates = [rng.uniform(0, 1, size=m) for _ in range(20)]
         # continuity: value at lam=1e-9 close to value at lam=0
@@ -274,3 +268,60 @@ class TestUtilityOfSample:
         # division-by-zero route entirely
         with pytest.raises(UtilityError, match="epsilon"):
             UtilitySpec(kind="size", epsilon=0.0)
+
+
+# The group sums of z add each group's terms in cluster order, where the dense
+# product left the order to BLAS: on these 36-cluster instances they differ by
+# at most 4 ulps (measured), so allow 8.
+Z_ULPS = 8
+
+
+class TestSparseProducts:
+    """The triple-based products against a dense (m, G) group split built here
+    from the points, the way the split was once stored."""
+
+    @staticmethod
+    def dense_split(ds, gm, counts):
+        n = np.zeros((ds.n_clusters, gm.n_groups))
+        np.add.at(n, (ds.point_cluster, gm.assignment), 1.0)
+        return counts.e[:, None] * n / ds.cluster_sizes.astype(np.float64)[:, None]
+
+    def products(self, ds, gm, seed):
+        counts = expected_counts(ds, gm, k=10)
+        spec = UtilitySpec(kind="group_rep", lam=0.4, groups=gm)
+        dense = self.dense_split(ds, gm, counts)
+        s = np.random.default_rng(seed).uniform(0, 1, ds.n_clusters)
+        z = aggregates(s, counts, spec)
+        w = phi_gradient(z, spec)
+        return (
+            z[:-1], s @ dense,
+            utility_gradient_raw(z, counts, spec), dense @ w[:-1] + counts.e * w[-1],
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_admin_groups(self, synth_ds, seed):
+        z, z_dense, grad, grad_dense = self.products(synth_ds, admin_groups(synth_ds), seed)
+        # one nonzero per cluster: each gradient entry is one product, as in the dense sum
+        assert grad.tobytes() == grad_dense.tobytes()
+        assert np.all(np.abs(z - z_dense) <= Z_ULPS * np.spacing(z_dense))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_feature_kmeans_groups(self, synth_ds, seed):
+        gm = feature_kmeans_groups(synth_ds, 4, seed=0)
+        assert len(expected_counts(synth_ds, gm, k=10).rows) > synth_ds.n_clusters
+        z, z_dense, grad, grad_dense = self.products(synth_ds, gm, seed)
+        assert np.all(np.abs(z - z_dense) <= Z_ULPS * np.spacing(z_dense))
+        assert np.all(np.abs(grad - grad_dense) <= Z_ULPS * np.spacing(grad_dense))
+
+    def test_groupless_counts_have_integer_empty_triples(self, synth_ds):
+        counts = expected_counts(synth_ds, None, k=10)
+        assert counts.n_groups == 0
+        for index in (counts.rows, counts.cols):
+            assert index.shape == (0,) and np.issubdtype(index.dtype, np.integer)
+        assert counts.vals.shape == (0,)
+        # bincount refuses a float index array; these give the empty split
+        np.testing.assert_array_equal(
+            np.bincount(counts.rows, weights=counts.vals, minlength=synth_ds.n_clusters),
+            np.zeros(synth_ds.n_clusters),
+        )
+        assert np.bincount(counts.cols, weights=counts.vals, minlength=0).shape == (0,)
