@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -166,8 +168,43 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return doc
 
 
+def _json_matches(value, tp) -> bool:
+    """Whether a JSON value fits a field annotation: an int field takes an
+    int, a float field an int or a float, neither a bool; a tuple field takes
+    a list or tuple of fitting items; a dataclass field takes an instance or
+    a dict, whose own fields its constructor checks."""
+    origin = typing.get_origin(tp)
+    if tp is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if tp is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp in (str, type(None)):
+        return isinstance(value, tp)
+    if origin in (typing.Union, types.UnionType):
+        return any(_json_matches(value, arg) for arg in typing.get_args(tp))
+    if origin is tuple:
+        args = typing.get_args(tp)
+        if not isinstance(value, (list, tuple)):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_json_matches(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_json_matches, value, args))
+    return isinstance(value, (tp, dict))
+
+
+def _check_json_types(cls, doc: dict) -> None:
+    """Reject, naming the key, a value that does not fit its field of the
+    config dataclass ``cls``; unknown keys are left to the constructor."""
+    hints = typing.get_type_hints(cls)
+    annotations = {f.name: f.type for f in fields(cls)}
+    for key, value in doc.items():
+        if key in hints and not _json_matches(value, hints[key]):
+            raise ConfigError(f"config key {key!r} must be {annotations[key]}, got {value!r}")
+
+
 def synth_from_dict(doc: dict) -> SynthConfig:
     """A SynthConfig from JSON-style fields, whose pairs may be lists."""
+    _check_json_types(SynthConfig, doc)
     try:
         doc = dict(doc)
         for key in ("strata_grid", "points_per_cluster"):
@@ -179,14 +216,13 @@ def synth_from_dict(doc: dict) -> SynthConfig:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    _check_json_types(ExperimentConfig, doc)
     doc = dict(doc)
     if doc.get("synth") is not None:
         doc["synth"] = synth_from_dict(doc["synth"])
     try:
         if "utilities" in doc:
-            doc["utilities"] = tuple(
-                UtilityConfig(**u) if isinstance(u, dict) else u for u in doc["utilities"]
-            )
+            doc["utilities"] = tuple(_utility_from_dict(u) for u in doc["utilities"])
         for key in ("budgets", "c2_sweep", "rank_sizes", "initial_sizes", "seeds",
                     "baselines"):
             if key in doc and doc[key] is not None:
@@ -196,6 +232,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         return ExperimentConfig(**doc)
     except TypeError as exc:
         raise ConfigError(f"bad experiment config: {exc}") from None
+
+
+def _utility_from_dict(u) -> UtilityConfig:
+    if not isinstance(u, dict):
+        return u
+    _check_json_types(UtilityConfig, u)
+    return UtilityConfig(**u)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -79,6 +79,14 @@ class TestGenerate:
         assert run_cli("generate", "--out-dir", tmp_path / "x", "--seed", 1,
                        "--strata-grid", "3x2x1") == 2
 
+    def test_mistyped_config_value_is_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"feature_dim": "7"}))
+        assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 1,
+                       "--config", cfgfile) == 2
+        assert "config key 'feature_dim' must be int, got '7'" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
 
 class TestGroups:
     def test_admin_and_feature_groups(self, bundle, tmp_path):
@@ -518,6 +526,28 @@ class TestExperimentCommands:
                        *flags)
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"max_iters": 2.5}, "'max_iters' must be int, got 2.5"),
+        ({"max_iters": "500"}, "'max_iters' must be int, got '500'"),
+        # a bool is not an int here, though Python's bool subclasses int
+        ({"max_iters": True}, "'max_iters' must be int, got True"),
+        ({"gap_tol": "1e-6"}, "'gap_tol' must be float, got '1e-6'"),
+        ({"initial_size": "30"}, "'initial_size' must be int, got '30'"),
+        ({"c1": "25"}, "'c1' must be float, got '25'"),
+        ({"seeds": [0.5]}, "'seeds' must be tuple[int, ...], got [0.5]"),
+        ({"utilities": [{"lam": "0.5"}]}, "'lam' must be float, got '0.5'"),
+        ({"utilities": [{"epsilon": "1e-6"}]}, "'epsilon' must be float, got '1e-6'"),
+    ], ids=["max_iters-float", "max_iters-str", "max_iters-bool", "gap_tol-str",
+            "initial_size-str", "c1-str", "seeds-float", "lam-str", "epsilon-str"])
+    def test_mistyped_config_value_is_config_error(self, bundle, tmp_path, capsys, doc, message):
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        code = run_cli("augment", "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "x",
+                       "--n-strata", 2, "--k", 10, "--initial-size", 80,
+                       "--methods", "random,rep-admin", "--config", tmp_path / "cfg.json")
+        assert code == 2
+        assert f"config key {message}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_rank_study_ignores_empty_budgets(self, bundle, tmp_path):

@@ -575,3 +575,10 @@ def test_solve_result_serialization(tmp_path):
     assert meta["step_rule"] == "diminishing"
     assert meta["converged"] is res.converged
     assert meta["active_set_size"] == 1
+
+
+@pytest.mark.parametrize("max_iters", [True, 2.5, "500", 0])
+def test_solve_options_reject_a_non_integer_or_small_max_iters(max_iters):
+    with pytest.raises(OptimizerError, match="max_iters must be"):
+        SolveOptions(max_iters=max_iters)
+    assert SolveOptions(max_iters=np.int64(3)).max_iters == 3

@@ -11,6 +11,7 @@ the same bits, and leave the random generator at the same position.
 import numpy as np
 import pytest
 
+from geosampler import optimizer
 from geosampler.data import CostModel, SampleState, cluster_costs, expected_counts
 from geosampler.groups import GroupModel, admin_groups
 from geosampler.optimizer import (
@@ -18,6 +19,7 @@ from geosampler.optimizer import (
     OptimizerError,
     SolveOptions,
     _bisect_step,
+    _root_bracket,
     bind_costs,
     lmo_knapsack,
     remaining_budget,
@@ -424,6 +426,146 @@ def test_bisect_step_matches_reference_at_the_last_bit():
         expect = ref_bisect_step(z, dz, spec, 1.0, 60)
         assert 0.0 < expect < 1.0
         assert _bisect_step(z, dz, spec, 1.0, 60) == expect
+
+
+# -- the solve-large regime: 100 admin groups ---------------------------------
+
+@pytest.fixture(scope="module")
+def ds100():
+    # a 10 x 10 strata grid, so admin groups number 100 as in solve-large
+    cfg = SynthConfig(
+        strata_grid=(10, 10), clusters_per_stratum=5, points_per_cluster=(3, 8),
+        feature_dim=2, seed=6,
+    )
+    return generate(cfg)[0]
+
+
+def _problem100(ds100):
+    """A 100-group problem whose few committed clusters leave most groups at
+    zero count, so that early steps enter them (the eps singularity)."""
+    gm = admin_groups(ds100)
+    state = _state(ds100, np.flatnonzero(ds100.cluster_is_source)[::23])
+    cm = CostModel(c1=10.0, c2=25.0, budget=400.0)
+    spec = UtilitySpec(kind="group_rep", lam=0.5, groups=gm)
+    return expected_counts(ds100, gm, k=5), cm, spec, state
+
+
+@pytest.mark.parametrize("rule", ["line-search", "away"])
+def test_solve_matches_reference_bit_for_bit_on_100_groups(ds100, rule):
+    counts, cm, spec, state = _problem100(ds100)
+    opts = SolveOptions(max_iters=120, gap_tol=1e-9, step_rule=rule)
+    res = solve_relaxation(ds100, counts, cm, spec, state, opts)
+    values, utility, gap, iterations, size, trace = ref_solve_relaxation(
+        ds100, counts, cm, spec, state, opts
+    )
+    assert res.inclusion.values.tobytes() == values.tobytes()
+    assert res.utility == utility
+    assert res.gap == gap
+    assert res.iterations == iterations == 120
+    assert res.active_set_size == size
+    assert res.utility_trace == trace
+
+
+@pytest.fixture(scope="module")
+def line_searches100(ds100):
+    """(z, dz, step_max) of every line search in a line-search and an away
+    solve of the 100-group problem."""
+    counts, cm, spec, state = _problem100(ds100)
+    searches = []
+
+    def record(z, dz, spec, step_max, iters=40):
+        searches.append((z.copy(), dz.copy(), step_max))
+        return _bisect_step(z, dz, spec, step_max, iters)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "_bisect_step", record)
+        for rule in ("line-search", "away"):
+            opts = SolveOptions(max_iters=120, gap_tol=1e-9, step_rule=rule)
+            solve_relaxation(ds100, counts, cm, spec, state, opts)
+    return searches
+
+
+def _bracket(z, dz, spec, step_max):
+    coef = np.append(spec.lam * 0.5 * spec.groups.gamma, (1.0 - spec.lam) * 0.5)
+    return _root_bracket(z, dz, coef, spec.epsilon, step_max)
+
+
+def _spec100(ds100, variant):
+    gm = admin_groups(ds100)
+    if variant == "zero-share":
+        # every fifth group weighs nothing in the utility
+        gamma = gm.gamma.copy()
+        gamma[::5] = 0.0
+        gm = GroupModel(kind="admin", group_ids=gm.group_ids, assignment=gm.assignment,
+                        gamma=gamma / gamma.sum())
+        return UtilitySpec(kind="group_rep", lam=0.5, groups=gm)
+    lam = {"lam-0": 0.0, "lam-0.5": 0.5, "lam-1": 1.0}[variant]
+    return UtilitySpec(kind="group_rep", lam=lam, groups=gm)
+
+
+@pytest.mark.parametrize("variant", ["lam-0.5", "lam-0", "lam-1", "zero-share"])
+def test_bracketed_step_matches_reference_on_100_groups(ds100, line_searches100, variant):
+    spec = _spec100(ds100, variant)
+    interior = narrow = at_zero = away = away_to_zero = 0
+    for z, dz, step_max in line_searches100:
+        for iters in (40, 60):
+            assert _bisect_step(z, dz, spec, step_max, iters) == ref_bisect_step(
+                z, dz, spec, step_max, iters
+            )
+        if not 0.0 < ref_bisect_step(z, dz, spec, step_max) < step_max:
+            continue
+        interior += 1
+        a, b = _bracket(z, dz, spec, step_max)
+        narrow += b - a < 2.0 ** -36 * step_max
+        groups, dgroups = z[:-1], dz[:-1]
+        at_zero += bool(np.any((groups == 0) & (dgroups > 0)))
+        if step_max < 1.0:
+            away += 1
+            emptied = np.abs(groups + step_max * dgroups) <= 1e-9 * groups
+            away_to_zero += bool(np.any((groups > 0) & emptied))
+    if variant == "lam-0":
+        # only the total term is left: its sign is one on the whole segment
+        assert interior == 0
+        return
+    # the instance covers what the bracket must handle
+    assert interior >= 100
+    assert at_zero >= 5 and away >= 5 and away_to_zero >= 1
+    # a bracket that fell back to plain bisection would keep the bits but
+    # not the speed
+    assert narrow >= 0.9 * interior
+
+
+def test_bracket_holds_where_a_group_empties_near_the_root():
+    # one large group that the direction empties at t = 1, and the root just
+    # before that: z + t dz cancels to a few ulps of z there, so the probe
+    # resolves t no finer than its own last bits
+    gm = GroupModel(
+        kind="admin", group_ids=("g0",), assignment=np.zeros(1, dtype=np.int64),
+        gamma=np.ones(1),
+    )
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        z_group, left = 10 ** rng.uniform(6, 12), 10 ** rng.uniform(-7, -3)
+        z = np.array([z_group, rng.uniform(1, 100)])
+        dz = np.array([-z_group, rng.uniform(1, 100)])
+        # lam that balances the two terms at the root t = 1 - left
+        up = dz[1] * (z[1] + (1 - left) * dz[1] + 1e-6) ** -1.5
+        down = z_group * (z_group * left + 1e-6) ** -1.5
+        spec = UtilitySpec(kind="group_rep", lam=float(up / (up + down)), groups=gm)
+        for iters in (40, 60):
+            assert _bisect_step(z, dz, spec, 1.0, iters) == ref_bisect_step(
+                z, dz, spec, 1.0, iters
+            )
+        a, b = _bracket(z, dz, spec, 1.0)
+        assert 0.0 < a < b < 1.0 and b - a < 2.0 ** -36
+
+        def probe(t):
+            return float(phi_gradient(z + t * dz, spec) @ dz)
+
+        # the probe's sign at and just beyond each end of the bracket
+        for k in range(8):
+            assert probe(a * (1 - k * 2.0 ** -52)) > 0
+            assert probe(b * (1 + k * 2.0 ** -52)) <= 0
 
 
 # -- rounding -----------------------------------------------------------------
