@@ -1,10 +1,13 @@
 """Command-line entry points.
 
 Subcommands: generate, groups, optimize, augment, evaluate, rank-study,
-cost-sweep, size-sweep. On ``generate`` and the four study commands,
-``--config FILE`` accepts a JSON document whose keys override the
-corresponding flags. Exit codes: 0 success, 2 config error (any bad input,
-including a missing input file), 3 infeasible request.
+cost-sweep, size-sweep. A flag sets the config dataclass field of its name
+(``SynthConfig``, ``ExperimentConfig`` or ``UtilityConfig``); a flag left out
+is not passed, so the field keeps the default its dataclass declares. On
+``generate`` and the four study commands, ``--config FILE`` accepts a JSON
+document whose keys override the flags, decoded by
+:func:`~geosampler.experiments.from_json`. Exit codes: 0 success, 2 config
+error (any bad input, including a missing input file), 3 infeasible request.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    CostModel,
     _csv_header,
     _read_rows,
     load_dataset,
@@ -31,20 +33,21 @@ from .data import (
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    UtilityConfig,
+    _methods,
     build_utility_spec,
-    config_from_dict,
     dataset_content_hash,
+    from_json,
     parse_methods,
     run_augmentation,
     run_cost_sweep,
     run_initial_size_sweep,
     run_rank_study,
-    synth_from_dict,
 )
 from .groups import admin_groups, auxiliary_kmeans_groups, feature_kmeans_groups, save_group_model
 from .learner import fit_on_sample, save_model
-from .optimizer import STEP_RULES, InfeasibleError, SolveOptions, save_solve_result
-from .samplers import SamplerConfig, draw_initial_sample, solve_and_augment
+from .optimizer import STEP_RULES, InfeasibleError, save_solve_result
+from .samplers import draw_initial_sample, solve_and_augment
 from .synth import SynthConfig, generate, save_truth
 
 # cmd_optimize reaches these through solve_and_augment; they stay bound here
@@ -52,15 +55,6 @@ from .synth import SynthConfig, generate, save_truth
 from .data import expected_counts  # noqa: F401
 from .optimizer import round_inclusion, solve_relaxation  # noqa: F401
 from .samplers import optimized_augment  # noqa: F401
-
-# flags stored under the ExperimentConfig field of the same name
-_PLAIN_FIELDS = (
-    "dataset", "n_strata", "k", "initial_size", "strata_seed", "c1", "c2",
-    "budget_scope", "convenience_temperature", "n_anchors", "max_iters", "gap_tol",
-    "step_rule",
-)
-# comma-separated flags -> element type of their ExperimentConfig tuple
-_LIST_FIELDS = {"budgets": float, "c2_sweep": float, "rank_sizes": int, "initial_sizes": int}
 
 
 def _parse_pair(text: str, sep: str, caster=int) -> tuple:
@@ -84,43 +78,42 @@ def _add_config_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strata-grid", default="3x2", help="e.g. 3x2")
-    p.add_argument("--clusters-per-stratum", type=int, default=8)
-    p.add_argument("--points-per-cluster", default="10:30", help="e.g. 10:30")
-    p.add_argument("--feature-dim", type=int, default=5)
-    p.add_argument("--coef-dispersion", type=float, default=0.0)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--feature-noise", type=float, default=0.5)
-    p.add_argument("--feature-scale", type=float, default=1.0)
-    p.add_argument("--target-snr", type=float, default=None)
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    p.add_argument("--strata-grid", help="e.g. 3x2")
+    p.add_argument("--clusters-per-stratum", type=int)
+    p.add_argument("--points-per-cluster", help="e.g. 10:30")
+    p.add_argument("--feature-dim", type=int)
+    p.add_argument("--coef-dispersion", type=float)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--feature-noise", type=float)
+    p.add_argument("--feature-scale", type=float)
+    p.add_argument("--target-snr", type=float)
+    p.add_argument("--test-fraction", type=float)
 
 
 def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-strata", type=int, default=2)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--initial-size", type=int, default=100)
-    p.add_argument("--strata-seed", type=int, default=0)
+    p.add_argument("--n-strata", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--initial-size", type=int)
+    p.add_argument("--strata-seed", type=int)
 
 
 def _add_cost_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c1", type=float, default=25.0)
-    p.add_argument("--c2", type=float, default=50.0)
-    p.add_argument("--budget-scope", choices=["augmentation", "total"],
-                   default="augmentation")
+    p.add_argument("--c1", type=float)
+    p.add_argument("--c2", type=float)
+    p.add_argument("--budget-scope", choices=["augmentation", "total"])
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--gap-tol", type=float, default=1e-6)
-    p.add_argument("--step-rule", choices=STEP_RULES, default="diminishing")
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--gap-tol", type=float)
+    p.add_argument("--step-rule", choices=STEP_RULES)
 
 
 def _add_utility_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lam", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--n-groups", type=int, default=8)
-    p.add_argument("--group-seed", type=int, default=0)
+    p.add_argument("--lam", type=float)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--n-groups", type=int)
+    p.add_argument("--group-seed", type=int)
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
@@ -130,62 +123,69 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     _add_sampler_flags(p)
     _add_cost_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--budgets", default="100", help="comma-separated budgets")
-    p.add_argument("--c2-sweep", default="25,30,40,50")
-    p.add_argument("--methods", default="default,greedy,random,rep-admin",
-                   help="baselines and/or opt-size, rep-admin, rep-feature")
+    p.add_argument("--budgets", help="comma-separated budgets")
+    p.add_argument("--c2-sweep")
+    p.add_argument("--methods", help="baselines and/or opt-size, rep-admin, rep-feature")
     _add_utility_flags(p)
-    p.add_argument("--rank-sizes", default="100,200,300,400,500,600,700,800,900,1000")
-    p.add_argument("--initial-sizes", default="50,100,150")
-    p.add_argument("--convenience-temperature", type=float, default=0.025)
-    p.add_argument("--n-anchors", type=int, default=3)
-    p.add_argument("--seeds", default=None,
-                   help="comma-separated seeds; defaults to the single --seed")
+    p.add_argument("--rank-sizes")
+    p.add_argument("--initial-sizes")
+    p.add_argument("--convenience-temperature", type=float)
+    p.add_argument("--n-anchors", type=int)
+    p.add_argument("--seeds", help="comma-separated seeds; defaults to the single --seed")
 
 
-def _synth_fields(args) -> dict:
-    """SynthConfig fields from the synth flags and --seed, which carry their names."""
-    doc = {f.name: getattr(args, f.name) for f in fields(SynthConfig)}
-    doc["strata_grid"] = _parse_pair(args.strata_grid, "x")
-    doc["points_per_cluster"] = _parse_pair(args.points_per_cluster, ":")
-    return doc
+# flags whose text holds a tuple -> its parser
+_TEXT_FIELDS = {
+    "strata_grid": lambda text: _parse_pair(text, "x"),
+    "points_per_cluster": lambda text: _parse_pair(text, ":"),
+    "budgets": _parse_list,
+    "c2_sweep": _parse_list,
+    "rank_sizes": lambda text: _parse_list(text, int),
+    "initial_sizes": lambda text: _parse_list(text, int),
+    "seeds": lambda text: _parse_list(text, int),
+}
+
+
+def _given(args, cls) -> dict:
+    """The fields of the config dataclass ``cls`` that the given flags set."""
+    given = vars(args)
+    return {f.name: _TEXT_FIELDS.get(f.name, lambda v: v)(given[f.name])
+            for f in fields(cls) if f.name in given}
 
 
 def _config_file(args) -> dict:
     """The ``--config`` document, empty without the flag."""
-    if args.config is None:
+    if "config" not in args:
         return {}
     path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"--config file {path} does not exist")
+    if not path.is_file():
+        raise ConfigError(f"--config file {path} does not exist or is not a file")
     doc = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ConfigError(f"--config file {path} must hold a JSON object")
     return doc
 
 
-def _utility_params(args) -> dict:
-    return {"lam": args.lam, "epsilon": args.epsilon, "n_groups": args.n_groups,
-            "group_seed": args.group_seed}
-
-
 def _experiment_config(args) -> ExperimentConfig:
-    """One dict of ExperimentConfig fields from the flags, overlaid by the
-    ``--config`` document."""
-    doc = {name: getattr(args, name) for name in _PLAIN_FIELDS}
-    for name, caster in _LIST_FIELDS.items():
-        doc[name] = _parse_list(getattr(args, name), caster)
-    doc["synth"] = None if args.dataset else _synth_fields(args)
-    doc["baselines"], doc["utilities"] = parse_methods(
-        _parse_list(args.methods, str), **_utility_params(args)
-    )
-    doc["seeds"] = _parse_list(args.seeds, int) if args.seeds else (args.seed,)
-    return config_from_dict({**doc, **_config_file(args)})
+    """The ExperimentConfig of the given flags, overlaid by the ``--config``
+    document. A document that sets ``dataset`` or ``synth`` picks the
+    population source by itself; otherwise ``--dataset`` picks it, or the
+    synth flags with ``--seed``."""
+    doc = {"seeds": (args.seed,), **_given(args, ExperimentConfig)}
+    if "dataset" not in doc:
+        doc["synth"] = _given(args, SynthConfig)
+    names = _parse_list(args.methods, str) if "methods" in args else _methods(ExperimentConfig)
+    doc["baselines"], doc["utilities"] = parse_methods(names, **_given(args, UtilityConfig))
+    overrides = _config_file(args)
+    if overrides.get("dataset") is not None or overrides.get("synth") is not None:
+        doc.update(dataset=None, synth=None)
+    return from_json(ExperimentConfig, {**doc, **overrides})
 
 
 def cmd_generate(args) -> int:
-    cfg = synth_from_dict({**_synth_fields(args), **_config_file(args)})
-    cm = CostModel(c1=args.c1, c2=args.c2, budget=args.budget, budget_scope=args.budget_scope)
+    cfg = from_json(SynthConfig, {**_given(args, SynthConfig), **_config_file(args)})
+    # the cost flags are ExperimentConfig's, and take its defaults
+    cm = ExperimentConfig(synth=cfg, **_given(args, ExperimentConfig)).cost_model(args.budget)
     ds, truth = generate(cfg)
     out = Path(args.out_dir)
     save_dataset(ds, out, features_format=args.features_format)
@@ -197,16 +197,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_groups(args) -> int:
-    if args.kind == "aux" and args.aux_file is None:
+    if args.kind == "aux" and "aux_file" not in args:
         raise ConfigError("--kind aux needs --aux-file")
     ds = load_dataset(args.dataset)
+    n_groups = vars(args).get("n_groups", UtilityConfig.n_groups)
     if args.kind == "admin":
         gm = admin_groups(ds)
     elif args.kind == "feature":
-        gm = feature_kmeans_groups(ds, args.n_groups, seed=args.seed)
+        gm = feature_kmeans_groups(ds, n_groups, seed=args.seed)
     else:
         aux = _read_aux_matrix(Path(args.aux_file), ds)
-        gm = auxiliary_kmeans_groups(ds, aux, args.n_groups, seed=args.seed)
+        gm = auxiliary_kmeans_groups(ds, aux, n_groups, seed=args.seed)
     save_group_model(gm, ds, args.out_dir)
     print(f"wrote {gm.n_groups} {gm.kind} groups to {args.out_dir}")
     return 0
@@ -215,8 +216,8 @@ def cmd_groups(args) -> int:
 def _read_aux_matrix(path: Path, ds) -> np.ndarray:
     """The rows of ``path`` (``point_id`` then numbers, in the bundle CSV
     dialect) for the points of ``ds``; rows of other points are ignored."""
-    if not path.exists():
-        raise ConfigError(f"auxiliary file {path} does not exist")
+    if not path.is_file():
+        raise ConfigError(f"auxiliary file {path} does not exist or is not a file")
     header, has_rows = _csv_header(path)
     if not header or header[0] != "point_id":
         raise ConfigError("auxiliary csv must start with a point_id column")
@@ -236,31 +237,17 @@ def _read_aux_matrix(path: Path, ds) -> np.ndarray:
         raise ConfigError(f"auxiliary csv missing point {exc}") from None
 
 
-def _initial_state_and_costs(args, ds):
-    scfg = SamplerConfig(
-        n_strata=args.n_strata,
-        k=args.k,
-        initial_size=args.initial_size,
-        strata_seed=args.strata_seed,
-    )
-    state = draw_initial_sample(ds, scfg, np.random.default_rng([args.seed, 0]))
-    cm = CostModel(
-        c1=args.c1, c2=args.c2, budget=args.budget, budget_scope=args.budget_scope
-    ).with_initial_strata(state.initial_strata)
-    return state, cm
-
-
 def cmd_optimize(args) -> int:
-    _, utilities = parse_methods((args.utility,), **_utility_params(args))
-    if not utilities:
-        raise ConfigError(f"--utility {args.utility!r} is a baseline, not a utility")
-    ds = load_dataset(args.dataset)
-    state, cm = _initial_state_and_costs(args, ds)
-    spec = build_utility_spec(ds, utilities[0])
-    opts = SolveOptions(max_iters=args.max_iters, gap_tol=args.gap_tol,
-                        step_rule=args.step_rule)
+    cfg = _experiment_config(args)   # --utility is its one method
+    if cfg.baselines or len(cfg.utilities) != 1:
+        raise ConfigError(
+            f"--utility {args.methods!r} must be one of opt-size, rep-admin, rep-feature")
+    ds = load_dataset(cfg.dataset)
+    state = draw_initial_sample(ds, cfg.sampler_config(), np.random.default_rng([args.seed, 0]))
+    cm = cfg.cost_model(args.budget).with_initial_strata(state.initial_strata)
+    spec = build_utility_spec(ds, cfg.utilities[0])
     augmented, result, selected = solve_and_augment(
-        ds, state, cm, spec, np.random.default_rng([args.seed, 1]), opts
+        ds, state, cm, spec, np.random.default_rng([args.seed, 1]), cfg.solve_options()
     )
     out = Path(args.out_dir)
     save_solve_result(ds, result, out, selected=selected)
@@ -328,7 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate a synthetic dataset bundle")
+    def add(name: str, text: str) -> argparse.ArgumentParser:
+        # a flag left out stays out of the namespace, so its field keeps the
+        # default of its config dataclass
+        return sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+
+    p = add("generate", "generate a synthetic dataset bundle")
     _add_out_and_seed(p)
     _add_config_flag(p)
     _add_synth_flags(p)
@@ -337,48 +329,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-format", choices=["csv", "bin"], default="csv")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("groups", help="build and save a group model")
+    p = add("groups", "build and save a group model")
     _add_out_and_seed(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--kind", choices=["admin", "feature", "aux"], default="admin")
-    p.add_argument("--n-groups", type=int, default=8)
+    p.add_argument("--n-groups", type=int)
     p.add_argument("--aux-file", help="csv of per-point auxiliary vectors")
     p.set_defaults(func=cmd_groups)
 
-    p = sub.add_parser("optimize", help="solve the relaxed selection problem")
+    p = add("optimize", "solve the relaxed selection problem")
     _add_out_and_seed(p)
     p.add_argument("--dataset", required=True)
     _add_sampler_flags(p)
     _add_cost_flags(p)
     _add_solver_flags(p)
     p.add_argument("--budget", type=float, required=True)
-    p.add_argument("--utility", default="rep-admin",
+    p.add_argument("--utility", dest="methods", metavar="UTILITY", default="rep-admin",
                    help="opt-size, rep-admin, or rep-feature")
     _add_utility_flags(p)
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("augment", help="run the augmentation comparison table")
+    p = add("augment", "run the augmentation comparison table")
     _add_out_and_seed(p)
     _add_experiment_flags(p)
     p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("evaluate", help="train and score a saved sample")
+    p = add("evaluate", "train and score a saved sample")
     _add_out_and_seed(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--sample", required=True, help="sample.json path")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("rank-study", help="utility vs performance rank study")
+    p = add("rank-study", "utility vs performance rank study")
     _add_out_and_seed(p)
     _add_experiment_flags(p)
     p.set_defaults(func=cmd_rank_study)
 
-    p = sub.add_parser("cost-sweep", help="vary the out-of-strata cost c2")
+    p = add("cost-sweep", "vary the out-of-strata cost c2")
     _add_out_and_seed(p)
     _add_experiment_flags(p)
     p.set_defaults(func=cmd_cost_sweep)
 
-    p = sub.add_parser("size-sweep", help="vary the initial sample size")
+    p = add("size-sweep", "vary the initial sample size")
     _add_out_and_seed(p)
     _add_experiment_flags(p)
     p.set_defaults(func=cmd_size_sweep)

@@ -537,8 +537,8 @@ def load_sample_state(ds: Dataset, path: str | Path) -> SampleState:
     unselected cluster or under the wrong cluster, and more than
     ``min(k, size)`` points in a cluster raise :class:`DatasetError`."""
     path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"sample file {path} does not exist")
+    if not path.is_file():
+        raise DatasetError(f"sample file {path} does not exist or is not a file")
     doc = json.loads(path.read_text(encoding="utf-8"))
     _require_fields(doc, tuple(_SAMPLE_FIELDS)[:6], "sample.json")
     for field, (ok, what) in _SAMPLE_FIELDS.items():

@@ -1,6 +1,12 @@
 """Experiment orchestration: augmentation comparison, utility rank study,
 cost-structure sweep, and initial-size sweep.
 
+A study is configured by an :class:`ExperimentConfig`. Each default is written
+once, in the dataclass that owns the setting (solver settings in
+``SolveOptions``, ``lam``/``epsilon`` in ``UtilitySpec``), and the config
+dataclasses refer to it. :func:`from_json` decodes a JSON document into any of
+them, checking every value against its field's annotation.
+
 Each study is a grid of (seed, level, arm) cells, run by one loop. Only once
 every cell has run does it write one per-run CSV row per cell, the study's
 summary tables and meta.json, so a study that fails leaves no output. The three
@@ -22,7 +28,7 @@ import hashlib
 import json
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -62,10 +68,10 @@ METHODS = BASELINES + ("opt-size",) + tuple(f"rep-{g}" for g in GROUP_SOURCES)
 class UtilityConfig:
     """JSON-friendly description of an optimized-augmentation method."""
 
-    kind: str = "group_rep"      # size | group_rep
-    groups: str = "admin"        # admin | feature (group_rep only)
-    lam: float = 0.5
-    epsilon: float = 1e-6
+    kind: str = UtilitySpec.kind   # size | group_rep
+    groups: str = "admin"          # admin | feature (group_rep only)
+    lam: float = UtilitySpec.lam
+    epsilon: float = UtilitySpec.epsilon
     n_groups: int = 8
     group_seed: int = 0
 
@@ -105,13 +111,13 @@ class ExperimentConfig:
     n_strata: int = 2
     k: int = 10
     initial_size: int = 100
-    strata_seed: int = 0
+    strata_seed: int = SamplerConfig.strata_seed
     # costs
     c1: float = 25.0
     c2: float = 50.0
     budgets: tuple[float, ...] = (100.0,)
     c2_sweep: tuple[float, ...] = (25.0, 30.0, 40.0, 50.0)
-    budget_scope: str = "augmentation"
+    budget_scope: str = CostModel.budget_scope
     # methods
     baselines: tuple[str, ...] = BASELINES
     utilities: tuple[UtilityConfig, ...] = (UtilityConfig(),)
@@ -124,9 +130,9 @@ class ExperimentConfig:
     initial_sizes: tuple[int, ...] = (50, 100, 150)
     # seeds and solver
     seeds: tuple[int, ...] = (0,)
-    max_iters: int = 500
-    gap_tol: float = 1e-6
-    step_rule: str = "diminishing"
+    max_iters: int = SolveOptions.max_iters
+    gap_tol: float = SolveOptions.gap_tol
+    step_rule: str = SolveOptions.step_rule
 
     def __post_init__(self):
         if (self.dataset is None) == (self.synth is None):
@@ -161,88 +167,51 @@ class ExperimentConfig:
         )
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    doc = asdict(cfg)
-    doc["synth"] = asdict(cfg.synth) if cfg.synth is not None else None
-    doc["utilities"] = [asdict(u) for u in cfg.utilities]
-    return doc
+_MISMATCH = object()
 
 
-def _json_matches(value, tp) -> bool:
-    """Whether a JSON value fits a field annotation: an int field takes an
-    int, a float field an int or a float, neither a bool; a tuple field takes
-    a list or tuple of fitting items; a dataclass field takes an instance or
-    a dict, whose own fields its constructor checks."""
-    origin = typing.get_origin(tp)
-    if tp is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if tp is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if tp in (str, type(None)):
-        return isinstance(value, tp)
-    if origin in (typing.Union, types.UnionType):
-        return any(_json_matches(value, arg) for arg in typing.get_args(tp))
-    if origin is tuple:
-        args = typing.get_args(tp)
+def _decode(value, tp):
+    """``value`` as a field annotated ``tp`` holds it, or ``_MISMATCH``: an int
+    field takes an int, a float field an int or a float, neither a bool; a
+    tuple field takes a list or tuple of fitting items, kept as a tuple; a
+    dataclass field takes an instance, or a dict that :func:`from_json` decodes."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        decoded = (_decode(value, arg) for arg in args)
+        return next((v for v in decoded if v is not _MISMATCH), _MISMATCH)
+    if typing.get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
-            return False
-        if len(args) == 2 and args[1] is Ellipsis:
-            return all(_json_matches(v, args[0]) for v in value)
-        return len(value) == len(args) and all(map(_json_matches, value, args))
-    return isinstance(value, (tp, dict))
+            return _MISMATCH
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        items = tuple(map(_decode, value, args))
+        ok = len(value) == len(args) and all(v is not _MISMATCH for v in items)
+        return items if ok else _MISMATCH
+    if isinstance(value, dict) and is_dataclass(tp):
+        return from_json(tp, value)
+    ok = isinstance(value, (int, float) if tp is float else tp)
+    return value if ok and (tp is bool or not isinstance(value, bool)) else _MISMATCH
 
 
-def _check_json_types(cls, doc: dict) -> None:
-    """Reject, naming the key, a value that does not fit its field of the
-    config dataclass ``cls``; unknown keys are left to the constructor."""
+def from_json(cls, doc: dict):
+    """A ``cls`` config dataclass from a JSON-style dict of some of its fields,
+    the rest taking their defaults; a key ``cls`` lacks or a value that does not
+    fit its field's annotation (see :func:`_decode`) is a config error naming
+    the key."""
     hints = typing.get_type_hints(cls)
     annotations = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
     for key, value in doc.items():
-        if key in hints and not _json_matches(value, hints[key]):
+        if key not in annotations:
+            raise ConfigError(f"unknown config key {key!r} for {cls.__name__}")
+        kwargs[key] = _decode(value, hints[key])
+        if kwargs[key] is _MISMATCH:
             raise ConfigError(f"config key {key!r} must be {annotations[key]}, got {value!r}")
-
-
-def synth_from_dict(doc: dict) -> SynthConfig:
-    """A SynthConfig from JSON-style fields, whose pairs may be lists."""
-    _check_json_types(SynthConfig, doc)
-    try:
-        doc = dict(doc)
-        for key in ("strata_grid", "points_per_cluster"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
-        return SynthConfig(**doc)
-    except TypeError as exc:
-        raise ConfigError(f"bad synth config: {exc}") from None
-
-
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    _check_json_types(ExperimentConfig, doc)
-    doc = dict(doc)
-    if doc.get("synth") is not None:
-        doc["synth"] = synth_from_dict(doc["synth"])
-    try:
-        if "utilities" in doc:
-            doc["utilities"] = tuple(_utility_from_dict(u) for u in doc["utilities"])
-        for key in ("budgets", "c2_sweep", "rank_sizes", "initial_sizes", "seeds",
-                    "baselines"):
-            if key in doc and doc[key] is not None:
-                doc[key] = tuple(doc[key])
-        if doc.get("convenience_anchors") is not None:
-            doc["convenience_anchors"] = tuple(tuple(a) for a in doc["convenience_anchors"])
-        return ExperimentConfig(**doc)
-    except TypeError as exc:
-        raise ConfigError(f"bad experiment config: {exc}") from None
-
-
-def _utility_from_dict(u) -> UtilityConfig:
-    if not isinstance(u, dict):
-        return u
-    _check_json_types(UtilityConfig, u)
-    return UtilityConfig(**u)
+    return cls(**kwargs)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    payload = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -382,7 +351,7 @@ def _run_grid(
     for name, header, rows in tables:
         write_csv(out / name, header + ["config_hash", "dataset_hash"],
                   ([_fmt(v) for v in row] + hashes for row in rows))
-    write_json(out / "meta.json", {"config": config_to_dict(cfg), "config_hash": hashes[0],
+    write_json(out / "meta.json", {"config": asdict(cfg), "config_hash": hashes[0],
                                    "dataset_hash": hashes[1], **study.meta})
     return records
 

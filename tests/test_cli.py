@@ -6,12 +6,16 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from geosampler.cli import main
+from geosampler.cli import _experiment_config, build_parser, main
 from geosampler.data import load_dataset
+from geosampler.experiments import ExperimentConfig, UtilityConfig, dataset_content_hash
+from geosampler.optimizer import SolveOptions
+from geosampler.synth import SynthConfig, generate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -447,6 +451,32 @@ class TestExperimentCommands:
         assert f"--config file {missing}" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
+    def test_config_dataset_key_picks_the_bundle(self, bundle, tmp_path):
+        # without --dataset the flags describe a synthetic population; the
+        # document's dataset replaces it
+        (tmp_path / "cfg.json").write_text(json.dumps({"dataset": str(bundle)}))
+        assert run_cli("augment", "--seed", 0, "--out-dir", tmp_path / "a", "--methods", "random",
+                       "--initial-size", 80, "--config", tmp_path / "cfg.json") == 0
+        config = json.loads((tmp_path / "a" / "meta.json").read_text())["config"]
+        assert (config["dataset"], config["synth"]) == (str(bundle), None)
+
+    def test_config_synth_key_replaces_the_dataset_flag(self, bundle, tmp_path):
+        synth = {"clusters_per_stratum": 4, "feature_dim": 3, "seed": 2}
+        (tmp_path / "cfg.json").write_text(json.dumps({"synth": synth}))
+        assert run_cli("augment", "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "a",
+                       "--methods", "random", "--initial-size", 40,
+                       "--config", tmp_path / "cfg.json") == 0
+        config = json.loads((tmp_path / "a" / "meta.json").read_text())["config"]
+        assert config["dataset"] is None
+        assert config["synth"] == {**json.loads(json.dumps(asdict(SynthConfig()))), **synth}
+
+    def test_config_with_both_sources_is_config_error(self, bundle, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"dataset": str(bundle), "synth": {}}))
+        assert run_cli("augment", "--seed", 0, "--out-dir", tmp_path / "a", "--methods", "random",
+                       "--config", tmp_path / "cfg.json") == 2
+        assert "exactly one of dataset path or synth config" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
     @pytest.mark.parametrize("command", ["augment", "rank-study", "cost-sweep", "size-sweep"])
     def test_empty_config_keeps_config_hash(self, bundle, tmp_path, command):
         args = [
@@ -464,6 +494,7 @@ class TestExperimentCommands:
     @pytest.mark.parametrize("command, flags, message", [
         ("augment", ["--methods", "defualt"], "unknown method 'defualt'"),
         ("augment", ["--budgets", ""], "budgets must be non-empty"),
+        ("augment", ["--seeds", ""], "seeds must be non-empty"),
         ("augment", ["--methods", ""], "methods must be non-empty"),
         ("rank-study", ["--rank-sizes", ""], "rank_sizes must be non-empty"),
         ("cost-sweep", ["--budgets", ""], "budgets must be non-empty"),
@@ -586,6 +617,57 @@ class TestExperimentCommands:
         with pytest.raises(SystemExit) as exc:
             run_cli("augment", "--dataset", bundle, "--out-dir", tmp_path / "x")
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--config", "--sample", "--aux-file"])
+def test_directory_where_a_file_is_expected_is_config_error(bundle, tmp_path, capsys, flag):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {
+        "--config": ["augment", "--dataset", bundle, "--methods", "random"],
+        "--sample": ["evaluate", "--dataset", bundle],
+        "--aux-file": ["groups", "--dataset", bundle, "--kind", "aux"],
+    }[flag]
+    assert run_cli(*argv, flag, folder, "--seed", 0, "--out-dir", tmp_path / "o") == 2
+    assert str(folder) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+class TestDefaults:
+    """A flag left out takes the default of its config dataclass, so the CLI
+    and the library cannot drift apart."""
+
+    def test_experiment_flags_default_to_experiment_config(self, tmp_path):
+        args = build_parser().parse_args(
+            ["augment", "--dataset", "b", "--seed", "0", "--out-dir", str(tmp_path)])
+        assert _experiment_config(args) == ExperimentConfig(dataset="b", seeds=(0,))
+        args = build_parser().parse_args(["augment", "--seed", "4", "--out-dir", str(tmp_path)])
+        assert _experiment_config(args) == ExperimentConfig(synth=SynthConfig(seed=4), seeds=(4,))
+
+    def test_optimize_solves_with_default_options(self, bundle, tmp_path, monkeypatch):
+        import geosampler.cli
+
+        seen = {}
+
+        def recorded(name):
+            fn = getattr(geosampler.cli, name)
+
+            def wrapper(*args):
+                seen[name] = args
+                return fn(*args)
+            return wrapper
+
+        for name in ("build_utility_spec", "solve_and_augment"):
+            monkeypatch.setattr(geosampler.cli, name, recorded(name))
+        assert run_cli("optimize", "--dataset", bundle, "--out-dir", tmp_path / "o",
+                       "--seed", 1, "--budget", 200) == 0
+        assert seen["build_utility_spec"][1] == UtilityConfig()
+        assert seen["solve_and_augment"][-1] == SolveOptions()
+
+    def test_generate_defaults_to_synth_config(self, tmp_path):
+        assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 5) == 0
+        ds, _ = generate(SynthConfig(seed=5))
+        assert dataset_content_hash(load_dataset(tmp_path / "b")) == dataset_content_hash(ds)
 
 
 def readme_cli_commands():

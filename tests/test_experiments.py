@@ -1,4 +1,5 @@
 import csv
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -7,10 +8,9 @@ from geosampler.experiments import (
     ConfigError,
     ExperimentConfig,
     UtilityConfig,
-    config_from_dict,
     config_hash,
-    config_to_dict,
     dataset_content_hash,
+    from_json,
     parse_methods,
     run_augmentation,
     run_cost_sweep,
@@ -59,7 +59,7 @@ class TestConfig:
 
     def test_round_trips_through_dict(self):
         cfg = small_cfg()
-        again = config_from_dict(config_to_dict(cfg))
+        again = from_json(ExperimentConfig, asdict(cfg))
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
 
@@ -71,10 +71,10 @@ class TestConfig:
             small_cfg(baselines=("bogus",))
 
     def test_bad_synth_field_is_config_error(self):
-        doc = config_to_dict(small_cfg())
+        doc = asdict(small_cfg())
         doc["synth"]["bogus"] = 1
         with pytest.raises(ConfigError, match="bogus"):
-            config_from_dict(doc)
+            from_json(ExperimentConfig, doc)
 
 
 class TestParseMethods:
