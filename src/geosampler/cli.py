@@ -64,8 +64,27 @@ def _parse_pair(text: str, sep: str, caster=int) -> tuple:
     return tuple(caster(p) for p in parts)
 
 
-def _parse_list(text: str, caster=float) -> tuple:
-    return tuple(caster(p) for p in text.split(",") if p != "")
+def _parse_list(text: str, flag: str, caster=float) -> tuple:
+    """The comma-separated items of ``flag``'s text. An empty text is the
+    empty tuple, which the config rejects where the command sweeps it; an
+    empty item in a non-empty text (``100,,``) is an error."""
+    if not text:
+        return ()
+    items = text.split(",")
+    if "" in items:
+        raise ConfigError(f"{flag} {text!r} has an empty item")
+    return tuple(caster(p) for p in items)
+
+
+def _check_out_dir(path: str) -> None:
+    """Fail before any work if ``path``, or an existing ancestor of it, is
+    not a directory: the output could never be written there."""
+    out = Path(path)
+    for p in (out, *out.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigError(f"--out-dir {path}: {p} exists and is not a directory")
+            return
 
 
 def _add_out_and_seed(p: argparse.ArgumentParser) -> None:
@@ -138,11 +157,11 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
 _TEXT_FIELDS = {
     "strata_grid": lambda text: _parse_pair(text, "x"),
     "points_per_cluster": lambda text: _parse_pair(text, ":"),
-    "budgets": _parse_list,
-    "c2_sweep": _parse_list,
-    "rank_sizes": lambda text: _parse_list(text, int),
-    "initial_sizes": lambda text: _parse_list(text, int),
-    "seeds": lambda text: _parse_list(text, int),
+    "budgets": lambda text: _parse_list(text, "--budgets"),
+    "c2_sweep": lambda text: _parse_list(text, "--c2-sweep"),
+    "rank_sizes": lambda text: _parse_list(text, "--rank-sizes", int),
+    "initial_sizes": lambda text: _parse_list(text, "--initial-sizes", int),
+    "seeds": lambda text: _parse_list(text, "--seeds", int),
 }
 
 
@@ -174,7 +193,11 @@ def _experiment_config(args) -> ExperimentConfig:
     doc = {"seeds": (args.seed,), **_given(args, ExperimentConfig)}
     if "dataset" not in doc:
         doc["synth"] = _given(args, SynthConfig)
-    names = _parse_list(args.methods, str) if "methods" in args else _methods(ExperimentConfig)
+    if "methods" in args:
+        flag = "--utility" if args.command == "optimize" else "--methods"
+        names = _parse_list(args.methods, flag, str)
+    else:
+        names = _methods(ExperimentConfig)
     doc["baselines"], doc["utilities"] = parse_methods(names, **_given(args, UtilityConfig))
     overrides = _config_file(args)
     if overrides.get("dataset") is not None or overrides.get("synth") is not None:
@@ -382,6 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_dir(args.out_dir)   # every command takes one
         return args.func(args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -18,8 +18,11 @@ product is O(nnz + m), nnz = m for admin groups. The line search works on
 the G + 1 aggregates: Newton locates the root of the directional
 derivative, a forward error bound certifies a bracket around it, and the
 bisection probes only inside that bracket, keeping plain bisection's bits.
-The knapsack oracle sorts only the items that can enter its fill, and
-rounding draws all its uniforms in one vector.
+The knapsack oracle sees only the free clusters, whose costs are gathered
+once per solve, and sorts only the items that can enter its fill. The
+``away`` rule's active set is packed incrementally, so an iteration does
+only the work that changes with the iterate. Rounding draws all its uniforms
+in one vector.
 """
 
 from __future__ import annotations
@@ -111,7 +114,10 @@ def lmo_knapsack(
     Coordinates are filled to 1 in order of decreasing grad_i / c_i (ties to
     the lower index) until the budget binds; the last item may be fractional,
     so the output has at most one fractional coordinate. Locked coordinates
-    are returned as 1 and charge nothing.
+    are returned as 1 and charge nothing: the free ones solve the same
+    problem on their own, d[free] = lmo_knapsack(grad[free], costs[free],
+    budget). The solver gathers the free costs once per solve and calls
+    without ``locked``.
 
     At most floor(budget / min c) items fill whole, and one more is
     fractional or overflows, so only the cap = floor(budget / min c) + 2
@@ -123,36 +129,41 @@ def lmo_knapsack(
     costs = np.asarray(costs, dtype=np.float64)
     if not (budget >= 0):
         raise OptimizerError("budget must be non-negative")
-    m = len(grad)
+    if locked is not None:
+        locked = np.asarray(locked, dtype=bool)
+        free = np.flatnonzero(~locked)
+        out = locked.astype(np.float64)
+        grad, costs = grad[free], costs[free]
+    n = len(grad)
+    d = np.zeros(n, dtype=np.float64)
+    if n:
+        c_min = costs.min()
+        if not c_min > 0:     # a nan cost makes the minimum nan
+            raise OptimizerError("costs must be positive for unlocked clusters")
+        ratio = grad / costs
+        cap = float(budget) // float(c_min) + 2   # nan for an infinite budget
+        if cap < n:
+            cut = n - int(cap)
+            idx = np.flatnonzero(ratio >= np.partition(ratio, cut)[cut])
+            ratio = ratio[idx]
+        else:
+            idx = np.arange(n)
+        order = idx[np.lexsort((idx, -ratio))]
+        nonpositive = grad[order] <= 0
+        if nonpositive.any():
+            order = order[: int(np.argmax(nonpositive))]
+        c = costs[order]
+        # rem[k]: budget left before item k, subtracted in fill order
+        rem = np.subtract.accumulate(np.concatenate(([float(budget)], c)))
+        overflow = c > rem[:-1]
+        k = int(np.argmax(overflow)) if overflow.any() else len(order)
+        d[order[:k]] = 1.0
+        if k < len(order) and rem[k] > 0:
+            d[order[k]] = rem[k] / c[k]
     if locked is None:
-        locked = np.zeros(m, dtype=bool)
-    d = np.zeros(m, dtype=np.float64)
-    d[locked] = 1.0
-    idx = np.flatnonzero(~locked)
-    if idx.size == 0:
         return d
-    c_idx = costs[idx]
-    if not np.all(c_idx > 0):
-        raise OptimizerError("costs must be positive for unlocked clusters")
-    ratio = grad[idx] / c_idx
-    cap = float(budget) // float(c_idx.min()) + 2   # nan for an infinite budget
-    if cap < idx.size:
-        cut = idx.size - int(cap)
-        top = np.flatnonzero(ratio >= np.partition(ratio, cut)[cut])
-        idx, ratio = idx[top], ratio[top]
-    order = idx[np.lexsort((idx, -ratio))]
-    nonpositive = grad[order] <= 0
-    if nonpositive.any():
-        order = order[: int(np.argmax(nonpositive))]
-    c = costs[order]
-    # rem[k]: budget left before item k, subtracted in fill order
-    rem = np.subtract.accumulate(np.concatenate(([float(budget)], c)))
-    overflow = c > rem[:-1]
-    k = int(np.argmax(overflow)) if overflow.any() else len(order)
-    d[order[:k]] = 1.0
-    if k < len(order) and rem[k] > 0:
-        d[order[k]] = rem[k] / c[k]
-    return d
+    out[free] = d
+    return out
 
 
 def remaining_budget(ds: Dataset, cm: CostModel, state: SampleState) -> float:
@@ -193,38 +204,38 @@ def solve_relaxation(
     m = ds.n_clusters
     committed = np.zeros(m, dtype=bool)
     committed[state.clusters] = True
-    available = ds.cluster_is_source & ~committed
-    decision = np.flatnonzero(committed | available)
-    locked_dec = committed[decision]
-    costs_dec = cluster_costs(cm, ds)[decision]
+    # the decision variables that move: the unsampled source clusters
+    free = np.flatnonzero(ds.cluster_is_source & ~committed)
+    c_free = cluster_costs(cm, ds)[free]
+    # the start point, 1 on the committed clusters: every oracle vertex
+    # takes its committed part from it, exactly 1
+    s0 = committed.astype(np.float64)
 
-    s = np.zeros(m, dtype=np.float64)
-    s[committed] = 1.0
+    s = s0.copy()
     active = _ActiveSet(s) if opts.step_rule == "away" else None
 
     trace: list[float] = []
-    best_s, best_f, best_gap = s.copy(), -np.inf, np.inf
+    best_s, best_f, best_gap = s, -np.inf, np.inf
     iterations = 0
+    # s is rebound by each step and never written in place once it may be
+    # best_s, so best_s needs no copy
     for t in range(opts.max_iters):
         iterations = t + 1
         z = aggregates(s, counts, spec)
         f = phi(z, spec)
         grad = utility_gradient_raw(z, counts, spec)
         trace.append(f)
-        if t == 0 and budget > 0 and np.any(~locked_dec):
-            if not np.any(grad[decision][~locked_dec] > 0):
-                raise OptimizerError(
-                    "utility gradient vanishes on every candidate cluster"
-                )
-        d_dec = lmo_knapsack(grad[decision], costs_dec, budget, locked_dec)
-        d_full = s.copy()
-        d_full[decision] = d_dec
+        grad_free = grad[free]
+        if t == 0 and budget > 0 and free.size and not np.any(grad_free > 0):
+            raise OptimizerError("utility gradient vanishes on every candidate cluster")
+        d_full = s0.copy()
+        d_full[free] = lmo_knapsack(grad_free, c_free, budget)
         fw_delta = d_full - s
         gap = float(grad @ fw_delta)
         if f > best_f:
-            best_s, best_f, best_gap = s.copy(), f, gap
+            best_s, best_f, best_gap = s, f, gap
         if gap <= opts.gap_tol * max(1.0, abs(f)):
-            best_s, best_f, best_gap = s.copy(), f, gap
+            best_s, best_f, best_gap = s, f, gap
             break
 
         if opts.step_rule == "diminishing":
@@ -238,7 +249,7 @@ def solve_relaxation(
             s = _away_step(active, grad, s, z, d_full, fw_delta, gap, counts, spec)
 
     values = best_s
-    spent = float(costs_dec[~locked_dec] @ values[decision][~locked_dec])
+    spent = float(c_free @ values[free])
     if spent > budget * (1 + 1e-9) + 1e-12:
         raise OptimizerError(
             f"internal error: relaxed cost {spent:.9g} exceeds budget {budget:.9g}"
@@ -423,7 +434,15 @@ class _ActiveSet:
     An LMO vertex has at most one fractional coordinate and few nonzeros, so
     vertex k is stored as its nonzero indices ``idx[k]`` and values
     ``vals[k]``; ``keys`` maps the bytes of that pair to k, which finds a
-    repeated vertex by hashing."""
+    repeated vertex by hashing.
+
+    :meth:`scores` and :meth:`iterate` read the vertices packed in vertex
+    order into flat arrays ``_idx``, ``_vals`` and ``_owner`` (the vertex of
+    each entry). The packing is kept incrementally: :meth:`add` appends a
+    new vertex's entries, and :meth:`prune` filters them only when a vertex
+    vanished, renumbering the owners. The flat arrays always equal the
+    concatenation of the vertices, so the bincounts add the same terms in
+    the same order as a packing from scratch."""
 
     def __init__(self, s: np.ndarray):
         self.m = len(s)
@@ -431,6 +450,9 @@ class _ActiveSet:
         self.idx: list[np.ndarray] = []
         self.vals: list[np.ndarray] = []
         self.weights = np.zeros(0)
+        self._idx = np.zeros(0, dtype=np.intp)
+        self._vals = np.zeros(0)
+        self._owner = np.zeros(0, dtype=np.intp)
         self.add(s, 1.0)
         self.prune()
 
@@ -440,16 +462,19 @@ class _ActiveSet:
         key = idx.tobytes() + vals.tobytes()
         k = self.keys.get(key)
         if k is None:
-            self.keys[key] = len(self.idx)
+            k = len(self.idx)
+            self.keys[key] = k
             self.idx.append(idx)
             self.vals.append(vals)
             self.weights = np.append(self.weights, weight)
+            self._idx = np.concatenate((self._idx, idx))
+            self._vals = np.concatenate((self._vals, vals))
+            self._owner = np.concatenate((self._owner, np.full(len(idx), k, dtype=np.intp)))
         else:
             self.weights[k] += weight
 
     def prune(self) -> None:
-        """Drop vanished vertices, renormalize, and pack the vertices into
-        flat arrays for :meth:`scores` and :meth:`iterate`."""
+        """Drop vanished vertices and renormalize the weights."""
         keep = self.weights > 1e-14
         if not keep.all():
             kept = np.flatnonzero(keep)
@@ -459,11 +484,13 @@ class _ActiveSet:
             self.keys = {
                 key: renumber[k] for key, k in self.keys.items() if k in renumber
             }
+            entries = keep[self._owner]
+            self._idx = self._idx[entries]
+            self._vals = self._vals[entries]
+            # a kept vertex's new number counts the kept vertices before it
+            self._owner = (np.cumsum(keep) - 1)[self._owner[entries]]
         kept_weights = self.weights[keep]
         self.weights = kept_weights / kept_weights.sum()
-        self._idx = np.concatenate(self.idx)
-        self._vals = np.concatenate(self.vals)
-        self._owner = np.repeat(np.arange(len(self.idx)), [len(i) for i in self.idx])
 
     def scores(self, grad: np.ndarray) -> np.ndarray:
         """grad . v_k for every vertex k."""

@@ -502,6 +502,11 @@ class TestExperimentCommands:
         ("size-sweep", ["--budgets", ""], "budgets must be non-empty"),
         ("size-sweep", ["--initial-sizes", ""], "initial_sizes must be non-empty"),
         ("size-sweep", ["--methods", "default"], "utilities must be non-empty"),
+        # a stray comma is an empty item, not a value left out
+        ("augment", ["--budgets", "100,,"], "--budgets '100,,' has an empty item"),
+        ("augment", ["--seeds", "0,,1"], "--seeds '0,,1' has an empty item"),
+        ("augment", ["--methods", "random,"], "--methods 'random,' has an empty item"),
+        ("cost-sweep", ["--c2-sweep", ",40"], "--c2-sweep ',40' has an empty item"),
         # axes a study holds fixed take one value, not only their first
         ("cost-sweep", ["--budgets", "100,250"], "budgets must hold exactly one value, got 2"),
         ("size-sweep", ["--budgets", "100,250"], "budgets must hold exactly one value, got 2"),
@@ -631,6 +636,28 @@ def test_directory_where_a_file_is_expected_is_config_error(bundle, tmp_path, ca
     assert run_cli(*argv, flag, folder, "--seed", 0, "--out-dir", tmp_path / "o") == 2
     assert str(folder) in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command, argv, first_work", [
+    ("generate", [], "geosampler.cli.generate"),
+    ("evaluate", ["--dataset", "b", "--sample", "s.json"], "geosampler.cli.load_dataset"),
+    ("augment", ["--dataset", "b", "--methods", "random"],
+     "geosampler.experiments.load_population"),
+])
+def test_out_dir_that_is_a_file_is_config_error_before_any_work(
+    tmp_path, capsys, monkeypatch, command, argv, first_work, under
+):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{first_work} ran before the --out-dir check")
+
+    monkeypatch.setattr(first_work, fail)
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"not a directory\n")
+    out = afile / "sub" if under else afile
+    assert run_cli(command, *argv, "--seed", 0, "--out-dir", out) == 2
+    assert f"--out-dir {out}" in capsys.readouterr().err
+    assert afile.read_bytes() == b"not a directory\n"
 
 
 class TestDefaults:

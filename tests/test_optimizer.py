@@ -288,6 +288,31 @@ class TestSolveRelaxation:
         assert len(calls) == res.iterations
 
     @pytest.mark.parametrize("rule", STEP_RULES)
+    def test_one_oracle_call_on_the_free_clusters_per_iteration(self, rule, monkeypatch):
+        # the solver prices the free clusters once per solve and hands the
+        # oracle only their gradient, with no locked mask
+        calls = []
+
+        def counted(grad, costs, budget, locked=None):
+            calls.append((len(grad), len(costs), locked))
+            return lmo_knapsack(grad, costs, budget, locked)
+
+        monkeypatch.setattr(optimizer, "lmo_knapsack", counted)
+        ds, cm, state, spec, counts = make_instance(
+            n_clusters=12, committed=("c00",), seed=2, budget=55.0
+        )
+        free = ds.cluster_is_source.copy()
+        free[state.clusters] = False
+        n_free = int(free.sum())
+        res = solve_relaxation(
+            ds, counts, cm, spec, state,
+            SolveOptions(max_iters=300, gap_tol=1e-9, step_rule=rule),
+        )
+        assert res.iterations > 1
+        assert 0 < n_free < ds.n_clusters
+        assert calls == [(n_free, n_free, None)] * res.iterations
+
+    @pytest.mark.parametrize("rule", STEP_RULES)
     def test_aggregate_products_per_iteration(self, rule, monkeypatch):
         # one m x (G+1) product for the iterate, plus one for the line-search
         # direction; the gradient reuses the iterate's aggregates

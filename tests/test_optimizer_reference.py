@@ -18,6 +18,7 @@ from geosampler.optimizer import (
     STEP_RULES,
     OptimizerError,
     SolveOptions,
+    _ActiveSet,
     _bisect_step,
     _root_bracket,
     bind_costs,
@@ -328,6 +329,69 @@ def test_reference_instances_exercise_the_prefix_sort(ds):
     assert budget // 10.0 + 2 < n_free
 
 
+# -- away-step active set ---------------------------------------------------
+
+def _vertex(m, ones, frac=None):
+    v = np.zeros(m)
+    v[list(ones)] = 1.0
+    if frac is not None:
+        v[frac[0]] = frac[1]
+    return v
+
+
+def test_incremental_active_set_packs_like_a_concatenation():
+    # the packed arrays are kept by appends and filters; after every prune
+    # they must equal a packing from scratch, and scores and iterate the
+    # reference's bits
+    m = 40
+    start = _vertex(m, (0, 1))
+    active, ref = _ActiveSet(start), RefActiveSet(start)
+    grad = np.random.default_rng(4).normal(size=m)
+
+    def check():
+        assert np.array_equal(active._idx, np.concatenate(active.idx))
+        assert np.array_equal(active._vals, np.concatenate(active.vals))
+        owner = np.repeat(np.arange(len(active.idx)), [len(i) for i in active.idx])
+        assert np.array_equal(active._owner, owner)
+        assert active.weights.tobytes() == ref.weights.tobytes()
+        assert active.scores(grad).tobytes() == ref.scores(grad).tobytes()
+        assert active.iterate().tobytes() == ref.iterate().tobytes()
+
+    def step(v=None, weight=0.0, drop=()):
+        for a in (active, ref):
+            if v is not None:
+                a.weights *= 1.0 - weight
+                a.add(v, weight)
+            a.weights[list(drop)] = 0.0
+            a.prune()
+        check()
+
+    check()
+    vertices = [
+        _vertex(m, (0, 1, 5, 9), (12, 0.25)),
+        _vertex(m, (0, 1, 3), (20, 0.5)),
+        _vertex(m, (0, 1, 7, 8, 30, 31, 32)),
+        _vertex(m, (0, 1, 2), (39, 0.125)),
+        _vertex(m, (0, 1, 14, 15)),
+    ]
+    step(vertices[0], 0.3)                      # a new vertex
+    step(vertices[1], 0.2)
+    step(vertices[0], 0.1)                      # a repeated vertex: a reweight only
+    assert len(active.idx) == 3
+    step(vertices[2], 0.15)
+    step(drop=(1,))                             # a middle vertex
+    assert len(active.idx) == 3
+    step(vertices[3], 0.05)
+    step(drop=(len(active.idx) - 1,))           # the last vertex
+    step(vertices[4], 0.4)
+    step(vertices[3], 0.05)
+    assert len(active.idx) == 5
+    step(drop=(0, 1, 2, 4))                     # all but one
+    assert len(active.idx) == 1
+    step(vertices[1], 0.5)                      # a dropped vertex comes back as new
+    assert len(active.idx) == 2
+
+
 # -- knapsack oracle --------------------------------------------------------
 
 def _assert_lmo_equal(grad, costs, budget, locked=None):
@@ -370,6 +434,29 @@ def test_lmo_with_no_positive_gradient_selects_nothing():
     locked[:5] = True
     d = _assert_lmo_equal(grad, costs, 20.0, locked)
     np.testing.assert_array_equal(d, locked.astype(np.float64))
+
+
+def test_lmo_locked_coordinates_are_one_and_charge_nothing():
+    # a locked coordinate may cost 0 or less: it is neither checked nor charged,
+    # and the free ones solve the problem on the free clusters alone
+    rng = np.random.default_rng(8)
+    n = 300
+    grad = rng.exponential(size=n) - 0.2
+    costs = rng.uniform(1.0, 4.0, size=n)
+    locked = rng.random(n) < 0.2
+    costs[locked] = rng.choice([0.0, -3.0], size=int(locked.sum()))
+    free = ~locked
+    for budget in (0.0, 6.0, 55.5, float(costs[free].sum()), np.inf):
+        d = _assert_lmo_equal(grad, costs, budget, locked)
+        assert np.all(d[locked] == 1.0)
+        assert d[free].tobytes() == lmo_knapsack(grad[free], costs[free], budget).tobytes()
+
+
+def test_lmo_with_every_coordinate_locked_returns_them():
+    locked = np.ones(5, dtype=bool)
+    d = _assert_lmo_equal(np.arange(5.0), np.zeros(5), 3.0, locked)
+    assert d.tobytes() == np.ones(5).tobytes()
+    assert lmo_knapsack(np.zeros(0), np.zeros(0), 3.0).shape == (0,)
 
 
 @pytest.mark.parametrize("budget", [np.nan, -1.0])
