@@ -13,13 +13,15 @@ summary tables and meta.json, so a study that fails leaves no output. The three
 augmentation studies share one cell function; a rank-study cell draws and
 scores one sample.
 
-Every emitted table carries provenance columns (seed, config hash, dataset
-content hash) and is written deterministically: rerunning a command with the
-same config and seeds into a fresh directory reproduces the files byte for
-byte. Aggregates report both the standard deviation and the standard error;
-infeasible cells are reported as such, never silently truncated, and a rank
-sample that cannot be drawn or scored is a ``skipped`` row with the error as
-its reason, left out of the rank correlations.
+An augmentation study's per-run CSV says how each optimized arm's relaxed
+solve ended: its iterations, duality gap and whether it converged (blank for
+a baseline). Every emitted table carries provenance columns (seed, config
+hash, dataset content hash) and is written deterministically: rerunning a
+command with the same config and seeds into a fresh directory reproduces the
+files byte for byte. Aggregates report both the standard deviation and the
+standard error; infeasible cells are reported as such, never silently
+truncated, and a rank sample that cannot be drawn or scored is a ``skipped``
+row with the error as its reason, left out of the rank correlations.
 """
 
 from __future__ import annotations
@@ -45,11 +47,13 @@ from .samplers import (
     default_cluster_augment,
     draw_initial_sample,
     greedy_size_augment,
-    optimized_augment,
     random_cluster_augment,
     random_point_sample,
+    solve_and_augment,
 )
-from .optimizer import SolveOptions
+# unused here; perfbench/tracer.py times calls under this binding
+from .samplers import optimized_augment  # noqa: F401
+from .optimizer import SolveOptions, SolveResult
 from .synth import SynthConfig, generate
 from .utility import UtilitySpec, utility_of_sample
 
@@ -62,6 +66,8 @@ BASELINES = ("default", "greedy", "random")
 GROUP_SOURCES = ("admin", "feature")
 # every method name: the baselines, then each UtilityConfig.method_name()
 METHODS = BASELINES + ("opt-size",) + tuple(f"rep-{g}" for g in GROUP_SOURCES)
+# the SolveResult fields an augmentation study's per-run CSV reports
+SOLVE_COLS = ("iterations", "gap", "converged")
 
 
 @dataclass(frozen=True)
@@ -144,6 +150,7 @@ class ExperimentConfig:
         for m in self.baselines:
             if m not in BASELINES:
                 raise ConfigError(f"unknown baseline {m!r}")
+        self.solve_options()   # rejects bad solver settings before any work
 
     def solve_options(self) -> SolveOptions:
         return SolveOptions(
@@ -292,14 +299,16 @@ def _only(name: str, values: tuple):
 def _apply_method(
     ds: Dataset, state: SampleState, cm: CostModel, method: str,
     specs: dict[str, UtilitySpec], opts: SolveOptions, rng: np.random.Generator,
-) -> SampleState:
+) -> tuple[SampleState, SolveResult | None]:
+    """The augmented state, and the relaxed solve behind it (None for a baseline)."""
     if method == "default":
-        return default_cluster_augment(ds, state, cm, rng)
+        return default_cluster_augment(ds, state, cm, rng), None
     if method == "greedy":
-        return greedy_size_augment(ds, state, cm, rng)
+        return greedy_size_augment(ds, state, cm, rng), None
     if method == "random":
-        return random_cluster_augment(ds, state, cm, rng)
-    return optimized_augment(ds, state, cm, specs[method], rng, opts)
+        return random_cluster_augment(ds, state, cm, rng), None
+    augmented, result, _ = solve_and_augment(ds, state, cm, specs[method], rng, opts)
+    return augmented, result
 
 
 def _aggregate(values: list[float]) -> tuple[float, float, float]:
@@ -371,8 +380,10 @@ def _augmentation_study(
     initial sample a level augments; each distinct one is drawn and scored
     once. ``cost(seed, li, level, ai)`` gives an arm's cost model (with its
     budget) and rng key. ``run_cols`` go between delta_r2 and infeasible in
-    the per-run CSV. The summary is a level x arm table of ``stat``: a cell
-    with any infeasible run gets blank statistics and status ``infeasible``.
+    the per-run CSV; after infeasible come the ``SOLVE_COLS`` of an optimized
+    arm's relaxed solve, blank for a baseline. The summary is a level x arm
+    table of ``stat``: a cell with any infeasible run gets blank statistics
+    and status ``infeasible``.
     """
     specs = {a: build_utility_spec(ds, u) for a, u in utilities.items()}
     opts = cfg.solve_options()
@@ -386,13 +397,16 @@ def _augmentation_study(
         state0, r0 = initials[key]
         cm, key = cost(seed, li, lvl, ai)
         cm = cm.with_initial_strata(state0.initial_strata)
-        state = _apply_method(ds, state0, cm, method, specs, opts, np.random.default_rng(key))
+        state, solve = _apply_method(
+            ds, state0, cm, method, specs, opts, np.random.default_rng(key))
         r2 = evaluate_sample(ds, state, seed=seed)
         return {
             "r2": r2, "initial_r2": r0, "delta_r2": r2 - r0, "budget": cm.budget,
             "spent": state.spent, "total_cost": set_cost(cm, ds, state0.initial) + state.spent,
             "clusters_added": len(state.augment),
             "points_added": state.n_labeled - state0.n_labeled, "infeasible": state.infeasible,
+            **(dict.fromkeys(SOLVE_COLS, "") if solve is None else
+               {c: getattr(solve, c) for c in SOLVE_COLS}),
         }
 
     def table(records):
@@ -414,7 +428,8 @@ def _augmentation_study(
 
     return _Study(
         level=level, levels=levels, arm=arm, arms=arms, cell=cell, runs_csv=runs_csv,
-        run_cols=(level, arm, "seed", "r2", "initial_r2", "delta_r2", *run_cols, "infeasible"),
+        run_cols=(level, arm, "seed", "r2", "initial_r2", "delta_r2", *run_cols, "infeasible",
+                  *SOLVE_COLS),
         tables=table,
     )
 

@@ -6,7 +6,9 @@ The solver is Frank-Wolfe: each iteration linearizes the utility at the
 current point and moves toward the vertex returned by a fractional-knapsack
 linear maximization oracle. Termination is certified by the duality gap
 grad(s) . (d - s), which upper-bounds the suboptimality of s for concave
-utilities.
+utilities. The default step rule is ``away`` (away-step Frank-Wolfe, which
+converges linearly here); ``line-search`` and ``diminishing`` (2/(t+2)) stay
+selectable through :class:`SolveOptions`.
 
 The utility depends on s only through its aggregates z = s @ A (see
 :func:`geosampler.utility.aggregates`). Each iteration computes z once and
@@ -63,28 +65,33 @@ class InfeasibleError(OptimizerError):
 class SolveOptions:
     """Solver controls.
 
-    ``step_rule`` picks the iteration flavor: ``diminishing`` is plain
-    Frank-Wolfe with step 2/(t+2); ``line-search`` replaces the step size by
-    an exact one-dimensional maximization; ``away`` additionally allows away
-    steps over the active vertex set, which removes the zigzag stall of plain
-    iterations when the optimum mixes many vertices and is the right choice
-    for tight gap tolerances. Their exact step bisects the sign of the
-    directional derivative 40 times, but probes it only inside a root
-    bracket certified by a forward error bound (2.3 probes per line search
-    on solve-large instead of 42; see :func:`_bisect_step`).
+    ``step_rule`` picks the iteration flavor. ``away``, the default, allows
+    away steps over the active vertex set besides the Frank-Wolfe step, which
+    removes the zigzag stall of plain iterations when the optimum mixes many
+    vertices; it converges linearly on this polytope (Lacoste-Julien &
+    Jaggi, NeurIPS 2015). ``line-search`` is plain Frank-Wolfe with an exact
+    one-dimensional maximization as its step; ``diminishing`` is plain
+    Frank-Wolfe with step 2/(t+2), which converges only sublinearly (Jaggi,
+    ICML 2013) and stops at ``max_iters`` on the study problems. The exact
+    step bisects the sign of the directional derivative 40 times, but probes
+    it only inside a root bracket certified by a forward error bound (2.3
+    probes per line search on solve-large instead of 42; see
+    :func:`_bisect_step`). ``gap_tol`` must be positive and finite: an
+    infinite tolerance would stop every solve after one iteration, certifying
+    nothing.
     """
 
     max_iters: int = 500
     gap_tol: float = 1e-6          # relative to max(1, |U|)
-    step_rule: str = "diminishing"
+    step_rule: str = "away"
 
     def __post_init__(self):
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
             raise OptimizerError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise OptimizerError("max_iters must be >= 1")
-        if not (self.gap_tol > 0):
-            raise OptimizerError("gap_tol must be positive")
+        if not (0 < self.gap_tol < math.inf):
+            raise OptimizerError(f"gap_tol must be positive and finite, got {self.gap_tol!r}")
         if self.step_rule not in STEP_RULES:
             raise OptimizerError(f"unknown step rule {self.step_rule!r}")
 

@@ -9,13 +9,17 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from geosampler.cli import _experiment_config, build_parser, main
-from geosampler.data import load_dataset
+from geosampler.data import CostModel, load_dataset
 from geosampler.experiments import ExperimentConfig, UtilityConfig, dataset_content_hash
+from geosampler.groups import admin_groups
 from geosampler.optimizer import SolveOptions
+from geosampler.samplers import draw_initial_sample, solve_and_augment
 from geosampler.synth import SynthConfig, generate
+from geosampler.utility import UtilitySpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -385,6 +389,67 @@ class TestExperimentCommands:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    # README step 5's augment grid
+    README_AUGMENT = ["--seeds", "0,1,2,3,4", "--n-strata", 2, "--k", 10, "--initial-size", 80,
+                      "--budgets", "200,250,300", "--methods", "default,greedy,random,rep-admin"]
+
+    @pytest.mark.parametrize("solver, converged, iterations", [
+        ([], "1", None),
+        (["--step-rule", "diminishing", "--max-iters", 20], "0", "20"),
+    ], ids=["default", "diminishing-20"])
+    def test_runs_csv_reports_each_solve(self, bundle, tmp_path, solver, converged, iterations):
+        assert run_cli("augment", "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "a",
+                       *self.README_AUGMENT, *solver) == 0
+        rows = csv_rows(tmp_path / "a" / "runs.csv")
+        optimized = [r for r in rows if r["method"].startswith("rep-")]
+        assert len(optimized) == 15
+        for r in optimized:
+            assert r["converged"] == converged
+            assert int(r["iterations"]) >= 1 and float(r["gap"]) >= 0
+            if iterations is not None:
+                assert r["iterations"] == iterations
+        for r in rows:
+            if not r["method"].startswith("rep-"):
+                assert (r["iterations"], r["gap"], r["converged"]) == ("", "", "")
+
+    @pytest.mark.parametrize("command, flags, runs_csv, columns", [
+        ("augment", ["--budgets", "100"], "runs.csv",
+         "budget,method,seed,r2,initial_r2,delta_r2,spent,clusters_added,points_added"),
+        ("cost-sweep", ["--budgets", "100", "--c2-sweep", "25,40"], "sweep_runs.csv",
+         "c2,method,seed,r2,initial_r2,delta_r2,spent"),
+        ("size-sweep", ["--budgets", "100", "--initial-sizes", "40,80"], "size_runs.csv",
+         "initial_size,arm,seed,r2,initial_r2,delta_r2,budget,spent,total_cost"),
+    ], ids=["augment", "cost-sweep", "size-sweep"])
+    def test_solver_columns_follow_infeasible(
+        self, bundle, tmp_path, command, flags, runs_csv, columns
+    ):
+        methods = "rep-admin" if command == "size-sweep" else "default,rep-admin"
+        assert run_cli(command, "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "x",
+                       "--n-strata", 2, "--k", 10, "--initial-size", 80,
+                       "--methods", methods, *flags) == 0
+        with (tmp_path / "x" / runs_csv).open(newline="") as fh:
+            header = fh.readline().rstrip("\r\n")
+        assert header == columns + (
+            ",infeasible,iterations,gap,converged,config_hash,dataset_hash")
+
+    @pytest.mark.parametrize("command, gap_tol", [
+        # an infinite tolerance made every solve "converge" after one
+        # iteration, certifying nothing
+        ("augment", "inf"), ("optimize", "inf"),
+        # rank-study solves nothing, but checks its solver settings as well
+        ("rank-study", "-1"),
+    ])
+    def test_non_finite_or_nonpositive_gap_tol_is_config_error(
+        self, bundle, tmp_path, capsys, command, gap_tol
+    ):
+        extra = {"augment": ["--methods", "rep-admin"], "optimize": ["--budget", 100],
+                 "rank-study": ["--methods", "rep-admin", "--rank-sizes", "40"]}[command]
+        code = run_cli(command, "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "x",
+                       "--n-strata", 2, "--k", 10, "--gap-tol", gap_tol, *extra)
+        assert code == 2
+        assert "gap_tol must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_nan_budget_is_config_error(self, bundle, tmp_path, capsys):
         code = run_cli(
             "augment", "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "a",
@@ -690,6 +755,34 @@ class TestDefaults:
                        "--seed", 1, "--budget", 200) == 0
         assert seen["build_utility_spec"][1] == UtilityConfig()
         assert seen["solve_and_augment"][-1] == SolveOptions()
+
+    def test_every_entry_point_solves_with_away(self, bundle, tmp_path, monkeypatch):
+        import geosampler.samplers
+
+        assert SolveOptions.step_rule == "away"
+        assert ExperimentConfig(dataset="b").solve_options() == SolveOptions()
+        rules = []
+
+        def recorded(*args):
+            result = solve_relaxation(*args)
+            rules.append(result.step_rule)
+            return result
+
+        solve_relaxation = geosampler.samplers.solve_relaxation
+        monkeypatch.setattr(geosampler.samplers, "solve_relaxation", recorded)
+        assert run_cli("optimize", "--dataset", bundle, "--out-dir", tmp_path / "o",
+                       "--seed", 1, "--budget", 200) == 0
+        assert json.loads((tmp_path / "o" / "solve_meta.json").read_text())["step_rule"] == "away"
+        assert run_cli("augment", "--dataset", bundle, "--out-dir", tmp_path / "a",
+                       "--seed", 0, "--budgets", 200, "--methods", "opt-size,rep-admin") == 0
+        ds = load_dataset(bundle)
+        state = draw_initial_sample(ds, ExperimentConfig(dataset="b").sampler_config(),
+                                    np.random.default_rng(0))
+        spec = UtilitySpec(kind="group_rep", groups=admin_groups(ds))
+        _, result, _ = solve_and_augment(ds, state, CostModel(c1=25, c2=50, budget=200), spec,
+                                         np.random.default_rng(1), opts=None)
+        assert rules == ["away"] * 4
+        assert result.step_rule == "away" and result.converged
 
     def test_generate_defaults_to_synth_config(self, tmp_path):
         assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 5) == 0

@@ -597,9 +597,9 @@ def test_solve_result_serialization(tmp_path):
         "gap", "iterations", "utility", "budget_used",
         "step_rule", "converged", "active_set_size",
     }
-    assert meta["step_rule"] == "diminishing"
+    assert meta["step_rule"] == SolveOptions.step_rule
     assert meta["converged"] is res.converged
-    assert meta["active_set_size"] == 1
+    assert meta["active_set_size"] == res.active_set_size
 
 
 @pytest.mark.parametrize("max_iters", [True, 2.5, "500", 0])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from geosampler.data import CostModel, build_dataset, set_cost
-from geosampler.groups import admin_groups
+from geosampler.data import CostModel, build_dataset, cluster_costs, set_cost
+from geosampler.groups import admin_groups, feature_kmeans_groups
 from geosampler.optimizer import SolveOptions
 from geosampler.samplers import (
     ConvenienceConfig,
@@ -15,6 +15,7 @@ from geosampler.samplers import (
     optimized_augment,
     random_cluster_augment,
     random_point_sample,
+    solve_and_augment,
 )
 from geosampler.synth import SynthConfig, generate
 from geosampler.utility import UtilitySpec
@@ -272,6 +273,29 @@ class TestOptimizedAugment:
         assert ids(ds, out.augment) == ()
         assert out.spent == state.spent
         assert labeled_ids(ds, out) == labeled_ids(ds, state)
+
+    @pytest.mark.parametrize("method", ["rep-admin", "rep-feature", "opt-size"])
+    @pytest.mark.parametrize("budget", ["zero", "below-cheapest", "above-all"])
+    def test_default_solve_converges_at_the_budget_extremes(self, method, budget):
+        # the default step rule certifies the relaxed optimum at each extreme;
+        # rounding then buys nothing, nothing, and every candidate cluster
+        ds = survey_ds(n_strata=3)
+        state = starter_state(ds, n_strata=2, k=7, target=35)
+        groups = {"rep-admin": admin_groups(ds),
+                  "rep-feature": feature_kmeans_groups(ds, 3, seed=0)}.get(method)
+        spec = UtilitySpec(kind="size" if groups is None else "group_rep", groups=groups)
+        priced = CostModel(c1=25, c2=50, budget=0.0).with_initial_strata(state.initial_strata)
+        free = np.setdiff1d(np.flatnonzero(ds.cluster_is_source), state.clusters)
+        costs = cluster_costs(priced, ds)[free]
+        amount, spend = {"zero": (0.0, 0.0), "below-cheapest": (0.5 * costs.min(), 0.0),
+                         "above-all": (costs.sum() + 1.0, costs.sum())}[budget]
+        cm = CostModel(c1=25, c2=50, budget=amount)
+        out, result, _ = solve_and_augment(ds, state, cm, spec, np.random.default_rng(0))
+        assert result.step_rule == SolveOptions.step_rule == "away"
+        assert result.converged
+        assert out.spent == spend
+        if budget == "above-all":
+            assert sorted(out.augment) == list(free)
 
     def test_spent_within_budget_and_k_respected(self):
         ds = survey_ds(n_strata=3)
