@@ -51,7 +51,8 @@ from .samplers import (
     random_point_sample,
     solve_and_augment,
 )
-# unused here; perfbench/tracer.py times calls under this binding
+# unused here: perfbench/tracer.py's install() rebinds this name and fails
+# if it is missing; the span it wraps no longer fires (see CHANGES.md)
 from .samplers import optimized_augment  # noqa: F401
 from .optimizer import SolveOptions, SolveResult
 from .synth import SynthConfig, generate
