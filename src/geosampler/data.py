@@ -603,6 +603,17 @@ class ExpectedCounts:
     vals: np.ndarray        # (nnz,) expected labeled points
     n_groups: int           # G; 0 when built without groups
 
+    def restrict(self, rows: np.ndarray) -> ExpectedCounts:
+        """The counts of the clusters ``rows`` (increasing), renumbered 0, 1,
+        ... in that order. A kept cluster keeps its triples in their order,
+        so a product with the split adds the same terms per cluster."""
+        renumber = np.full(len(self.e), -1, dtype=np.int64)
+        renumber[rows] = np.arange(len(rows))
+        new_rows = renumber[self.rows]
+        keep = new_rows >= 0
+        return ExpectedCounts(e=self.e[rows], rows=new_rows[keep], cols=self.cols[keep],
+                              vals=self.vals[keep], n_groups=self.n_groups)
+
 
 def expected_counts(ds: Dataset, gm, k: int) -> ExpectedCounts:
     """Expected labeled points per cluster (and per group) when labeling
@@ -633,8 +644,12 @@ _POINTS_DTYPE = np.dtype([
     ("point_id", object), ("x", np.float64), ("y", np.float64),
     ("label", np.float64), ("cluster_id", object), ("stratum_id", object),
 ])
-# a label is a number or NA (unknown)
-_LABEL_CONVERTER = {3: lambda text: float("nan" if text == "NA" else text)}
+# a label is a number or NA (unknown); a file with an NA has its labels read
+# as text (see _read_points)
+_POINTS_TEXT_DTYPE = np.dtype([
+    ("point_id", object), ("x", np.float64), ("y", np.float64),
+    ("label", object), ("cluster_id", object), ("stratum_id", object),
+])
 # features.bin is read into the float64 matrix this many bytes at a time
 _BIN_BLOCK_BYTES = 1 << 22
 
@@ -693,15 +708,11 @@ def _csv_header(path: Path) -> tuple[list[str] | None, bool]:
         return next(reader, None), any(reader)
 
 
-def _read_rows(path: Path, n_fields: int, **options) -> np.ndarray:
-    """``np.loadtxt`` of the rows below a bundle CSV's header. A row it
-    rejects raises :class:`DatasetError` naming the file and the line."""
-    try:
-        return np.loadtxt(path, skiprows=1, **_CSV, **options)
-    except ValueError as exc:
-        # loadtxt's row number is not the file's line number; drop it
-        reason = str(exc).partition(" at row")[0]
-    # read the file again a line at a time: the failing row is the last line fed
+def _last_line_read(path: Path, **options) -> tuple[int, str]:
+    """The number and text of the last line of ``path`` that ``np.loadtxt``
+    reads below the header with ``options``. It reads a line at a time and
+    stops at the row it rejects or at ``max_rows``, so that line ends the
+    row it stopped at."""
     line, text = 0, ""
 
     def counted(fh):
@@ -714,11 +725,54 @@ def _read_rows(path: Path, n_fields: int, **options) -> np.ndarray:
             np.loadtxt(counted(fh), skiprows=1, **_CSV, **options)
         except ValueError:
             pass
+    return line, text
+
+
+def _read_rows(path: Path, n_fields: int, **options) -> np.ndarray:
+    """``np.loadtxt`` of the rows below a bundle CSV's header. A row it
+    rejects raises :class:`DatasetError` naming the file and the line."""
+    try:
+        return np.loadtxt(path, skiprows=1, **_CSV, **options)
+    except ValueError as exc:
+        # loadtxt's row number is not the file's line number; drop it
+        reason = str(exc).partition(" at row")[0]
+    line, text = _last_line_read(path, **options)
     fields = np.loadtxt([text], dtype=object, ndmin=2, **_CSV).shape[1]
     if fields != n_fields:
         raise DatasetError(
             f"{path.name} line {line} has {fields} fields; rows must have {n_fields} fields"
         )
+    raise DatasetError(f"{path.name} line {line}: {reason}")
+
+
+def _read_points(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of points.csv, and its labels as float64 with NA as nan.
+
+    One pass reads every label with numpy's float parser, as it reads x and
+    y. A file that holds an NA, or a label that only Python's ``float``
+    reads (``1_000``, full-width digits), fails that pass and is read again
+    with its label column as text, which one cast converts: an object array
+    of strings casts each by ``float``. So every label converts as
+    ``float`` converts it, and a bundle without NA takes no Python call per
+    row. A row or label that neither pass reads raises :class:`DatasetError`
+    naming the file and the line."""
+    try:
+        points = np.loadtxt(path, skiprows=1, dtype=_POINTS_DTYPE, ndmin=1, **_CSV)
+        return points, points["label"].copy()   # not a view that keeps the table alive
+    except ValueError:
+        pass
+    points = _read_rows(path, len(_POINTS_COLUMNS), dtype=_POINTS_TEXT_DTYPE, ndmin=1)
+    text = np.where(points["label"] == "NA", "nan", points["label"])
+    try:
+        return points, text.astype(np.float64)
+    except ValueError as exc:
+        reason = str(exc)
+    for row, label in enumerate(text):
+        try:
+            float(label)
+        except ValueError:
+            break
+    line, _ = _last_line_read(path, max_rows=row + 1, dtype=object, ndmin=2)
     raise DatasetError(f"{path.name} line {line}: {reason}")
 
 
@@ -796,10 +850,10 @@ def load_dataset(path: str | Path) -> Dataset:
         missing = [c for c in _POINTS_COLUMNS if header is None or c not in header]
         raise DatasetError(f"points.csv missing columns {missing}")
     if has_rows:
-        points = _read_rows(points_path, len(_POINTS_COLUMNS), dtype=_POINTS_DTYPE,
-                            converters=_LABEL_CONVERTER, ndmin=1)
+        points, labels = _read_points(points_path)
     else:
         points = np.empty(0, dtype=_POINTS_DTYPE)
+        labels = points["label"]
     pids = points["point_id"]
     point_cluster = points["cluster_id"].tolist()
 
@@ -850,7 +904,7 @@ def load_dataset(path: str | Path) -> Dataset:
         point_ids=pids,
         coords=np.column_stack((points["x"], points["y"])),
         features=features,
-        labels=points["label"].copy(),   # not a view that keeps the table alive
+        labels=labels,
         point_cluster=point_cluster,
         cluster_stratum=cluster_stratum,
         split_seed=int(meta.get("split_seed", 0)),

@@ -11,20 +11,24 @@ converges linearly here); ``line-search`` and ``diminishing`` (2/(t+2)) stay
 selectable through :class:`SolveOptions`.
 
 The utility depends on s only through its aggregates z = s @ A (see
-:func:`geosampler.utility.aggregates`). Each iteration computes z once and
-takes the value phi(z) and the gradient A @ grad phi(z) from it, so an
-iteration costs two products with A for ``diminishing`` and three for
-``line-search`` and ``away``, whose line search needs the aggregates of the
-step direction as well. A keeps the group split as nonzero triples, so each
-product is O(nnz + m), nnz = m for admin groups. The line search works on
-the G + 1 aggregates: Newton locates the root of the directional
-derivative, a forward error bound certifies a bracket around it, and the
-bisection probes only inside that bracket, keeping plain bisection's bits.
-The knapsack oracle sees only the free clusters, whose costs are gathered
-once per solve, and sorts only the items that can enter its fill. The
-``away`` rule's active set is packed incrementally, so an iteration does
-only the work that changes with the iterate. Rounding draws all its uniforms
-in one vector.
+:func:`geosampler.utility.aggregates`), and the loop never builds s. It
+holds the iterate as a convex combination of the oracle vertices it has
+visited, each stored once with its G + 1 aggregates (:class:`_Vertices`),
+for every step rule. An iteration touches the clusters twice: the gradient
+A @ grad phi(z) over the free clusters, and the knapsack oracle on it, which
+sees only the free clusters, whose costs are gathered once per solve, and
+sorts only the items that can enter its fill. The rest costs O(K (G + 1))
+over the K stored vertices: z, phi(z), the Frank-Wolfe gap grad phi(z) .
+(z_d - z), the away scores and gap, and both line-search directions. A
+keeps the group split as nonzero triples, so the gradient is O(nnz + m),
+nnz = m for admin groups, and a new vertex's aggregates cost O(nnz) over its
+support only. The line search works on the G + 1 aggregates: Newton locates
+the root of the directional derivative, a forward error bound certifies a
+bracket around it, and the bisection probes only inside that bracket,
+keeping plain bisection's bits. s is built once per solve, for the best
+iterate; its value, gradient, oracle vertex and gap are then recomputed from
+it, so the returned gap certifies the returned vector (the aggregate gap
+only decides when to stop). Rounding draws all its uniforms in one vector.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .utility import (
     UtilitySpec,
     aggregates,
     phi,
+    phi_gradient,
     utility_gradient_raw,
     # unused here; perfbench/tracer.py counts calls under this binding
     utility_value_raw,  # noqa: F401
@@ -79,6 +84,10 @@ class SolveOptions:
     :func:`_bisect_step`). ``gap_tol`` must be positive and finite: an
     infinite tolerance would stop every solve after one iteration, certifying
     nothing.
+
+    Every rule costs one gradient over the free clusters and one oracle call
+    per iteration, plus O(K (G + 1)) over the K vertices the iterate has
+    visited; the solve adds one more of each to certify the returned s.
     """
 
     max_iters: int = 500
@@ -98,15 +107,19 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solve's best iterate s and its certificate. ``utility`` and ``gap``
+    are recomputed from s itself, once the loop has stopped; the loop's own
+    values, taken in aggregate space, are in ``utility_trace``."""
+
     inclusion: InclusionVector
-    utility: float
-    gap: float               # duality gap at the returned iterate
+    utility: float           # U(s)
+    gap: float               # duality gap grad(s) . (d - s) of the returned s
     iterations: int
     budget_used: float       # relaxed cost of the unlocked coordinates
     utility_trace: tuple[float, ...]
     step_rule: str
     converged: bool          # gap <= gap_tol * max(1, |utility|), else max_iters hit
-    active_set_size: int     # vertices in the final decomposition (1 unless away)
+    active_set_size: int     # vertices in the away rule's final decomposition; 1 otherwise
 
 
 def lmo_knapsack(
@@ -198,6 +211,9 @@ def solve_relaxation(
     Committed clusters (the current sample) are locked at 1; decision
     variables are the unsampled source clusters. Terminates when the duality
     gap falls below gap_tol * max(1, |U(s)|) or after max_iters iterations.
+    The loop holds the iterate as a convex combination of oracle vertices
+    in aggregate space (see :class:`_Vertices`); s is built once, for the
+    best iterate, and its value and gap are recomputed from it.
     """
     opts = opts or SolveOptions()
     cm = bind_costs(cm, state)
@@ -217,60 +233,73 @@ def solve_relaxation(
     # the start point, 1 on the committed clusters: every oracle vertex
     # takes its committed part from it, exactly 1
     s0 = committed.astype(np.float64)
-
-    s = s0.copy()
-    active = _ActiveSet(s) if opts.step_rule == "away" else None
+    free_counts = counts.restrict(free)
+    vertices = _Vertices(aggregates(s0, counts, spec), free_counts, spec)
 
     trace: list[float] = []
-    best_s, best_f, best_gap = s, -np.inf, np.inf
+    best_f, best_w = -np.inf, vertices.weights.copy()
     iterations = 0
-    # s is rebound by each step and never written in place once it may be
-    # best_s, so best_s needs no copy
     for t in range(opts.max_iters):
         iterations = t + 1
-        z = aggregates(s, counts, spec)
+        z_free = vertices.weights @ vertices.Z
+        z = vertices.z0 + z_free
         f = phi(z, spec)
-        grad = utility_gradient_raw(z, counts, spec)
+        grad = utility_gradient_raw(z, free_counts, spec)
         trace.append(f)
-        grad_free = grad[free]
-        if t == 0 and budget > 0 and free.size and not np.any(grad_free > 0):
+        if t == 0 and budget > 0 and free.size and not np.any(grad > 0):
             raise OptimizerError("utility gradient vanishes on every candidate cluster")
-        d_full = s0.copy()
-        d_full[free] = lmo_knapsack(grad_free, c_free, budget)
-        fw_delta = d_full - s
-        gap = float(grad @ fw_delta)
-        if f > best_f:
-            best_s, best_f, best_gap = s, f, gap
-        if gap <= opts.gap_tol * max(1.0, abs(f)):
-            best_s, best_f, best_gap = s, f, gap
+        k = vertices.find(lmo_knapsack(grad, c_free, budget))
+        w, Z = vertices.weights, vertices.Z
+        grad_z = phi_gradient(z, spec)
+        fw_dz = Z[k] - z_free
+        # grad . (d - s), taken in aggregate space: grad = A @ grad phi(z)
+        gap = float(grad_z @ fw_dz)
+        done = gap <= opts.gap_tol * max(1.0, abs(f))
+        if f > best_f or done:
+            best_f, best_w = f, w.copy()
+        if done:
             break
 
+        if opts.step_rule == "away":
+            a = int(np.argmin(np.where(w > 0, Z @ grad_z, np.inf)))
+            away_dz = z_free - Z[a]
+            if float(grad_z @ away_dz) > gap:
+                step_max = w[a] / (1.0 - w[a]) if w[a] < 1.0 else 1.0
+                # a step away from vertex a is a negative step toward it
+                vertices.move(a, -_bisect_step(z, away_dz, spec, step_max))
+                continue
         if opts.step_rule == "diminishing":
-            s = np.clip(s + (2.0 / (t + 2.0)) * fw_delta, 0.0, 1.0)
-            s[committed] = 1.0
-        elif opts.step_rule == "line-search":
-            step = _bisect_step(z, aggregates(fw_delta, counts, spec), spec, 1.0)
-            s = np.clip(s + step * fw_delta, 0.0, 1.0)
-            s[committed] = 1.0
+            step = 2.0 / (t + 2.0)
         else:
-            s = _away_step(active, grad, s, z, d_full, fw_delta, gap, counts, spec)
+            step = _bisect_step(z, fw_dz, spec, 1.0)
+        vertices.move(k, step)
 
-    values = best_s
-    spent = float(c_free @ values[free])
+    # build s once, for the best iterate, and certify it: value, gradient,
+    # oracle vertex and gap all come from s itself
+    s_free = vertices.values(best_w)
+    values = s0.copy()
+    values[free] = s_free
+    z = aggregates(values, counts, spec)
+    utility = phi(z, spec)
+    grad = utility_gradient_raw(z, free_counts, spec)
+    gap = float(grad @ (lmo_knapsack(grad, c_free, budget) - s_free))
+    spent = float(c_free @ s_free)
     if spent > budget * (1 + 1e-9) + 1e-12:
         raise OptimizerError(
             f"internal error: relaxed cost {spent:.9g} exceeds budget {budget:.9g}"
         )
     return SolveResult(
         inclusion=InclusionVector(values=values, committed=committed),
-        utility=best_f,
-        gap=best_gap,
+        utility=utility,
+        gap=gap,
         iterations=iterations,
         budget_used=spent,
         utility_trace=tuple(trace),
         step_rule=opts.step_rule,
-        converged=bool(best_gap <= opts.gap_tol * max(1.0, abs(best_f))),
-        active_set_size=len(active.idx) if active is not None else 1,
+        converged=bool(gap <= opts.gap_tol * max(1.0, abs(utility))),
+        active_set_size=(
+            int(np.count_nonzero(vertices.weights)) if opts.step_rule == "away" else 1
+        ),
     )
 
 
@@ -434,119 +463,97 @@ def _root_bracket(z: np.ndarray, dz: np.ndarray, coef: np.ndarray, eps: float,
     return a, b
 
 
-class _ActiveSet:
-    """Convex decomposition s = sum_k weights[k] * v_k of the away-step
-    iterate over LMO vertices (Lacoste-Julien & Jaggi, NeurIPS 2015).
+class _Vertices:
+    """The Frank-Wolfe iterate as a convex combination s = s0 + sum_k
+    weights[k] v_k of oracle vertices v_k on the free clusters, held in
+    aggregate space (for ``away``, its active set: Lacoste-Julien & Jaggi,
+    NeurIPS 2015).
 
-    An LMO vertex has at most one fractional coordinate and few nonzeros, so
-    vertex k is stored as its nonzero indices ``idx[k]`` and values
-    ``vals[k]``; ``keys`` maps the bytes of that pair to k, which finds a
-    repeated vertex by hashing.
+    Vertex k is stored once: as its sparse support ``support[k]`` (free
+    cluster indices and values; an oracle vertex has at most one fractional
+    coordinate and few nonzeros) and as its aggregates ``Z[k] = v_k @ A``
+    on the free clusters, taken from the support's rows of the split alone.
+    ``keys`` maps the bytes of a support to k, which finds a repeated vertex
+    by hashing; a vertex that leaves the combination keeps its row at weight
+    0. So the iterate's aggregates are ``z0 + weights @ Z``, and everything
+    the loop needs besides the gradient and the oracle costs O(K (G + 1)).
+    The rows grow by doubling, with the number of distinct vertices."""
 
-    :meth:`scores` and :meth:`iterate` read the vertices packed in vertex
-    order into flat arrays ``_idx``, ``_vals`` and ``_owner`` (the vertex of
-    each entry). The packing is kept incrementally: :meth:`add` appends a
-    new vertex's entries, and :meth:`prune` filters them only when a vertex
-    vanished, renumbering the owners. The flat arrays always equal the
-    concatenation of the vertices, so the bincounts add the same terms in
-    the same order as a packing from scratch."""
-
-    def __init__(self, s: np.ndarray):
-        self.m = len(s)
+    def __init__(self, z0: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec):
+        self.z0 = z0                  # the committed clusters' aggregates
+        self.counts = counts          # restricted to the free clusters
+        self.group_rep = spec.kind == "group_rep"
+        # the split's triples of free cluster j: count[j] of them from first[j]
+        ptr = np.searchsorted(counts.rows, np.arange(len(counts.e) + 1))
+        self.first, self.count = ptr[:-1], np.diff(ptr)
         self.keys: dict[bytes, int] = {}
-        self.idx: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
-        self.weights = np.zeros(0)
-        self._idx = np.zeros(0, dtype=np.intp)
-        self._vals = np.zeros(0)
-        self._owner = np.zeros(0, dtype=np.intp)
-        self.add(s, 1.0)
-        self.prune()
+        self.support: list[tuple[np.ndarray, np.ndarray]] = []
+        self._Z = np.empty((8, len(z0)))
+        self._weights = np.zeros(8)
+        self.n = 0
+        self.find(np.zeros(len(counts.e)))    # s0: no free cluster
+        self._weights[0] = 1.0
 
-    def add(self, v: np.ndarray, weight: float) -> None:
-        idx = np.flatnonzero(v)
+    @property
+    def weights(self) -> np.ndarray:
+        return self._weights[: self.n]
+
+    @property
+    def Z(self) -> np.ndarray:
+        return self._Z[: self.n]
+
+    def find(self, v: np.ndarray) -> int:
+        """The row of vertex ``v`` (dense on the free clusters), stored at
+        weight 0 if it is new."""
+        idx = np.flatnonzero(v > 0)      # an oracle vertex is nonnegative
         vals = v[idx]
         key = idx.tobytes() + vals.tobytes()
         k = self.keys.get(key)
-        if k is None:
-            k = len(self.idx)
-            self.keys[key] = k
-            self.idx.append(idx)
-            self.vals.append(vals)
-            self.weights = np.append(self.weights, weight)
-            self._idx = np.concatenate((self._idx, idx))
-            self._vals = np.concatenate((self._vals, vals))
-            self._owner = np.concatenate((self._owner, np.full(len(idx), k, dtype=np.intp)))
-        else:
-            self.weights[k] += weight
+        if k is not None:
+            return k
+        k = self.n
+        if k == len(self._weights):
+            self._Z = np.concatenate((self._Z, np.empty_like(self._Z)))
+            self._weights = np.concatenate((self._weights, np.zeros(k)))
+        self._Z[k] = self._aggregates(idx, vals)
+        self.keys[key] = k
+        self.support.append((idx, vals))
+        self.n += 1
+        return k
 
-    def prune(self) -> None:
-        """Drop vanished vertices and renormalize the weights."""
-        keep = self.weights > 1e-14
-        if not keep.all():
-            kept = np.flatnonzero(keep)
-            self.idx = [self.idx[k] for k in kept]
-            self.vals = [self.vals[k] for k in kept]
-            renumber = {int(old): new for new, old in enumerate(kept)}
-            self.keys = {
-                key: renumber[k] for key, k in self.keys.items() if k in renumber
-            }
-            entries = keep[self._owner]
-            self._idx = self._idx[entries]
-            self._vals = self._vals[entries]
-            # a kept vertex's new number counts the kept vertices before it
-            self._owner = (np.cumsum(keep) - 1)[self._owner[entries]]
-        kept_weights = self.weights[keep]
-        self.weights = kept_weights / kept_weights.sum()
+    def _aggregates(self, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """v @ A for the vertex v with support ``idx``, ``vals``: the
+        support's triples of the split, then e."""
+        c = self.counts
+        z = np.empty(len(self.z0))
+        z[-1] = c.e[idx] @ vals
+        if self.group_rep:
+            start, count = self.first[idx], self.count[idx]
+            # the triples of each support row, in row order
+            tri = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+            z[:-1] = np.bincount(c.cols[tri], weights=c.vals[tri] * np.repeat(vals, count),
+                                 minlength=c.n_groups)
+        return z
 
-    def scores(self, grad: np.ndarray) -> np.ndarray:
-        """grad . v_k for every vertex k."""
-        return np.bincount(
-            self._owner, weights=grad[self._idx] * self._vals, minlength=len(self.idx)
+    def move(self, k: int, step: float) -> None:
+        """s + step (v_k - s); drop vanished vertices and renormalize."""
+        w = self.weights
+        w *= 1.0 - step
+        w[k] += step
+        w[w <= 1e-14] = 0.0
+        w /= w.sum()
+
+    def values(self, weights: np.ndarray) -> np.ndarray:
+        """s on the free clusters for ``weights`` over the stored vertices;
+        a sum over vertices in [0, 1] can pass 1 by a rounding, kept at 1."""
+        ks = np.flatnonzero(weights)
+        idx = [self.support[k][0] for k in ks]
+        vals = np.concatenate([self.support[k][1] for k in ks])
+        s = np.bincount(
+            np.concatenate(idx), minlength=len(self.counts.e),
+            weights=vals * np.repeat(weights[ks], [len(i) for i in idx]),
         )
-
-    def vertex(self, k: int) -> np.ndarray:
-        v = np.zeros(self.m)
-        v[self.idx[k]] = self.vals[k]
-        return v
-
-    def iterate(self) -> np.ndarray:
-        """Rebuild the iterate from its decomposition: convex combinations of
-        feasible vertices stay feasible despite floating-point drift."""
-        return np.bincount(
-            self._idx, weights=self._vals * self.weights[self._owner], minlength=self.m
-        )
-
-
-def _away_step(
-    active: _ActiveSet,
-    grad: np.ndarray,
-    s: np.ndarray,
-    z: np.ndarray,
-    d_full: np.ndarray,
-    fw_delta: np.ndarray,
-    fw_gap: float,
-    counts: ExpectedCounts,
-    spec: UtilitySpec,
-) -> np.ndarray:
-    """One away-step Frank-Wolfe update, maintaining the active vertex set;
-    z are the aggregates of s."""
-    ai = int(np.argmin(active.scores(grad)))
-    away_delta = s - active.vertex(ai)
-    away_gap = float(grad @ away_delta)
-
-    if fw_gap >= away_gap:
-        step = _bisect_step(z, aggregates(fw_delta, counts, spec), spec, 1.0)
-        active.weights *= 1.0 - step
-        active.add(d_full, step)
-    else:
-        w = active.weights[ai]
-        step_max = w / (1.0 - w) if w < 1.0 else 1.0
-        step = _bisect_step(z, aggregates(away_delta, counts, spec), spec, step_max)
-        active.weights *= 1.0 + step
-        active.weights[ai] -= step
-    active.prune()
-    return active.iterate()
+        return np.minimum(s, 1.0)
 
 
 def round_inclusion(

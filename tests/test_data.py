@@ -214,6 +214,50 @@ class TestBundleIO:
         assert np.isnan(ds.labels[ds.point_index["p,2"]])
         assert ds.features[ds.point_index["p\u00e95"]].tolist() == [1 / 7, 1e-300 * 2]
 
+    @pytest.mark.parametrize("texts", [
+        ["0.5", " 2.5 ", "inf", "-NaN", "-7.25e3", "\t3", "1e-310"],
+        ["0.5", " 2.5 ", "inf", "-NaN", "\uff11\uff12", "1_000", "1e-310"],
+        ["0.5", " 2.5 ", "inf", "-NaN", "\uff11\uff12", "NA", "1e-310"],
+    ], ids=["numpy-floats", "python-floats", "with-na"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_labels_convert_like_python_float(self, tmp_path, newline, texts):
+        # numpy's float parser reads the first set; a label only float()
+        # reads, or an NA, sends the column through the text read and its
+        # one cast. Either way each label converts as float() converts it,
+        # NA to nan, and a label float() rejects names its own line, also
+        # below a quoted id that spans two lines
+        ids = [f"p{i}" for i in range(len(texts))]
+        ids[1] = "p\n1"
+        write_csv_bundle(tmp_path / "b", newline, range(5))
+        meta = json.loads((tmp_path / "b" / "meta.json").read_text())
+        meta["strata"][0]["cluster_ids"] = ["c0"]
+        meta["n_clusters"] = 1
+        (tmp_path / "b" / "meta.json").write_text(json.dumps(meta))
+
+        def write(labels):
+            for name, header, rows in (
+                ("points.csv", ["point_id", "x", "y", "label", "cluster_id", "stratum_id"],
+                 [[pid, "0.5", "1.5", label, "c0", "s#0"] for pid, label in zip(ids, labels)]),
+                ("features.csv", ["point_id", "f0", "f1"], [[pid, "1.0", "2.0"] for pid in ids]),
+            ):
+                with (tmp_path / "b" / name).open("w", newline="", encoding="utf-8") as fh:
+                    w = csv.writer(fh, lineterminator=newline)
+                    w.writerow(header)
+                    w.writerows(rows)
+
+        write(texts)
+        ds = load_dataset(tmp_path / "b")
+        expect = [float("nan" if t == "NA" else t) for t in texts]
+        got = ds.labels[ds.point_indices(ids)]
+        assert got.tobytes() == np.array(expect).tobytes()
+        # the header is line 1 and the second row takes lines 3-4
+        for row, line in ((0, 2), (1, 4), (5, 8)):
+            bad = list(texts)
+            bad[row] = "1.0x"
+            write(bad)
+            with pytest.raises(DatasetError, match=f"^points.csv line {line}: .*'1.0x'"):
+                load_dataset(tmp_path / "b")
+
     def test_header_only_tables_load_without_a_warning(self, tmp_path, recwarn):
         write_hand_bundle(tmp_path / "bundle")
         for name in ("points.csv", "features.csv"):
