@@ -644,14 +644,13 @@ _POINTS_DTYPE = np.dtype([
     ("point_id", object), ("x", np.float64), ("y", np.float64),
     ("label", np.float64), ("cluster_id", object), ("stratum_id", object),
 ])
-# a label is a number or NA (unknown); a file with an NA has its labels read
-# as text (see _read_points)
-_POINTS_TEXT_DTYPE = np.dtype([
-    ("point_id", object), ("x", np.float64), ("y", np.float64),
-    ("label", object), ("cluster_id", object), ("stratum_id", object),
-])
+# a label is a number or NA (unknown); see _read_points
+_LABEL_CONVERTER = {3: lambda text: float("nan" if text == "NA" else text)}
 # features.bin is read into the float64 matrix this many bytes at a time
 _BIN_BLOCK_BYTES = 1 << 22
+# points.csv is searched for NA this many bytes at a time (3 ms for 150k rows;
+# blocks of 1 MB and up take longer, each a fresh allocation)
+_SCAN_BLOCK_BYTES = 1 << 16
 
 
 def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") -> None:
@@ -708,11 +707,15 @@ def _csv_header(path: Path) -> tuple[list[str] | None, bool]:
         return next(reader, None), any(reader)
 
 
-def _last_line_read(path: Path, **options) -> tuple[int, str]:
-    """The number and text of the last line of ``path`` that ``np.loadtxt``
-    reads below the header with ``options``. It reads a line at a time and
-    stops at the row it rejects or at ``max_rows``, so that line ends the
-    row it stopped at."""
+def _read_rows(path: Path, n_fields: int, **options) -> np.ndarray:
+    """``np.loadtxt`` of the rows below a bundle CSV's header. A row it
+    rejects raises :class:`DatasetError` naming the file and the line."""
+    try:
+        return np.loadtxt(path, skiprows=1, **_CSV, **options)
+    except ValueError as exc:
+        # loadtxt's row number is not the file's line number; drop it
+        reason = str(exc).partition(" at row")[0]
+    # read the file again a line at a time: the failing row is the last line fed
     line, text = 0, ""
 
     def counted(fh):
@@ -725,18 +728,6 @@ def _last_line_read(path: Path, **options) -> tuple[int, str]:
             np.loadtxt(counted(fh), skiprows=1, **_CSV, **options)
         except ValueError:
             pass
-    return line, text
-
-
-def _read_rows(path: Path, n_fields: int, **options) -> np.ndarray:
-    """``np.loadtxt`` of the rows below a bundle CSV's header. A row it
-    rejects raises :class:`DatasetError` naming the file and the line."""
-    try:
-        return np.loadtxt(path, skiprows=1, **_CSV, **options)
-    except ValueError as exc:
-        # loadtxt's row number is not the file's line number; drop it
-        reason = str(exc).partition(" at row")[0]
-    line, text = _last_line_read(path, **options)
     fields = np.loadtxt([text], dtype=object, ndmin=2, **_CSV).shape[1]
     if fields != n_fields:
         raise DatasetError(
@@ -745,35 +736,38 @@ def _read_rows(path: Path, n_fields: int, **options) -> np.ndarray:
     raise DatasetError(f"{path.name} line {line}: {reason}")
 
 
-def _read_points(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of points.csv, and its labels as float64 with NA as nan.
+def _mentions_na(path: Path) -> bool:
+    """Whether the bytes ``NA`` occur anywhere in ``path``, read a block at a
+    time, each after the previous block's last byte. A block without an
+    ``N`` is ruled out by one ``memchr``; the two-byte search is slower."""
+    tail = b""
+    with path.open("rb") as fh:
+        while block := fh.read(_SCAN_BLOCK_BYTES):
+            block = tail + block
+            if b"N" in block and b"NA" in block:
+                return True
+            tail = block[-1:]
+    return False
 
-    One pass reads every label with numpy's float parser, as it reads x and
-    y. A file that holds an NA, or a label that only Python's ``float``
-    reads (``1_000``, full-width digits), fails that pass and is read again
-    with its label column as text, which one cast converts: an object array
-    of strings casts each by ``float``. So every label converts as
-    ``float`` converts it, and a bundle without NA takes no Python call per
-    row. A row or label that neither pass reads raises :class:`DatasetError`
-    naming the file and the line."""
-    try:
-        points = np.loadtxt(path, skiprows=1, dtype=_POINTS_DTYPE, ndmin=1, **_CSV)
-        return points, points["label"].copy()   # not a view that keeps the table alive
-    except ValueError:
-        pass
-    points = _read_rows(path, len(_POINTS_COLUMNS), dtype=_POINTS_TEXT_DTYPE, ndmin=1)
-    text = np.where(points["label"] == "NA", "nan", points["label"])
-    try:
-        return points, text.astype(np.float64)
-    except ValueError as exc:
-        reason = str(exc)
-    for row, label in enumerate(text):
+
+def _read_points(path: Path) -> np.ndarray:
+    """The rows of points.csv, labels as float64 with NA as nan.
+
+    A file in which the bytes ``NA`` never occur holds no NA label, so
+    numpy's float parser reads its labels in the pass that reads x and y,
+    with no Python call per row. A file with those bytes anywhere, and one
+    that pass rejects (a label only Python's ``float`` reads, such as
+    ``1_000``, or a bad row), is read with the per-label converter, which
+    converts each label as ``float`` does; a row it rejects raises
+    :class:`DatasetError` naming the file and the line. So a file with NA
+    is parsed once, as fast as by the converter alone."""
+    if not _mentions_na(path):
         try:
-            float(label)
+            return np.loadtxt(path, skiprows=1, dtype=_POINTS_DTYPE, ndmin=1, **_CSV)
         except ValueError:
-            break
-    line, _ = _last_line_read(path, max_rows=row + 1, dtype=object, ndmin=2)
-    raise DatasetError(f"{path.name} line {line}: {reason}")
+            pass
+    return _read_rows(path, len(_POINTS_COLUMNS), dtype=_POINTS_DTYPE,
+                      converters=_LABEL_CONVERTER, ndmin=1)
 
 
 def _read_features_csv(path: Path, d: int, pids: np.ndarray) -> np.ndarray:
@@ -850,10 +844,9 @@ def load_dataset(path: str | Path) -> Dataset:
         missing = [c for c in _POINTS_COLUMNS if header is None or c not in header]
         raise DatasetError(f"points.csv missing columns {missing}")
     if has_rows:
-        points, labels = _read_points(points_path)
+        points = _read_points(points_path)
     else:
         points = np.empty(0, dtype=_POINTS_DTYPE)
-        labels = points["label"]
     pids = points["point_id"]
     point_cluster = points["cluster_id"].tolist()
 
@@ -904,7 +897,7 @@ def load_dataset(path: str | Path) -> Dataset:
         point_ids=pids,
         coords=np.column_stack((points["x"], points["y"])),
         features=features,
-        labels=labels,
+        labels=points["label"].copy(),   # not a view that keeps the table alive
         point_cluster=point_cluster,
         cluster_stratum=cluster_stratum,
         split_seed=int(meta.get("split_seed", 0)),

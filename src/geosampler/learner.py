@@ -264,26 +264,16 @@ def _assigned_dist_sq(X: np.ndarray, centroids: np.ndarray, assignment: np.ndarr
     return dist_sq
 
 
-def _group_sums(X: np.ndarray, assignment: np.ndarray, G: int) -> np.ndarray:
-    """(G, d) sums of the rows of ``X`` in each group, by one weighted
-    ``bincount`` over the row-major entries: entry (i, j) falls in bin
-    assignment[i] * d + j, and each bin adds its rows in row order, the
-    same sums as a bincount per column."""
-    d = X.shape[1]
-    bins = (assignment[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(bins, weights=X.ravel(), minlength=G * d).reshape(G, d)
-
-
 def _lloyd(
     X: np.ndarray, centroids: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     """Lloyd iterations from ``centroids`` (updated in place).
 
     Each pass assigns rows with `_nearest`; ``|x|^2`` is computed once per
-    call. A centroid is the mean of its rows, summed by `_group_sums` in row
-    order, which is bit-identical to ``X[mask].mean(axis=0)`` for d > 1
-    (numpy sums a single column pairwise, so d = 1 keeps the masked mean).
-    An empty cluster takes over the row
+    call. A centroid is the mean of its rows, summed in row order by one
+    weighted ``bincount`` per feature column, which is bit-identical to
+    ``X[mask].mean(axis=0)`` for d > 1 (numpy sums a single column pairwise,
+    so d = 1 keeps the masked mean). An empty cluster takes over the row
     farthest from its centroid, visiting the clusters in index order. The
     returned inertia, which picks the winning restart, sums the exact per-row
     distances `_assigned_dist_sq`; the per-iteration trace sums the expanded
@@ -291,6 +281,7 @@ def _lloyd(
     """
     n, G = X.shape[0], centroids.shape[0]
     x_sq = np.einsum("ij,ij->i", X, X)
+    columns = np.ascontiguousarray(X.T)
     assignment = np.full(n, -1, dtype=np.int64)
     trace: list[float] = []
     for _ in range(max_iters):
@@ -301,7 +292,8 @@ def _lloyd(
         assignment = new_assignment
         counts = np.bincount(assignment, minlength=G)
         if counts.all() and X.shape[1] > 1:
-            centroids[:] = _group_sums(X, assignment, G) / counts[:, None]
+            sums = [np.bincount(assignment, weights=col, minlength=G) for col in columns]
+            centroids[:] = np.stack(sums, axis=1) / counts[:, None]
             continue
         previous = centroids.copy()
         for j in range(G):

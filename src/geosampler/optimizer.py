@@ -17,9 +17,10 @@ visited, each stored once with its G + 1 aggregates (:class:`_Vertices`),
 for every step rule. An iteration touches the clusters twice: the gradient
 A @ grad phi(z) over the free clusters, and the knapsack oracle on it, which
 sees only the free clusters, whose costs are gathered once per solve, and
-sorts only the items that can enter its fill. The rest costs O(K (G + 1))
-over the K stored vertices: z, phi(z), the Frank-Wolfe gap grad phi(z) .
-(z_d - z), the away scores and gap, and both line-search directions. A
+sorts only the items that can enter its fill. The rest costs O(G + 1):
+z, updated with each step, phi(z), the Frank-Wolfe gap grad phi(z) .
+(z_d - z), the away gap and both line-search directions; the away scores
+cost O(K (G + 1)) and the weights O(K) over the K stored vertices. A
 keeps the group split as nonzero triples, so the gradient is O(nnz + m),
 nnz = m for admin groups, and a new vertex's aggregates cost O(nnz) over its
 support only. The line search works on the G + 1 aggregates: Newton locates
@@ -28,7 +29,8 @@ bracket around it, and the bisection probes only inside that bracket,
 keeping plain bisection's bits. s is built once per solve, for the best
 iterate; its value, gradient, oracle vertex and gap are then recomputed from
 it, so the returned gap certifies the returned vector (the aggregate gap
-only decides when to stop). Rounding draws all its uniforms in one vector.
+only decides when to stop, and ``converged`` reports the returned gap).
+Rounding draws all its uniforms in one vector.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ class SolveOptions:
     nothing.
 
     Every rule costs one gradient over the free clusters and one oracle call
-    per iteration, plus O(K (G + 1)) over the K vertices the iterate has
-    visited; the solve adds one more of each to certify the returned s.
+    per iteration, plus O(K) over the K vertices the iterate has visited
+    (O(K (G + 1)) for the away scores); the solve adds one more gradient and
+    oracle call to certify the returned s.
     """
 
     max_iters: int = 500
@@ -109,7 +112,13 @@ class SolveOptions:
 class SolveResult:
     """A solve's best iterate s and its certificate. ``utility`` and ``gap``
     are recomputed from s itself, once the loop has stopped; the loop's own
-    values, taken in aggregate space, are in ``utility_trace``."""
+    values, taken in aggregate space, are in ``utility_trace``.
+
+    ``converged`` certifies the returned s, it does not say why the loop
+    stopped. The loop stops when the gap it takes in aggregate space is
+    within ``gap_tol``, and that gap and the returned one differ by
+    rounding; so a solve that stops before ``max_iters`` with its gap at the
+    tolerance can report False."""
 
     inclusion: InclusionVector
     utility: float           # U(s)
@@ -118,7 +127,7 @@ class SolveResult:
     budget_used: float       # relaxed cost of the unlocked coordinates
     utility_trace: tuple[float, ...]
     step_rule: str
-    converged: bool          # gap <= gap_tol * max(1, |utility|), else max_iters hit
+    converged: bool          # gap <= gap_tol * max(1, |utility|)
     active_set_size: int     # vertices in the away rule's final decomposition; 1 otherwise
 
 
@@ -241,7 +250,7 @@ def solve_relaxation(
     iterations = 0
     for t in range(opts.max_iters):
         iterations = t + 1
-        z_free = vertices.weights @ vertices.Z
+        z_free = vertices.z_free
         z = vertices.z0 + z_free
         f = phi(z, spec)
         grad = utility_gradient_raw(z, free_counts, spec)
@@ -473,11 +482,17 @@ class _Vertices:
     cluster indices and values; an oracle vertex has at most one fractional
     coordinate and few nonzeros) and as its aggregates ``Z[k] = v_k @ A``
     on the free clusters, taken from the support's rows of the split alone.
-    ``keys`` maps the bytes of a support to k, which finds a repeated vertex
-    by hashing; a vertex that leaves the combination keeps its row at weight
-    0. So the iterate's aggregates are ``z0 + weights @ Z``, and everything
-    the loop needs besides the gradient and the oracle costs O(K (G + 1)).
-    The rows grow by doubling, with the number of distinct vertices."""
+    ``keys`` maps the bytes of a support, which ``support[k]`` views, to k:
+    that finds a repeated vertex by hashing. A vertex that leaves the
+    combination keeps its row at weight 0. The rows grow by doubling, with
+    the number of distinct vertices.
+
+    The iterate's aggregates are ``z0 + z_free``, with ``z_free = weights @
+    Z`` updated by each :meth:`move` in O(G + 1) rather than recomputed:
+    ``line-search`` and ``diminishing`` visit a new vertex almost every
+    iteration, and a product over all K rows would make a solve O(T^2 G) in
+    its T iterations. A move costs O(K) in the weights, and the away scores
+    ``Z @ grad`` O(K (G + 1))."""
 
     def __init__(self, z0: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec):
         self.z0 = z0                  # the committed clusters' aggregates
@@ -493,6 +508,7 @@ class _Vertices:
         self.n = 0
         self.find(np.zeros(len(counts.e)))    # s0: no free cluster
         self._weights[0] = 1.0
+        self.z_free = self._Z[0].copy()
 
     @property
     def weights(self) -> np.ndarray:
@@ -506,11 +522,13 @@ class _Vertices:
         """The row of vertex ``v`` (dense on the free clusters), stored at
         weight 0 if it is new."""
         idx = np.flatnonzero(v > 0)      # an oracle vertex is nonnegative
-        vals = v[idx]
-        key = idx.tobytes() + vals.tobytes()
+        key = idx.tobytes() + v[idx].tobytes()
         k = self.keys.get(key)
         if k is not None:
             return k
+        # the support is kept once, as views of its key
+        idx = np.frombuffer(key, dtype=idx.dtype, count=len(idx))
+        vals = np.frombuffer(key, dtype=np.float64, offset=idx.nbytes)
         k = self.n
         if k == len(self._weights):
             self._Z = np.concatenate((self._Z, np.empty_like(self._Z)))
@@ -536,12 +554,21 @@ class _Vertices:
         return z
 
     def move(self, k: int, step: float) -> None:
-        """s + step (v_k - s); drop vanished vertices and renormalize."""
-        w = self.weights
+        """s + step (v_k - s); drop vanished vertices and renormalize. The
+        aggregates follow each operation on the weights: scaled with them,
+        less the rows dropped, over the same total."""
+        w, z = self.weights, self.z_free
         w *= 1.0 - step
         w[k] += step
-        w[w <= 1e-14] = 0.0
-        w /= w.sum()
+        z *= 1.0 - step
+        z += step * self._Z[k]
+        gone = np.flatnonzero((w <= 1e-14) & (w != 0.0))
+        if gone.size:
+            z -= w[gone] @ self._Z[gone]
+            w[gone] = 0.0
+        total = w.sum()
+        w /= total
+        z /= total
 
     def values(self, weights: np.ndarray) -> np.ndarray:
         """s on the free clusters for ``weights`` over the stored vertices;

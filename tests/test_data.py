@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from geosampler import data as data_module
 from geosampler.data import (
     CostError,
     CostModel,
     DatasetError,
+    _mentions_na,
     build_dataset,
     cluster_cost,
     datasets_equal,
@@ -214,20 +216,22 @@ class TestBundleIO:
         assert np.isnan(ds.labels[ds.point_index["p,2"]])
         assert ds.features[ds.point_index["p\u00e95"]].tolist() == [1 / 7, 1e-300 * 2]
 
-    @pytest.mark.parametrize("texts", [
-        ["0.5", " 2.5 ", "inf", "-NaN", "-7.25e3", "\t3", "1e-310"],
-        ["0.5", " 2.5 ", "inf", "-NaN", "\uff11\uff12", "1_000", "1e-310"],
-        ["0.5", " 2.5 ", "inf", "-NaN", "\uff11\uff12", "NA", "1e-310"],
-    ], ids=["numpy-floats", "python-floats", "with-na"])
+    @pytest.mark.parametrize("texts,first_id", [
+        (["0.5", " 2.5 ", "inf", "-NaN", "-7.25e3", "\t3", "1e-310"], "p0"),
+        (["0.5", " 2.5 ", "inf", "-NaN", "\uff11\uff12", "1_000", "1e-310"], "p0"),
+        (["0.5", " 2.5 ", "inf", "-NaN", "\uff11\uff12", "NA", "1e-310"], "p0"),
+        (["0.5", " 2.5 ", "inf", "-NaN", "-7.25e3", "\t3", "1e-310"], "pNA"),
+    ], ids=["numpy-floats", "python-floats", "with-na", "na-in-an-id"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
-    def test_labels_convert_like_python_float(self, tmp_path, newline, texts):
+    def test_labels_convert_like_python_float(self, tmp_path, newline, texts, first_id):
         # numpy's float parser reads the first set; a label only float()
-        # reads, or an NA, sends the column through the text read and its
-        # one cast. Either way each label converts as float() converts it,
-        # NA to nan, and a label float() rejects names its own line, also
-        # below a quoted id that spans two lines
+        # reads fails that pass, and a file with NA anywhere (a label, or
+        # only an id) skips it: both are read by the per-label converter.
+        # Either way each label converts as float() converts it, NA to nan,
+        # and a label float() rejects names its own line, also below a
+        # quoted id that spans two lines
         ids = [f"p{i}" for i in range(len(texts))]
-        ids[1] = "p\n1"
+        ids[0], ids[1] = first_id, "p\n1"
         write_csv_bundle(tmp_path / "b", newline, range(5))
         meta = json.loads((tmp_path / "b" / "meta.json").read_text())
         meta["strata"][0]["cluster_ids"] = ["c0"]
@@ -257,6 +261,17 @@ class TestBundleIO:
             write(bad)
             with pytest.raises(DatasetError, match=f"^points.csv line {line}: .*'1.0x'"):
                 load_dataset(tmp_path / "b")
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+    def test_na_search_spans_block_boundaries(self, tmp_path, monkeypatch, block):
+        # the search reads the file a block at a time; an NA split across two
+        # blocks is found, and N or A alone is not an NA
+        monkeypatch.setattr(data_module, "_SCAN_BLOCK_BYTES", block)
+        path = tmp_path / "points.csv"
+        for text in (b"", b"N", b"A", b"AN", b"N,A", b"x,NaN,nan", b"NA", b"p,1,NA",
+                     b"p,NA,1", b"NAN", b"1234NA", b"abcdefNA,1", b"NNNA", b"N" * 9 + b"A"):
+            path.write_bytes(text)
+            assert _mentions_na(path) == (b"NA" in text), text
 
     def test_header_only_tables_load_without_a_warning(self, tmp_path, recwarn):
         write_hand_bundle(tmp_path / "bundle")

@@ -7,7 +7,6 @@ from geosampler.data import SampleState
 from geosampler.learner import (
     DEFAULT_ALPHAS,
     LearnerError,
-    _group_sums,
     _kmeanspp_init,
     _lloyd,
     average_ranks,
@@ -353,27 +352,6 @@ class TestLloydKernel:
         got = _lloyd(X, centroids.copy(), 0)
         np.testing.assert_array_equal(got[1], ref[1])
         assert got[2] == ref[2]
-
-    def test_group_sums_match_a_bincount_per_column(self):
-        # random assignments of demo-shaped features (d = 48) and of the
-        # Lloyd instances: the one bincount over (group, column) bins adds
-        # each bin's rows in the order a bincount per column does
-        rng = np.random.default_rng(12)
-        cases = [(rng.normal(size=(600, 48)) * 10 ** rng.uniform(-3, 3, size=48), 8)]
-        cases += [(X, G) for X, G, _ in lloyd_instances()]
-        for X, G in cases:
-            for _ in range(5):
-                assignment = rng.integers(0, G, size=len(X))
-                expect = np.stack(
-                    [np.bincount(assignment, weights=col, minlength=G) for col in X.T], axis=1
-                )
-                assert _group_sums(X, assignment, G).tobytes() == expect.tobytes()
-        # a column-major matrix is read by rows as well
-        X = np.asfortranarray(cases[0][0])
-        assignment = rng.integers(0, 8, size=len(X))
-        expect = np.stack([np.bincount(assignment, weights=col, minlength=8) for col in X.T],
-                          axis=1)
-        assert _group_sums(X, assignment, 8).tobytes() == expect.tobytes()
 
     def test_kmeans_groups_matches_difference_tensor_restarts(self):
         X = np.random.default_rng(8).normal(size=(300, 5))

@@ -368,6 +368,34 @@ class TestSolveRelaxation:
             assert abs(scores[k] - expect) <= 8 * np.spacing(expect)
 
     @pytest.mark.parametrize("rule", STEP_RULES)
+    def test_iterate_aggregates_follow_the_weights(self, rule, monkeypatch):
+        # the loop updates z with each step instead of recomputing weights @
+        # Z over every stored vertex; after up to 400 steps, many of them to
+        # new vertices, the two still agree to rounding (1.3e-15 of the
+        # largest aggregate the most seen here, 1e-13 allowed)
+        stores = []
+
+        class Recorded(optimizer._Vertices):
+            def __init__(self, *args):
+                super().__init__(*args)
+                stores.append(self)
+
+        monkeypatch.setattr(optimizer, "_Vertices", Recorded)
+        ds, cm, state, spec, counts = make_instance(
+            n_clusters=80, committed=("c00", "c03"), seed=7, budget=300.0, groups=6,
+        )
+        res = solve_relaxation(
+            ds, counts, cm, spec, state,
+            SolveOptions(max_iters=400, gap_tol=1e-15, step_rule=rule),
+        )
+        (store,) = stores
+        assert res.iterations > 30 and store.n > 30
+        w = store.weights
+        assert w.sum() == pytest.approx(1.0, rel=1e-15)
+        np.testing.assert_allclose(store.z_free, w @ store.Z, rtol=0,
+                                   atol=1e-13 * np.abs(store.Z).max())
+
+    @pytest.mark.parametrize("rule", STEP_RULES)
     def test_result_reports_rule_convergence_and_active_set(self, rule):
         ds, cm, state, spec, counts = make_instance(
             n_clusters=12, committed=("c00",), seed=2, budget=55.0

@@ -360,8 +360,9 @@ def test_reference_instances_exercise_the_prefix_sort(ds):
 def test_vertex_store_follows_the_reference_active_set(ds):
     # the same steps on the store and on the earlier active set: the same
     # active vertices, weights and iterate within a few ulps, each vertex's
-    # aggregates those of its dense vector, and a repeated vertex found by
-    # hashing, also after it left the combination
+    # aggregates those of its dense vector, the iterate's aggregates those
+    # of its weights, and a repeated vertex found by hashing, also after it
+    # left the combination
     spec, counts = _utility(ds, "multi-group")
     state, _ = _case(ds, "committed")
     s0 = np.zeros(ds.n_clusters)
@@ -395,22 +396,30 @@ def test_vertex_store_follows_the_reference_active_set(ds):
             v[idx] = vals
             np.testing.assert_allclose(store.Z[k], aggregates(v, free_counts, spec),
                                        rtol=4e-16, atol=0)
+        # updated with each move, summed in another order
+        np.testing.assert_allclose(store.z_free, w @ store.Z, rtol=0,
+                                   atol=1e-15 * np.abs(store.Z).max())
 
     def step(v=None, weight=0.0, drop=()):
         if v is not None:
             store.move(store.find(v), weight)
             ref.weights *= 1.0 - weight
             ref.add(full(v), weight)
-        for j in drop:
+            ref.prune()
+        # each drop is an away step to its end, as ref_away_step takes it;
+        # the last position first, so the earlier ones keep their place
+        for j in sorted(drop, reverse=True):
             idx = ref.idx[j][~np.isin(ref.idx[j], state.clusters)]
             vals = ref.vals[j][~np.isin(ref.idx[j], state.clusters)]
             v_drop = np.zeros(m)
             v_drop[np.searchsorted(free, idx)] = vals
-            store.weights[store.find(v_drop)] = 0.0
-            ref.weights[j] = 0.0
-        if drop:
-            store.move(0, 0.0)      # prunes and renormalizes only
-        ref.prune()
+            k = store.find(v_drop)
+            step_max = store.weights[k] / (1.0 - store.weights[k])
+            store.move(k, -step_max)
+            assert store.weights[k] == 0.0
+            ref.weights *= 1.0 + step_max
+            ref.weights[j] -= step_max
+            ref.prune()
         check()
 
     def vertex(ones, frac=None):
