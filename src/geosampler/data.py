@@ -199,9 +199,9 @@ def _indices(index: Mapping[str, int], ids: Iterable[str], kind: str) -> np.ndar
 
 
 def _validate_dataset(ds: Dataset) -> None:
-    """Check what outside input can break: shapes and empty clusters.
-    :func:`build_dataset` makes the id tuples sorted and unique and the index
-    arrays in range."""
+    """Check what outside input can break: shapes, empty clusters and the
+    test fraction. :func:`build_dataset` makes the id tuples sorted and
+    unique and the index arrays in range."""
     n, m = len(ds.point_ids), len(ds.cluster_ids)
     if ds.features.ndim != 2 or ds.features.shape[0] != n:
         raise DatasetError("feature matrix shape inconsistent with point count")
@@ -216,6 +216,10 @@ def _validate_dataset(ds: Dataset) -> None:
     empty = np.flatnonzero(ds.cluster_sizes == 0)
     if empty.size:
         raise DatasetError(f"cluster {ds.cluster_ids[empty[0]]!r} is empty")
+    # 0 keeps every cluster on the train side; 1 or more leaves no source
+    # cluster, and a NaN fails the comparison too
+    if not 0.0 <= ds.test_fraction < 1.0:
+        raise DatasetError(f"test_fraction must lie in [0, 1), got {ds.test_fraction!r}")
 
 
 def split_masks_from_seed(

@@ -23,13 +23,12 @@ z, updated with each step, phi(z), the Frank-Wolfe gap grad phi(z) .
 cost O(K (G + 1)) and the weights O(K) over the K stored vertices. A
 keeps the group split as nonzero triples, so the gradient is O(nnz + m),
 nnz = m for admin groups, and a new vertex's aggregates cost O(nnz) over its
-support only. The line search works on the G + 1 aggregates: Newton locates
-the root of the directional derivative, a forward error bound certifies a
-bracket around it, and the bisection probes only inside that bracket,
-keeping plain bisection's bits. s is built once per solve, for the best
-iterate; its value, gradient, oracle vertex and gap are then recomputed from
-it, so the returned gap certifies the returned vector (the aggregate gap
-only decides when to stop, and ``converged`` reports the returned gap).
+support only. The line search works on the G + 1 aggregates: Newton, kept in
+a sign bracket by bisection, solves for the root of the directional
+derivative. s is built once per solve, for the best iterate; its value,
+gradient, oracle vertex and gap are then recomputed from it, so the returned
+gap certifies the returned vector (the aggregate gap only decides when to
+stop, and ``converged`` reports the returned gap).
 Rounding draws all its uniforms in one vector.
 """
 
@@ -55,8 +54,8 @@ from .utility import (
 )
 
 STEP_RULES = ("diminishing", "line-search", "away")
-# Newton iterations the line-search bracket may take (see _root_bracket); a
-# solve-large line search takes 4 at the median and 6 at most
+# Newton iterations a line search may take (see _line_search); a solve-large
+# line search takes 4 at the median and 6 at most
 _NEWTON_ITERS = 30
 
 
@@ -80,12 +79,12 @@ class SolveOptions:
     one-dimensional maximization as its step; ``diminishing`` is plain
     Frank-Wolfe with step 2/(t+2), which converges only sublinearly (Jaggi,
     ICML 2013) and stops at ``max_iters`` on the study problems. The exact
-    step bisects the sign of the directional derivative 40 times, but probes
-    it only inside a root bracket certified by a forward error bound (2.3
-    probes per line search on solve-large instead of 42; see
-    :func:`_bisect_step`). ``gap_tol`` must be positive and finite: an
-    infinite tolerance would stop every solve after one iteration, certifying
-    nothing.
+    step is the root of the directional derivative, which Newton's method
+    finds at O(G) per evaluation: 5.9 evaluations per line search on
+    solve-large, the two segment ends and 3.9 Newton iterations (see
+    :func:`_line_search`). ``gap_tol`` must be positive and finite: an
+    infinite tolerance would stop every solve after one iteration,
+    certifying nothing.
 
     Every rule costs one gradient over the free clusters and one oracle call
     per iteration, plus O(K) over the K vertices the iterate has visited
@@ -131,22 +130,14 @@ class SolveResult:
     active_set_size: int     # vertices in the away rule's final decomposition; 1 otherwise
 
 
-def lmo_knapsack(
-    grad: np.ndarray,
-    costs: np.ndarray,
-    budget: float,
-    locked: np.ndarray | None = None,
-) -> np.ndarray:
-    """Maximize grad . d over {0 <= d <= 1, sum c_i d_i <= budget} on unlocked
-    coordinates via fractional knapsack.
+def lmo_knapsack(grad: np.ndarray, costs: np.ndarray, budget: float) -> np.ndarray:
+    """Maximize grad . d over {0 <= d <= 1, sum c_i d_i <= budget} via
+    fractional knapsack. The solver passes the free clusters only, whose
+    costs it gathers once per solve.
 
     Coordinates are filled to 1 in order of decreasing grad_i / c_i (ties to
     the lower index) until the budget binds; the last item may be fractional,
-    so the output has at most one fractional coordinate. Locked coordinates
-    are returned as 1 and charge nothing: the free ones solve the same
-    problem on their own, d[free] = lmo_knapsack(grad[free], costs[free],
-    budget). The solver gathers the free costs once per solve and calls
-    without ``locked``.
+    so the output has at most one fractional coordinate.
 
     At most floor(budget / min c) items fill whole, and one more is
     fractional or overflows, so only the cap = floor(budget / min c) + 2
@@ -158,11 +149,6 @@ def lmo_knapsack(
     costs = np.asarray(costs, dtype=np.float64)
     if not (budget >= 0):
         raise OptimizerError("budget must be non-negative")
-    if locked is not None:
-        locked = np.asarray(locked, dtype=bool)
-        free = np.flatnonzero(~locked)
-        out = locked.astype(np.float64)
-        grad, costs = grad[free], costs[free]
     n = len(grad)
     d = np.zeros(n, dtype=np.float64)
     if n:
@@ -189,10 +175,7 @@ def lmo_knapsack(
         d[order[:k]] = 1.0
         if k < len(order) and rem[k] > 0:
             d[order[k]] = rem[k] / c[k]
-    if locked is None:
-        return d
-    out[free] = d
-    return out
+    return d
 
 
 def remaining_budget(ds: Dataset, cm: CostModel, state: SampleState) -> float:
@@ -253,13 +236,13 @@ def solve_relaxation(
         z_free = vertices.z_free
         z = vertices.z0 + z_free
         f = phi(z, spec)
-        grad = utility_gradient_raw(z, free_counts, spec)
+        grad_z = phi_gradient(z, spec)
+        grad = utility_gradient_raw(grad_z, free_counts, spec)
         trace.append(f)
         if t == 0 and budget > 0 and free.size and not np.any(grad > 0):
             raise OptimizerError("utility gradient vanishes on every candidate cluster")
         k = vertices.find(lmo_knapsack(grad, c_free, budget))
         w, Z = vertices.weights, vertices.Z
-        grad_z = phi_gradient(z, spec)
         fw_dz = Z[k] - z_free
         # grad . (d - s), taken in aggregate space: grad = A @ grad phi(z)
         gap = float(grad_z @ fw_dz)
@@ -275,12 +258,12 @@ def solve_relaxation(
             if float(grad_z @ away_dz) > gap:
                 step_max = w[a] / (1.0 - w[a]) if w[a] < 1.0 else 1.0
                 # a step away from vertex a is a negative step toward it
-                vertices.move(a, -_bisect_step(z, away_dz, spec, step_max))
+                vertices.move(a, -_line_search(z, away_dz, spec, step_max))
                 continue
         if opts.step_rule == "diminishing":
             step = 2.0 / (t + 2.0)
         else:
-            step = _bisect_step(z, fw_dz, spec, 1.0)
+            step = _line_search(z, fw_dz, spec, 1.0)
         vertices.move(k, step)
 
     # build s once, for the best iterate, and certify it: value, gradient,
@@ -290,7 +273,7 @@ def solve_relaxation(
     values[free] = s_free
     z = aggregates(values, counts, spec)
     utility = phi(z, spec)
-    grad = utility_gradient_raw(z, free_counts, spec)
+    grad = utility_gradient_raw(phi_gradient(z, spec), free_counts, spec)
     gap = float(grad @ (lmo_knapsack(grad, c_free, budget) - s_free))
     spent = float(c_free @ s_free)
     if spent > budget * (1 + 1e-9) + 1e-12:
@@ -312,164 +295,57 @@ def solve_relaxation(
     )
 
 
-def _bisect_step(z: np.ndarray, dz: np.ndarray, spec: UtilitySpec, step_max: float,
-                 iters: int = 40) -> float:
+def _line_search(z: np.ndarray, dz: np.ndarray, spec: UtilitySpec, step_max: float) -> float:
     """Exact line search on [0, step_max] along s + t * delta, given the
-    aggregates z = s @ A and dz = delta @ A: the directional derivative
-    grad phi(z + t dz) . dz costs O(G) per probe, and for a concave utility it
-    is monotone decreasing, so bisect on its sign.
+    aggregates z = s @ A and dz = delta @ A. For a concave utility the
+    directional derivative D(t) = grad phi(z + t dz) . dz decreases in t, so
+    the step is 0 when D(0) <= 0, step_max when D(step_max) >= 0 (always so
+    for ``size``, whose D is constant), and otherwise the root of D.
 
-    Each probe repeats :func:`phi_gradient`'s arithmetic operation for
-    operation, with its coefficients taken once per call; the total term
-    stays a scalar power, whose last bit can differ from numpy's array
-    power, so that probe signs match the gradient's exactly.
-
-    Only the halvings near the root need a probe. After the two endpoint
-    probes, :func:`_root_bracket` certifies an interval [a, b] around the
-    root: a midpoint at or below a moves ``lo`` and one at or above b moves
-    ``hi`` without a probe, and a midpoint inside (a, b) is probed. So the
-    step has the bits of plain bisection. A solve-large line search makes
-    2.3 probes on average instead of 42, plus 4 Newton iterations and 2
-    certificate sums that each cost about one probe."""
-    if spec.kind == "size":
-        def dd(t: float) -> float:   # phi is linear in n(s)
-            return float(dz[0])
-    else:
-        eps = spec.epsilon
-        coef_group = spec.lam * 0.5 * spec.groups.gamma
-        coef_total = (1.0 - spec.lam) * 0.5
-        w = np.empty(len(z))
-
-        def dd(t: float) -> float:
-            zt = z + t * dz
-            w[:-1] = coef_group * (zt[:-1] + eps) ** -1.5
-            w[-1] = coef_total * (zt[-1] + eps) ** -1.5
-            return float(w @ dz)
-
-    d0 = dd(0.0)
-    if d0 <= 0:
+    The root. Split D = P - N: P(t) sums the terms with dz_j > 0 (positive,
+    nonincreasing in t) and N(t) the magnitudes of those with dz_j < 0
+    (nondecreasing). Newton runs on g = P^(-2/3) - N^(-2/3), which increases
+    in t and is exactly linear when each side has one term, from t = 0. A
+    step that leaves the interval where D changes sign, or a P, N or
+    derivative that is not positive and finite, is replaced by a bisection
+    of that interval. It stops once its step is below the band where
+    rounding decides D's sign, (G + 1) unit roundoffs of P + N over |D'|,
+    or an ulp of t. Each iteration costs O(G), as do the two end probes."""
+    if not float(phi_gradient(z, spec) @ dz) > 0:
         return 0.0
-    d1 = dd(step_max)
-    if d1 >= 0:
+    if not float(phi_gradient(z + step_max * dz, spec) @ dz) < 0:
         return step_max
-    a, b = 0.0, step_max
-    # size's derivative is constant, so the endpoint probes settle it unless
-    # it is nan; a nan or inf endpoint probe leaves the bisection unbracketed
-    if spec.kind == "group_rep" and math.isfinite(d0) and math.isfinite(d1):
-        coef = np.concatenate((coef_group, (coef_total,)))
-        a, b = _root_bracket(z, dz, coef, eps, step_max)
-    lo, hi = 0.0, step_max
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid <= a or (mid < b and dd(mid) > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _root_bracket(z: np.ndarray, dz: np.ndarray, coef: np.ndarray, eps: float,
-                  step_max: float) -> tuple[float, float]:
-    """An interval [a, b] in [0, step_max] such that :func:`_bisect_step`'s
-    probe of D(t) = sum_j coef_j dz_j (z_j + eps + t dz_j)^-1.5 is > 0 at
-    every t <= a and <= 0 at every t >= b. The caller has found both
-    endpoint probes finite, D(0) > 0 > D(step_max), so D has terms of both
-    signs. A side that fails to certify is left at 0 or step_max, which is
-    plain bisection there.
-
-    Locating the root. Split D = P - N: P(t) sums the terms with dz_j > 0
-    (positive, nonincreasing in t) and N(t) the magnitudes of those with
-    dz_j < 0 (nondecreasing). Newton runs on g = P^(-2/3) - N^(-2/3), which
-    increases in t and is exactly linear when each side has one term,
-    starting at t = 0 and kept inside the interval where g changes sign.
-    It stops once its step is below the half-width h = 2 rho (P + N) / |D'|
-    of the band where the certificate below cannot decide (h is at least
-    16 ulps of t); then a = root - h and b = root + h.
-
-    Certifying a side, in the standard model fl(x op y) = (x op y)(1 + d),
-    |d| <= u = 2^-53 (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, sections 2.2 and 3.1). A probe at t computes the
-    bases b_j(t) = fl(fl(z_j + fl(t dz_j)) + eps), the weights w_j =
-    fl(coef_j pi(b_j)) with pi numpy's power, and the dot fl(sum w_j dz_j).
-
-    1. Rounding is monotone, so b_j(t) is nondecreasing in t when dz_j > 0
-       and nonincreasing when dz_j < 0, bit for bit. However much z + t dz
-       loses to cancellation when dz_j < 0, the bases the probe computes at
-       a bound its bases at every t <= a, and those at b every t >= b.
-    2. pi(x) = x^-1.5 (1 + k) with |k| <= 8u (4 ulps; numpy's array and
-       scalar powers measure below one).
-    3. A dot of n = G + 1 products, summed in any order, fused or not, is
-       within gamma_n sum |w_j dz_j| of the exact sum, gamma_n = nu/(1-nu).
-       So the probe is at least (1 - gamma_n) times its positive part minus
-       (1 + gamma_n) times its negative part.
-
-    By 1 and 2, for t <= a each positive product w_j dz_j of the probe is at
-    least (1 - k)(1 - u) T_j, T_j = coef_j |dz_j| b_j(a)^-1.5, and each
-    negative one at most (1 + k)(1 + u) T_j in magnitude. This function
-    computes the T_j from the probe's own bases at a and sums each sign: P
-    and N lie within k + 2u + gamma_n of the exact sums of the T_j over
-    dz_j > 0 and over dz_j < 0. Hence the probe is > 0 on [0, a] if
-    P (1 - rho) - N (1 + rho) > s, and, by the mirror argument, <= 0 on
-    [b, step_max] if P (1 + rho) - N (1 - rho) < -s, for any rho >= 2 gamma_n
-    + 2k + 3u + O(u^2). rho = (4n + 64) u holds that twice over, which also
-    covers the rounding of the test itself. s = 2^-1070 (n + sum |dz_j|)
-    absorbs gradual underflow, which the model leaves out (at most 2^-1075
-    per rounding, times |dz_j| once a weight is multiplied). Overflow cannot
-    occur: the endpoint probes are finite, so every weight is finite at 0
-    and at step_max, and by 1 every base in between lies between the two."""
-    n = len(z)
-    rho = (4 * n + 64) * 2.0 ** -53
+    coef = np.append(spec.lam * 0.5 * spec.groups.gamma, (1.0 - spec.lam) * 0.5)
     order = np.argsort(-dz)                       # the terms with dz_j > 0 first
-    n_pos = int(np.count_nonzero(dz > 0))
-    zs, dzs, cs = z[order], dz[order], coef[order]
-    cut = [0, n_pos]                              # np.add.reduceat: P, then -N
-    slack = 2.0 ** -1070 * (n + float(np.abs(dz).sum()))
-
-    def sums(t: float) -> list[float]:
-        """P and -N at t, in the probe's operations."""
-        return np.add.reduceat(cs * (zs + t * dzs + eps) ** -1.5 * dzs, cut).tolist()
-
-    k = cs * dzs
-    lo, hi = 0.0, step_max
-    t = 0.0
+    cut = [0, int(np.count_nonzero(dz > 0))]      # np.add.reduceat: P, then -N
+    zs, dzs = z[order] + spec.epsilon, dz[order]
+    k = coef[order] * dzs
+    rho = len(z) * 2.0 ** -53
+    lo, hi, t = 0.0, step_max, 0.0                # D(lo) > 0 >= D(hi)
     for _ in range(_NEWTON_ITERS):
-        base = zs + t * dzs + eps
+        base = zs + t * dzs
         terms = k * base ** -1.5
-        p, m = np.add.reduceat(terms, cut).tolist()
+        p, n = np.add.reduceat(terms, cut).tolist()
+        n = -n
         # -dP/dt / 1.5 and dN/dt / 1.5
-        dp, dm = np.add.reduceat(terms * dzs / base, cut).tolist()
-        if not (p > 0 > m and dp > 0 and dm > 0):
-            return 0.0, step_max
-        gp, gn = p ** (-2 / 3), (-m) ** (-2 / 3)
-        # g'(t) = P^(-5/3) dp + N^(-5/3) dm
-        step = (gp - gn) / (gp / p * dp - gn / m * dm)
-        # the band the certificate cannot decide, rho (P + N) / |D'|, but no
-        # less than 16 ulps of t: a base that cancels to near zero resolves
-        # t no finer
-        half = max(2.0 * rho * (p - m) / (1.5 * (dp + dm)), 2.0 ** -48 * t)
-        if abs(step) <= 0.25 * half:
-            t -= step
-            break
-        if gp < gn:
+        dp, dn = np.add.reduceat(terms * dzs / base, cut).tolist()
+        if p > n:
             lo = t
         else:
             hi = t
+        if not all(0 < v < math.inf for v in (p, n, dp, dn)):
+            t = 0.5 * (lo + hi)
+            continue
+        gp, gn = p ** (-2 / 3), n ** (-2 / 3)
+        # g'(t) = P^(-5/3) dp + N^(-5/3) dn
+        step = (gp - gn) / (gp / p * dp + gn / n * dn)
+        band = rho * (p + n) / (1.5 * (dp + dn)) + 2.0 ** -52 * t
         t -= step
+        if abs(step) <= band:
+            break
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
-    else:
-        return 0.0, step_max
-
-    a, b = max(t - half, 0.0), min(t + half, step_max)
-    if a > 0.0:
-        p, m = sums(a)
-        if not p * (1 - rho) + m * (1 + rho) > slack:
-            a = 0.0
-    if b < step_max:
-        p, m = sums(b)
-        if not p * (1 + rho) + m * (1 - rho) < -slack:
-            b = step_max
-    return a, b
+    return min(max(t, lo), hi)
 
 
 class _Vertices:

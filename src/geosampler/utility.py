@@ -130,13 +130,13 @@ def utility_value_raw(values: np.ndarray, counts: ExpectedCounts, spec: UtilityS
 
 
 def utility_gradient_raw(
-    z: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec
+    w: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec
 ) -> np.ndarray:
-    """Gradient in s at the point whose aggregates are z (see
-    :func:`aggregates`): A @ grad phi(z), a bincount over the split's rows,
-    O(nnz + m) with nnz = m for admin groups. Taking z rather than s lets a
-    caller that already holds the aggregates skip a second product."""
-    w = phi_gradient(z, spec)
+    """Gradient in s, A @ w, given w = phi_gradient(z, spec) at the point
+    whose aggregates are z (see :func:`aggregates`): a bincount over the
+    split's rows, O(nnz + m) with nnz = m for admin groups. Taking w rather
+    than s lets a caller that already holds it skip a second product and a
+    second grad phi."""
     grad = counts.e * w[-1]
     if spec.kind == "size":
         return grad

@@ -30,6 +30,7 @@ from geosampler.utility import (
     InclusionVector,
     UtilitySpec,
     aggregates,
+    phi_gradient,
     utility_gradient_raw,
     utility_value,
 )
@@ -196,7 +197,8 @@ def test_criterion_3_gradient_matches_finite_differences():
             counts = counts_from_dense(e, eg)
             s = rng.uniform(0.1, 0.95, size=m)
             com = np.zeros(m, dtype=bool)
-            grad = utility_gradient_raw(aggregates(s, counts, spec), counts, spec)
+            w = phi_gradient(aggregates(s, counts, spec), spec)
+            grad = utility_gradient_raw(w, counts, spec)
             for i in range(m):
                 up, dn = s.copy(), s.copy()
                 up[i] += h

@@ -83,6 +83,15 @@ class TestGenerate:
         assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 1, *flags) == 2
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("value", ["1.5", "-0.2", "nan"])
+    def test_test_fraction_outside_unit_interval_writes_no_bundle(self, tmp_path, capsys, value):
+        # a bundle with no source cluster, or none on the test side, would
+        # only fail in a later command
+        assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 1,
+                       "--test-fraction", value) == 2
+        assert "test_fraction must lie in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     def test_bad_grid_is_config_error(self, tmp_path):
         assert run_cli("generate", "--out-dir", tmp_path / "x", "--seed", 1,
                        "--strata-grid", "3x2x1") == 2

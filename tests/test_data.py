@@ -329,6 +329,14 @@ class TestBundleIO:
         with pytest.raises(DatasetError, match=match):
             load_dataset(tmp_path / "bundle")
 
+    def test_test_fraction_outside_unit_interval_rejected(self, tmp_path):
+        write_hand_bundle(tmp_path / "bundle")
+        meta = json.loads((tmp_path / "bundle" / "meta.json").read_text())
+        meta["test_fraction"] = 1.5
+        (tmp_path / "bundle" / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetError, match=r"test_fraction must lie in \[0, 1\), got 1.5"):
+            load_dataset(tmp_path / "bundle")
+
     def test_save_load_round_trip_is_identity(self, tmp_path, small_ds):
         save_dataset(small_ds, tmp_path / "out")
         again = load_dataset(tmp_path / "out")

@@ -14,7 +14,7 @@ from geosampler.optimizer import (
     InfeasibleError,
     OptimizerError,
     SolveOptions,
-    _bisect_step,
+    _line_search,
     lmo_knapsack,
     remaining_budget,
     round_inclusion,
@@ -101,13 +101,6 @@ class TestLmoKnapsack:
             fractional = np.sum((d > 1e-12) & (d < 1 - 1e-12))
             assert fractional <= 1
 
-    def test_locked_coordinates_returned_as_one_without_charge(self):
-        grad = np.array([5.0, 1.0, 1.0])
-        costs = np.array([10.0, 1.0, 1.0])
-        locked = np.array([True, False, False])
-        d = lmo_knapsack(grad, costs, budget=2.0, locked=locked)
-        np.testing.assert_allclose(d, [1, 1, 1])
-
     def test_matches_sequential_fill_loop(self):
         def loop_lmo(grad, costs, budget, locked):
             # reference: the greedy fill, one coordinate at a time
@@ -135,10 +128,12 @@ class TestLmoKnapsack:
             grad = rng.integers(-2, 6, size=m) / 2.0
             costs = rng.integers(1, 5, size=m) * rng.choice([1.0, 0.1])
             locked = rng.uniform(size=m) < 0.2
+            free = ~locked
             budget = float(rng.uniform(0, 1.2) * costs.sum())
+            # the oracle on the free coordinates, as the solver calls it
             np.testing.assert_array_equal(
-                lmo_knapsack(grad, costs, budget, locked),
-                loop_lmo(grad, costs, budget, locked),
+                lmo_knapsack(grad[free], costs[free], budget),
+                loop_lmo(grad, costs, budget, locked)[free],
             )
 
     def test_negative_budget_rejected(self):
@@ -274,17 +269,17 @@ class TestSolveRelaxation:
         self, rule, monkeypatch
     ):
         # each iteration takes one gradient over the free clusters and hands
-        # it to the oracle with their costs, priced once per solve and with
-        # no locked mask; the certificate of the returned s takes one more
+        # it to the oracle with their costs, priced once per solve; the
+        # certificate of the returned s takes one more
         gradients, oracle = [], []
 
-        def counted_gradient(z, counts, spec):
+        def counted_gradient(w, counts, spec):
             gradients.append(len(counts.e))
-            return utility_gradient_raw(z, counts, spec)
+            return utility_gradient_raw(w, counts, spec)
 
-        def counted_oracle(grad, costs, budget, locked=None):
-            oracle.append((len(grad), len(costs), locked))
-            return lmo_knapsack(grad, costs, budget, locked)
+        def counted_oracle(grad, costs, budget):
+            oracle.append((len(grad), len(costs)))
+            return lmo_knapsack(grad, costs, budget)
 
         monkeypatch.setattr(optimizer, "utility_gradient_raw", counted_gradient)
         monkeypatch.setattr(optimizer, "lmo_knapsack", counted_oracle)
@@ -301,7 +296,7 @@ class TestSolveRelaxation:
         assert res.iterations > 1
         assert 0 < n_free < ds.n_clusters
         assert gradients == [n_free] * (res.iterations + 1)
-        assert oracle == [(n_free, n_free, None)] * (res.iterations + 1)
+        assert oracle == [(n_free, n_free)] * (res.iterations + 1)
 
     @pytest.mark.parametrize("rule", STEP_RULES)
     def test_aggregate_products_per_solve(self, rule, monkeypatch):
@@ -359,7 +354,7 @@ class TestSolveRelaxation:
         assert store.n >= (3 if kind == "group_rep" else 2)
         free = ~res.inclusion.committed & ds.cluster_is_source
         z = aggregates(res.inclusion.values, counts, spec)
-        grad = utility_gradient_raw(z, counts, spec)[free]
+        grad = utility_gradient_raw(phi_gradient(z, spec), counts, spec)[free]
         scores = store.Z @ phi_gradient(z, spec)
         for k, (idx, vals) in enumerate(store.support):
             v = np.zeros(int(free.sum()))
@@ -483,7 +478,7 @@ def _dense_bisect_step(counts, spec, s, delta, step_max, iters=40):
 
     def dd(t):
         z = aggregates(s + t * delta, counts, spec)
-        return float(utility_gradient_raw(z, counts, spec) @ delta)
+        return float(utility_gradient_raw(phi_gradient(z, spec), counts, spec) @ delta)
 
     if dd(0.0) <= 0:
         return 0.0
@@ -513,10 +508,11 @@ def test_aggregate_line_search_matches_dense_gradient(kind):
         # a Frank-Wolfe direction at a random point of equal cost
         s = rng.uniform(0, 1, size=ds.n_clusters)
         costs = np.array([cluster_cost(cm, ds.cluster(cid)) for cid in ds.cluster_ids])
-        grad = utility_gradient_raw(aggregates(s, counts, spec), counts, spec)
+        w = phi_gradient(aggregates(s, counts, spec), spec)
+        grad = utility_gradient_raw(w, counts, spec)
         delta = lmo_knapsack(grad, costs, float(costs @ s)) - s
         step_max = float(rng.choice([1.0, rng.uniform(0.1, 1.0)]))
-        step = _bisect_step(
+        step = _line_search(
             aggregates(s, counts, spec), aggregates(delta, counts, spec), spec, step_max
         )
         expect = _dense_bisect_step(counts, spec, s, delta, step_max)

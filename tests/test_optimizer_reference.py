@@ -5,12 +5,16 @@ Each ``ref_*`` function (and ``RefActiveSet``) is the earlier implementation:
 the iterate s held as a vector, with value and gradient recomputed from it on
 every call, the knapsack oracle sorting every ratio, the line search probing
 through ``phi_gradient``, and rounding drawing one uniform per visited
-cluster. The oracle, the line search and rounding must give the same bits,
-and leave the random generator at the same position. The solver sums its
+cluster. The oracle and rounding must give the same bits, and leave the
+random generator at the same position. The line search solves for the root
+that the reference bisects 64 times, so it must stop at the same end of the
+segment, or within 1e-12 of the reference's step. The solver sums its
 aggregates in another order, so it must take the same path (iterations and
 active set) to the same values within 1e-12 relative, and return the gap
 that its own s certifies.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +27,7 @@ from geosampler.optimizer import (
     OptimizerError,
     SolveOptions,
     _Vertices,
-    _bisect_step,
-    _root_bracket,
+    _line_search,
     bind_costs,
     lmo_knapsack,
     remaining_budget,
@@ -36,6 +39,7 @@ from geosampler.utility import (
     InclusionVector,
     UtilitySpec,
     aggregates,
+    phi,
     phi_gradient,
     utility_gradient_raw,
     utility_value_raw,
@@ -78,7 +82,7 @@ def ref_lmo_knapsack(grad, costs, budget, locked=None):
     return d
 
 
-def ref_bisect_step(z, dz, spec, step_max, iters=40):
+def ref_bisect_step(z, dz, spec, step_max, iters=64):
     def dd(t):
         return float(phi_gradient(z + t * dz, spec) @ dz)
 
@@ -226,7 +230,8 @@ def certified_gap(ds, counts, cm, spec, state, values):
     committed = np.zeros(ds.n_clusters, dtype=bool)
     committed[state.clusters] = True
     free = np.flatnonzero(ds.cluster_is_source & ~committed)
-    grad = utility_gradient_raw(aggregates(values, counts, spec), counts, spec)[free]
+    w = phi_gradient(aggregates(values, counts, spec), spec)
+    grad = utility_gradient_raw(w, counts, spec)[free]
     d = lmo_knapsack(grad, cluster_costs(cm, ds)[free], remaining_budget(ds, cm, state))
     return float(grad @ (d - values[free]))
 
@@ -458,10 +463,14 @@ def test_vertex_store_follows_the_reference_active_set(ds):
 # -- knapsack oracle --------------------------------------------------------
 
 def _assert_lmo_equal(grad, costs, budget, locked=None):
-    got = lmo_knapsack(grad, costs, budget, locked)
+    """The oracle against the reference; with ``locked``, the oracle on the
+    free coordinates, as the solver calls it, against the reference's
+    entries there. Returns the reference's vector."""
     expect = ref_lmo_knapsack(grad, costs, budget, locked)
-    assert got.tobytes() == expect.tobytes()
-    return got
+    free = np.arange(len(grad)) if locked is None else np.flatnonzero(~locked)
+    got = lmo_knapsack(grad[free], costs[free], budget)
+    assert got.tobytes() == expect[free].tobytes()
+    return expect
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -474,7 +483,7 @@ def test_lmo_matches_reference_with_ties_at_the_cut(seed):
     for budget in (0.0, 1.0, 7.5, 37.0, 100.0, float(costs.sum()), np.inf):
         _assert_lmo_equal(grad, costs, budget)
         _assert_lmo_equal(grad, costs, budget, locked)
-    # a single ratio everywhere: every unlocked item ties the cut
+    # a single ratio everywhere: every item ties the cut
     _assert_lmo_equal(np.full(n, 3.0), np.full(n, 2.0), 21.0)
 
 
@@ -497,28 +506,7 @@ def test_lmo_with_no_positive_gradient_selects_nothing():
     locked[:5] = True
     d = _assert_lmo_equal(grad, costs, 20.0, locked)
     np.testing.assert_array_equal(d, locked.astype(np.float64))
-
-
-def test_lmo_locked_coordinates_are_one_and_charge_nothing():
-    # a locked coordinate may cost 0 or less: it is neither checked nor charged,
-    # and the free ones solve the problem on the free clusters alone
-    rng = np.random.default_rng(8)
-    n = 300
-    grad = rng.exponential(size=n) - 0.2
-    costs = rng.uniform(1.0, 4.0, size=n)
-    locked = rng.random(n) < 0.2
-    costs[locked] = rng.choice([0.0, -3.0], size=int(locked.sum()))
-    free = ~locked
-    for budget in (0.0, 6.0, 55.5, float(costs[free].sum()), np.inf):
-        d = _assert_lmo_equal(grad, costs, budget, locked)
-        assert np.all(d[locked] == 1.0)
-        assert d[free].tobytes() == lmo_knapsack(grad[free], costs[free], budget).tobytes()
-
-
-def test_lmo_with_every_coordinate_locked_returns_them():
-    locked = np.ones(5, dtype=bool)
-    d = _assert_lmo_equal(np.arange(5.0), np.zeros(5), 3.0, locked)
-    assert d.tobytes() == np.ones(5).tobytes()
+    # and no coordinate at all
     assert lmo_knapsack(np.zeros(0), np.zeros(0), 3.0).shape == (0,)
 
 
@@ -530,8 +518,25 @@ def test_lmo_rejects_invalid_budget(budget):
 
 # -- line search ------------------------------------------------------------
 
+def _assert_exact_step(z, dz, spec, step_max):
+    """The line search against the 64-halving reference bisection, which
+    is exact to the last bits that the probe's sign resolves: the same end
+    wherever the reference stops at one, within 1e-12 step_max of it
+    elsewhere, and no lower a utility, but for 4 ulps. Returns the
+    reference's step."""
+    step = _line_search(z, dz, spec, step_max)
+    expect = ref_bisect_step(z, dz, spec, step_max)
+    assert 0.0 <= step <= step_max
+    if expect in (0.0, step_max):
+        assert step == expect
+    assert abs(step - expect) <= 1e-12 * step_max
+    f, f_ref = phi(z + step * dz, spec), phi(z + expect * dz, spec)
+    assert f >= f_ref - 4 * np.spacing(abs(f_ref))
+    return expect
+
+
 @pytest.mark.parametrize("which", UTILITIES)
-def test_bisect_step_matches_reference_exactly(ds, which):
+def test_line_search_matches_reference(ds, which):
     spec, counts = _utility(ds, which)
     rng = np.random.default_rng(21)
     interior = 0
@@ -543,24 +548,16 @@ def test_bisect_step_matches_reference_exactly(ds, which):
         delta = ref_lmo_knapsack(grad, costs, float(costs @ s)) - s
         z, dz = aggregates(s, counts, spec), aggregates(delta, counts, spec)
         step_max = float(rng.choice([1.0, rng.uniform(0.05, 1.0)]))
-        step = _bisect_step(z, dz, spec, step_max)
-        expect = ref_bisect_step(z, dz, spec, step_max)
-        assert step == expect
-        # 60 halvings reach the root at the last bit, where the probe's sign
-        # is rounding noise that only identical arithmetic reproduces
-        assert _bisect_step(z, dz, spec, step_max, 60) == ref_bisect_step(
-            z, dz, spec, step_max, 60
-        )
+        expect = _assert_exact_step(z, dz, spec, step_max)
         interior += 0.0 < expect < step_max
     if which != "size":
         assert interior >= 5
 
 
-def test_bisect_step_matches_reference_at_the_last_bit():
+def test_line_search_matches_reference_at_a_one_group_root():
     # one group, and aggregates built so that the group and total terms of
-    # the directional derivative cancel at a known interior root; 60 halvings
-    # probe where its sign is rounding noise, which only the same arithmetic
-    # (the total term as a scalar power) reproduces
+    # the directional derivative cancel at a known interior root: P and N
+    # have one term each, so Newton's g is linear in t
     gm = GroupModel(
         kind="admin", group_ids=("g0",), assignment=np.zeros(1, dtype=np.int64),
         gamma=np.ones(1),
@@ -573,9 +570,7 @@ def test_bisect_step_matches_reference_at_the_last_bit():
         up, down = root ** -1.5 * np.abs(dz)
         spec = UtilitySpec(kind="group_rep", lam=float(down / (up + down)), groups=gm)
         z = root - t * dz
-        expect = ref_bisect_step(z, dz, spec, 1.0, 60)
-        assert 0.0 < expect < 1.0
-        assert _bisect_step(z, dz, spec, 1.0, 60) == expect
+        assert 0.0 < _assert_exact_step(z, dz, spec, 1.0) < 1.0
 
 
 # -- the solve-large regime: 100 admin groups ---------------------------------
@@ -615,21 +610,16 @@ def line_searches100(ds100):
     counts, cm, spec, state = _problem100(ds100)
     searches = []
 
-    def record(z, dz, spec, step_max, iters=40):
+    def record(z, dz, spec, step_max):
         searches.append((z.copy(), dz.copy(), step_max))
-        return _bisect_step(z, dz, spec, step_max, iters)
+        return _line_search(z, dz, spec, step_max)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "_bisect_step", record)
+        mp.setattr(optimizer, "_line_search", record)
         for rule in ("line-search", "away"):
             opts = SolveOptions(max_iters=120, gap_tol=1e-9, step_rule=rule)
             solve_relaxation(ds100, counts, cm, spec, state, opts)
     return searches
-
-
-def _bracket(z, dz, spec, step_max):
-    coef = np.append(spec.lam * 0.5 * spec.groups.gamma, (1.0 - spec.lam) * 0.5)
-    return _root_bracket(z, dz, coef, spec.epsilon, step_max)
 
 
 def _spec100(ds100, variant):
@@ -646,19 +636,13 @@ def _spec100(ds100, variant):
 
 
 @pytest.mark.parametrize("variant", ["lam-0.5", "lam-0", "lam-1", "zero-share"])
-def test_bracketed_step_matches_reference_on_100_groups(ds100, line_searches100, variant):
+def test_line_search_matches_reference_on_100_groups(ds100, line_searches100, variant):
     spec = _spec100(ds100, variant)
-    interior = narrow = at_zero = away = away_to_zero = 0
+    interior = at_zero = away = away_to_zero = 0
     for z, dz, step_max in line_searches100:
-        for iters in (40, 60):
-            assert _bisect_step(z, dz, spec, step_max, iters) == ref_bisect_step(
-                z, dz, spec, step_max, iters
-            )
-        if not 0.0 < ref_bisect_step(z, dz, spec, step_max) < step_max:
+        if not 0.0 < _assert_exact_step(z, dz, spec, step_max) < step_max:
             continue
         interior += 1
-        a, b = _bracket(z, dz, spec, step_max)
-        narrow += b - a < 2.0 ** -36 * step_max
         groups, dgroups = z[:-1], dz[:-1]
         at_zero += bool(np.any((groups == 0) & (dgroups > 0)))
         if step_max < 1.0:
@@ -669,18 +653,16 @@ def test_bracketed_step_matches_reference_on_100_groups(ds100, line_searches100,
         # only the total term is left: its sign is one on the whole segment
         assert interior == 0
         return
-    # the instance covers what the bracket must handle
+    # the instance covers what the line search must handle: groups entered
+    # from zero count (the eps singularity) and away steps that empty one
     assert interior >= 100
     assert at_zero >= 5 and away >= 5 and away_to_zero >= 1
-    # a bracket that fell back to plain bisection would keep the bits but
-    # not the speed
-    assert narrow >= 0.9 * interior
 
 
-def test_bracket_holds_where_a_group_empties_near_the_root():
+def test_line_search_where_a_group_empties_near_the_root():
     # one large group that the direction empties at t = 1, and the root just
-    # before that: z + t dz cancels to a few ulps of z there, so the probe
-    # resolves t no finer than its own last bits
+    # before that: z + t dz cancels to a few ulps of z there, so D resolves
+    # t no finer than its own last bits
     gm = GroupModel(
         kind="admin", group_ids=("g0",), assignment=np.zeros(1, dtype=np.int64),
         gamma=np.ones(1),
@@ -694,20 +676,49 @@ def test_bracket_holds_where_a_group_empties_near_the_root():
         up = dz[1] * (z[1] + (1 - left) * dz[1] + 1e-6) ** -1.5
         down = z_group * (z_group * left + 1e-6) ** -1.5
         spec = UtilitySpec(kind="group_rep", lam=float(up / (up + down)), groups=gm)
-        for iters in (40, 60):
-            assert _bisect_step(z, dz, spec, 1.0, iters) == ref_bisect_step(
-                z, dz, spec, 1.0, iters
-            )
-        a, b = _bracket(z, dz, spec, 1.0)
-        assert 0.0 < a < b < 1.0 and b - a < 2.0 ** -36
+        assert 0.0 < _assert_exact_step(z, dz, spec, 1.0) < 1.0
 
-        def probe(t):
-            return float(phi_gradient(z + t * dz, spec) @ dz)
 
-        # the probe's sign at and just beyond each end of the bracket
-        for k in range(8):
-            assert probe(a * (1 - k * 2.0 ** -52)) > 0
-            assert probe(b * (1 + k * 2.0 ** -52)) <= 0
+def _edge_searches(ds100):
+    """name -> (z, dz, spec, step_max, expected step) where D keeps one sign
+    on the whole segment, P or N being empty or of weight zero."""
+    counts, _, spec, state = _problem100(ds100)
+    s = np.zeros(ds100.n_clusters)
+    s[state.clusters] = 1.0
+    z = aggregates(s, counts, spec)
+    G = len(z) - 1
+    up = np.append(np.linspace(1.0, 3.0, G), 2.0 * G)   # every aggregate grows
+    # the groups grow while the total shrinks: the total term alone is N
+    groups_up = np.append(up[:-1], -z[-1])
+    size, size_z = UtilitySpec(kind="size"), np.array([float(z[-1])])
+    zero = _spec100(ds100, "zero-share")
+    weightless = zero.groups.gamma == 0.0
+    # only the weightless groups shrink, or only they grow
+    into_weightless = np.where(weightless, -0.5 * z[:-1], up[:-1])
+    from_weightless = np.where(weightless, up[:-1], -0.5 * z[:-1])
+    return {
+        "size-up": (size_z, np.array([3.0]), size, 0.7, 0.7),
+        "size-down": (size_z, np.array([-3.0]), size, 0.7, 0.0),
+        "size-still": (size_z, np.zeros(1), size, 0.7, 0.0),
+        "lam-0": (z, groups_up, _spec100(ds100, "lam-0"), 1.0, 0.0),
+        "lam-1": (z, groups_up, _spec100(ds100, "lam-1"), 1.0, 1.0),
+        "nothing-shrinks": (z, up, spec, 0.4, 0.4),
+        "zero-share-shrink": (z, np.append(into_weightless, 0.0), zero, 1.0, 1.0),
+        "zero-share-grow": (z, np.append(from_weightless, 0.0), zero, 1.0, 0.0),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "size-up", "size-down", "size-still", "lam-0", "lam-1", "nothing-shrinks",
+    "zero-share-shrink", "zero-share-grow",
+])
+def test_line_search_ends_where_the_derivative_keeps_its_sign(ds100, case):
+    z, dz, spec, step_max, expect = _edge_searches(ds100)[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # a RuntimeWarning fails, as in CI
+        step = _line_search(z, dz, spec, step_max)
+        assert ref_bisect_step(z, dz, spec, step_max) == expect
+    assert step == expect
 
 
 # -- rounding -----------------------------------------------------------------

@@ -40,7 +40,8 @@ SIZE = UtilitySpec(kind="size")
 
 
 def gradient(values, counts, spec):
-    return utility_gradient_raw(aggregates(values, counts, spec), counts, spec)
+    w = phi_gradient(aggregates(values, counts, spec), spec)
+    return utility_gradient_raw(w, counts, spec)
 
 
 class TestSizeUtility:
@@ -295,7 +296,7 @@ class TestSparseProducts:
         w = phi_gradient(z, spec)
         return (
             z[:-1], s @ dense,
-            utility_gradient_raw(z, counts, spec), dense @ w[:-1] + counts.e * w[-1],
+            utility_gradient_raw(w, counts, spec), dense @ w[:-1] + counts.e * w[-1],
         )
 
     @pytest.mark.parametrize("seed", range(5))
