@@ -280,14 +280,6 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def cmd_augment(args) -> int:
-    cfg = _experiment_config(args)
-    records = run_augmentation(cfg, args.out_dir)
-    n_inf = sum(r["infeasible"] for r in records)
-    print(f"wrote {len(records)} runs ({n_inf} infeasible) to {args.out_dir}")
-    return 0
-
-
 def cmd_evaluate(args) -> int:
     ds = load_dataset(args.dataset)
     state = load_sample_state(ds, args.sample)
@@ -308,26 +300,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_rank_study(args) -> int:
-    cfg = _experiment_config(args)
-    records = run_rank_study(cfg, args.out_dir)
-    n_skipped = sum(r["status"] == "skipped" for r in records)
-    print(f"wrote {len(records) - n_skipped} scored and {n_skipped} skipped samples "
+def cmd_study(args) -> int:
+    """Run the study of the command. Its runner, ``args.runner``, is looked up
+    by name in this module at call time, so a later rebinding here is called."""
+    run = globals()[args.runner]
+    records = run(_experiment_config(args), args.out_dir)
+    n_inf = sum(bool(r.get("infeasible")) for r in records)
+    n_skipped = sum(r.get("status") == "skipped" for r in records)
+    print(f"wrote {len(records)} rows ({n_inf} infeasible, {n_skipped} skipped) "
           f"to {args.out_dir}")
-    return 0
-
-
-def cmd_cost_sweep(args) -> int:
-    cfg = _experiment_config(args)
-    records = run_cost_sweep(cfg, args.out_dir)
-    print(f"wrote {len(records)} sweep runs to {args.out_dir}")
-    return 0
-
-
-def cmd_size_sweep(args) -> int:
-    cfg = _experiment_config(args)
-    records = run_initial_size_sweep(cfg, args.out_dir)
-    print(f"wrote {len(records)} sweep runs to {args.out_dir}")
     return 0
 
 
@@ -342,6 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
         # a flag left out stays out of the namespace, so its field keeps the
         # default of its config dataclass
         return sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+
+    def add_study(name: str, text: str, runner: str) -> None:
+        p = add(name, text)
+        _add_out_and_seed(p)
+        _add_experiment_flags(p)
+        p.set_defaults(func=cmd_study, runner=runner)
 
     p = add("generate", "generate a synthetic dataset bundle")
     _add_out_and_seed(p)
@@ -372,10 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_utility_flags(p)
     p.set_defaults(func=cmd_optimize)
 
-    p = add("augment", "run the augmentation comparison table")
-    _add_out_and_seed(p)
-    _add_experiment_flags(p)
-    p.set_defaults(func=cmd_augment)
+    add_study("augment", "run the augmentation comparison table", "run_augmentation")
 
     p = add("evaluate", "train and score a saved sample")
     _add_out_and_seed(p)
@@ -383,20 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", required=True, help="sample.json path")
     p.set_defaults(func=cmd_evaluate)
 
-    p = add("rank-study", "utility vs performance rank study")
-    _add_out_and_seed(p)
-    _add_experiment_flags(p)
-    p.set_defaults(func=cmd_rank_study)
-
-    p = add("cost-sweep", "vary the out-of-strata cost c2")
-    _add_out_and_seed(p)
-    _add_experiment_flags(p)
-    p.set_defaults(func=cmd_cost_sweep)
-
-    p = add("size-sweep", "vary the initial sample size")
-    _add_out_and_seed(p)
-    _add_experiment_flags(p)
-    p.set_defaults(func=cmd_size_sweep)
+    add_study("rank-study", "utility vs performance rank study", "run_rank_study")
+    add_study("cost-sweep", "vary the out-of-strata cost c2", "run_cost_sweep")
+    add_study("size-sweep", "vary the initial sample size", "run_initial_size_sweep")
 
     return parser
 

@@ -246,11 +246,7 @@ def load_population(cfg: ExperimentConfig) -> Dataset:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return str(int(x)) if isinstance(x, bool) else str(x)
 
 
 def build_group_model(ds: Dataset, ucfg: UtilityConfig) -> GroupModel | None:

@@ -49,9 +49,9 @@ from .utility import (
     phi,
     phi_gradient,
     utility_gradient_raw,
-    # unused here; perfbench/tracer.py counts calls under this binding
-    utility_value_raw,  # noqa: F401
 )
+# unused here; perfbench/tracer.py counts calls under this binding
+from .utility import utility_value as utility_value_raw  # noqa: F401
 
 STEP_RULES = ("diminishing", "line-search", "away")
 # Newton iterations a line search may take (see _line_search); a solve-large
@@ -168,14 +168,24 @@ def lmo_knapsack(grad: np.ndarray, costs: np.ndarray, budget: float) -> np.ndarr
         if nonpositive.any():
             order = order[: int(np.argmax(nonpositive))]
         c = costs[order]
-        # rem[k]: budget left before item k, subtracted in fill order
-        rem = np.subtract.accumulate(np.concatenate(([float(budget)], c)))
-        overflow = c > rem[:-1]
-        k = int(np.argmax(overflow)) if overflow.any() else len(order)
+        k, rem = affordable_prefix(c, budget)
         d[order[:k]] = 1.0
-        if k < len(order) and rem[k] > 0:
-            d[order[k]] = rem[k] / c[k]
+        if k < len(order) and rem > 0:
+            d[order[k]] = rem / c[k]
     return d
+
+
+def affordable_prefix(costs: np.ndarray, budget: float) -> tuple[int, float]:
+    """What ``budget`` buys of ``costs`` taken in the given order: the number
+    k of items bought before the first one that costs more than is left, and
+    the budget left then. The costs are subtracted in order by one cumulative
+    subtraction, so both equal a sequential loop's to the bit."""
+    costs = np.asarray(costs, dtype=np.float64)
+    # rem[i]: budget left before item i
+    rem = np.subtract.accumulate(np.concatenate(([float(budget)], costs)))
+    overflow = costs > rem[:-1]
+    k = int(np.argmax(overflow)) if overflow.any() else len(costs)
+    return k, float(rem[k])
 
 
 def remaining_budget(ds: Dataset, cm: CostModel, state: SampleState) -> float:
@@ -474,7 +484,7 @@ def round_inclusion(
     violation, so the returned set always fits the budget.
 
     The uniforms for every visited cluster with 0 < s_i < 1 are drawn in one
-    vector and the budget is scanned with a cumulative subtraction. The
+    vector and the budget is scanned by :func:`affordable_prefix`. The
     generator is then rewound and advanced by exactly the draws the scan
     consumed (those before the stop, plus the stopping cluster's own), so it
     ends where a one-draw-per-visit loop would leave it.
@@ -492,16 +502,10 @@ def round_inclusion(
     taken = ~draws
     taken[draws] = rng.random(int(draws.sum())) < p[draws]
     cand = np.flatnonzero(taken)
-    c = cluster_costs(cm, ds)[order[cand]]
-    # rem[k]: budget left before candidate k, subtracted in visiting order
-    rem = np.subtract.accumulate(np.concatenate(([float(budget)], c)))
-    overflow = c > rem[:-1]
-    if overflow.any():
-        k = int(np.argmax(overflow))
+    k, _ = affordable_prefix(cluster_costs(cm, ds)[order[cand]], budget)
+    if k < len(cand):
         rng.bit_generator.state = start
         rng.random(int(draws[: cand[k] + 1].sum()))
-    else:
-        k = len(cand)
     return tuple(sorted(ds.cluster_ids[j] for j in order[cand[:k]]))
 
 

@@ -28,6 +28,7 @@ from .data import (
 from .optimizer import (
     SolveOptions,
     SolveResult,
+    affordable_prefix,
     bind_costs,
     remaining_budget,
     round_inclusion,
@@ -221,13 +222,8 @@ def greedy_size_augment(
     cluster index); ``rng`` draws only the labeled points."""
     cm, costs, rem, cand = _priced(ds, state, cm)
     keyed = cand[np.lexsort((cand, -np.minimum(state.k, ds.cluster_sizes[cand]), costs[cand]))]
-    drawn: list[int] = []
-    for j in keyed:
-        if costs[j] > rem:
-            break
-        drawn.append(j)
-        rem -= float(costs[j])
-    picks = {j: _label_in_cluster(ds, j, state.k, rng) for j in drawn}
+    k, _ = affordable_prefix(costs[keyed], rem)
+    picks = {j: _label_in_cluster(ds, j, state.k, rng) for j in keyed[:k]}
     return _extend(ds, cm, state, picks, "augment:greedy")
 
 

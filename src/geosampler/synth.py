@@ -138,6 +138,9 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         split_seed=split_seed,
         test_fraction=cfg.test_fraction,
     )
+    if not ds.train_mask.any():
+        raise SynthError(f"test_fraction {cfg.test_fraction} puts every labeled point "
+                         "on the test side, leaving no source cluster to sample")
     truth = GroundTruth(
         coefficients=w_by_stratum,
         noise_sigma=sigma,

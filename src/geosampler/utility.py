@@ -14,7 +14,8 @@ smoothing keeps the expression bounded when a group count is zero.
 Both utilities depend on s only through the aggregates z = (n_g(s), n(s))
 (just n(s) for size), so each is implemented once as a function phi(z) with
 gradient grad phi(z). The solver computes z once per iteration and takes the
-value, the gradient and the line search from it.
+value, the gradient and the line search from it; :func:`utility_value`
+evaluates U on an array of inclusion values, the one entry point that takes s.
 """
 
 from __future__ import annotations
@@ -74,15 +75,17 @@ class UtilitySpec:
             raise UtilityError("group_rep utility requires a group model")
 
 
-def utility_value(s: InclusionVector, counts: ExpectedCounts, spec: UtilitySpec) -> float:
-    """U(s), after checking that ``s`` and the group model match ``counts``."""
-    if len(s.values) != len(counts.e):
+def utility_value(values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec) -> float:
+    """U(s) for the inclusion values of s (unchecked against the box, as an
+    :class:`InclusionVector` checks them), after checking that they and the
+    group model match ``counts``."""
+    if len(values) != len(counts.e):
         raise UtilityError(
-            f"inclusion vector has {len(s.values)} clusters, counts have {len(counts.e)}"
+            f"inclusion vector has {len(values)} clusters, counts have {len(counts.e)}"
         )
     if spec.kind == "group_rep" and counts.n_groups != spec.groups.n_groups:
         raise UtilityError("expected counts were built with a different group model")
-    return utility_value_raw(s.values, counts, spec)
+    return phi(aggregates(values, counts, spec), spec)
 
 
 def aggregates(values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec) -> np.ndarray:
@@ -120,13 +123,6 @@ def phi_gradient(z: np.ndarray, spec: UtilitySpec) -> np.ndarray:
     w[:-1] = spec.lam * 0.5 * spec.groups.gamma * (z[:-1] + eps) ** -1.5
     w[-1] = (1.0 - spec.lam) * 0.5 * (z[-1] + eps) ** -1.5
     return w
-
-
-def utility_value_raw(values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec) -> float:
-    """Evaluate on a bare value vector, skipping InclusionVector validation.
-
-    Callers guarantee values lie in the box and match the counts."""
-    return phi(aggregates(values, counts, spec), spec)
 
 
 def utility_gradient_raw(

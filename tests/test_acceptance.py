@@ -27,7 +27,6 @@ from geosampler.optimizer import (
 from geosampler.samplers import greedy_size_augment, optimized_augment
 from geosampler.synth import SynthConfig
 from geosampler.utility import (
-    InclusionVector,
     UtilitySpec,
     aggregates,
     phi_gradient,
@@ -159,12 +158,7 @@ def test_criterion_2_rounding_feasibility_and_fidelity():
                 values = committed_mask.astype(float)
                 for cid in sel:
                     values[ds.cluster_index[cid]] = 1.0
-                utilities.append(
-                    utility_value(
-                        InclusionVector(values=values, committed=committed_mask),
-                        counts, spec,
-                    )
-                )
+                utilities.append(utility_value(values, counts, spec))
                 total += 1
             mean_u = float(np.mean(utilities))
             rel = abs(mean_u - res.utility) / abs(res.utility)
@@ -196,7 +190,6 @@ def test_criterion_3_gradient_matches_finite_differences():
             )
             counts = counts_from_dense(e, eg)
             s = rng.uniform(0.1, 0.95, size=m)
-            com = np.zeros(m, dtype=bool)
             w = phi_gradient(aggregates(s, counts, spec), spec)
             grad = utility_gradient_raw(w, counts, spec)
             for i in range(m):
@@ -204,8 +197,8 @@ def test_criterion_3_gradient_matches_finite_differences():
                 up[i] += h
                 dn[i] -= h
                 fd = (
-                    utility_value(InclusionVector(up, com), counts, spec)
-                    - utility_value(InclusionVector(dn, com), counts, spec)
+                    utility_value(up, counts, spec)
+                    - utility_value(dn, counts, spec)
                 ) / (2 * h)
                 if abs(fd) > 1e-9:
                     assert abs(grad[i] - fd) <= 1e-4 * abs(fd)
@@ -233,15 +226,12 @@ def test_criterion_4_midpoint_concavity():
                 groups=gm,
             )
             counts = counts_from_dense(e, eg)
-            com = np.zeros(m, dtype=bool)
             for _ in range(50):
                 s = rng.uniform(0, 1, size=m)
                 t = rng.uniform(0, 1, size=m)
-                u_mid = utility_value(
-                    InclusionVector(0.5 * (s + t), com), counts, spec
-                )
-                u_s = utility_value(InclusionVector(s, com), counts, spec)
-                u_t = utility_value(InclusionVector(t, com), counts, spec)
+                u_mid = utility_value(0.5 * (s + t), counts, spec)
+                u_s = utility_value(s, counts, spec)
+                u_t = utility_value(t, counts, spec)
                 assert u_mid >= 0.5 * u_s + 0.5 * u_t - 1e-9
                 checked += 1
 

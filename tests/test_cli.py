@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from geosampler import cli
 from geosampler.cli import _experiment_config, build_parser, main
 from geosampler.data import CostModel, load_dataset
 from geosampler.experiments import ExperimentConfig, UtilityConfig, dataset_content_hash
@@ -90,6 +91,13 @@ class TestGenerate:
         assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 1,
                        "--test-fraction", value) == 2
         assert "test_fraction must lie in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_test_fraction_leaving_no_train_point_writes_no_bundle(self, tmp_path, capsys):
+        # every cluster falls on the test side: no study could sample the bundle
+        assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 1,
+                       "--test-fraction", "0.999") == 2
+        assert "no source cluster" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
     def test_bad_grid_is_config_error(self, tmp_path):
@@ -637,6 +645,37 @@ class TestExperimentCommands:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_synth_study_without_train_point_is_config_error(self, tmp_path, capsys):
+        code = run_cli("augment", "--seed", 1, "--test-fraction", "0.999",
+                       "--out-dir", tmp_path / "x")
+        assert code == 2
+        assert "no source cluster" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, runner", [
+        ("augment", "run_augmentation"),
+        ("rank-study", "run_rank_study"),
+        ("cost-sweep", "run_cost_sweep"),
+        ("size-sweep", "run_initial_size_sweep"),
+    ])
+    def test_study_calls_the_runner_bound_in_cli(
+        self, tmp_path, capsys, monkeypatch, command, runner
+    ):
+        # the benchmark tracer times a study by rebinding its runner in cli
+        calls = []
+        for name in ("run_augmentation", "run_rank_study", "run_cost_sweep",
+                     "run_initial_size_sweep"):
+            def record(cfg, out_dir, name=name):
+                calls.append((name, cfg, out_dir))
+                return [{"infeasible": True}, {"infeasible": False},
+                        {"status": "skipped"}, {"status": "ok"}]
+            monkeypatch.setattr(cli, name, record)
+        out = tmp_path / "x"
+        assert run_cli(command, "--seed", 0, "--out-dir", out) == 0
+        assert [(name, out_dir) for name, _, out_dir in calls] == [(runner, str(out))]
+        assert isinstance(calls[0][1], ExperimentConfig)
+        assert capsys.readouterr().out == f"wrote 4 rows (1 infeasible, 1 skipped) to {out}\n"
 
     @pytest.mark.parametrize("doc, message", [
         ({"max_iters": 2.5}, "'max_iters' must be int, got 2.5"),

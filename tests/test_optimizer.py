@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from geosampler.optimizer import (
     OptimizerError,
     SolveOptions,
     _line_search,
+    affordable_prefix,
     lmo_knapsack,
     remaining_budget,
     round_inclusion,
@@ -145,6 +147,43 @@ class TestLmoKnapsack:
             lmo_knapsack(np.ones(2), np.array([1.0, 0.0]), budget=1.0)
 
 
+def sequential_prefix(costs, budget):
+    """What ``budget`` buys of ``costs`` in order, one item at a time."""
+    rem, k = float(budget), 0
+    for c in costs:
+        if c > rem:
+            break
+        rem -= float(c)
+        k += 1
+    return k, rem
+
+
+class TestAffordablePrefix:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_sequential_loop_to_the_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 12))
+        # few distinct costs, so items repeat and budgets hit exact fits
+        costs = rng.choice([0.1, 0.2, 0.3, 0.7, 1.0, 25.0, 50.0], size=n)
+        prefix = float(np.sum(costs[: int(rng.integers(0, n + 1))]))
+        budgets = [0.0, -1.0, -0.0, math.inf, prefix, np.nextafter(prefix, -math.inf),
+                   float(rng.uniform(0, costs.sum() + 1)), float(costs.sum())]
+        for budget in budgets:
+            k, rem = affordable_prefix(costs, budget)
+            ref_k, ref_rem = sequential_prefix(costs, budget)
+            assert k == ref_k, (costs, budget)
+            assert isinstance(rem, float) and rem.hex() == ref_rem.hex(), (costs, budget)
+
+    def test_empty_costs_buy_nothing(self):
+        assert affordable_prefix(np.empty(0), 5.0) == (0, 5.0)
+        assert affordable_prefix(np.empty(0), math.inf) == (0, math.inf)
+
+    def test_stops_at_first_item_that_does_not_fit(self):
+        # the third item would still fit after the second is skipped, but
+        # the scan ends at the second
+        assert affordable_prefix(np.array([2.0, 5.0, 1.0]), 4.0) == (1, 2.0)
+
+
 def make_instance(
     n_clusters=8,
     committed=(),
@@ -209,10 +248,7 @@ def binary_best(ds, counts, cm, spec, state):
             continue
         values = committed.astype(float)
         values[free] = sel
-        u = utility_value(
-            InclusionVector(values=values, committed=committed), counts, spec
-        )
-        best = max(best, u)
+        best = max(best, utility_value(values, counts, spec))
     return best
 
 
@@ -616,7 +652,7 @@ class TestRoundInclusion:
             values = committed.astype(float)
             for cid in sel:
                 values[ds.cluster_index[cid]] = 1.0
-            u = utility_value(InclusionVector(values=values, committed=committed), counts, spec)
+            u = utility_value(values, counts, spec)
             assert u <= best + 1e-12
             utilities.append(u)
         mean_u = float(np.mean(utilities))

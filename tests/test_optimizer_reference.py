@@ -42,7 +42,7 @@ from geosampler.utility import (
     phi,
     phi_gradient,
     utility_gradient_raw,
-    utility_value_raw,
+    utility_value,
 )
 
 from conftest import dense_groups
@@ -195,7 +195,7 @@ def ref_solve_relaxation(ds, counts, cm, spec, state, opts):
     iterations = 0
     for t in range(opts.max_iters):
         iterations = t + 1
-        f = utility_value_raw(s, counts, spec)
+        f = utility_value(s, counts, spec)
         grad = ref_utility_gradient_raw(s, counts, spec)
         trace.append(f)
         d_dec = ref_lmo_knapsack(grad[decision], costs_dec, budget, locked_dec)

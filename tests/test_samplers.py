@@ -217,6 +217,27 @@ class TestGreedySizeAugment:
             assert set(opt3.augment) == set(greedy3.augment)
 
 
+    @pytest.mark.parametrize("budget", [0.0, 24.0, 25.0, 75.0, 130.0, 175.0, 400.0, 5000.0])
+    def test_picks_the_clusters_a_sequential_scan_picks(self, budget):
+        # cheapest first (ties to larger min(k, size), then index), stopping
+        # at the first cluster that no longer fits; 25 and 50 buy exact fits
+        ds = survey_ds(n_strata=3, clusters_per_stratum=6, size_lo=5, size_hi=15)
+        state = starter_state(ds, n_strata=1, k=10, target=30)
+        cm = CostModel(c1=25, c2=50, budget=budget)
+        costs = cluster_costs(cm.with_initial_strata(state.initial_strata), ds)
+        cand = np.setdiff1d(np.arange(ds.n_clusters), state.initial)
+        keyed = cand[np.lexsort((cand, -np.minimum(state.k, ds.cluster_sizes[cand]),
+                                 costs[cand]))]
+        rem, drawn = budget, []
+        for j in keyed:
+            if costs[j] > rem:
+                break
+            drawn.append(j)
+            rem -= float(costs[j])
+        out = greedy_size_augment(ds, state, cm, np.random.default_rng(0))
+        assert out.augment.tolist() == sorted(drawn)
+        assert out.spent <= budget
+
 class TestRandomClusterAugment:
     def test_huge_budget_takes_everything(self):
         ds = survey_ds(n_strata=2, clusters_per_stratum=3)

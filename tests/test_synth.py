@@ -120,3 +120,9 @@ def test_invalid_configs_rejected():
         SynthConfig(feature_dim=0)
     with pytest.raises(SynthError):
         SynthConfig(target_snr=0.0)
+
+
+def test_split_leaving_no_train_point_is_rejected():
+    # test_fraction 0.999 puts all 48 clusters of the default grid on the test side
+    with pytest.raises(SynthError, match="no source cluster"):
+        generate(SynthConfig(seed=1, test_fraction=0.999))

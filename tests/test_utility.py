@@ -17,11 +17,9 @@ from geosampler.utility import (
 from conftest import counts_from_dense, state_from_ids
 
 
-def vec(values, committed=None):
-    values = np.asarray(values, dtype=float)
-    if committed is None:
-        committed = np.zeros(len(values), dtype=bool)
-    return InclusionVector(values=values, committed=committed)
+def vec(values):
+    """Inclusion values, as utility_value takes them."""
+    return np.asarray(values, dtype=float)
 
 
 def group_spec(gamma, lam=0.5, eps=1e-12):
@@ -153,8 +151,8 @@ class TestGroupRepGradient:
         counts = counts_from_dense([3.0, 7.0, 1.0], [[3.0], [7.0], [1.0]])
         spec = group_spec([1.0], lam=0.0)
         s = vec([0.5, 0.5, 0.5])
-        grad = gradient(s.values, counts, spec)
-        n = float(s.values @ counts.e)
+        grad = gradient(s, counts, spec)
+        n = float(s @ counts.e)
         factor = 0.5 * (n + spec.epsilon) ** -1.5
         np.testing.assert_allclose(grad, factor * counts.e, rtol=1e-12)
 
