@@ -34,8 +34,10 @@ JSON output of the package, in a bundle or not, is written by
 its file's directory, so a directory appears only with its first file. Only
 ``geosampler evaluate``'s ``results.csv``, one row per run, is appended to.
 ``load_dataset`` checks each header and then parses the rows with
-``np.loadtxt`` (numbers straight to float64, ids as str); a malformed row
-raises :class:`DatasetError` naming its file and line.
+``np.loadtxt`` (numbers straight to float64, point ids as str, and the
+cluster and stratum ids of points.csv as fixed-width numpy strings where
+those hold them exactly); a malformed row raises :class:`DatasetError`
+naming its file and line.
 
 All ordering is lexicographic by identifier so that identical seeds give
 identical runs across platforms.
@@ -253,20 +255,27 @@ def build_dataset(
     coords: np.ndarray,
     features: np.ndarray,
     labels: np.ndarray,
-    point_cluster: Iterable[str],
+    point_cluster: Iterable[str] | np.ndarray,
     cluster_stratum: Mapping[str, str],
     split_seed: int = 0,
     test_fraction: float = 0.2,
 ) -> Dataset:
     """Assemble a validated Dataset from per-point rows, sorting everything
-    by identifier and deriving the index arrays.
+    by identifier and deriving the index arrays. ``point_cluster`` names
+    each point's cluster, as str objects or as a numpy string array.
 
     Rows whose point ids are already strictly ascending (every bundle
-    :func:`save_dataset` writes) are not re-indexed: float64 ``coords``,
-    ``features`` and ``labels`` arrays are then held as given, not copied.
+    :func:`save_dataset` writes, and :func:`geosampler.synth.generate`) are
+    not re-indexed: float64 ``coords``, ``features`` and ``labels`` arrays
+    are then held as given, not copied, and ids that are plain ``str``
+    objects are held as given too. Otherwise the ids are stored as new
+    plain ``str`` (never ``np.str_``) in sorted order.
     """
-    pids = np.array(list(point_ids), dtype=str)
-    pcl = np.array(list(point_cluster), dtype=str)
+    given = list(point_ids)
+    pids = np.array(given, dtype=str)
+    if not isinstance(point_cluster, np.ndarray):
+        point_cluster = list(point_cluster)
+    pcl = np.array(point_cluster, dtype=str)
     if pcl.shape != pids.shape:
         raise DatasetError("point_cluster must name one cluster per point")
     order = (
@@ -289,8 +298,12 @@ def build_dataset(
         i = unknown[0]
         raise DatasetError(f"point {str(pids[i])!r} references unknown cluster {str(pcl[i])!r}")
 
+    # the given objects are the ids when the rows need no reordering and the
+    # str array above lost nothing: numpy drops NUL characters at an id's end
+    keep = (isinstance(order, slice) and all(type(p) is str for p in given)
+            and "\0" not in "".join(given))
     return Dataset(
-        point_ids=tuple(pids.tolist()),
+        point_ids=tuple(given) if keep else tuple(pids.tolist()),
         cluster_ids=tuple(cids.tolist()),
         stratum_ids=tuple(sids.tolist()),
         coords=np.asarray(coords, dtype=np.float64)[order],
@@ -650,20 +663,35 @@ _POINTS_DTYPE = np.dtype([
 ])
 # a label is a number or NA (unknown); see _read_points
 _LABEL_CONVERTER = {3: lambda text: float("nan" if text == "NA" else text)}
-# features.bin is read into the float64 matrix this many bytes at a time
+# points.csv's cluster and stratum ids are read as fixed-width numpy strings
+# (4 bytes a character) while the longest listed id has at most this many
+# characters; a str object and its pointer take about 60 bytes
+_ID_CHARS_MAX = 15
+# features.bin is written from, and read into, the float64 matrix in blocks of
+# the rows whose float32 values take at most this many bytes (at least one row)
 _BIN_BLOCK_BYTES = 1 << 22
-# points.csv is searched for NA this many bytes at a time (3 ms for 150k rows;
-# blocks of 1 MB and up take longer, each a fresh allocation)
+# points.csv rows are converted to Python values this many at a time
+_SAVE_BLOCK_ROWS = 2048
+# points.csv is searched for NA and NUL this many bytes at a time (3 ms for
+# 150k rows; blocks of 1 MB and up take longer, each a fresh allocation)
 _SCAN_BLOCK_BYTES = 1 << 16
+
+
+def _bin_block_rows(d: int) -> int:
+    """Rows of a ``features.bin`` block (see ``_BIN_BLOCK_BYTES``)."""
+    return max(1, _BIN_BLOCK_BYTES // (4 * d))
 
 
 def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") -> None:
     """Write a dataset bundle; ``load_dataset`` reproduces it exactly.
 
     ``features_format='bin'`` stores features as float32 and is only lossless
-    when the feature values are float32-representable. Rows are streamed:
-    floats are written as their shortest round-trip ``repr``, one row's
-    values converted at a time.
+    when the feature values are float32-representable; the float32 copy is
+    made one block of rows at a time (see ``_BIN_BLOCK_BYTES``), so saving
+    needs at most one block more memory, not a copy of the whole matrix.
+    CSV rows are streamed: floats are written as their shortest round-trip
+    ``repr``, converted to Python values one features.csv row, or one block
+    of ``_SAVE_BLOCK_ROWS`` points.csv rows, at a time.
     """
     if features_format not in ("csv", "bin"):
         raise DatasetError(f"unknown features format {features_format!r}")
@@ -688,11 +716,13 @@ def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") ->
     write_json(out / "meta.json", meta)
 
     cluster_stratum_ids = [ds.stratum_ids[s] for s in ds.cluster_stratum]
+    step = _SAVE_BLOCK_ROWS
     write_csv(out / "points.csv", _POINTS_COLUMNS, (
-        (pid, *xy.tolist(), "NA" if math.isnan(label) else label,
-         ds.cluster_ids[j], cluster_stratum_ids[j])
-        for pid, xy, label, j in zip(
-            ds.point_ids, ds.coords, ds.labels.tolist(), ds.point_cluster.tolist()
+        (pid, x, y, "NA" if math.isnan(label) else label, ds.cluster_ids[j], cluster_stratum_ids[j])
+        for lo in range(0, ds.n_points, step)
+        for pid, (x, y), label, j in zip(
+            ds.point_ids[lo:lo + step], ds.coords[lo:lo + step].tolist(),
+            ds.labels[lo:lo + step].tolist(), ds.point_cluster[lo:lo + step].tolist(),
         )
     ))
     if features_format == "csv":
@@ -701,7 +731,9 @@ def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") ->
     else:   # into the directory the writers above made
         with (out / "features.bin").open("wb") as fh:
             fh.write(FEATURES_BIN_MAGIC + struct.pack("<III", ds.n_points, ds.feature_dim, 0))
-            ds.features.astype("<f4").tofile(fh)
+            step = _bin_block_rows(ds.feature_dim)
+            for lo in range(0, ds.n_points, step):
+                ds.features[lo:lo + step].astype("<f4").tofile(fh)
 
 
 def _csv_header(path: Path) -> tuple[list[str] | None, bool]:
@@ -711,11 +743,19 @@ def _csv_header(path: Path) -> tuple[list[str] | None, bool]:
         return next(reader, None), any(reader)
 
 
+def _loadtxt(path: Path, **options) -> np.ndarray:
+    """``np.loadtxt`` of the rows below a bundle CSV's header. The file is
+    opened with ``newline=""``: given a path, numpy opens it with universal
+    newlines, which turn a quoted ``\\r`` into ``\\n``."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        return np.loadtxt(fh, skiprows=1, **_CSV, **options)
+
+
 def _read_rows(path: Path, n_fields: int, **options) -> np.ndarray:
-    """``np.loadtxt`` of the rows below a bundle CSV's header. A row it
-    rejects raises :class:`DatasetError` naming the file and the line."""
+    """:func:`_loadtxt` of a bundle CSV. A row it rejects raises
+    :class:`DatasetError` naming the file and the line."""
     try:
-        return np.loadtxt(path, skiprows=1, **_CSV, **options)
+        return _loadtxt(path, **options)
     except ValueError as exc:
         # loadtxt's row number is not the file's line number; drop it
         reason = str(exc).partition(" at row")[0]
@@ -740,22 +780,46 @@ def _read_rows(path: Path, n_fields: int, **options) -> np.ndarray:
     raise DatasetError(f"{path.name} line {line}: {reason}")
 
 
-def _mentions_na(path: Path) -> bool:
-    """Whether the bytes ``NA`` occur anywhere in ``path``, read a block at a
-    time, each after the previous block's last byte. A block without an
-    ``N`` is ruled out by one ``memchr``; the two-byte search is slower."""
+def _mentions(path: Path, needle: bytes) -> bool:
+    """Whether ``needle`` (one or two bytes) occurs anywhere in ``path``,
+    read a block at a time, each after the previous block's last byte. A
+    block without its first byte is ruled out by one ``memchr``; the
+    two-byte search is slower."""
     tail = b""
     with path.open("rb") as fh:
         while block := fh.read(_SCAN_BLOCK_BYTES):
             block = tail + block
-            if b"N" in block and b"NA" in block:
+            if needle[:1] in block and needle in block:
                 return True
             tail = block[-1:]
     return False
 
 
-def _read_points(path: Path) -> np.ndarray:
-    """The rows of points.csv, labels as float64 with NA as nan.
+def _points_dtype(path: Path, listed: list[tuple[str, str]]) -> np.dtype:
+    """The dtype of points.csv's rows, given the cluster table ``listed``.
+
+    The cluster and stratum ids are numpy strings one character wider than
+    the longest listed cluster and stratum id, so that an id longer than
+    every listed one, cut to that width, still matches none. They are str
+    objects when nothing is listed, when a listed id is not a str or is
+    longer than ``_ID_CHARS_MAX``, and when a listed id or the file holds a
+    NUL character, which numpy strings drop from the end of an id."""
+    columns = (
+        [cid for cid, _ in listed],
+        [sid for _, sid in listed],
+    )
+    ids = columns[0] + columns[1]
+    if (ids and all(isinstance(i, str) and "\0" not in i for i in ids)
+            and max(map(len, ids)) <= _ID_CHARS_MAX and not _mentions(path, b"\0")):
+        widths = [1 + max(map(len, column)) for column in columns]
+        return np.dtype(_POINTS_DTYPE.descr[:4]
+                        + [("cluster_id", f"<U{widths[0]}"), ("stratum_id", f"<U{widths[1]}")])
+    return _POINTS_DTYPE
+
+
+def _read_points(path: Path, listed: list[tuple[str, str]]) -> np.ndarray:
+    """The rows of points.csv, labels as float64 with NA as nan, ids typed
+    by :func:`_points_dtype` (an empty ``listed`` reads them as str).
 
     A file in which the bytes ``NA`` never occur holds no NA label, so
     numpy's float parser reads its labels in the pass that reads x and y,
@@ -765,13 +829,26 @@ def _read_points(path: Path) -> np.ndarray:
     converts each label as ``float`` does; a row it rejects raises
     :class:`DatasetError` naming the file and the line. So a file with NA
     is parsed once, as fast as by the converter alone."""
-    if not _mentions_na(path):
+    dtype = _points_dtype(path, listed)
+    if not _mentions(path, b"NA"):
         try:
-            return np.loadtxt(path, skiprows=1, dtype=_POINTS_DTYPE, ndmin=1, **_CSV)
+            return _loadtxt(path, dtype=dtype, ndmin=1)
         except ValueError:
             pass
-    return _read_rows(path, len(_POINTS_COLUMNS), dtype=_POINTS_DTYPE,
+    return _read_rows(path, len(_POINTS_COLUMNS), dtype=dtype,
                       converters=_LABEL_CONVERTER, ndmin=1)
+
+
+def _on_table(points: np.ndarray, cluster_stratum: Mapping[str, str]) -> bool:
+    """Whether every row of ``points`` names a cluster of the table and that
+    cluster's stratum; ``cluster_stratum`` must not be empty."""
+    pcl, psid = points["cluster_id"], points["stratum_id"]
+    cids = np.array(list(cluster_stratum), dtype=pcl.dtype)
+    by_id = np.argsort(cids)
+    cids = cids[by_id]
+    sids = np.array(list(cluster_stratum.values()), dtype=psid.dtype)[by_id]
+    pos = np.minimum(np.searchsorted(cids, pcl), len(cids) - 1)
+    return bool(np.array_equal(cids[pos], pcl) and np.array_equal(sids[pos], psid))
 
 
 def _read_features_csv(path: Path, d: int, pids: np.ndarray) -> np.ndarray:
@@ -821,7 +898,7 @@ def _read_features_bin(path: Path, n: int, d: int) -> np.ndarray:
                 f"features.bin header ({nrows} x {dim}) disagrees with meta ({n} x {d})"
             )
         features = np.empty((n, d))
-        step = max(1, _BIN_BLOCK_BYTES // (4 * d))
+        step = _bin_block_rows(d)
         for lo in range(0, n, step):
             rows = min(step, n - lo)
             features[lo:lo + rows] = np.fromfile(fh, dtype="<f4", count=rows * d).reshape(rows, d)
@@ -847,37 +924,39 @@ def load_dataset(path: str | Path) -> Dataset:
     if header != _POINTS_COLUMNS:
         missing = [c for c in _POINTS_COLUMNS if header is None or c not in header]
         raise DatasetError(f"points.csv missing columns {missing}")
-    if has_rows:
-        points = _read_points(points_path)
-    else:
-        points = np.empty(0, dtype=_POINTS_DTYPE)
-    pids = points["point_id"]
-    point_cluster = points["cluster_id"].tolist()
-
     # the strata list in meta.json is the authoritative cluster table
     listed = [
         (cid, entry["stratum_id"])
         for entry in meta.get("strata", [])
         for cid in entry.get("cluster_ids", [])
     ]
+    if has_rows:
+        points = _read_points(points_path, listed)
+    else:
+        points = np.empty(0, dtype=_POINTS_DTYPE)
+
     cluster_stratum = dict(listed)
     if len(cluster_stratum) < len(listed):
         cid = min(c for c, n in Counter(c for c, _ in listed).items() if n > 1)
         raise DatasetError(f"cluster {cid!r} listed under two strata")
     if not cluster_stratum:
         raise DatasetError("meta.json strata list carries no cluster rosters")
-    stray = set(zip(point_cluster, points["stratum_id"].tolist())) - set(listed)
-    if stray:
-        cid, sid = min(stray)
-        if cid not in cluster_stratum:
-            pid = pids[point_cluster.index(cid)]
+    if points["cluster_id"].dtype != object and not _on_table(points, cluster_stratum):
+        points = _read_points(points_path, [])   # str ids name the offender in full
+    if points["cluster_id"].dtype == object:
+        point_cluster = points["cluster_id"].tolist()
+        stray = set(zip(point_cluster, points["stratum_id"].tolist())) - set(listed)
+        if stray:
+            cid, sid = min(stray)
+            if cid not in cluster_stratum:
+                pid = points["point_id"][point_cluster.index(cid)]
+                raise DatasetError(
+                    f"point {pid!r} references cluster {cid!r} absent from the cluster table"
+                )
             raise DatasetError(
-                f"point {pid!r} references cluster {cid!r} absent from the cluster table"
+                f"cluster {cid!r} stratum mismatch: table says "
+                f"{cluster_stratum[cid]!r}, points.csv says {sid!r}"
             )
-        raise DatasetError(
-            f"cluster {cid!r} stratum mismatch: table says "
-            f"{cluster_stratum[cid]!r}, points.csv says {sid!r}"
-        )
     if len(cluster_stratum) != int(meta.get("n_clusters", len(cluster_stratum))):
         raise DatasetError("meta.json n_clusters disagrees with the cluster table")
 
@@ -892,6 +971,7 @@ def load_dataset(path: str | Path) -> Dataset:
     fpath = root / features_file
     if not fpath.exists():
         raise DatasetError(f"missing {features_file} in {root}")
+    pids = points["point_id"]
     if features_file.endswith(".csv"):
         features = _read_features_csv(fpath, d, pids)
     else:
@@ -902,7 +982,7 @@ def load_dataset(path: str | Path) -> Dataset:
         coords=np.column_stack((points["x"], points["y"])),
         features=features,
         labels=points["label"].copy(),   # not a view that keeps the table alive
-        point_cluster=point_cluster,
+        point_cluster=points["cluster_id"],
         cluster_stratum=cluster_stratum,
         split_seed=int(meta.get("split_seed", 0)),
         test_fraction=float(meta.get("test_fraction", 0.2)),

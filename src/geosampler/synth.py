@@ -110,15 +110,17 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     features += phase
     np.sin(features, out=features)
     features *= cfg.feature_scale
-    for lo in range(0, n, _NOISE_BLOCK_ROWS):
-        noise = rng.normal(size=(min(_NOISE_BLOCK_ROWS, n - lo), d))
-        noise *= cfg.feature_noise
-        features[lo:lo + len(noise)] += noise
-
-    ws = list(w_by_stratum.values())
+    w = np.array(list(w_by_stratum.values()))
     signal = np.empty(n)
-    for i, s in enumerate(point_stratum.tolist()):
-        signal[i] = ws[s] @ features[i]
+    for lo in range(0, n, _NOISE_BLOCK_ROWS):
+        block = features[lo:lo + _NOISE_BLOCK_ROWS]
+        noise = rng.normal(size=block.shape)
+        noise *= cfg.feature_noise
+        block += noise
+        # a stack of 1 x d by d x 1 products: numpy computes each as the
+        # vector dot w[s] @ row, so the signal is that dot bit for bit
+        w_rows = w[point_stratum[lo:lo + len(block)], :, None]
+        signal[lo:lo + len(block)] = np.matmul(block[:, None, :], w_rows)[:, 0, 0]
 
     signal_var = float(np.var(signal))
     if cfg.target_snr is not None:

@@ -1,6 +1,8 @@
 import csv
 import json
+import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,8 @@ from geosampler.data import (
     CostError,
     CostModel,
     DatasetError,
-    _mentions_na,
+    _mentions,
+    _points_dtype,
     build_dataset,
     cluster_cost,
     datasets_equal,
@@ -271,7 +274,7 @@ class TestBundleIO:
         for text in (b"", b"N", b"A", b"AN", b"N,A", b"x,NaN,nan", b"NA", b"p,1,NA",
                      b"p,NA,1", b"NAN", b"1234NA", b"abcdefNA,1", b"NNNA", b"N" * 9 + b"A"):
             path.write_bytes(text)
-            assert _mentions_na(path) == (b"NA" in text), text
+            assert _mentions(path, b"NA") == (b"NA" in text), text
 
     def test_header_only_tables_load_without_a_warning(self, tmp_path, recwarn):
         write_hand_bundle(tmp_path / "bundle")
@@ -359,6 +362,26 @@ class TestBundleIO:
             save_dataset(ds, out)
             assert datasets_equal(ds, load_dataset(out)), f"bundle {i} not identical"
 
+    @pytest.mark.parametrize("first_id", ["a\rb", "a\r\nb", "a\nb"], ids=["cr", "crlf", "lf"])
+    @pytest.mark.parametrize("label", [4.0, np.nan], ids=["number", "na"])
+    @pytest.mark.parametrize("features_format", ["csv", "bin"])
+    def test_line_breaks_in_ids_round_trip(self, tmp_path, first_id, label, features_format):
+        # given a path, np.loadtxt opens it with universal newlines, which
+        # read a quoted \r as \n; the reader opens each CSV with newline=""
+        ds = build_dataset(
+            point_ids=[first_id, "p1", "p2", "p3"],
+            coords=np.zeros((4, 2)),
+            features=np.arange(8.0).reshape(4, 2),
+            labels=np.array([1.0, 2.0, 3.0, label]),
+            point_cluster=["c0", "c0", "c\r1", "c\r1"],
+            cluster_stratum={"c0": "s\r0", "c\r1": "s\r0"},
+            test_fraction=0.0,
+        )
+        save_dataset(ds, tmp_path / "b", features_format=features_format)
+        again = load_dataset(tmp_path / "b")
+        assert again.point_ids[0] == first_id
+        assert datasets_equal(ds, again)
+
     def test_binary_features_round_trip(self, tmp_path, small_ds):
         # float32-representable features survive the binary format exactly
         ds = small_ds
@@ -404,6 +427,104 @@ class TestBundleIO:
         path.write_bytes(blob)
         with pytest.raises(DatasetError, match=rf"holds {len(blob)} bytes.* take 196"):
             load_dataset(tmp_path / "bin")
+
+    @pytest.mark.parametrize("block_bytes", [1, 4 * 3 * 4, 4 * 3 * 7 + 5],
+                             ids=["one-row", "four-rows", "seven-rows"])
+    def test_binary_blocks_match_one_shot_copy(self, tmp_path, monkeypatch, small_ds, block_bytes):
+        # 15 rows of 3 features, written and read in blocks of 1 row (a block
+        # smaller than a row still takes one), of 4 rows (the last block
+        # holds 3) and of 7 rows (the last block holds 1); points.csv rows
+        # are converted in blocks of as many rows
+        save_dataset(small_ds, tmp_path / "whole", features_format="bin")
+        monkeypatch.setattr(data_module, "_BIN_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(data_module, "_SAVE_BLOCK_ROWS", max(1, block_bytes // 12))
+        save_dataset(small_ds, tmp_path / "bin", features_format="bin")
+        small_ds.features.astype("<f4").tofile(tmp_path / "one_shot")
+        blob = (tmp_path / "bin" / "features.bin").read_bytes()
+        assert blob[:16] == b"GSOF" + struct.pack("<III", 15, 3, 0)
+        assert blob[16:] == (tmp_path / "one_shot").read_bytes()
+        for name in ("points.csv", "meta.json"):
+            assert (tmp_path / "bin" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+        again = load_dataset(tmp_path / "bin")
+        assert np.array_equal(again.features, small_ds.features.astype(np.float32))
+
+    def test_binary_save_holds_no_float32_copy_of_the_features(self, tmp_path, monkeypatch):
+        # 20,000 x 48 float32 values take 3.84 MB, less than one default
+        # block; in blocks of 1 MiB the save holds under half of that
+        n, d = 20_000, 48
+        rng = np.random.default_rng(0)
+        ds = build_dataset(
+            point_ids=[f"p{i:05d}" for i in range(n)],
+            coords=rng.normal(size=(n, 2)),
+            features=rng.normal(size=(n, d)),
+            labels=rng.normal(size=n),
+            point_cluster=[f"c{i // 20:04d}" for i in range(n)],
+            cluster_stratum={f"c{j:04d}": f"s{j % 10}" for j in range(n // 20)},
+        )
+        monkeypatch.setattr(data_module, "_BIN_BLOCK_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            save_dataset(ds, tmp_path / "bin", features_format="bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 4 / 2
+
+    def test_sorted_str_ids_are_kept_and_others_stored_as_str(self):
+        def build(ids):
+            return build_dataset(point_ids=ids, coords=np.zeros((3, 2)), features=np.eye(3),
+                                 labels=np.zeros(3), point_cluster=["c0"] * 3,
+                                 cluster_stratum={"c0": "s0"})
+
+        ids = [f"p{i}" for i in range(3)]
+        ds = build(ids)
+        assert all(ds.point_ids[i] is ids[i] for i in range(3))
+        ds = build(ids[::-1])
+        assert ds.point_ids == tuple(ids)
+        assert np.array_equal(ds.features, np.eye(3)[::-1])
+        # numpy strings are stored as str; so is an id numpy strings shorten
+        # (they drop a trailing NUL), in numpy's form
+        for given, stored in ((np.array(ids), tuple(ids)), (["a\0", "b", "c"], ("a", "b", "c"))):
+            ds = build(given)
+            assert ds.point_ids == stored
+            assert all(type(pid) is str for pid in ds.point_ids)
+
+    @pytest.mark.parametrize("old, new, match", [
+        ("c1,s0", "c1extra,s0", "point 'p2' references cluster 'c1extra' absent"),
+        ("c1,s0", "c1\0,s0", "point 'p2' references cluster 'c1\\x00' absent"),
+        ("c1,s0", "c1,s0extra", "table says 's0', points.csv says 's0extra'"),
+    ], ids=["longer-cluster-id", "nul-in-cluster-id", "longer-stratum-id"])
+    def test_unlisted_point_ids_named_as_written(self, tmp_path, old, new, match):
+        # points.csv ids are read as numpy strings one character wider than
+        # the longest listed id, which would cut "c1extra" to "c1e", unless
+        # the file holds a NUL, which they drop; the offender is named in full
+        write_hand_bundle(tmp_path / "bundle")
+        path = tmp_path / "bundle" / "points.csv"
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises(DatasetError, match=re.escape(match)):
+            load_dataset(tmp_path / "bundle")
+
+    def test_points_ids_read_as_numpy_strings_when_short_and_nul_free(self, tmp_path):
+        write_hand_bundle(tmp_path / "bundle")
+        path = tmp_path / "bundle" / "points.csv"
+        listed = [("c0", "s0"), ("c1", "s0")]
+        dtype = _points_dtype(path, listed)
+        assert (dtype["cluster_id"], dtype["stratum_id"]) == (np.dtype("<U3"), np.dtype("<U3"))
+        longest = "c" * data_module._ID_CHARS_MAX
+        assert _points_dtype(path, listed + [(longest, "s0")])["cluster_id"] == np.dtype("<U16")
+        for table in ([], listed + [(longest + "c", "s0")], listed + [("c\0", "s0")],
+                      [("c0", 0)]):
+            assert _points_dtype(path, table)["cluster_id"] == np.dtype(object), table
+        path.write_text(path.read_text().replace("p3", "p\0" "3"))
+        assert _points_dtype(path, listed)["cluster_id"] == np.dtype(object)
+
+    @pytest.mark.parametrize("width", [1, 15, 16])
+    def test_cluster_ids_of_any_length_round_trip(self, tmp_path, width):
+        ds = toy_dataset({str(j).rjust(width, "c"): 3 for j in range(3)},
+                         {str(j).rjust(width, "c"): "s" * width for j in range(3)})
+        save_dataset(ds, tmp_path / "b")
+        assert_same_bits(load_dataset(tmp_path / "b"), ds)
+        assert_same_bits(ref_load_dataset(tmp_path / "b"), ds)
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(DatasetError, match="empty"):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from geosampler import synth as synth_module
 from geosampler.data import datasets_equal, load_dataset, save_dataset
 from geosampler.learner import evaluate_sample
 from geosampler.synth import SynthConfig, SynthError, generate, save_truth
@@ -29,6 +30,20 @@ def test_generated_dataset_passes_validation_and_round_trips(tmp_path):
     assert datasets_equal(ds, load_dataset(tmp_path / "b"))
     doc = json.loads((tmp_path / "b" / "truth.json").read_text())
     assert set(doc["coefficients"]) == set(ds.stratum_ids)
+
+
+@pytest.mark.parametrize("feature_dim", [1, 7, 48])
+def test_labels_are_the_per_row_dot_bit_for_bit(monkeypatch, feature_dim):
+    # the signal w_s @ x_i is computed for a block of rows at once; with no
+    # label noise the labels are the signal, each the per-row vector dot
+    monkeypatch.setattr(synth_module, "_NOISE_BLOCK_ROWS", 37)
+    cfg = SynthConfig(strata_grid=(3, 2), clusters_per_stratum=3, points_per_cluster=(5, 20),
+                      feature_dim=feature_dim, coef_dispersion=1.0, noise=0.0, seed=4)
+    ds, truth = generate(cfg)
+    assert len(ds.stratum_ids) == 6 and ds.n_points > 2 * 37
+    w = [truth.coefficients[ds.stratum_ids[ds.cluster_stratum[j]]] for j in ds.point_cluster]
+    expect = np.array([w_s @ x for w_s, x in zip(w, ds.features)])
+    assert ds.labels.tobytes() == expect.tobytes()
 
 
 def test_snr_matches_target_within_ten_percent():
