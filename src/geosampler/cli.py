@@ -1,11 +1,15 @@
 """Command-line entry points.
 
-Subcommands: generate, groups, optimize, augment, evaluate, rank-study,
-cost-sweep, size-sweep. A flag sets the config dataclass field of its name
-(``SynthConfig``, ``ExperimentConfig`` or ``UtilityConfig``); a flag left out
-is not passed, so the field keeps the default its dataclass declares. On
-``generate`` and the four study commands, ``--config FILE`` accepts a JSON
-document whose keys override the flags, decoded by
+Subcommands: generate, groups, optimize, evaluate, augment, rank-study,
+cost-sweep, size-sweep. A config-field flag is generated from the field of its
+name (``SynthConfig``, ``ExperimentConfig`` or ``UtilityConfig``): dashes for
+underscores, its text converted by the field's type, a tuple field's as
+``AxB``, ``A:B`` or a comma list. A flag left out is not passed, so the field
+keeps the default its dataclass declares. The other flags are ``--out-dir``,
+``--seed``, ``--config``, ``--budget``, ``--methods``/``--utility``, a required
+``--dataset``, ``--kind``, ``--n-groups`` of ``groups``, ``--aux-file``,
+``--sample`` and ``--features-format``. ``--config FILE`` (``generate`` and the
+studies) takes a JSON document whose keys override the flags, decoded by
 :func:`~geosampler.experiments.from_json`. Exit codes: 0 success, 2 config
 error (any bad input, including a missing input file), 3 infeasible request.
 """
@@ -14,14 +18,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
+import types
+import typing
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
+    BUDGET_SCOPES,
     _csv_header,
     _read_rows,
     load_dataset,
@@ -31,12 +39,15 @@ from .data import (
     save_sample_state,
 )
 from .experiments import (
+    BASELINES,
+    METHODS,
     ConfigError,
     ExperimentConfig,
     UtilityConfig,
     _methods,
     build_utility_spec,
     dataset_content_hash,
+    field_types,
     from_json,
     parse_methods,
     run_augmentation,
@@ -46,8 +57,8 @@ from .experiments import (
 )
 from .groups import admin_groups, auxiliary_kmeans_groups, feature_kmeans_groups, save_group_model
 from .learner import fit_on_sample, save_model
-from .optimizer import STEP_RULES, InfeasibleError, save_solve_result
-from .samplers import draw_initial_sample, solve_and_augment
+from .optimizer import STEP_RULES, InfeasibleError, SolveOptions, save_solve_result
+from .samplers import SamplerConfig, draw_initial_sample, solve_and_augment
 from .synth import SynthConfig, generate, save_truth
 
 # cmd_optimize reaches these through solve_and_augment; they stay bound here
@@ -57,14 +68,7 @@ from .optimizer import round_inclusion, solve_relaxation  # noqa: F401
 from .samplers import optimized_augment  # noqa: F401
 
 
-def _parse_pair(text: str, sep: str, caster=int) -> tuple:
-    parts = text.split(sep)
-    if len(parts) != 2:
-        raise ConfigError(f"expected two values separated by {sep!r}, got {text!r}")
-    return tuple(caster(p) for p in parts)
-
-
-def _parse_list(text: str, flag: str, caster=float) -> tuple:
+def _parse_list(text: str, flag: str, caster) -> tuple:
     """The comma-separated items of ``flag``'s text. An empty text is the
     empty tuple, which the config rejects where the command sweeps it; an
     empty item in a non-empty text (``100,,``) is an error."""
@@ -87,89 +91,61 @@ def _check_out_dir(path: str) -> None:
             return
 
 
-def _add_out_and_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out-dir", required=True, help="output directory")
-    p.add_argument("--seed", required=True, type=int, help="base random seed")
+def _fields(cls, *without: str) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name not in without)
 
 
-def _add_config_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file whose keys override these flags")
+# the config fields the commands take as flags: --methods (--utility) sets
+# UtilityConfig.kind and groups, and --config alone
+# ExperimentConfig.convenience_anchors, a tuple of pairs
+_COST_FIELDS = ("c1", "c2", "budget_scope")
+_OPTIMIZE_FIELDS = _fields(SamplerConfig) + _COST_FIELDS + _fields(SolveOptions)
+_STUDY_FIELDS = _fields(ExperimentConfig, "synth", "baselines", "utilities", "convenience_anchors")
+_UTILITY_FIELDS = _fields(UtilityConfig, "kind", "groups")
+# a pair field's separator; a tuple[X, ...] field's text is a comma list of X
+_SEPARATORS = {"strata_grid": "x", "points_per_cluster": ":"}
+_CHOICES = {"step_rule": STEP_RULES, "budget_scope": BUDGET_SCOPES}
+_HELP = {"dataset": "dataset bundle directory", "strata_grid": "e.g. 3x2",
+         "points_per_cluster": "e.g. 10:30", "budgets": "comma-separated budgets",
+         "seeds": "comma-separated seeds; defaults to the single --seed"}
+_UTILITY_METHODS = tuple(m for m in METHODS if m not in BASELINES)
 
 
-def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strata-grid", help="e.g. 3x2")
-    p.add_argument("--clusters-per-stratum", type=int)
-    p.add_argument("--points-per-cluster", help="e.g. 10:30")
-    p.add_argument("--feature-dim", type=int)
-    p.add_argument("--coef-dispersion", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--feature-noise", type=float)
-    p.add_argument("--feature-scale", type=float)
-    p.add_argument("--target-snr", type=float)
-    p.add_argument("--test-fraction", type=float)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-strata", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--initial-size", type=int)
-    p.add_argument("--strata-seed", type=int)
-
-
-def _add_cost_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c1", type=float)
-    p.add_argument("--c2", type=float)
-    p.add_argument("--budget-scope", choices=["augmentation", "total"])
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--gap-tol", type=float)
-    p.add_argument("--step-rule", choices=STEP_RULES)
-
-
-def _add_utility_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lam", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--n-groups", type=int)
-    p.add_argument("--group-seed", type=int)
-
-
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    _add_config_flag(p)
-    p.add_argument("--dataset", help="dataset bundle directory")
-    _add_synth_flags(p)
-    _add_sampler_flags(p)
-    _add_cost_flags(p)
-    _add_solver_flags(p)
-    p.add_argument("--budgets", help="comma-separated budgets")
-    p.add_argument("--c2-sweep")
-    p.add_argument("--methods", help="baselines and/or opt-size, rep-admin, rep-feature")
-    _add_utility_flags(p)
-    p.add_argument("--rank-sizes")
-    p.add_argument("--initial-sizes")
-    p.add_argument("--convenience-temperature", type=float)
-    p.add_argument("--n-anchors", type=int)
-    p.add_argument("--seeds", help="comma-separated seeds; defaults to the single --seed")
-
-
-# flags whose text holds a tuple -> its parser
-_TEXT_FIELDS = {
-    "strata_grid": lambda text: _parse_pair(text, "x"),
-    "points_per_cluster": lambda text: _parse_pair(text, ":"),
-    "budgets": lambda text: _parse_list(text, "--budgets"),
-    "c2_sweep": lambda text: _parse_list(text, "--c2-sweep"),
-    "rank_sizes": lambda text: _parse_list(text, "--rank-sizes", int),
-    "initial_sizes": lambda text: _parse_list(text, "--initial-sizes", int),
-    "seeds": lambda text: _parse_list(text, "--seeds", int),
-}
+def _add_fields(p: argparse.ArgumentParser, cls, names: tuple[str, ...]) -> None:
+    """A ``--field-name`` flag for each named field of the config dataclass
+    ``cls``, converted by the field's annotation (X for ``X | None``). A
+    tuple field's flag keeps its text, which :func:`_given` parses."""
+    for name in names:
+        tp = field_types(cls)[name]
+        if typing.get_origin(tp) in (typing.Union, types.UnionType):
+            (tp,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
+        p.add_argument(_flag(name), type=None if typing.get_origin(tp) is tuple else tp,
+                       choices=_CHOICES.get(name), help=_HELP.get(name))
 
 
 def _given(args, cls) -> dict:
-    """The fields of the config dataclass ``cls`` that the given flags set."""
+    """The fields of the config dataclass ``cls`` that the given flags set,
+    the text of a tuple field parsed by its annotation."""
     given = vars(args)
-    return {f.name: _TEXT_FIELDS.get(f.name, lambda v: v)(given[f.name])
-            for f in fields(cls) if f.name in given}
+    return {name: _parse_field(name, tp, given[name])
+            for name, tp in field_types(cls).items() if name in given}
+
+
+def _parse_field(name: str, tp, value):
+    if typing.get_origin(tp) is not tuple:
+        return value
+    caster, *rest = typing.get_args(tp)
+    if rest == [Ellipsis]:
+        return _parse_list(value, _flag(name), caster)
+    sep = _SEPARATORS[name]
+    parts = value.split(sep)
+    if len(parts) != 2:
+        raise ConfigError(f"expected two values separated by {sep!r}, got {value!r}")
+    return tuple(caster(p) for p in parts)
 
 
 def _config_file(args) -> dict:
@@ -264,7 +240,7 @@ def cmd_optimize(args) -> int:
     cfg = _experiment_config(args)   # --utility is its one method
     if cfg.baselines or len(cfg.utilities) != 1:
         raise ConfigError(
-            f"--utility {args.methods!r} must be one of opt-size, rep-admin, rep-feature")
+            f"--utility {args.methods!r} must be one of {', '.join(_UTILITY_METHODS)}")
     ds = load_dataset(cfg.dataset)
     state = draw_initial_sample(ds, cfg.sampler_config(), np.random.default_rng([args.seed, 0]))
     cm = cfg.cost_model(args.budget).with_initial_strata(state.initial_strata)
@@ -319,57 +295,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, text: str) -> argparse.ArgumentParser:
-        # a flag left out stays out of the namespace, so its field keeps the
-        # default of its config dataclass
-        return sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+    # a flag left out stays out of the namespace, so its field keeps the
+    # default of its config dataclass. The flags several commands take are
+    # declared once, on a parent parser that each command's parser copies
+    shared = functools.partial(
+        argparse.ArgumentParser, add_help=False, argument_default=argparse.SUPPRESS)
 
-    def add_study(name: str, text: str, runner: str) -> None:
-        p = add(name, text)
-        _add_out_and_seed(p)
-        _add_experiment_flags(p)
-        p.set_defaults(func=cmd_study, runner=runner)
+    def add(name: str, text: str, base: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=text, parents=[base], argument_default=argparse.SUPPRESS)
 
-    p = add("generate", "generate a synthetic dataset bundle")
-    _add_out_and_seed(p)
-    _add_config_flag(p)
-    _add_synth_flags(p)
-    _add_cost_flags(p)
+    common = shared()
+    common.add_argument("--out-dir", required=True, help="output directory")
+    common.add_argument("--seed", required=True, type=int, help="base random seed")
+    population = shared(parents=[common])   # generate and the studies
+    population.add_argument("--config", help="JSON file whose keys override these flags")
+    _add_fields(population, SynthConfig, _fields(SynthConfig, "seed"))   # --seed sets seed
+    study = shared(parents=[population])
+    _add_fields(study, ExperimentConfig, _STUDY_FIELDS)
+    study.add_argument("--methods", help=f"baselines and/or {', '.join(_UTILITY_METHODS)}")
+    _add_fields(study, UtilityConfig, _UTILITY_FIELDS)
+
+    p = add("generate", "generate a synthetic dataset bundle", population)
+    _add_fields(p, ExperimentConfig, _COST_FIELDS)
     p.add_argument("--budget", type=float, default=500.0)
     p.add_argument("--features-format", choices=["csv", "bin"], default="csv")
     p.set_defaults(func=cmd_generate)
 
-    p = add("groups", "build and save a group model")
-    _add_out_and_seed(p)
+    p = add("groups", "build and save a group model", common)
     p.add_argument("--dataset", required=True)
     p.add_argument("--kind", choices=["admin", "feature", "aux"], default="admin")
     p.add_argument("--n-groups", type=int)
     p.add_argument("--aux-file", help="csv of per-point auxiliary vectors")
     p.set_defaults(func=cmd_groups)
 
-    p = add("optimize", "solve the relaxed selection problem")
-    _add_out_and_seed(p)
+    p = add("optimize", "solve the relaxed selection problem", common)
     p.add_argument("--dataset", required=True)
-    _add_sampler_flags(p)
-    _add_cost_flags(p)
-    _add_solver_flags(p)
+    _add_fields(p, ExperimentConfig, _OPTIMIZE_FIELDS)
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--utility", dest="methods", metavar="UTILITY", default="rep-admin",
-                   help="opt-size, rep-admin, or rep-feature")
-    _add_utility_flags(p)
+                   help=f"{', '.join(_UTILITY_METHODS[:-1])}, or {_UTILITY_METHODS[-1]}")
+    _add_fields(p, UtilityConfig, _UTILITY_FIELDS)
     p.set_defaults(func=cmd_optimize)
 
-    add_study("augment", "run the augmentation comparison table", "run_augmentation")
-
-    p = add("evaluate", "train and score a saved sample")
-    _add_out_and_seed(p)
+    p = add("evaluate", "train and score a saved sample", common)
     p.add_argument("--dataset", required=True)
     p.add_argument("--sample", required=True, help="sample.json path")
     p.set_defaults(func=cmd_evaluate)
 
-    add_study("rank-study", "utility vs performance rank study", "run_rank_study")
-    add_study("cost-sweep", "vary the out-of-strata cost c2", "run_cost_sweep")
-    add_study("size-sweep", "vary the initial sample size", "run_initial_size_sweep")
+    for name, text, runner in [
+        ("augment", "run the augmentation comparison table", "run_augmentation"),
+        ("rank-study", "utility vs performance rank study", "run_rank_study"),
+        ("cost-sweep", "vary the out-of-strata cost c2", "run_cost_sweep"),
+        ("size-sweep", "vary the initial sample size", "run_initial_size_sweep"),
+    ]:
+        add(name, text, study).set_defaults(func=cmd_study, runner=runner)
 
     return parser
 

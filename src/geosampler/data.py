@@ -76,10 +76,6 @@ class Cluster:
     stratum_id: str
     point_ids: tuple[str, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.point_ids)
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -334,6 +330,8 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
 
 # -- cost model -----------------------------------------------------------
 
+BUDGET_SCOPES = ("augmentation", "total")
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -352,14 +350,14 @@ class CostModel:
     budget: float
     per_cluster_override: Mapping[str, float] | None = None
     initial_strata: frozenset[str] | None = None
-    budget_scope: str = "augmentation"  # or "total"
+    budget_scope: str = BUDGET_SCOPES[0]
 
     def __post_init__(self):
         if not (self.c2 >= self.c1 > 0):
             raise CostError("cost model requires c2 >= c1 > 0")
         if not (self.budget >= 0):
             raise CostError("budget must be non-negative")
-        if self.budget_scope not in ("augmentation", "total"):
+        if self.budget_scope not in BUDGET_SCOPES:
             raise CostError(f"unknown budget_scope {self.budget_scope!r}")
         if self.per_cluster_override:
             for cid, v in self.per_cluster_override.items():
@@ -578,7 +576,11 @@ def load_sample_state(ds: Dataset, path: str | Path) -> SampleState:
         raise DatasetError(
             f"point {point_ids[i]!r} labeled under wrong cluster {ds.cluster_ids[owner[i]]!r}"
         )
-    for kind, ids in (("cluster", cluster_ids), ("point", point_ids)):
+    unknown = [sid for sid in doc["initial_strata"] if sid not in ds.stratum_ids]
+    if unknown:
+        raise DatasetError(f"unknown stratum id {unknown[0]!r}")
+    for kind, ids in (("cluster", cluster_ids), ("point", point_ids),
+                      ("stratum", doc["initial_strata"])):
         repeated = [i for i, n in Counter(ids).items() if n > 1]
         if repeated:
             raise DatasetError(f"{kind} id {repeated[0]!r} listed twice in sample.json")

@@ -26,6 +26,7 @@ row with the error as its reason, left out of the rank correlations.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import types
@@ -56,7 +57,7 @@ from .samplers import (
 from .samplers import optimized_augment  # noqa: F401
 from .optimizer import SolveOptions, SolveResult
 from .synth import SynthConfig, generate
-from .utility import UtilitySpec, utility_of_sample
+from .utility import UTILITY_KINDS, UtilitySpec, utility_of_sample
 
 
 class ConfigError(ValueError):
@@ -83,7 +84,7 @@ class UtilityConfig:
     group_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("size", "group_rep"):
+        if self.kind not in UTILITY_KINDS:
             raise ConfigError(f"unknown utility kind {self.kind!r}")
         if self.kind == "group_rep" and self.groups not in GROUP_SOURCES:
             raise ConfigError(f"unknown group source {self.groups!r}")
@@ -176,6 +177,8 @@ class ExperimentConfig:
 
 
 _MISMATCH = object()
+# the resolved field annotations of a config dataclass, once per class (read only)
+field_types = functools.cache(typing.get_type_hints)
 
 
 def _decode(value, tp):
@@ -206,7 +209,7 @@ def from_json(cls, doc: dict):
     the rest taking their defaults; a key ``cls`` lacks or a value that does not
     fit its field's annotation (see :func:`_decode`) is a config error naming
     the key."""
-    hints = typing.get_type_hints(cls)
+    hints = field_types(cls)
     annotations = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in doc.items():

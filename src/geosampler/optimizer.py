@@ -236,7 +236,7 @@ def solve_relaxation(
     # takes its committed part from it, exactly 1
     s0 = committed.astype(np.float64)
     free_counts = counts.restrict(free)
-    vertices = _Vertices(aggregates(s0, counts, spec), free_counts, spec)
+    vertices = _Vertices(aggregates(s0, counts, spec), free_counts)
 
     trace: list[float] = []
     best_f, best_w = -np.inf, vertices.weights.copy()
@@ -380,10 +380,9 @@ class _Vertices:
     its T iterations. A move costs O(K) in the weights, and the away scores
     ``Z @ grad`` O(K (G + 1))."""
 
-    def __init__(self, z0: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec):
+    def __init__(self, z0: np.ndarray, counts: ExpectedCounts):
         self.z0 = z0                  # the committed clusters' aggregates
         self.counts = counts          # restricted to the free clusters
-        self.group_rep = spec.kind == "group_rep"
         # the split's triples of free cluster j: count[j] of them from first[j]
         ptr = np.searchsorted(counts.rows, np.arange(len(counts.e) + 1))
         self.first, self.count = ptr[:-1], np.diff(ptr)
@@ -431,12 +430,11 @@ class _Vertices:
         c = self.counts
         z = np.empty(len(self.z0))
         z[-1] = c.e[idx] @ vals
-        if self.group_rep:
-            start, count = self.first[idx], self.count[idx]
-            # the triples of each support row, in row order
-            tri = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
-            z[:-1] = np.bincount(c.cols[tri], weights=c.vals[tri] * np.repeat(vals, count),
-                                 minlength=c.n_groups)
+        start, count = self.first[idx], self.count[idx]
+        # the triples of each support row, in row order
+        tri = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        z[:-1] = np.bincount(c.cols[tri], weights=c.vals[tri] * np.repeat(vals, count),
+                             minlength=c.n_groups)
         return z
 
     def move(self, k: int, step: float) -> None:

@@ -12,7 +12,7 @@ overall-size term, and at lam = 1 only group coverage matters. The eps > 0
 smoothing keeps the expression bounded when a group count is zero.
 
 Both utilities depend on s only through the aggregates z = (n_g(s), n(s))
-(just n(s) for size), so each is implemented once as a function phi(z) with
+(size reads n(s) alone), so each is implemented once as a function phi(z) with
 gradient grad phi(z). The solver computes z once per iteration and takes the
 value, the gradient and the line search from it; :func:`utility_value`
 evaluates U on an array of inclusion values, the one entry point that takes s.
@@ -91,12 +91,10 @@ def utility_value(values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec)
 def aggregates(values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec) -> np.ndarray:
     """The aggregates z = values @ A that both utilities depend on.
 
-    A is the (m, G + 1) matrix of the counts' group split followed by e for
-    ``group_rep`` (z = n_g(s), then n(s)) and A = e for ``size``; U(s) =
-    phi(z) and grad U(s) = A @ grad phi(z). The group sums are one weighted
-    bincount over the split's triples: O(nnz + m), nnz = m for admin groups."""
-    if spec.kind == "size":
-        return np.array([values @ counts.e], dtype=np.float64)
+    A is the (m, G + 1) matrix of the counts' group split followed by e (z =
+    n_g(s), then n(s)), G = 0 for ``size``; U(s) = phi(z) and grad U(s) =
+    A @ grad phi(z). The group sums are one weighted bincount over the split's
+    triples: O(nnz + m), nnz = m for admin groups."""
     z = np.empty(counts.n_groups + 1)
     z[:-1] = np.bincount(
         counts.cols, weights=values[counts.rows] * counts.vals, minlength=counts.n_groups
@@ -117,7 +115,7 @@ def phi(z: np.ndarray, spec: UtilitySpec) -> float:
 def phi_gradient(z: np.ndarray, spec: UtilitySpec) -> np.ndarray:
     """Gradient of :func:`phi` in z."""
     if spec.kind == "size":
-        return np.ones(1)
+        return np.append(np.zeros(len(z) - 1), 1.0)
     eps = spec.epsilon
     w = np.empty(len(z))
     w[:-1] = spec.lam * 0.5 * spec.groups.gamma * (z[:-1] + eps) ** -1.5
@@ -133,20 +131,15 @@ def utility_gradient_raw(
     split's rows, O(nnz + m) with nnz = m for admin groups. Taking w rather
     than s lets a caller that already holds it skip a second product and a
     second grad phi."""
-    grad = counts.e * w[-1]
-    if spec.kind == "size":
-        return grad
     return np.bincount(
         counts.rows, weights=counts.vals * w[counts.cols], minlength=len(counts.e)
-    ) + grad
+    ) + counts.e * w[-1]
 
 
 def utility_of_sample(state: SampleState, spec: UtilitySpec) -> float:
     """Evaluate the utility on a realized sample, using the actual labeled
     points per group rather than expectations: the aggregates are the
     sample's own group counts and size."""
-    n = float(state.n_labeled)
-    if spec.kind == "size":
-        return phi(np.array([n]), spec)
-    n_g = np.bincount(spec.groups.assignment[state.labeled], minlength=spec.groups.n_groups)
-    return phi(np.append(n_g.astype(np.float64), n), spec)
+    n_g = (np.bincount(spec.groups.assignment[state.labeled], minlength=spec.groups.n_groups)
+           if spec.kind == "group_rep" else np.zeros(0))   # size: G = 0, as in its counts
+    return phi(np.append(n_g.astype(np.float64), float(state.n_labeled)), spec)

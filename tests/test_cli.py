@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -836,6 +837,123 @@ class TestDefaults:
         assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 5) == 0
         ds, _ = generate(SynthConfig(seed=5))
         assert dataset_content_hash(load_dataset(tmp_path / "b")) == dataset_content_hash(ds)
+
+
+S = argparse.SUPPRESS
+
+
+def option(flag, type=str, choices=None, required=False, default=S, dest=None):
+    """One row of the CLI surface: option string, then dest, the type its text
+    is converted by, choices, whether it is required and its default."""
+    return flag, (dest or flag[2:].replace("-", "_"), type, choices, required, default)
+
+
+OUT_AND_SEED = [option("--out-dir", required=True), option("--seed", int, required=True)]
+SYNTH = [
+    option("--strata-grid"),
+    option("--clusters-per-stratum", int),
+    option("--points-per-cluster"),
+    option("--feature-dim", int),
+    option("--coef-dispersion", float),
+    option("--noise", float),
+    option("--feature-noise", float),
+    option("--feature-scale", float),
+    option("--target-snr", float),
+    option("--test-fraction", float),
+]
+SAMPLER = [
+    option("--n-strata", int),
+    option("--k", int),
+    option("--initial-size", int),
+    option("--strata-seed", int),
+]
+COST = [
+    option("--c1", float),
+    option("--c2", float),
+    option("--budget-scope", choices=("augmentation", "total")),
+]
+SOLVER = [
+    option("--max-iters", int),
+    option("--gap-tol", float),
+    option("--step-rule", choices=("diminishing", "line-search", "away")),
+]
+UTILITY = [
+    option("--lam", float),
+    option("--epsilon", float),
+    option("--n-groups", int),
+    option("--group-seed", int),
+]
+STUDY = [
+    *OUT_AND_SEED,
+    option("--config"),
+    option("--dataset"),
+    *SYNTH,
+    *SAMPLER,
+    *COST,
+    *SOLVER,
+    option("--budgets"),
+    option("--c2-sweep"),
+    option("--methods"),
+    *UTILITY,
+    option("--rank-sizes"),
+    option("--initial-sizes"),
+    option("--convenience-temperature", float),
+    option("--n-anchors", int),
+    option("--seeds"),
+]
+CLI_SURFACE = {
+    "generate": [
+        *OUT_AND_SEED,
+        option("--config"),
+        *SYNTH,
+        *COST,
+        option("--budget", float, default=500.0),
+        option("--features-format", choices=("csv", "bin"), default="csv"),
+    ],
+    "groups": [
+        *OUT_AND_SEED,
+        option("--dataset", required=True),
+        option("--kind", choices=("admin", "feature", "aux"), default="admin"),
+        option("--n-groups", int),
+        option("--aux-file"),
+    ],
+    "optimize": [
+        *OUT_AND_SEED,
+        option("--dataset", required=True),
+        *SAMPLER,
+        *COST,
+        *SOLVER,
+        option("--budget", float, required=True),
+        option("--utility", dest="methods", default="rep-admin"),
+        *UTILITY,
+    ],
+    "evaluate": [
+        *OUT_AND_SEED,
+        option("--dataset", required=True),
+        option("--sample", required=True),
+    ],
+    "augment": STUDY,
+    "rank-study": STUDY,
+    "cost-sweep": STUDY,
+    "size-sweep": STUDY,
+}
+
+
+def test_cli_surface():
+    """Every subcommand's options, each with what it parses to: a dropped,
+    added or retyped flag changes this table."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        command: {
+            a.option_strings[0]: (
+                a.dest, a.type or str, tuple(a.choices) if a.choices else None,
+                a.required, a.default,
+            )
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        }
+        for command, parser in sub.choices.items()
+    }
+    assert surface == {command: dict(rows) for command, rows in CLI_SURFACE.items()}
 
 
 def readme_cli_commands():

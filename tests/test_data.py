@@ -738,6 +738,21 @@ class TestSampleState:
         with pytest.raises(DatasetError, match="wrong cluster"):
             load_sample_state(small_ds, path)
 
+    @pytest.mark.parametrize("strata, message", [
+        (["nope", "nope"], "unknown stratum id 'nope'"),
+        (["s0", "nope"], "unknown stratum id 'nope'"),
+        (["s0", "s0"], "stratum id 's0' listed twice in sample.json"),
+    ])
+    def test_unknown_or_repeated_initial_stratum_rejected(
+        self, small_ds, tmp_path, strata, message
+    ):
+        from geosampler.data import load_sample_state
+
+        path = tmp_path / "sample.json"
+        self.write_sample(small_ds, path, self.make_state(small_ds), initial_strata=strata)
+        with pytest.raises(DatasetError, match=message):
+            load_sample_state(small_ds, path)
+
     def test_sample_state_file_round_trip(self, small_ds, tmp_path):
         from geosampler.data import load_sample_state, save_sample_state
 

@@ -374,7 +374,7 @@ def test_vertex_store_follows_the_reference_active_set(ds):
     s0[state.clusters] = 1.0
     free = np.flatnonzero(ds.cluster_is_source & (s0 == 0))
     free_counts = counts.restrict(free)
-    store = _Vertices(aggregates(s0, counts, spec), free_counts, spec)
+    store = _Vertices(aggregates(s0, counts, spec), free_counts)
     ref = RefActiveSet(s0)
     m = len(free)
 

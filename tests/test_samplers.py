@@ -332,7 +332,7 @@ class TestOptimizedAugment:
         )
         labeled = labeled_ids(ds, out)
         for cid in ids(ds, out.augment):
-            assert len(labeled[cid]) <= min(7, ds.cluster(cid).size)
+            assert len(labeled[cid]) <= min(7, len(ds.cluster(cid).point_ids))
 
 
 class TestConvenienceSample:

@@ -61,6 +61,16 @@ class TestSizeUtility:
         with pytest.raises(UtilityError, match="clusters"):
             utility_value(vec([1, 0]), counts_from_dense([10, 10, 5]), SIZE)
 
+    def test_group_split_is_ignored(self):
+        # size is the G = 0 case of the split: over counts that carry one,
+        # it still reads n(s) = s @ e alone, and its gradient is e
+        c = counts_from_dense([10, 10, 5], [[4, 6], [10, 0], [0, 5]])
+        s = vec([1, 0.5, 0.2])
+        z = aggregates(s, c, SIZE)
+        assert len(z) == 3 and z[-1] == s @ c.e
+        assert utility_value(s, c, SIZE) == s @ c.e
+        np.testing.assert_array_equal(gradient(s, c, SIZE), c.e)
+
 
 class TestGroupRepUtility:
     def test_single_group_closed_form(self):
