@@ -8,10 +8,12 @@ underscores, its text converted by the field's type, a tuple field's as
 keeps the default its dataclass declares. The other flags are ``--out-dir``,
 ``--seed``, ``--config``, ``--budget``, ``--methods``/``--utility``, a required
 ``--dataset``, ``--kind``, ``--n-groups`` of ``groups``, ``--aux-file``,
-``--sample`` and ``--features-format``. ``--config FILE`` (``generate`` and the
-studies) takes a JSON document whose keys override the flags, decoded by
-:func:`~geosampler.experiments.from_json`. Exit codes: 0 success, 2 config
-error (any bad input, including a missing input file), 3 infeasible request.
+``--sample`` and ``--features-format`` (``generate``'s features file: float64
+``bin``, the default of ``save_dataset``, or text ``csv``). ``--config FILE``
+(``generate`` and the studies) takes a JSON document whose keys override the
+flags, decoded by :func:`~geosampler.experiments.from_json`. Exit codes: 0
+success, 2 config error (any bad input, including a missing input file), 3
+infeasible request.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from .data import (
     BUDGET_SCOPES,
+    FEATURES_FORMATS,
     _csv_header,
     _read_rows,
     load_dataset,
@@ -318,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("generate", "generate a synthetic dataset bundle", population)
     _add_fields(p, ExperimentConfig, _COST_FIELDS)
     p.add_argument("--budget", type=float, default=500.0)
-    p.add_argument("--features-format", choices=["csv", "bin"], default="csv")
+    p.add_argument("--features-format", choices=FEATURES_FORMATS, default=FEATURES_FORMATS[0],
+                   help="features file: bin is lossless float64, csv is text (default %(default)s)")
     p.set_defaults(func=cmd_generate)
 
     p = add("groups", "build and save a group model", common)

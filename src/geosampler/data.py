@@ -18,11 +18,13 @@ A dataset is stored on disk as a bundle directory:
 
     meta.json      feature_dim, counts, split seed/fraction, strata list
     points.csv     point_id, x, y, label|NA, cluster_id, stratum_id
-    features.csv   point_id, f0..f{d-1}        (or features.bin, see below)
+    features.bin   float64 features, see below (or features.csv: point_id, f0..f{d-1})
     costs.json     c1, c2, budget, overrides   (written by save_cost_model)
 
-``features.bin`` is little-endian float32, row-major, preceded by a 16-byte
-header: magic ``GSOF``, u32 rows, u32 dim, u32 reserved.
+``features.bin`` is little-endian float64, row-major, preceded by a 16-byte
+header: magic ``GSOF``, u32 rows, u32 dim, u32 value width in bytes (8). A
+width of 0 marks a file written before the width was stored: its values are
+float32, and it is still read.
 
 The CSV files are UTF-8 with a header row. Fields are comma-separated and
 may be quoted with ``"`` (a quote inside a quoted field is doubled); no
@@ -58,6 +60,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 FEATURES_BIN_MAGIC = b"GSOF"
+# the features formats of save_dataset, its default first
+FEATURES_FORMATS = ("bin", "csv")
 
 
 class DatasetError(ValueError):
@@ -669,8 +673,8 @@ _LABEL_CONVERTER = {3: lambda text: float("nan" if text == "NA" else text)}
 # (4 bytes a character) while the longest listed id has at most this many
 # characters; a str object and its pointer take about 60 bytes
 _ID_CHARS_MAX = 15
-# features.bin is written from, and read into, the float64 matrix in blocks of
-# the rows whose float32 values take at most this many bytes (at least one row)
+# a float32 (width 0) features.bin is read into the float64 matrix in blocks
+# of the rows whose float32 values take at most this many bytes (at least one)
 _BIN_BLOCK_BYTES = 1 << 22
 # points.csv rows are converted to Python values this many at a time
 _SAVE_BLOCK_ROWS = 2048
@@ -679,23 +683,17 @@ _SAVE_BLOCK_ROWS = 2048
 _SCAN_BLOCK_BYTES = 1 << 16
 
 
-def _bin_block_rows(d: int) -> int:
-    """Rows of a ``features.bin`` block (see ``_BIN_BLOCK_BYTES``)."""
-    return max(1, _BIN_BLOCK_BYTES // (4 * d))
-
-
-def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") -> None:
+def save_dataset(ds: Dataset, path: str | Path,
+                 features_format: str = FEATURES_FORMATS[0]) -> None:
     """Write a dataset bundle; ``load_dataset`` reproduces it exactly.
 
-    ``features_format='bin'`` stores features as float32 and is only lossless
-    when the feature values are float32-representable; the float32 copy is
-    made one block of rows at a time (see ``_BIN_BLOCK_BYTES``), so saving
-    needs at most one block more memory, not a copy of the whole matrix.
-    CSV rows are streamed: floats are written as their shortest round-trip
-    ``repr``, converted to Python values one features.csv row, or one block
-    of ``_SAVE_BLOCK_ROWS`` points.csv rows, at a time.
+    ``features_format='bin'`` writes the float64 features as they are held,
+    with no copy; ``'csv'`` writes them as text. CSV rows are streamed:
+    floats are written as their shortest round-trip ``repr``, converted to
+    Python values one features.csv row, or one block of ``_SAVE_BLOCK_ROWS``
+    points.csv rows, at a time.
     """
-    if features_format not in ("csv", "bin"):
+    if features_format not in FEATURES_FORMATS:
         raise DatasetError(f"unknown features format {features_format!r}")
     out = Path(path)
     features_file = "features.csv" if features_format == "csv" else "features.bin"
@@ -732,10 +730,8 @@ def save_dataset(ds: Dataset, path: str | Path, features_format: str = "csv") ->
                   ([pid, *row.tolist()] for pid, row in zip(ds.point_ids, ds.features)))
     else:   # into the directory the writers above made
         with (out / "features.bin").open("wb") as fh:
-            fh.write(FEATURES_BIN_MAGIC + struct.pack("<III", ds.n_points, ds.feature_dim, 0))
-            step = _bin_block_rows(ds.feature_dim)
-            for lo in range(0, ds.n_points, step):
-                ds.features[lo:lo + step].astype("<f4").tofile(fh)
+            fh.write(FEATURES_BIN_MAGIC + struct.pack("<III", ds.n_points, ds.feature_dim, 8))
+            ds.features.astype("<f8", copy=False).tofile(fh)
 
 
 def _csv_header(path: Path) -> tuple[list[str] | None, bool]:
@@ -882,25 +878,34 @@ def _read_features_csv(path: Path, d: int, pids: np.ndarray) -> np.ndarray:
 
 
 def _read_features_bin(path: Path, n: int, d: int) -> np.ndarray:
-    """(n, d) float64 features of ``path``, filled block by block."""
+    """(n, d) float64 features of ``path``: one read of float64 values, or
+    the float32 values of a width-0 file converted block by block."""
     size = path.stat().st_size
-    expected = 16 + 4 * n * d
     with path.open("rb") as fh:
         header = fh.read(16)
         if header[:4] != FEATURES_BIN_MAGIC:
             raise DatasetError("features.bin has wrong magic")
+        # a header cut short fails the size check below
+        nrows, dim, width = struct.unpack("<III", header[4:]) if len(header) == 16 else (n, d, 8)
+        if width not in (0, 8):
+            raise DatasetError(
+                f"features.bin has value width {width}, not 8 or 0 (float32); {n} x {d} "
+                f"float64 features and the 16-byte header take {16 + 8 * n * d} bytes"
+            )
+        expected = 16 + (width or 4) * n * d
         if size != expected:
             raise DatasetError(
-                f"features.bin holds {size} bytes; {n} x {d} float32 "
+                f"features.bin holds {size} bytes; {n} x {d} {'float64' if width else 'float32'} "
                 f"features and the 16-byte header take {expected}"
             )
-        nrows, dim, _reserved = struct.unpack("<III", header[4:])
         if nrows != n or dim != d:
             raise DatasetError(
                 f"features.bin header ({nrows} x {dim}) disagrees with meta ({n} x {d})"
             )
+        if width:
+            return np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
         features = np.empty((n, d))
-        step = _bin_block_rows(d)
+        step = max(1, _BIN_BLOCK_BYTES // (4 * d))
         for lo in range(0, n, step):
             rows = min(step, n - lo)
             features[lo:lo + rows] = np.fromfile(fh, dtype="<f4", count=rows * d).reshape(rows, d)
@@ -963,6 +968,10 @@ def load_dataset(path: str | Path) -> Dataset:
         raise DatasetError("meta.json n_clusters disagrees with the cluster table")
 
     features_file = meta.get("features_file")
+    if features_file not in (None, "features.csv", "features.bin"):
+        raise DatasetError(
+            f"meta.json features_file {features_file!r} is neither features.csv nor features.bin"
+        )
     if features_file is None:
         if (root / "features.csv").exists():
             features_file = "features.csv"
@@ -974,7 +983,7 @@ def load_dataset(path: str | Path) -> Dataset:
     if not fpath.exists():
         raise DatasetError(f"missing {features_file} in {root}")
     pids = points["point_id"]
-    if features_file.endswith(".csv"):
+    if features_file == "features.csv":
         features = _read_features_csv(fpath, d, pids)
     else:
         features = _read_features_bin(fpath, len(pids), d)

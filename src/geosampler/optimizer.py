@@ -236,7 +236,7 @@ def solve_relaxation(
     # takes its committed part from it, exactly 1
     s0 = committed.astype(np.float64)
     free_counts = counts.restrict(free)
-    vertices = _Vertices(aggregates(s0, counts, spec), free_counts)
+    vertices = _Vertices(aggregates(s0, counts), free_counts)
 
     trace: list[float] = []
     best_f, best_w = -np.inf, vertices.weights.copy()
@@ -247,7 +247,7 @@ def solve_relaxation(
         z = vertices.z0 + z_free
         f = phi(z, spec)
         grad_z = phi_gradient(z, spec)
-        grad = utility_gradient_raw(grad_z, free_counts, spec)
+        grad = utility_gradient_raw(grad_z, free_counts)
         trace.append(f)
         if t == 0 and budget > 0 and free.size and not np.any(grad > 0):
             raise OptimizerError("utility gradient vanishes on every candidate cluster")
@@ -281,9 +281,9 @@ def solve_relaxation(
     s_free = vertices.values(best_w)
     values = s0.copy()
     values[free] = s_free
-    z = aggregates(values, counts, spec)
+    z = aggregates(values, counts)
     utility = phi(z, spec)
-    grad = utility_gradient_raw(phi_gradient(z, spec), free_counts, spec)
+    grad = utility_gradient_raw(phi_gradient(z, spec), free_counts)
     gap = float(grad @ (lmo_knapsack(grad, c_free, budget) - s_free))
     spent = float(c_free @ s_free)
     if spent > budget * (1 + 1e-9) + 1e-12:

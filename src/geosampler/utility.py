@@ -85,10 +85,10 @@ def utility_value(values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec)
         )
     if spec.kind == "group_rep" and counts.n_groups != spec.groups.n_groups:
         raise UtilityError("expected counts were built with a different group model")
-    return phi(aggregates(values, counts, spec), spec)
+    return phi(aggregates(values, counts), spec)
 
 
-def aggregates(values: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec) -> np.ndarray:
+def aggregates(values: np.ndarray, counts: ExpectedCounts) -> np.ndarray:
     """The aggregates z = values @ A that both utilities depend on.
 
     A is the (m, G + 1) matrix of the counts' group split followed by e (z =
@@ -123,9 +123,7 @@ def phi_gradient(z: np.ndarray, spec: UtilitySpec) -> np.ndarray:
     return w
 
 
-def utility_gradient_raw(
-    w: np.ndarray, counts: ExpectedCounts, spec: UtilitySpec
-) -> np.ndarray:
+def utility_gradient_raw(w: np.ndarray, counts: ExpectedCounts) -> np.ndarray:
     """Gradient in s, A @ w, given w = phi_gradient(z, spec) at the point
     whose aggregates are z (see :func:`aggregates`): a bincount over the
     split's rows, O(nnz + m) with nnz = m for admin groups. Taking w rather

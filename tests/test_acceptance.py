@@ -190,8 +190,8 @@ def test_criterion_3_gradient_matches_finite_differences():
             )
             counts = counts_from_dense(e, eg)
             s = rng.uniform(0.1, 0.95, size=m)
-            w = phi_gradient(aggregates(s, counts, spec), spec)
-            grad = utility_gradient_raw(w, counts, spec)
+            w = phi_gradient(aggregates(s, counts), spec)
+            grad = utility_gradient_raw(w, counts)
             for i in range(m):
                 up, dn = s.copy(), s.copy()
                 up[i] += h

@@ -15,7 +15,7 @@ import pytest
 
 from geosampler import cli
 from geosampler.cli import _experiment_config, build_parser, main
-from geosampler.data import CostModel, load_dataset
+from geosampler.data import CostModel, datasets_equal, load_dataset, save_dataset
 from geosampler.experiments import ExperimentConfig, UtilityConfig, dataset_content_hash
 from geosampler.groups import admin_groups
 from geosampler.optimizer import SolveOptions
@@ -50,11 +50,23 @@ def bundle(tmp_path):
 
 
 class TestGenerate:
-    def test_writes_complete_bundle(self, bundle):
-        for name in ("meta.json", "points.csv", "features.csv", "costs.json", "truth.json"):
+    def test_writes_complete_bundle(self, bundle, tmp_path):
+        # the fixture's bundle takes the default features format, bin
+        for name in ("meta.json", "points.csv", "features.bin", "costs.json", "truth.json"):
             assert (bundle / name).exists()
+        assert not (bundle / "features.csv").exists()
         ds = load_dataset(bundle)
         assert ds.n_clusters == 64
+        out = tmp_path / "csvbundle"
+        assert run_cli("generate", "--out-dir", out, "--seed", 3,
+                       "--strata-grid", "4x2", "--clusters-per-stratum", 8,
+                       "--points-per-cluster", "15:25", "--feature-dim", 5,
+                       "--coef-dispersion", 1.0, "--target-snr", 8,
+                       "--features-format", "csv") == 0
+        for name in ("meta.json", "points.csv", "features.csv", "costs.json", "truth.json"):
+            assert (out / name).exists()
+        assert not (out / "features.bin").exists()
+        assert datasets_equal(load_dataset(out), ds)
 
     def test_binary_features_format(self, tmp_path):
         out = tmp_path / "binbundle"
@@ -188,6 +200,20 @@ class TestGroups:
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert run_cli("groups", "--dataset", tmp_path / "nope", "--kind", "admin",
                        "--seed", 0, "--out-dir", tmp_path / "g") == 2
+
+    @pytest.mark.parametrize("features_file", [5, "../other/features.csv", "points.csv"])
+    def test_meta_features_file_not_a_features_name_is_config_error(
+        self, bundle, tmp_path, capsys, features_file
+    ):
+        # a features table outside the bundle, which the loader must not read
+        save_dataset(load_dataset(bundle), tmp_path / "other", features_format="csv")
+        meta = json.loads((bundle / "meta.json").read_text())
+        meta["features_file"] = features_file
+        (bundle / "meta.json").write_text(json.dumps(meta))
+        assert run_cli("groups", "--dataset", bundle, "--kind", "admin",
+                       "--seed", 0, "--out-dir", tmp_path / "g") == 2
+        assert f"meta.json features_file {features_file!r}" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
     def test_meta_without_feature_dim_is_config_error(self, bundle, tmp_path, capsys):
         meta = json.loads((bundle / "meta.json").read_text())
@@ -908,7 +934,7 @@ CLI_SURFACE = {
         *SYNTH,
         *COST,
         option("--budget", float, default=500.0),
-        option("--features-format", choices=("csv", "bin"), default="csv"),
+        option("--features-format", choices=("bin", "csv"), default="bin"),
     ],
     "groups": [
         *OUT_AND_SEED,

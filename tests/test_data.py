@@ -27,6 +27,7 @@ from geosampler.data import (
     write_csv,
     write_json,
 )
+from geosampler.experiments import dataset_content_hash
 from geosampler.groups import admin_groups
 from geosampler.synth import SynthConfig, generate
 
@@ -87,8 +88,10 @@ def ref_load_dataset(path):
         features = np.array([[float(v) for v in feat_rows[pid]] for pid in pids], dtype=np.float64)
     else:
         blob = (root / "features.bin").read_bytes()
-        nrows, dim, _ = struct.unpack("<III", blob[4:16])
-        features = np.frombuffer(blob, dtype="<f4", offset=16).reshape(nrows, dim)
+        nrows, dim, width = struct.unpack("<III", blob[4:16])
+        # width 8 is float64; 0, of files written before the width, float32
+        dtype = {8: "<f8", 0: "<f4"}[width]
+        features = np.frombuffer(blob, dtype=dtype, offset=16).reshape(nrows, dim)
         features = features.astype(np.float64)
     return build_dataset(
         point_ids=pids,
@@ -383,23 +386,81 @@ class TestBundleIO:
         assert datasets_equal(ds, again)
 
     def test_binary_features_round_trip(self, tmp_path, small_ds):
-        # float32-representable features survive the binary format exactly
-        ds = small_ds
-        ds = build_dataset(
-            point_ids=list(ds.point_ids),
-            coords=ds.coords,
-            features=ds.features.astype(np.float32).astype(np.float64),
-            labels=ds.labels,
-            point_cluster=[ds.cluster_ids[j] for j in ds.point_cluster],
-            cluster_stratum={c.cluster_id: c.stratum_id for c in map(ds.cluster, ds.cluster_ids)},
-            split_seed=ds.split_seed,
-            test_fraction=ds.test_fraction,
-        )
-        save_dataset(ds, tmp_path / "bin", features_format="bin")
+        # the default format, float64, keeps features no float32 holds
+        assert not np.array_equal(small_ds.features.astype(np.float32), small_ds.features)
+        save_dataset(small_ds, tmp_path / "bin")
         again = load_dataset(tmp_path / "bin")
-        assert datasets_equal(ds, again)
-        header = (tmp_path / "bin" / "features.bin").read_bytes()[:4]
-        assert header == b"GSOF"
+        assert_same_bits(small_ds, again)
+        assert json.loads((tmp_path / "bin" / "meta.json").read_text())["features_file"] \
+            == "features.bin"
+        assert not (tmp_path / "bin" / "features.csv").exists()
+        header = (tmp_path / "bin" / "features.bin").read_bytes()[:16]
+        assert header == b"GSOF" + struct.pack("<III", 15, 3, 8)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_binary_round_trip_is_bit_for_bit(self, tmp_path, d):
+        # -0.0, subnormals, the largest finite values, values float32 rounds
+        # or overflows on, and infinities, each survives bit for bit
+        special = [-0.0, 5e-324, -2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 0.1, 1 + 2.0 ** -52, 1e300, -1e-300, np.inf,
+                   -np.inf, 3.4028235677973366e38, 1 / 3]
+        n = len(special)
+        features = np.resize(np.array(special), n * d).reshape(d, n).T.copy()
+        ds = build_dataset(point_ids=[f"p{i:02d}" for i in range(n)], coords=np.zeros((n, 2)),
+                           features=features, labels=np.arange(float(n)),
+                           point_cluster=["c0"] * n, cluster_stratum={"c0": "s0"})
+        save_dataset(ds, tmp_path / "bin", features_format="bin")
+        assert_same_bits(load_dataset(tmp_path / "bin"), ds)
+        save_dataset(ds, tmp_path / "csv", features_format="csv")
+        assert_same_bits(load_dataset(tmp_path / "csv"), ds)
+
+    def test_csv_and_bin_bundles_load_equal(self, tmp_path):
+        ds, _ = generate(SynthConfig(strata_grid=(3, 2), clusters_per_stratum=4,
+                                     points_per_cluster=(3, 9), feature_dim=5, seed=7))
+        save_dataset(ds, tmp_path / "csv", features_format="csv")
+        save_dataset(ds, tmp_path / "bin", features_format="bin")
+        from_csv, from_bin = load_dataset(tmp_path / "csv"), load_dataset(tmp_path / "bin")
+        assert datasets_equal(from_csv, from_bin)
+        assert dataset_content_hash(from_csv) == dataset_content_hash(from_bin) \
+            == dataset_content_hash(ds)
+
+    def test_legacy_float32_file_loads_its_float32_values(self, tmp_path, small_ds):
+        # a file written before the header stored the value width: width 0,
+        # float32 values (test_binary_blocks_match_one_shot_copy reads one
+        # in blocks)
+        save_dataset(small_ds, tmp_path / "b")
+        values = small_ds.features.astype("<f4")
+        with (tmp_path / "b" / "features.bin").open("wb") as fh:
+            fh.write(b"GSOF" + struct.pack("<III", 15, 3, 0) + values.tobytes())
+        again = load_dataset(tmp_path / "b")
+        assert again.features.dtype == np.float64
+        assert np.array_equal(again.features.view(np.int64),
+                              values.astype(np.float64).view(np.int64))
+        assert_same_bits(again, ref_load_dataset(tmp_path / "b"))
+
+    @pytest.mark.parametrize("width", [4, 16])
+    def test_binary_unknown_width_rejected(self, tmp_path, small_ds, width):
+        save_dataset(small_ds, tmp_path / "bin", features_format="bin")
+        path = tmp_path / "bin" / "features.bin"
+        blob = bytearray(path.read_bytes())
+        blob[12:16] = struct.pack("<I", width)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetError, match=rf"features\.bin has value width {width}\b.* "
+                                               r"take 376 bytes"):
+            load_dataset(tmp_path / "bin")
+
+    @pytest.mark.parametrize("features_file", [5, "../other/features.csv", "points.csv"])
+    def test_features_file_outside_the_two_names_rejected(self, tmp_path, features_file):
+        write_hand_bundle(tmp_path / "bundle")
+        # a features table beside the bundle, which the loader must not read
+        write_hand_bundle(tmp_path / "other")
+        meta_path = tmp_path / "bundle" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["features_file"] = features_file
+        meta_path.write_text(json.dumps(meta))
+        named = re.escape(f"meta.json features_file {features_file!r}")
+        with pytest.raises(DatasetError, match=named):
+            load_dataset(tmp_path / "bundle")
 
     def test_binary_header_mismatch_rejected(self, tmp_path, small_ds):
         save_dataset(small_ds, tmp_path / "bin", features_format="bin")
@@ -422,35 +483,51 @@ class TestBundleIO:
         save_dataset(small_ds, tmp_path / "bin", features_format="bin")
         path = tmp_path / "bin" / "features.bin"
         blob = path.read_bytes()
-        assert len(blob) == 16 + 4 * 15 * 3
+        assert len(blob) == 16 + 8 * 15 * 3
         blob = blob[:-8] if edit == "truncated" else blob + bytes(16)
         path.write_bytes(blob)
-        with pytest.raises(DatasetError, match=rf"holds {len(blob)} bytes.* take 196"):
+        with pytest.raises(DatasetError, match=rf"features\.bin holds {len(blob)} bytes; "
+                                               r"15 x 3 float64 .* take 376"):
+            load_dataset(tmp_path / "bin")
+        # a float32 file of width 0 is sized at 4 bytes a value
+        blob = b"GSOF" + struct.pack("<III", 15, 3, 0) + bytes(4 * 15 * 3)
+        path.write_bytes(blob[:-8] if edit == "truncated" else blob + bytes(16))
+        with pytest.raises(DatasetError, match=r"features\.bin holds \d+ bytes; "
+                                               r"15 x 3 float32 .* take 196"):
+            load_dataset(tmp_path / "bin")
+        # so is a file cut inside the header
+        path.write_bytes(blob[:10])
+        with pytest.raises(DatasetError, match=r"features\.bin holds 10 bytes.* take 376"):
             load_dataset(tmp_path / "bin")
 
     @pytest.mark.parametrize("block_bytes", [1, 4 * 3 * 4, 4 * 3 * 7 + 5],
                              ids=["one-row", "four-rows", "seven-rows"])
     def test_binary_blocks_match_one_shot_copy(self, tmp_path, monkeypatch, small_ds, block_bytes):
-        # 15 rows of 3 features, written and read in blocks of 1 row (a block
-        # smaller than a row still takes one), of 4 rows (the last block
-        # holds 3) and of 7 rows (the last block holds 1); points.csv rows
-        # are converted in blocks of as many rows
+        # 15 rows of 3 features; points.csv rows are converted, and a float32
+        # (width 0) features.bin is read, in blocks of 1 row (a block smaller
+        # than a row still takes one), of 4 rows (the last block holds 3) and
+        # of 7 rows (the last block holds 1). The float64 file is written and
+        # read in one piece
         save_dataset(small_ds, tmp_path / "whole", features_format="bin")
         monkeypatch.setattr(data_module, "_BIN_BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(data_module, "_SAVE_BLOCK_ROWS", max(1, block_bytes // 12))
         save_dataset(small_ds, tmp_path / "bin", features_format="bin")
-        small_ds.features.astype("<f4").tofile(tmp_path / "one_shot")
-        blob = (tmp_path / "bin" / "features.bin").read_bytes()
-        assert blob[:16] == b"GSOF" + struct.pack("<III", 15, 3, 0)
+        small_ds.features.astype("<f8").tofile(tmp_path / "one_shot")
+        path = tmp_path / "bin" / "features.bin"
+        blob = path.read_bytes()
+        assert blob[:16] == b"GSOF" + struct.pack("<III", 15, 3, 8)
         assert blob[16:] == (tmp_path / "one_shot").read_bytes()
-        for name in ("points.csv", "meta.json"):
+        for name in ("points.csv", "meta.json", "features.bin"):
             assert (tmp_path / "bin" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+        assert_same_bits(load_dataset(tmp_path / "bin"), small_ds)
+        path.write_bytes(b"GSOF" + struct.pack("<III", 15, 3, 0)
+                         + small_ds.features.astype("<f4").tobytes())
         again = load_dataset(tmp_path / "bin")
         assert np.array_equal(again.features, small_ds.features.astype(np.float32))
 
-    def test_binary_save_holds_no_float32_copy_of_the_features(self, tmp_path, monkeypatch):
-        # 20,000 x 48 float32 values take 3.84 MB, less than one default
-        # block; in blocks of 1 MiB the save holds under half of that
+    def test_binary_save_holds_no_float32_copy_of_the_features(self, tmp_path):
+        # 20,000 x 48 float64 values take 7.68 MB; the save writes them as
+        # held, so it holds under a quarter of that, half a float32 copy
         n, d = 20_000, 48
         rng = np.random.default_rng(0)
         ds = build_dataset(
@@ -461,7 +538,6 @@ class TestBundleIO:
             point_cluster=[f"c{i // 20:04d}" for i in range(n)],
             cluster_stratum={f"c{j:04d}": f"s{j % 10}" for j in range(n // 20)},
         )
-        monkeypatch.setattr(data_module, "_BIN_BLOCK_BYTES", 1 << 20)
         tracemalloc.start()
         try:
             save_dataset(ds, tmp_path / "bin", features_format="bin")
@@ -469,6 +545,7 @@ class TestBundleIO:
         finally:
             tracemalloc.stop()
         assert peak < n * d * 4 / 2
+        assert_same_bits(load_dataset(tmp_path / "bin"), ds)
 
     def test_sorted_str_ids_are_kept_and_others_stored_as_str(self):
         def build(ids):

@@ -309,9 +309,9 @@ class TestSolveRelaxation:
         # certificate of the returned s takes one more
         gradients, oracle = [], []
 
-        def counted_gradient(w, counts, spec):
+        def counted_gradient(w, counts):
             gradients.append(len(counts.e))
-            return utility_gradient_raw(w, counts, spec)
+            return utility_gradient_raw(w, counts)
 
         def counted_oracle(grad, costs, budget):
             oracle.append((len(grad), len(costs)))
@@ -389,8 +389,8 @@ class TestSolveRelaxation:
         # the size utility's gradient is e at every iterate: one oracle vertex
         assert store.n >= (3 if kind == "group_rep" else 2)
         free = ~res.inclusion.committed & ds.cluster_is_source
-        z = aggregates(res.inclusion.values, counts, spec)
-        grad = utility_gradient_raw(phi_gradient(z, spec), counts, spec)[free]
+        z = aggregates(res.inclusion.values, counts)
+        grad = utility_gradient_raw(phi_gradient(z, spec), counts)[free]
         scores = store.Z @ phi_gradient(z, spec)
         for k, (idx, vals) in enumerate(store.support):
             v = np.zeros(int(free.sum()))
@@ -513,8 +513,8 @@ def _dense_bisect_step(counts, spec, s, delta, step_max, iters=40):
     """Reference line search on the full gradient in s."""
 
     def dd(t):
-        z = aggregates(s + t * delta, counts, spec)
-        return float(utility_gradient_raw(phi_gradient(z, spec), counts, spec) @ delta)
+        z = aggregates(s + t * delta, counts)
+        return float(utility_gradient_raw(phi_gradient(z, spec), counts) @ delta)
 
     if dd(0.0) <= 0:
         return 0.0
@@ -544,12 +544,12 @@ def test_aggregate_line_search_matches_dense_gradient(kind):
         # a Frank-Wolfe direction at a random point of equal cost
         s = rng.uniform(0, 1, size=ds.n_clusters)
         costs = np.array([cluster_cost(cm, ds.cluster(cid)) for cid in ds.cluster_ids])
-        w = phi_gradient(aggregates(s, counts, spec), spec)
-        grad = utility_gradient_raw(w, counts, spec)
+        w = phi_gradient(aggregates(s, counts), spec)
+        grad = utility_gradient_raw(w, counts)
         delta = lmo_knapsack(grad, costs, float(costs @ s)) - s
         step_max = float(rng.choice([1.0, rng.uniform(0.1, 1.0)]))
         step = _line_search(
-            aggregates(s, counts, spec), aggregates(delta, counts, spec), spec, step_max
+            aggregates(s, counts), aggregates(delta, counts), spec, step_max
         )
         expect = _dense_bisect_step(counts, spec, s, delta, step_max)
         assert step == pytest.approx(expect, abs=1e-12)

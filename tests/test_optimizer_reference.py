@@ -49,7 +49,7 @@ from conftest import dense_groups
 
 
 def ref_utility_gradient_raw(values, counts, spec):
-    w = phi_gradient(aggregates(values, counts, spec), spec)
+    w = phi_gradient(aggregates(values, counts), spec)
     grad = counts.e * w[-1]
     if spec.kind == "size":
         return grad
@@ -159,15 +159,15 @@ def ref_away_step(active, grad, s, d_full, fw_delta, fw_gap, counts, spec):
     ai = int(np.argmin(active.scores(grad)))
     away_delta = s - active.vertex(ai)
     away_gap = float(grad @ away_delta)
-    z = aggregates(s, counts, spec)
+    z = aggregates(s, counts)
     if fw_gap >= away_gap:
-        step = ref_bisect_step(z, aggregates(fw_delta, counts, spec), spec, 1.0)
+        step = ref_bisect_step(z, aggregates(fw_delta, counts), spec, 1.0)
         active.weights *= 1.0 - step
         active.add(d_full, step)
     else:
         w = active.weights[ai]
         step_max = w / (1.0 - w) if w < 1.0 else 1.0
-        step = ref_bisect_step(z, aggregates(away_delta, counts, spec), spec, step_max)
+        step = ref_bisect_step(z, aggregates(away_delta, counts), spec, step_max)
         active.weights *= 1.0 + step
         active.weights[ai] -= step
     active.prune()
@@ -213,7 +213,7 @@ def ref_solve_relaxation(ds, counts, cm, spec, state, opts):
             s[committed] = 1.0
         elif opts.step_rule == "line-search":
             step = ref_bisect_step(
-                aggregates(s, counts, spec), aggregates(fw_delta, counts, spec), spec, 1.0
+                aggregates(s, counts), aggregates(fw_delta, counts), spec, 1.0
             )
             s = np.clip(s + step * fw_delta, 0.0, 1.0)
             s[committed] = 1.0
@@ -230,8 +230,8 @@ def certified_gap(ds, counts, cm, spec, state, values):
     committed = np.zeros(ds.n_clusters, dtype=bool)
     committed[state.clusters] = True
     free = np.flatnonzero(ds.cluster_is_source & ~committed)
-    w = phi_gradient(aggregates(values, counts, spec), spec)
-    grad = utility_gradient_raw(w, counts, spec)[free]
+    w = phi_gradient(aggregates(values, counts), spec)
+    grad = utility_gradient_raw(w, counts)[free]
     d = lmo_knapsack(grad, cluster_costs(cm, ds)[free], remaining_budget(ds, cm, state))
     return float(grad @ (d - values[free]))
 
@@ -374,7 +374,7 @@ def test_vertex_store_follows_the_reference_active_set(ds):
     s0[state.clusters] = 1.0
     free = np.flatnonzero(ds.cluster_is_source & (s0 == 0))
     free_counts = counts.restrict(free)
-    store = _Vertices(aggregates(s0, counts, spec), free_counts)
+    store = _Vertices(aggregates(s0, counts), free_counts)
     ref = RefActiveSet(s0)
     m = len(free)
 
@@ -399,7 +399,7 @@ def test_vertex_store_follows_the_reference_active_set(ds):
         for k, (idx, vals) in enumerate(store.support):
             v = np.zeros(m)
             v[idx] = vals
-            np.testing.assert_allclose(store.Z[k], aggregates(v, free_counts, spec),
+            np.testing.assert_allclose(store.Z[k], aggregates(v, free_counts),
                                        rtol=4e-16, atol=0)
         # updated with each move, summed in another order
         np.testing.assert_allclose(store.z_free, w @ store.Z, rtol=0,
@@ -546,7 +546,7 @@ def test_line_search_matches_reference(ds, which):
         s = rng.uniform(0, 1, size=ds.n_clusters) * (rng.random(ds.n_clusters) < 0.3)
         grad = ref_utility_gradient_raw(s, counts, spec)
         delta = ref_lmo_knapsack(grad, costs, float(costs @ s)) - s
-        z, dz = aggregates(s, counts, spec), aggregates(delta, counts, spec)
+        z, dz = aggregates(s, counts), aggregates(delta, counts)
         step_max = float(rng.choice([1.0, rng.uniform(0.05, 1.0)]))
         expect = _assert_exact_step(z, dz, spec, step_max)
         interior += 0.0 < expect < step_max
@@ -685,7 +685,7 @@ def _edge_searches(ds100):
     counts, _, spec, state = _problem100(ds100)
     s = np.zeros(ds100.n_clusters)
     s[state.clusters] = 1.0
-    z = aggregates(s, counts, spec)
+    z = aggregates(s, counts)
     G = len(z) - 1
     up = np.append(np.linspace(1.0, 3.0, G), 2.0 * G)   # every aggregate grows
     # the groups grow while the total shrinks: the total term alone is N

@@ -38,8 +38,8 @@ SIZE = UtilitySpec(kind="size")
 
 
 def gradient(values, counts, spec):
-    w = phi_gradient(aggregates(values, counts, spec), spec)
-    return utility_gradient_raw(w, counts, spec)
+    w = phi_gradient(aggregates(values, counts), spec)
+    return utility_gradient_raw(w, counts)
 
 
 class TestSizeUtility:
@@ -66,7 +66,7 @@ class TestSizeUtility:
         # it still reads n(s) = s @ e alone, and its gradient is e
         c = counts_from_dense([10, 10, 5], [[4, 6], [10, 0], [0, 5]])
         s = vec([1, 0.5, 0.2])
-        z = aggregates(s, c, SIZE)
+        z = aggregates(s, c)
         assert len(z) == 3 and z[-1] == s @ c.e
         assert utility_value(s, c, SIZE) == s @ c.e
         np.testing.assert_array_equal(gradient(s, c, SIZE), c.e)
@@ -300,11 +300,11 @@ class TestSparseProducts:
         spec = UtilitySpec(kind="group_rep", lam=0.4, groups=gm)
         dense = self.dense_split(ds, gm, counts)
         s = np.random.default_rng(seed).uniform(0, 1, ds.n_clusters)
-        z = aggregates(s, counts, spec)
+        z = aggregates(s, counts)
         w = phi_gradient(z, spec)
         return (
             z[:-1], s @ dense,
-            utility_gradient_raw(w, counts, spec), dense @ w[:-1] + counts.e * w[-1],
+            utility_gradient_raw(w, counts), dense @ w[:-1] + counts.e * w[-1],
         )
 
     @pytest.mark.parametrize("seed", range(5))
