@@ -31,10 +31,9 @@ may be quoted with ``"`` (a quote inside a quoted field is doubled); no
 line is a comment, so ``#`` is an ordinary character; lines end in LF or
 CRLF; and every row has exactly the header's field count. Every CSV and
 JSON output of the package, in a bundle or not, is written by
-:func:`write_csv` (the ``csv`` module's bytes with CRLF endings, formatted
-a block of rows at a time, column by column) or :func:`write_json` (indent
-2, sorted keys, one trailing newline); each makes its file's directory, so
-a directory appears only with its first file. Only
+:func:`write_csv` (``csv`` module rows with CRLF endings) or
+:func:`write_json` (indent 2, sorted keys, one trailing newline); each makes
+its file's directory, so a directory appears only with its first file. Only
 ``geosampler evaluate``'s ``results.csv``, one row per run, is appended to.
 ``load_dataset`` checks each header and then parses the rows with
 ``np.loadtxt`` (numbers straight to float64, point ids as str, and the
@@ -55,9 +54,8 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -418,65 +416,16 @@ def write_json(path: str | Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-# write_csv formats this many rows at a time: on the demo pipeline, blocks of
-# 1024 rows and more raised the peak RSS, and on a 150k-row points.csv they
-# were no faster
-_SAVE_BLOCK_ROWS = 256
-
-
-def _csv_text(value) -> str:
-    """A value as the ``csv`` module writes it: a float (numpy's too) as its
-    float repr, None as an empty field, anything else by ``str``."""
-    if isinstance(value, float):
-        return float.__repr__(value)
-    return "" if value is None else str(value)
-
-
-def _csv_quoted(column: list[str]) -> list[str]:
-    """``column`` with each field that holds a comma, a quote, CR or LF put in
-    quotes, its quotes doubled: the ``csv`` module's minimal quoting."""
-    if not any(c in "".join(column) for c in ',"\r\n'):
-        return column
-    return ['"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\r\n') else f
-            for f in column]
-
-
-def _csv_lines(columns: list[list[str]]) -> str:
-    """Rows given as text columns, one CRLF-ended line each."""
-    fields = [_csv_quoted(col) for col in columns]
-    if len(fields) == 1:   # the csv module quotes a row's only field when it is empty
-        fields = [[f or '""' for f in fields[0]]]
-    return "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
-
-
-def write_csv(path: str | Path, header: list[str], rows: Iterable = (), *,
-              columns: Callable[[slice], list[list[str]]] | None = None,
-              n_rows: int = 0) -> None:
-    """Write ``header`` and then the rows as UTF-8 CSV with CRLF endings,
-    byte for byte as ``csv.writer`` writes them: minimal quoting (a field is
-    quoted, its quotes doubled, iff it holds a comma, a quote, CR or LF), a
-    float as its repr, None as an empty field. Makes the parent directory.
-
-    The rows come from ``rows``, an iterable of rows, or column-wise from
-    ``columns(block)``: for each slice ``block`` of ``range(n_rows)``,
-    ``_SAVE_BLOCK_ROWS`` rows long, it returns those rows' fields as text,
-    one list of str per header field. Either way the file is formatted one
-    block of ``_SAVE_BLOCK_ROWS`` rows at a time, column by column.
-    """
-    if columns is None:
-        it = iter(rows)
-        chunks = iter(lambda: list(islice(it, _SAVE_BLOCK_ROWS)), [])
-        blocks = ([[_csv_text(v) for v in col] for col in zip(*chunk, strict=True)]
-                  for chunk in chunks)
-    else:
-        blocks = (columns(slice(lo, lo + _SAVE_BLOCK_ROWS))
-                  for lo in range(0, n_rows, _SAVE_BLOCK_ROWS))
+def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
+    """Write ``header`` and then ``rows`` as UTF-8 ``csv`` module rows with
+    CRLF endings; the csv module writes a float field as its repr. Makes the
+    parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(_csv_lines([[h] for h in header]))
-        for block in blocks:
-            fh.write(_csv_lines(block))
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def save_cost_model(cm: CostModel, bundle: str | Path) -> None:
@@ -727,6 +676,8 @@ _ID_CHARS_MAX = 15
 # a float32 (width 0) features.bin is read into the float64 matrix in blocks
 # of the rows whose float32 values take at most this many bytes (at least one)
 _BIN_BLOCK_BYTES = 1 << 22
+# points.csv rows are converted to Python values this many at a time
+_SAVE_BLOCK_ROWS = 2048
 # points.csv is searched for NA and NUL this many bytes at a time (3 ms for
 # 150k rows; blocks of 1 MB and up take longer, each a fresh allocation)
 _SCAN_BLOCK_BYTES = 1 << 16
@@ -737,10 +688,10 @@ def save_dataset(ds: Dataset, path: str | Path,
     """Write a dataset bundle; ``load_dataset`` reproduces it exactly.
 
     ``features_format='bin'`` writes the float64 features as they are held,
-    with no copy; ``'csv'`` writes them as text. points.csv and features.csv
-    are formatted column-wise, one block of ``_SAVE_BLOCK_ROWS`` rows at a
-    time, floats as their shortest round-trip ``repr``: the bytes the ``csv``
-    module would write for the same rows.
+    with no copy; ``'csv'`` writes them as text. CSV rows are streamed:
+    floats are written as their shortest round-trip ``repr``, converted to
+    Python values one features.csv row, or one block of ``_SAVE_BLOCK_ROWS``
+    points.csv rows, at a time.
     """
     if features_format not in FEATURES_FORMATS:
         raise DatasetError(f"unknown features format {features_format!r}")
@@ -764,22 +715,19 @@ def save_dataset(ds: Dataset, path: str | Path,
     }
     write_json(out / "meta.json", meta)
 
-    cluster_ids = np.array(ds.cluster_ids, dtype=object)
-    stratum_ids = np.array(ds.stratum_ids, dtype=object)[ds.cluster_stratum]   # per cluster
-
-    def points(rows: slice) -> list[list[str]]:
-        x, y = ds.coords[rows].T.tolist()
-        clusters = ds.point_cluster[rows]
-        return [list(ds.point_ids[rows]), list(map(repr, x)), list(map(repr, y)),
-                ["NA" if math.isnan(v) else repr(v) for v in ds.labels[rows].tolist()],
-                cluster_ids[clusters].tolist(), stratum_ids[clusters].tolist()]
-
-    write_csv(out / "points.csv", _POINTS_COLUMNS, columns=points, n_rows=ds.n_points)
+    cluster_stratum_ids = [ds.stratum_ids[s] for s in ds.cluster_stratum]
+    step = _SAVE_BLOCK_ROWS
+    write_csv(out / "points.csv", _POINTS_COLUMNS, (
+        (pid, x, y, "NA" if math.isnan(label) else label, ds.cluster_ids[j], cluster_stratum_ids[j])
+        for lo in range(0, ds.n_points, step)
+        for pid, (x, y), label, j in zip(
+            ds.point_ids[lo:lo + step], ds.coords[lo:lo + step].tolist(),
+            ds.labels[lo:lo + step].tolist(), ds.point_cluster[lo:lo + step].tolist(),
+        )
+    ))
     if features_format == "csv":
         write_csv(out / "features.csv", ["point_id"] + [f"f{j}" for j in range(ds.feature_dim)],
-                  columns=lambda rows: [list(ds.point_ids[rows]), *(
-                      list(map(repr, col)) for col in ds.features[rows].T.tolist())],
-                  n_rows=ds.n_points)
+                  ([pid, *row.tolist()] for pid, row in zip(ds.point_ids, ds.features)))
     else:   # into the directory the writers above made
         with (out / "features.bin").open("wb") as fh:
             fh.write(FEATURES_BIN_MAGIC + struct.pack("<III", ds.n_points, ds.feature_dim, 8))

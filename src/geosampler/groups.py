@@ -90,9 +90,8 @@ def auxiliary_kmeans_groups(
 
 def save_group_model(gm: GroupModel, ds: Dataset, out_dir: str | Path) -> None:
     out = Path(out_dir)
-    group_ids = np.array(gm.group_ids, dtype=object)
-    write_csv(out / "groups.csv", ["point_id", "group_id"], n_rows=ds.n_points,
-              columns=lambda rows: [list(ds.point_ids[rows]), group_ids[gm.assignment[rows]].tolist()])
+    write_csv(out / "groups.csv", ["point_id", "group_id"],
+              ([pid, gm.group_ids[int(gi)]] for pid, gi in zip(ds.point_ids, gm.assignment)))
     doc = {
         "kind": gm.kind,
         "gamma": {gid: float(s) for gid, s in zip(gm.group_ids, gm.gamma)},

@@ -12,11 +12,9 @@ algorithm assigns points from the expanded distances ``|x|^2 - 2XC' + |c|^2``
 (one GEMM per block of rows, ``|x|^2`` once per run); rows whose two nearest
 centroids are within the expansion's rounding bound are re-decided from the
 directly summed ``sum((x - c)^2)``, and the inertia that picks the winning
-restart is that exact sum. A centroid is the masked mean of its rows,
-recomputed only for the clusters whose rows changed in the pass (and for all
-of them in the pass after an empty cluster took over a row). Assignments,
-centroids and inertia equal those of the (n, G, d) difference-tensor form bit
-for bit.
+restart is that exact sum. A centroid is the masked mean of its rows.
+Assignments, centroids and inertia equal those of the (n, G, d)
+difference-tensor form bit for bit.
 """
 
 from __future__ import annotations
@@ -110,13 +108,9 @@ def ridge_fit_cv(X: np.ndarray, y: np.ndarray, seed: int = 0) -> RidgeModel:
         # b stacked to (alphas, d, 1): numpy 1.x and 2.x both read that as one column per matrix
         rhs_stack = np.broadcast_to(rhs[:, None], (len(grid), d, 1))
         weights = np.linalg.solve(gram + penalties, rhs_stack)[:, :, 0]
-        resid = np.empty((len(grid), len(y_va)))   # one row of validation residuals per alpha
-        for r, w in zip(resid, weights):
-            np.matmul(X_va, w, out=r)
-            r += float(y_mean - x_mean @ w)
-        resid -= y_va
-        resid *= resid
-        mean_mse += resid.mean(axis=1) / CV_FOLDS
+        for a_i, w in enumerate(weights):
+            pred = X_va @ w + float(y_mean - x_mean @ w)
+            mean_mse[a_i] += float(np.mean((pred - y_va) ** 2)) / CV_FOLDS
 
     best = int(np.argmin(mean_mse))   # grid ascending -> ties resolve to smaller alpha
     alpha = float(grid[best])
@@ -278,37 +272,24 @@ def _lloyd(
 
     Each pass assigns rows with `_nearest`; ``|x|^2`` is computed once per
     call. A centroid is the mean of its rows, ``X[assignment == j].mean(axis=0)``,
-    recomputed only for the clusters that gained or lost a row this pass: the
-    same rows in the same order give the same bits, so an unchanged cluster
-    keeps its centroid. An empty cluster takes over the row farthest from its
-    centroid, visiting the clusters in index order. The cluster that loses
-    the row is recomputed later in the pass if its index is higher; if lower,
-    its mean still counts the row, so the pass after a takeover (like the
-    first) recomputes every centroid. The returned inertia, which picks the
-    winning restart, sums the exact per-row distances `_assigned_dist_sq`;
-    the per-iteration trace sums the expanded ones, so it can differ from the
-    exact sums in the last bits.
+    set in every pass. An empty cluster takes over the row farthest from its
+    centroid, visiting the clusters in index order. The returned inertia,
+    which picks the winning restart, sums the exact per-row distances
+    `_assigned_dist_sq`; the per-iteration trace sums the expanded ones, so
+    it can differ from the exact sums in the last bits.
     """
     n, G = X.shape[0], centroids.shape[0]
     x_sq = np.einsum("ij,ij->i", X, X)
     assignment = np.full(n, -1, dtype=np.int64)
-    recompute_all = True
     trace: list[float] = []
     for _ in range(max_iters):
         new_assignment, dist_sq = _nearest(X, x_sq, centroids)
         trace.append(float(dist_sq.sum()))
         if np.array_equal(new_assignment, assignment):
             break   # centroids unchanged since this pass: it is the final assignment
-        changed = np.full(G, recompute_all)
-        if not recompute_all:
-            moved = new_assignment != assignment
-            changed[new_assignment[moved]] = changed[assignment[moved]] = True
         assignment = new_assignment
-        recompute_all = False
         previous = centroids.copy()
         for j in range(G):
-            if not changed[j]:
-                continue
             mask = assignment == j
             if mask.any():
                 centroids[j] = X[mask].mean(axis=0)
@@ -316,9 +297,7 @@ def _lloyd(
                 # empty cluster: take over the point farthest from its centroid
                 far = int(np.argmax(_assigned_dist_sq(X, previous, assignment)))
                 centroids[j] = X[far]
-                changed[assignment[far]] = True   # recomputed below if it comes after j
                 assignment[far] = j
-                recompute_all = True
     else:
         # final assignment pass so every point sits with its nearest centroid
         assignment, _ = _nearest(X, x_sq, centroids)

@@ -1,11 +1,8 @@
 import csv
-import io
 import json
 import re
 import struct
-import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +28,7 @@ from geosampler.data import (
     write_json,
 )
 from geosampler.experiments import dataset_content_hash
-from geosampler.groups import admin_groups, save_group_model
+from geosampler.groups import admin_groups
 from geosampler.synth import SynthConfig, generate
 
 from conftest import assert_states_equal, dense_groups, state_from_ids, toy_dataset
@@ -629,28 +626,9 @@ class TestBundleIO:
             )
 
 
-# characters the csv module quotes for, and some it does not; it writes NUL
-# raw from Python 3.11 on and refuses it before
-AWKWARD_CHARS = ("a", ",", '"', "\r", "\n", " ", "\t", "#", "\u00e9", "\u4e2d") + (
-    ("\0",) if sys.version_info >= (3, 11) else ())
-
-
-def awkward_strings(rng, count):
-    return ["".join(rng.choice(AWKWARD_CHARS, size=int(rng.integers(0, 6)))) for _ in range(count)]
-
-
-def csv_module_bytes(header, rows):
-    buf = io.StringIO(newline="")
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue().encode("utf-8")
-
-
 class TestWriters:
     """The one output dialect: every CSV and JSON file the package writes
-    goes through these two writers. write_csv formats column-wise and must
-    write the csv module's bytes."""
+    goes through these two writers."""
 
     def test_json_bytes(self, tmp_path):
         path = tmp_path / "new" / "dir" / "doc.json"
@@ -667,67 +645,6 @@ class TestWriters:
         assert path.read_bytes() == (
             "id,x,n\r\npé,0.1,3\r\n\"q,1\",1e-20,NA\r\nr,0.30000000000000004,\r\n".encode("utf-8")
         )
-
-    def test_csv_module_bytes_for_mixed_rows(self, tmp_path):
-        rng = np.random.default_rng(0)
-        n = 5000   # many formatting blocks, the last one short
-        text, more = awkward_strings(rng, n), awkward_strings(rng, n)
-        values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
-        values[::7] = np.nan
-        odd = [None, True, 7, np.float64(0.1), np.int64(-3), -0.0, float("inf")]
-        rows = [[t, float(v), odd[i % len(odd)], m] for i, (t, v, m) in enumerate(zip(text, values, more))]
-        header = ["id", "a,b", 'say "x"', "line\nbreak"]
-        write_csv(tmp_path / "rows.csv", header, iter(rows))
-        assert (tmp_path / "rows.csv").read_bytes() == csv_module_bytes(header, rows)
-
-    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
-    def test_csv_module_bytes_for_each_quoted_character(self, tmp_path, char):
-        rows = [["plain", 1.5], [f"a{char}b", 2.5], [char, None]]
-        write_csv(tmp_path / "t.csv", ["id", "x"], rows)
-        assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(["id", "x"], rows)
-
-    def test_a_single_column_quotes_its_empty_fields(self, tmp_path):
-        rows = [[""], ["a"], [None], [" "], [","], [""]]
-        write_csv(tmp_path / "one.csv", ["only"], rows)
-        assert (tmp_path / "one.csv").read_bytes() == csv_module_bytes(["only"], rows)
-
-    def test_nul_is_written_raw(self, tmp_path):
-        write_csv(tmp_path / "nul.csv", ["id", "x"], [["a\0b", 1.0], ["\0,", None]])
-        assert (tmp_path / "nul.csv").read_bytes() == b'id,x\r\na\x00b,1.0\r\n"\x00,",\r\n'
-
-    def test_bundle_and_group_csvs_are_csv_module_bytes(self, tmp_path):
-        rng = np.random.default_rng(1)
-        n, m = 4500, 40
-        cluster_ids = [f"{s}|c{j}" for j, s in enumerate(awkward_strings(rng, m))]
-        strata = [f"{s}|s{k}" for k, s in enumerate(awkward_strings(rng, 3))]
-        labels = rng.normal(size=n)
-        labels[::5] = np.nan
-        ds = build_dataset(
-            point_ids=[f"{s}|{i}" for i, s in enumerate(awkward_strings(rng, n))],
-            coords=rng.normal(size=(n, 2)) * 1e3,
-            features=rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-20, 20, size=(n, 3)),
-            labels=labels,
-            point_cluster=[cluster_ids[i % m] for i in range(n)],
-            cluster_stratum={cid: strata[j % 3] for j, cid in enumerate(cluster_ids)},
-        )
-        save_dataset(ds, tmp_path / "b", features_format="csv")
-        points = [
-            [pid, x, y, "NA" if np.isnan(label) else label, ds.cluster_ids[j],
-             ds.stratum_ids[ds.cluster_stratum[j]]]
-            for pid, (x, y), label, j in zip(ds.point_ids, ds.coords.tolist(), ds.labels.tolist(),
-                                             ds.point_cluster.tolist())
-        ]
-        assert (tmp_path / "b" / "points.csv").read_bytes() == csv_module_bytes(
-            ["point_id", "x", "y", "label", "cluster_id", "stratum_id"], points)
-        features = [[pid, *row] for pid, row in zip(ds.point_ids, ds.features.tolist())]
-        assert (tmp_path / "b" / "features.csv").read_bytes() == csv_module_bytes(
-            ["point_id", "f0", "f1", "f2"], features)
-        gm = admin_groups(ds)
-        gm = replace(gm, group_ids=tuple(f"{s}|g{k}" for k, s in enumerate(awkward_strings(rng, 3))))
-        save_group_model(gm, ds, tmp_path / "g")
-        assert (tmp_path / "g" / "groups.csv").read_bytes() == csv_module_bytes(
-            ["point_id", "group_id"],
-            [[pid, gm.group_ids[g]] for pid, g in zip(ds.point_ids, gm.assignment.tolist())])
 
 
 @pytest.mark.parametrize("features_format", ["bin", "csv"])

@@ -323,61 +323,49 @@ def lloyd_instances():
         if kind == 3 and t % 2:
             init[:] = init[0]
         cases.append((X, G, init))
+    # d = 1 instances where an empty cluster takes over a row in the second
+    # pass, from a lower-index and from a higher-index cluster
+    X = np.array([
+        -1.9968525455564554, 16.375363034323144, 28.424343856708873, 13.654754331131398,
+        19.452076898605625, -0.7473737681410125, 15.877681579998905, 0.742544893787117,
+        15.542372863237924, 20.36483691002205, -19.874496588500623, 14.992989890743512,
+        -0.1747672705282579, -0.8099234224580197, 0.8999148222950436, -3.760376782068964,
+        2.4702606065880564, 19.390027307506326, 1.3410950297387187, -2.3322433988929254,
+        -1.2670977321676375, 0.11602626492533084, -13.509050236443157, 19.339974960434787,
+        -17.64255313424943, 4.707713497552895, 6.772147471884777, 0.33356578845289875,
+        9.023157123002727, 2.7982288246501743, -5.415077868033102, 0.311182192551461,
+    ])[:, None]
+    init = np.array([
+        0.5367052982668887, 22.430761469420364, -0.21746098424241778, 21.75691074069159,
+        3.64196311842912, 10.24769283209919, -5.428436734739922, 16.97295767556713,
+        14.90373920730948, -2.8445499251579673, -0.9425450579902162,
+    ])[:, None]
+    cases.append((X, len(init), init))
+    X = np.array([
+        4.568698212345979, 6.391076396144685, 7.666700695216485, 39.551446845742404,
+        0.8370244197181053, 3.2351964807285256, 17.988257764708237, -1.0947063262496903,
+        -1.3224317429230332, 32.25598606304624, 1.302326591156392, 2.036647642178696,
+        19.09392461797766, -1.506954501804427, 20.31518135092269, 31.6558899199822,
+    ])[:, None]
+    init = np.array([
+        4.0578798826791544, 7.635491764720214, 5.2823299877001375, -5.658701535706015,
+        29.790084181802513, 32.38755922759607,
+    ])[:, None]
+    cases.append((X, len(init), init))
     return cases
-
-
-def assert_matches_tensor_lloyd(X, init):
-    ref = tensor_lloyd(X, init.copy(), 100)
-    got = _lloyd(X, init.copy(), 100)
-    np.testing.assert_array_equal(got[1], ref[1])
-    np.testing.assert_array_equal(got[0], ref[0])
-    assert got[2] == ref[2]
-    # the trace sums the expanded distances: equal up to their rounding
-    scale = float((X ** 2).sum()) + len(X) * float((ref[0] ** 2).sum(axis=1).max())
-    np.testing.assert_allclose(got[3], ref[3], rtol=0, atol=1e-12 * scale)
 
 
 class TestLloydKernel:
     def test_matches_difference_tensor_kernel(self):
         for X, G, init in lloyd_instances():
-            assert_matches_tensor_lloyd(X, init)
-
-    def test_recomputes_every_centroid_after_a_takeover(self):
-        # an empty cluster takes over a row in the second pass, after a
-        # lower-index cluster's mean already counted that row; in the third
-        # pass that cluster keeps its rows, and only a full recompute drops
-        # the row from its mean
-        X = np.array([
-            -1.9968525455564554, 16.375363034323144, 28.424343856708873, 13.654754331131398,
-            19.452076898605625, -0.7473737681410125, 15.877681579998905, 0.742544893787117,
-            15.542372863237924, 20.36483691002205, -19.874496588500623, 14.992989890743512,
-            -0.1747672705282579, -0.8099234224580197, 0.8999148222950436, -3.760376782068964,
-            2.4702606065880564, 19.390027307506326, 1.3410950297387187, -2.3322433988929254,
-            -1.2670977321676375, 0.11602626492533084, -13.509050236443157, 19.339974960434787,
-            -17.64255313424943, 4.707713497552895, 6.772147471884777, 0.33356578845289875,
-            9.023157123002727, 2.7982288246501743, -5.415077868033102, 0.311182192551461,
-        ])[:, None]
-        init = np.array([
-            0.5367052982668887, 22.430761469420364, -0.21746098424241778, 21.75691074069159,
-            3.64196311842912, 10.24769283209919, -5.428436734739922, 16.97295767556713,
-            14.90373920730948, -2.8445499251579673, -0.9425450579902162,
-        ])[:, None]
-        assert_matches_tensor_lloyd(X, init)
-
-    def test_takeover_recomputes_the_cluster_it_robs(self):
-        # a takeover in the second pass robs a higher-index cluster whose rows
-        # had not changed that pass: its mean is recomputed in the same pass
-        X = np.array([
-            4.568698212345979, 6.391076396144685, 7.666700695216485, 39.551446845742404,
-            0.8370244197181053, 3.2351964807285256, 17.988257764708237, -1.0947063262496903,
-            -1.3224317429230332, 32.25598606304624, 1.302326591156392, 2.036647642178696,
-            19.09392461797766, -1.506954501804427, 20.31518135092269, 31.6558899199822,
-        ])[:, None]
-        init = np.array([
-            4.0578798826791544, 7.635491764720214, 5.2823299877001375, -5.658701535706015,
-            29.790084181802513, 32.38755922759607,
-        ])[:, None]
-        assert_matches_tensor_lloyd(X, init)
+            ref = tensor_lloyd(X, init.copy(), 100)
+            got = _lloyd(X, init.copy(), 100)
+            np.testing.assert_array_equal(got[1], ref[1])
+            np.testing.assert_array_equal(got[0], ref[0])
+            assert got[2] == ref[2]
+            # the trace sums the expanded distances: equal up to their rounding
+            scale = float((X ** 2).sum()) + len(X) * float((ref[0] ** 2).sum(axis=1).max())
+            np.testing.assert_allclose(got[3], ref[3], rtol=0, atol=1e-12 * scale)
 
     def test_near_ties_follow_the_direct_sums(self):
         # rows within 1e-9 of the bisector of two centroids far from the origin:
