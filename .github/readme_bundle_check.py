@@ -2,7 +2,8 @@
 
 README's `geosampler generate` command is run twice, with the default
 features.bin and with --features-format csv: the two bundles must load to
-the same dataset, since the default format is lossless. README's
+the same dataset, since the default format is lossless, and the default
+bundle must hold exactly the files README's step 1 comment lists. README's
 `geosampler groups` command is then run on the default bundle. points.csv
 and groups.csv must equal, byte for byte, what the `csv` module writes for
 the same rows. Exits non-zero, naming the failed check, otherwise.
@@ -12,6 +13,7 @@ the same rows. Exits non-zero, naming the failed check, otherwise.
 
 import csv
 import io
+import re
 import shlex
 import sys
 import tempfile
@@ -25,6 +27,13 @@ def readme_argv(command: str) -> list[str]:
     text = Path("README.md").read_text(encoding="utf-8").replace("\\\n", " ")
     return next(shlex.split(line, comments=True)[1:] for line in text.splitlines()
                 if line.startswith(f"geosampler {command} "))
+
+
+def readme_bundle_files() -> set[str]:
+    """The file names in the parentheses of README's step 1 comment."""
+    text = Path("README.md").read_text(encoding="utf-8")
+    listed = re.search(r"# 1\. generate a synthetic dataset bundle \((.*?)\)", text, re.S)
+    return {name.strip(" #\n") for name in listed.group(1).split(",")}
 
 
 def csv_module_bytes(rows) -> bytes:
@@ -41,6 +50,9 @@ def check(tmp: Path) -> str | None:
              main(groups + ["--dataset", str(bundle), "--out-dir", str(tmp / "groups")])]
     if codes != [0, 0, 0]:
         return f"README's generate, generate --features-format csv and groups exited {codes}"
+    written, listed = {p.name for p in bundle.iterdir()}, readme_bundle_files()
+    if written != listed:
+        return f"README's step 1 lists {sorted(listed)}, generate wrote {sorted(written)}"
     ds = load_dataset(bundle)
     if not (bundle / "features.bin").exists() or not datasets_equal(ds, load_dataset(tmp / "csv")):
         return "README's bin and csv bundles load unequal"

@@ -9,10 +9,8 @@ from .data import (
     SampleState,
     cluster_cost,
     expected_counts,
-    load_cost_model,
     load_dataset,
     load_sample_state,
-    save_cost_model,
     save_dataset,
     save_sample_state,
     set_cost,

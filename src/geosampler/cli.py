@@ -6,8 +6,9 @@ name (``SynthConfig``, ``ExperimentConfig`` or ``UtilityConfig``): dashes for
 underscores, its text converted by the field's type, a tuple field's as
 ``AxB``, ``A:B`` or a comma list. A flag left out is not passed, so the field
 keeps the default its dataclass declares. The other flags are ``--out-dir``,
-``--seed``, ``--config``, ``--budget``, ``--methods``/``--utility``, a required
-``--dataset``, ``--kind``, ``--n-groups`` of ``groups``, ``--aux-file``,
+``--seed``, ``--config``, ``--budget`` of ``optimize``,
+``--methods``/``--utility``, a required ``--dataset``, ``--kind``,
+``--n-groups`` of ``groups``, ``--aux-file``,
 ``--sample`` and ``--features-format`` (``generate``'s features file: float64
 ``bin``, the default of ``save_dataset``, or text ``csv``). ``--config FILE``
 (``generate`` and the studies) takes a JSON document whose keys override the
@@ -37,7 +38,6 @@ from .data import (
     _read_rows,
     load_dataset,
     load_sample_state,
-    save_cost_model,
     save_dataset,
     save_sample_state,
 )
@@ -101,8 +101,7 @@ def _fields(cls, *without: str) -> tuple[str, ...]:
 # the config fields the commands take as flags: --methods (--utility) sets
 # UtilityConfig.kind and groups, and --config alone
 # ExperimentConfig.convenience_anchors, a tuple of pairs
-_COST_FIELDS = ("c1", "c2", "budget_scope")
-_OPTIMIZE_FIELDS = _fields(SamplerConfig) + _COST_FIELDS + _fields(SolveOptions)
+_OPTIMIZE_FIELDS = _fields(SamplerConfig) + ("c1", "c2", "budget_scope") + _fields(SolveOptions)
 _STUDY_FIELDS = _fields(ExperimentConfig, "synth", "baselines", "utilities", "convenience_anchors")
 _UTILITY_FIELDS = _fields(UtilityConfig, "kind", "groups")
 # a pair field's separator; a tuple[X, ...] field's text is a comma list of X
@@ -186,12 +185,9 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def cmd_generate(args) -> int:
     cfg = from_json(SynthConfig, {**_given(args, SynthConfig), **_config_file(args)})
-    # the cost flags are ExperimentConfig's, and take its defaults
-    cm = ExperimentConfig(synth=cfg, **_given(args, ExperimentConfig)).cost_model(args.budget)
     ds, truth = generate(cfg)
     out = Path(args.out_dir)
     save_dataset(ds, out, features_format=args.features_format)
-    save_cost_model(cm, out)
     save_truth(truth, out)
     print(f"wrote bundle with {ds.n_points} points, {ds.n_clusters} clusters, "
           f"{len(ds.stratum_ids)} strata to {out}")
@@ -319,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fields(study, UtilityConfig, _UTILITY_FIELDS)
 
     p = add("generate", "generate a synthetic dataset bundle", population)
-    _add_fields(p, ExperimentConfig, _COST_FIELDS)
-    p.add_argument("--budget", type=float, default=500.0)
     p.add_argument("--features-format", choices=FEATURES_FORMATS, default=FEATURES_FORMATS[0],
                    help="features file: bin is lossless float64, csv is text (default %(default)s)")
     p.set_defaults(func=cmd_generate)

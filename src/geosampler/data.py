@@ -19,7 +19,9 @@ A dataset is stored on disk as a bundle directory:
     meta.json      feature_dim, counts, split seed/fraction, strata list
     points.csv     point_id, x, y, label|NA, cluster_id, stratum_id
     features.bin   float64 features, see below (or features.csv: point_id, f0..f{d-1})
-    costs.json     c1, c2, budget, overrides   (written by save_cost_model)
+
+A bundle holds no costs: each command builds its :class:`CostModel` from its
+flags, and per-cluster overrides are set only through the library.
 
 ``features.bin`` is little-endian float64, row-major, preceded by a 16-byte
 header: magic ``GSOF``, u32 rows, u32 dim, u32 value width in bytes (8). A
@@ -342,11 +344,14 @@ class CostModel:
     """Per-cluster monetary costs plus a total budget.
 
     ``c1`` applies to clusters inside the initial strata, ``c2`` outside;
-    ``per_cluster_override`` wins over both. ``initial_strata`` must be bound
+    ``per_cluster_override`` (cluster id to cost) wins over both. It is a
+    library-only setting: no command or file sets it. Every cost must be
+    positive and finite. ``initial_strata`` must be bound
     (via :meth:`with_initial_strata`) before stratum-dependent costs can be
     queried, unless ``c1 == c2``. ``budget`` is the one budget every
     augmentation spends: new clusters only under the default
-    ``budget_scope="augmentation"``, the whole sample under ``"total"``.
+    ``budget_scope="augmentation"``, the whole sample under ``"total"``. It
+    may be infinite.
     """
 
     c1: float
@@ -359,14 +364,16 @@ class CostModel:
     def __post_init__(self):
         if not (self.c2 >= self.c1 > 0):
             raise CostError("cost model requires c2 >= c1 > 0")
+        if self.c2 == math.inf:   # c1 <= c2, so this covers c1 too
+            raise CostError("cost model requires finite c1 and c2")
         if not (self.budget >= 0):
             raise CostError("budget must be non-negative")
         if self.budget_scope not in BUDGET_SCOPES:
             raise CostError(f"unknown budget_scope {self.budget_scope!r}")
         if self.per_cluster_override:
             for cid, v in self.per_cluster_override.items():
-                if not (v > 0):
-                    raise CostError(f"override for {cid!r} must be positive")
+                if not (0 < v < math.inf):
+                    raise CostError(f"override for {cid!r} must be positive and finite")
 
     def with_initial_strata(self, stratum_ids: Iterable[str]) -> "CostModel":
         return replace(self, initial_strata=frozenset(stratum_ids))
@@ -426,34 +433,6 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-
-
-def save_cost_model(cm: CostModel, bundle: str | Path) -> None:
-    doc = {
-        "c1": cm.c1,
-        "c2": cm.c2,
-        "budget": cm.budget,
-        "overrides": dict(cm.per_cluster_override) if cm.per_cluster_override else {},
-        "budget_scope": cm.budget_scope,
-    }
-    write_json(Path(bundle) / "costs.json", doc)
-
-
-def load_cost_model(bundle: str | Path) -> CostModel:
-    path = Path(bundle) / "costs.json"
-    if not path.exists():
-        raise CostError(f"missing costs.json in {bundle}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    for key in ("c1", "c2", "budget"):
-        if key not in doc:
-            raise CostError(f"costs.json missing field {key!r}")
-    return CostModel(
-        c1=float(doc["c1"]),
-        c2=float(doc["c2"]),
-        budget=float(doc["budget"]),
-        per_cluster_override=dict(doc.get("overrides") or {}) or None,
-        budget_scope=doc.get("budget_scope", "augmentation"),
-    )
 
 
 # -- sample state ---------------------------------------------------------
@@ -522,13 +501,19 @@ def save_sample_state(ds: Dataset, state: SampleState, path: str | Path) -> None
     write_json(path, doc)
 
 
-def _require_fields(doc, fields: tuple[str, ...], source: str) -> None:
-    """Raise DatasetError naming the first of ``fields`` that ``doc`` lacks."""
+def _check_fields(doc, table: Mapping[str, tuple], n_required: int, source: str) -> None:
+    """Raise DatasetError unless ``doc`` is a JSON object that holds the first
+    ``n_required`` fields of ``table`` and whose every field in ``table``
+    passes its type check. ``table`` maps a field to (type check, what the
+    field must hold); the error names the field."""
     if not isinstance(doc, dict):
         raise DatasetError(f"{source} must be a JSON object")
-    for field in fields:
+    for field in tuple(table)[:n_required]:
         if field not in doc:
             raise DatasetError(f"{source} missing field {field!r}")
+    for field, (ok, what) in table.items():
+        if field in doc and not ok(doc[field]):
+            raise DatasetError(f"{source} field {field!r} must be {what}")
 
 
 def _is_id_list(value) -> bool:
@@ -536,18 +521,30 @@ def _is_id_list(value) -> bool:
 
 
 _IDS = (_is_id_list, "a list of ids")
-# sample.json field -> (type check, what it must hold); the first six are required
+_INT = (lambda v: type(v) is int, "an integer")
+_NUMBER = (lambda v: type(v) in (int, float), "a number")
+# sample.json's fields for _check_fields; the first six are required
 _SAMPLE_FIELDS = {
     "initial_cluster_ids": _IDS,
     "augment_cluster_ids": _IDS,
     "labeled_points": (
         lambda v: isinstance(v, dict) and all(map(_is_id_list, v.values())), "an object of id lists"
     ),
-    "k": (lambda v: type(v) is int, "an integer"),
-    "spent": (lambda v: type(v) in (int, float), "a number"),
+    "k": _INT,
+    "spent": _NUMBER,
     "initial_strata": _IDS,
     "lineage": _IDS,
 }
+# the fields load_dataset reads of meta.json, and of each of its strata
+# entries; the first of each is required
+_META_FIELDS = {
+    "feature_dim": _INT,
+    "n_clusters": _INT,
+    "split_seed": _INT,
+    "test_fraction": _NUMBER,
+    "strata": (lambda v: isinstance(v, list), "a list"),
+}
+_STRATUM_FIELDS = {"stratum_id": (lambda v: type(v) is str, "an id"), "cluster_ids": _IDS}
 
 
 def load_sample_state(ds: Dataset, path: str | Path) -> SampleState:
@@ -559,10 +556,7 @@ def load_sample_state(ds: Dataset, path: str | Path) -> SampleState:
     if not path.is_file():
         raise DatasetError(f"sample file {path} does not exist or is not a file")
     doc = json.loads(path.read_text(encoding="utf-8"))
-    _require_fields(doc, tuple(_SAMPLE_FIELDS)[:6], "sample.json")
-    for field, (ok, what) in _SAMPLE_FIELDS.items():
-        if field in doc and not ok(doc[field]):
-            raise DatasetError(f"sample.json field {field!r} must be {what}")
+    _check_fields(doc, _SAMPLE_FIELDS, 6, "sample.json")
 
     cluster_ids = doc["initial_cluster_ids"] + doc["augment_cluster_ids"]
     listed = doc["labeled_points"]
@@ -919,10 +913,10 @@ def load_dataset(path: str | Path) -> Dataset:
     if not meta_path.exists():
         raise DatasetError(f"missing meta.json in {root}")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    _require_fields(meta, ("feature_dim",), "meta.json")
+    _check_fields(meta, _META_FIELDS, 1, "meta.json")
     for entry in meta.get("strata", []):
-        _require_fields(entry, ("stratum_id",), "meta.json strata entry")
-    d = int(meta["feature_dim"])
+        _check_fields(entry, _STRATUM_FIELDS, 1, "meta.json strata entry")
+    d = meta["feature_dim"]
 
     points_path = root / "points.csv"
     if not points_path.exists():
@@ -964,7 +958,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 f"cluster {cid!r} stratum mismatch: table says "
                 f"{cluster_stratum[cid]!r}, points.csv says {sid!r}"
             )
-    if len(cluster_stratum) != int(meta.get("n_clusters", len(cluster_stratum))):
+    if len(cluster_stratum) != meta.get("n_clusters", len(cluster_stratum)):
         raise DatasetError("meta.json n_clusters disagrees with the cluster table")
 
     features_file = meta.get("features_file")
@@ -995,6 +989,6 @@ def load_dataset(path: str | Path) -> Dataset:
         labels=points["label"].copy(),   # not a view that keeps the table alive
         point_cluster=points["cluster_id"],
         cluster_stratum=cluster_stratum,
-        split_seed=int(meta.get("split_seed", 0)),
+        split_seed=meta.get("split_seed", 0),
         test_fraction=float(meta.get("test_fraction", 0.2)),
     )

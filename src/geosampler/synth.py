@@ -11,6 +11,7 @@ trained in few strata transfers poorly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +49,10 @@ class SynthConfig:
             raise SynthError("points_per_cluster must be a range with 1 <= lo <= hi")
         if self.feature_dim < 1:
             raise SynthError("feature_dim must be >= 1")
+        for name in ("coef_dispersion", "noise", "feature_noise", "feature_scale", "target_snr"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise SynthError(f"{name} must be finite, got {value!r}")
         if self.noise < 0 or self.feature_noise < 0:
             raise SynthError("noise levels must be non-negative")
         if self.target_snr is not None and self.target_snr <= 0:

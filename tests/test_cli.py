@@ -51,10 +51,10 @@ def bundle(tmp_path):
 
 class TestGenerate:
     def test_writes_complete_bundle(self, bundle, tmp_path):
-        # the fixture's bundle takes the default features format, bin
-        for name in ("meta.json", "points.csv", "features.bin", "costs.json", "truth.json"):
-            assert (bundle / name).exists()
-        assert not (bundle / "features.csv").exists()
+        # exactly these files, so that a new output shows up here; the
+        # fixture's bundle takes the default features format, bin
+        written = {"meta.json", "points.csv", "truth.json"}
+        assert {p.name for p in bundle.iterdir()} == written | {"features.bin"}
         ds = load_dataset(bundle)
         assert ds.n_clusters == 64
         out = tmp_path / "csvbundle"
@@ -63,9 +63,7 @@ class TestGenerate:
                        "--points-per-cluster", "15:25", "--feature-dim", 5,
                        "--coef-dispersion", 1.0, "--target-snr", 8,
                        "--features-format", "csv") == 0
-        for name in ("meta.json", "points.csv", "features.csv", "costs.json", "truth.json"):
-            assert (out / name).exists()
-        assert not (out / "features.bin").exists()
+        assert {p.name for p in out.iterdir()} == written | {"features.csv"}
         assert datasets_equal(load_dataset(out), ds)
 
     def test_binary_features_format(self, tmp_path):
@@ -91,12 +89,6 @@ class TestGenerate:
         assert "feature_dimm" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
-    @pytest.mark.parametrize("flags", [["--c1", 60], ["--budget", -1]])
-    def test_bad_cost_model_writes_no_bundle(self, tmp_path, flags):
-        # the cost model is checked before the bundle's first file is written
-        assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 1, *flags) == 2
-        assert not (tmp_path / "b").exists()
-
     @pytest.mark.parametrize("value", ["1.5", "-0.2", "nan"])
     def test_test_fraction_outside_unit_interval_writes_no_bundle(self, tmp_path, capsys, value):
         # a bundle with no source cluster, or none on the test side, would
@@ -111,6 +103,13 @@ class TestGenerate:
         assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 1,
                        "--test-fraction", "0.999") == 2
         assert "no source cluster" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_nan_noise_is_named_and_writes_no_bundle(self, tmp_path, capsys):
+        # NaN labels would otherwise fail the split check with a misleading message
+        assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 1,
+                       "--noise", "nan") == 2
+        assert "noise must be finite" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
     def test_bad_grid_is_config_error(self, tmp_path):
@@ -400,6 +399,19 @@ class TestEvaluate:
         assert code == 2
         assert repr(field) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("feature_dim", None), ("split_seed", None), ("n_clusters", [1]), ("cluster_ids", 5),
+    ])
+    def test_mistyped_meta_field_is_config_error(self, bundle, tmp_path, capsys, field, value):
+        meta = json.loads((bundle / "meta.json").read_text())
+        (meta["strata"][0] if field == "cluster_ids" else meta)[field] = value
+        (bundle / "meta.json").write_text(json.dumps(meta))
+        code = run_cli("evaluate", "--dataset", bundle, "--sample", tmp_path / "sample.json",
+                       "--out-dir", tmp_path / "eval", "--seed", 0)
+        assert code == 2
+        assert f"field {field!r} must be" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
     def test_repeated_cluster_id_is_config_error(self, bundle, tmp_path, capsys):
         cid = load_dataset(bundle).cluster_ids[0]
         code = self.evaluate_hand_sample(
@@ -502,6 +514,17 @@ class TestExperimentCommands:
         )
         assert code == 2
         assert "budgets must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("augment", ["--c2", "inf", "--budgets", "100", "--methods", "default,rep-admin"]),
+        ("optimize", ["--c1", "inf", "--c2", "inf", "--budget", "100"]),
+    ])
+    def test_infinite_cost_is_config_error(self, bundle, tmp_path, capsys, command, flags):
+        code = run_cli(command, "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "x",
+                       "--n-strata", 2, "--k", 10, "--initial-size", 80, *flags)
+        assert code == 2
+        assert "finite c1 and c2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_rank_study_runs(self, bundle, tmp_path):
         code = run_cli(
@@ -932,8 +955,6 @@ CLI_SURFACE = {
         *OUT_AND_SEED,
         option("--config"),
         *SYNTH,
-        *COST,
-        option("--budget", float, default=500.0),
         option("--features-format", choices=("bin", "csv"), default="bin"),
     ],
     "groups": [

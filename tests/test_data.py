@@ -19,9 +19,7 @@ from geosampler.data import (
     cluster_cost,
     datasets_equal,
     expected_counts,
-    load_cost_model,
     load_dataset,
-    save_cost_model,
     save_dataset,
     set_cost,
     write_csv,
@@ -723,18 +721,21 @@ class TestCosts:
         with pytest.raises(CostError):
             CostModel(c1=1.0, c2=2.0, budget=-1.0)
 
-    def test_nan_budget_and_override_rejected(self, tmp_path):
+    def test_nan_budget_and_override_rejected(self):
         # NaN fails every comparison, so `budget < 0` and `v <= 0` let it pass
         with pytest.raises(CostError, match="budget"):
             CostModel(c1=1.0, c2=2.0, budget=float("nan"))
         with pytest.raises(CostError, match="override for 'x'"):
             self.make_cm(per_cluster_override={"x": float("nan")})
-        # Python's json reads NaN, so a costs.json can carry one
-        (tmp_path / "costs.json").write_text(
-            '{"c1": 25.0, "c2": 50.0, "budget": 100.0, "overrides": {"x": NaN}}'
-        )
-        with pytest.raises(CostError, match="override for 'x'"):
-            load_cost_model(tmp_path)
+
+    def test_infinite_costs_rejected_infinite_budget_allowed(self):
+        # an infinite cost turns the knapsack's cost products into NaN
+        with pytest.raises(CostError, match="override for 'x' must be positive and finite"):
+            self.make_cm(per_cluster_override={"x": float("inf")})
+        for c1, c2 in ((25.0, float("inf")), (float("inf"), float("inf"))):
+            with pytest.raises(CostError, match="finite c1 and c2"):
+                CostModel(c1=c1, c2=c2, budget=10.0)
+        assert CostModel(c1=1.0, c2=2.0, budget=float("inf")).budget == float("inf")
 
     def test_set_cost_empty_is_zero(self, small_ds):
         cm = self.make_cm().with_initial_strata({"s0"})
@@ -762,13 +763,6 @@ class TestCosts:
         cm = self.make_cm().with_initial_strata({"s0"})
         with pytest.raises(DatasetError, match="zz"):
             set_cost(cm, small_ds, small_ds.cluster_indices(["zz"]))
-
-    def test_cost_model_file_round_trip(self, tmp_path):
-        cm = self.make_cm(per_cluster_override={"c3": 12.0})
-        save_cost_model(cm, tmp_path)
-        again = load_cost_model(tmp_path)
-        assert again.c1 == cm.c1 and again.c2 == cm.c2 and again.budget == cm.budget
-        assert again.per_cluster_override == {"c3": 12.0}
 
 
 class TestSampleState:

@@ -137,6 +137,16 @@ def test_invalid_configs_rejected():
         SynthConfig(target_snr=0.0)
 
 
+@pytest.mark.parametrize("field", [
+    "coef_dispersion", "noise", "feature_noise", "feature_scale", "target_snr",
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_float_rejected(field, value):
+    # NaN passes every `< 0` check, and NaN labels fail only later, and obscurely
+    with pytest.raises(SynthError, match=f"^{field} must be finite"):
+        SynthConfig(**{field: value})
+
+
 def test_split_leaving_no_train_point_is_rejected():
     # test_fraction 0.999 puts all 48 clusters of the default grid on the test side
     with pytest.raises(SynthError, match="no source cluster"):
