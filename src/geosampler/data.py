@@ -35,7 +35,10 @@ CRLF; and every row has exactly the header's field count. Every CSV and
 JSON output of the package, in a bundle or not, is written by
 :func:`write_csv` (``csv`` module rows with CRLF endings) or
 :func:`write_json` (indent 2, sorted keys, one trailing newline); each makes
-its file's directory, so a directory appears only with its first file. Only
+its file's directory, so a directory appears only with its first file. The
+one exception is points.csv, which :func:`save_dataset` writes a block of
+columns at a time, with the same bytes: the csv module still formats every
+id that it would quote, so it decides every quoted field. Only
 ``geosampler evaluate``'s ``results.csv``, one row per run, is appended to.
 ``load_dataset`` checks each header and then parses the rows with
 ``np.loadtxt`` (numbers straight to float64, point ids as str, and the
@@ -50,8 +53,10 @@ identical runs across platforms.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import re
 import struct
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -302,7 +307,7 @@ def build_dataset(
 
     # the given objects are the ids when the rows need no reordering and the
     # str array above lost nothing: numpy drops NUL characters at an id's end
-    keep = (isinstance(order, slice) and all(type(p) is str for p in given)
+    keep = (isinstance(order, slice) and set(map(type, given)) <= {str}
             and "\0" not in "".join(given))
     return Dataset(
         point_ids=tuple(given) if keep else tuple(pids.tolist()),
@@ -435,6 +440,17 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
         w.writerows(rows)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module writes it as a field of a row: unchanged
+    unless it holds a character of ``_NEEDS_QUOTES``, else as the csv module
+    formats it (a field followed by an empty one, less the trailing ``,\\r\\n``)."""
+    if not _NEEDS_QUOTES.search(text):
+        return text
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-3]
+
+
 # -- sample state ---------------------------------------------------------
 
 
@@ -539,7 +555,9 @@ _SAMPLE_FIELDS = {
 # entries; the first of each is required
 _META_FIELDS = {
     "feature_dim": _INT,
+    "n_points": _INT,
     "n_clusters": _INT,
+    "n_strata": _INT,
     "split_seed": _INT,
     "test_fraction": _NUMBER,
     "strata": (lambda v: isinstance(v, list), "a list"),
@@ -670,8 +688,11 @@ _ID_CHARS_MAX = 15
 # a float32 (width 0) features.bin is read into the float64 matrix in blocks
 # of the rows whose float32 values take at most this many bytes (at least one)
 _BIN_BLOCK_BYTES = 1 << 22
-# points.csv rows are converted to Python values this many at a time
+# points.csv rows are formatted and written this many at a time
 _SAVE_BLOCK_ROWS = 2048
+# the characters for which the csv module may quote a field: the delimiter,
+# the quote character, CR, LF and NUL (quoted or refused by some versions)
+_NEEDS_QUOTES = re.compile('[,"\r\n\0]')
 # points.csv is searched for NA and NUL this many bytes at a time (3 ms for
 # 150k rows; blocks of 1 MB and up take longer, each a fresh allocation)
 _SCAN_BLOCK_BYTES = 1 << 16
@@ -682,10 +703,13 @@ def save_dataset(ds: Dataset, path: str | Path,
     """Write a dataset bundle; ``load_dataset`` reproduces it exactly.
 
     ``features_format='bin'`` writes the float64 features as they are held,
-    with no copy; ``'csv'`` writes them as text. CSV rows are streamed:
-    floats are written as their shortest round-trip ``repr``, converted to
-    Python values one features.csv row, or one block of ``_SAVE_BLOCK_ROWS``
-    points.csv rows, at a time.
+    with no copy; ``'csv'`` writes them as text. CSV rows are streamed, and
+    floats are written as their shortest round-trip ``repr``: features.csv
+    goes through :func:`write_csv` a row at a time. points.csv is the bytes
+    :func:`write_csv` would write, formatted a block of ``_SAVE_BLOCK_ROWS``
+    rows at a time: each column is converted to text at once, each
+    cluster's ``cluster_id,stratum_id`` tail once, and only an id that the
+    csv module would quote is passed through it (:func:`_csv_field`).
     """
     if features_format not in FEATURES_FORMATS:
         raise DatasetError(f"unknown features format {features_format!r}")
@@ -709,16 +733,27 @@ def save_dataset(ds: Dataset, path: str | Path,
     }
     write_json(out / "meta.json", meta)
 
-    cluster_stratum_ids = [ds.stratum_ids[s] for s in ds.cluster_stratum]
+    # each cluster's "cluster_id,stratum_id" row tail, built once
+    tails = [f"{_csv_field(cid)},{_csv_field(ds.stratum_ids[s])}"
+             for cid, s in zip(ds.cluster_ids, ds.cluster_stratum.tolist())]
     step = _SAVE_BLOCK_ROWS
-    write_csv(out / "points.csv", _POINTS_COLUMNS, (
-        (pid, x, y, "NA" if math.isnan(label) else label, ds.cluster_ids[j], cluster_stratum_ids[j])
-        for lo in range(0, ds.n_points, step)
-        for pid, (x, y), label, j in zip(
-            ds.point_ids[lo:lo + step], ds.coords[lo:lo + step].tolist(),
-            ds.labels[lo:lo + step].tolist(), ds.point_cluster[lo:lo + step].tolist(),
-        )
-    ))
+    with (out / "points.csv").open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_POINTS_COLUMNS) + "\r\n")
+        for lo in range(0, ds.n_points, step):
+            rows = slice(lo, lo + step)
+            pids = ds.point_ids[rows]
+            if _NEEDS_QUOTES.search("".join(pids)):
+                pids = map(_csv_field, pids)
+            labels = ds.labels[rows].tolist()
+            label_text = (["NA" if v != v else repr(v) for v in labels]
+                          if np.isnan(ds.labels[rows]).any() else map(repr, labels))
+            fh.write("".join([
+                f"{pid},{x},{y},{label},{tail}\r\n" for pid, x, y, label, tail in zip(
+                    pids, map(repr, ds.coords[rows, 0].tolist()),
+                    map(repr, ds.coords[rows, 1].tolist()), label_text,
+                    map(tails.__getitem__, ds.point_cluster[rows].tolist()),
+                )
+            ]))
     if features_format == "csv":
         write_csv(out / "features.csv", ["point_id"] + [f"f{j}" for j in range(ds.feature_dim)],
                   ([pid, *row.tolist()] for pid, row in zip(ds.point_ids, ds.features)))
@@ -958,8 +993,6 @@ def load_dataset(path: str | Path) -> Dataset:
                 f"cluster {cid!r} stratum mismatch: table says "
                 f"{cluster_stratum[cid]!r}, points.csv says {sid!r}"
             )
-    if len(cluster_stratum) != meta.get("n_clusters", len(cluster_stratum)):
-        raise DatasetError("meta.json n_clusters disagrees with the cluster table")
 
     features_file = meta.get("features_file")
     if features_file not in (None, "features.csv", "features.bin"):
@@ -982,7 +1015,7 @@ def load_dataset(path: str | Path) -> Dataset:
     else:
         features = _read_features_bin(fpath, len(pids), d)
 
-    return build_dataset(
+    ds = build_dataset(
         point_ids=pids,
         coords=np.column_stack((points["x"], points["y"])),
         features=features,
@@ -992,3 +1025,10 @@ def load_dataset(path: str | Path) -> Dataset:
         split_seed=meta.get("split_seed", 0),
         test_fraction=float(meta.get("test_fraction", 0.2)),
     )
+    # the counts meta.json records, each checked once the dataset is valid
+    for field, count, source in (("n_points", ds.n_points, "points.csv"),
+                                 ("n_clusters", ds.n_clusters, "the cluster table"),
+                                 ("n_strata", len(ds.stratum_ids), "the cluster table")):
+        if meta.get(field, count) != count:
+            raise DatasetError(f"meta.json {field} disagrees with {source}")
+    return ds

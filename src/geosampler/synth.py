@@ -99,8 +99,8 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     n, m = len(coords), len(cluster_coords)
     pid_width = len(str(n - 1))
     cid_width = len(str(m - 1))
-    point_ids = [f"p{i:0{pid_width}d}" for i in range(n)]
-    cluster_ids = [f"c{j:0{cid_width}d}" for j in range(m)]
+    point_ids = list(map(f"p%0{pid_width}d".__mod__, range(n)))
+    cluster_ids = list(map(f"c%0{cid_width}d".__mod__, range(m)))
     stratum_ids = list(w_by_stratum)
     cluster_stratum = {
         cid: stratum_ids[j // cfg.clusters_per_stratum] for j, cid in enumerate(cluster_ids)
@@ -117,22 +117,33 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     features *= cfg.feature_scale
     w = np.array(list(w_by_stratum.values()))
     signal = np.empty(n)
-    for lo in range(0, n, _NOISE_BLOCK_ROWS):
-        block = features[lo:lo + _NOISE_BLOCK_ROWS]
-        noise = rng.normal(size=block.shape)
-        noise *= cfg.feature_noise
-        block += noise
-        # a stack of 1 x d by d x 1 products: numpy computes each as the
-        # vector dot w[s] @ row, so the signal is that dot bit for bit
-        w_rows = w[point_stratum[lo:lo + len(block)], :, None]
-        signal[lo:lo + len(block)] = np.matmul(block[:, None, :], w_rows)[:, 0, 0]
+    # finite settings can still overflow (a feature_scale of 1e200 squares
+    # past the largest float in the variance); that is checked below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _NOISE_BLOCK_ROWS):
+            block = features[lo:lo + _NOISE_BLOCK_ROWS]
+            noise = rng.normal(size=block.shape)
+            noise *= cfg.feature_noise
+            block += noise
+            # a stack of 1 x d by d x 1 products: numpy computes each as the
+            # vector dot w[s] @ row, so the signal is that dot bit for bit
+            w_rows = w[point_stratum[lo:lo + len(block)], :, None]
+            signal[lo:lo + len(block)] = np.matmul(block[:, None, :], w_rows)[:, 0, 0]
 
-    signal_var = float(np.var(signal))
-    if cfg.target_snr is not None:
-        sigma = float(np.sqrt(signal_var / cfg.target_snr)) if signal_var > 0 else 0.0
-    else:
-        sigma = cfg.noise
-    labels = signal + sigma * rng.normal(size=n)
+        signal_var = float(np.var(signal))
+        if not math.isfinite(signal_var):
+            raise SynthError(f"the signal variance overflows ({signal_var}); "
+                             "lower feature_scale or feature_noise")
+        if cfg.target_snr is not None:
+            sigma = float(np.sqrt(signal_var / cfg.target_snr)) if signal_var > 0 else 0.0
+        else:
+            sigma = cfg.noise
+        if not math.isfinite(sigma * sigma):   # the snr below divides by it
+            raise SynthError(f"the label noise variance overflows (sigma {sigma}); "
+                             "lower noise or feature_scale")
+        labels = signal + sigma * rng.normal(size=n)
+    if not np.isfinite(labels).all():   # a backstop: both variances above are finite
+        raise SynthError("a label overflows; lower feature_scale, feature_noise or noise")
 
     split_seed = int(rng.integers(2**31 - 1))
     ds = build_dataset(

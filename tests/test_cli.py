@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -110,6 +111,21 @@ class TestGenerate:
         assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 1,
                        "--noise", "nan") == 2
         assert "noise must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--feature-scale", "1e200", "--target-snr", "5"], "the signal variance overflows"),
+        (["--feature-noise", "1e308"], "the signal variance overflows"),
+        (["--noise", "1e200"], "the label noise variance overflows"),
+    ])
+    def test_overflowing_synthetic_signal_writes_no_bundle(self, tmp_path, capsys, flags, named):
+        # finite settings whose signal or noise variance overflows would
+        # write a bundle with no finite label, or fail on the snr with a
+        # traceback; no overflow warning may escape either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("generate", "--out-dir", tmp_path / "b", "--seed", 1, *flags) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
     def test_bad_grid_is_config_error(self, tmp_path):
@@ -401,6 +417,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("field, value", [
         ("feature_dim", None), ("split_seed", None), ("n_clusters", [1]), ("cluster_ids", 5),
+        ("n_points", "7"), ("n_strata", True),
     ])
     def test_mistyped_meta_field_is_config_error(self, bundle, tmp_path, capsys, field, value):
         meta = json.loads((bundle / "meta.json").read_text())

@@ -1,7 +1,9 @@
 import csv
+import io
 import json
 import re
 import struct
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -303,6 +305,20 @@ class TestBundleIO:
                 point_cluster=["c0", "c0", "c0"],
                 cluster_stratum={"c0": "s0"},
             )
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_points", 7), ("n_points", 3), ("n_clusters", 3), ("n_strata", 99), ("n_strata", 0),
+    ])
+    def test_meta_count_disagreeing_with_the_tables_rejected(self, tmp_path, field, value):
+        # the hand bundle holds 4 points in 2 clusters of 1 stratum
+        write_hand_bundle(tmp_path / "bundle")
+        load_dataset(tmp_path / "bundle")
+        meta_path = tmp_path / "bundle" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[field] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(DatasetError, match=f"^meta.json {field} disagrees with "):
+            load_dataset(tmp_path / "bundle")
 
     def test_missing_points_column(self, tmp_path):
         write_hand_bundle(tmp_path / "bundle")
@@ -624,9 +640,31 @@ class TestBundleIO:
             )
 
 
+def csv_module_points(ds) -> bytes:
+    """points.csv of ``ds`` as the csv module writes its rows, or the
+    csv.Error the module raises for them."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([["point_id", "x", "y", "label", "cluster_id", "stratum_id"]] + [
+        [pid, x, y, "NA" if label != label else label, ds.cluster_ids[j],
+         ds.stratum_ids[ds.cluster_stratum[j]]]
+        for pid, (x, y), label, j in zip(ds.point_ids, ds.coords.tolist(), ds.labels.tolist(),
+                                         ds.point_cluster.tolist())
+    ])
+    return buf.getvalue().encode("utf-8")
+
+
+# ids the csv module writes as they are or quotes: empty, spaced, delimiter,
+# quote, line breaks and non-ASCII
+WRITER_IDS = ("", " lead", "trail ", "a,b", 'q"t', "cr\rx", "lf\nx", "crlf\r\nx",
+              "\u00e9\u4e2d", ' "x", ', "\r")
+# floats whose repr is long, exponent-form, signed zero or subnormal
+WRITER_FLOATS = (-0.0, 5e-324, 1e16, 1e22, sys.float_info.max, -sys.float_info.max, 0.1 + 0.2)
+
+
 class TestWriters:
-    """The one output dialect: every CSV and JSON file the package writes
-    goes through these two writers."""
+    """The one output dialect: every JSON file the package writes goes
+    through write_json, and every CSV file through write_csv, but for
+    points.csv, whose columnar writer must write the csv module's bytes."""
 
     def test_json_bytes(self, tmp_path):
         path = tmp_path / "new" / "dir" / "doc.json"
@@ -643,6 +681,49 @@ class TestWriters:
         assert path.read_bytes() == (
             "id,x,n\r\npé,0.1,3\r\n\"q,1\",1e-20,NA\r\nr,0.30000000000000004,\r\n".encode("utf-8")
         )
+
+    @pytest.mark.parametrize("nul", [False, True], ids=["no-nul", "nul"])
+    @pytest.mark.parametrize("column", ["point", "cluster", "stratum"])
+    def test_points_csv_is_the_csv_modules_bytes(self, tmp_path, column, nul):
+        # the odd ids in one column, the others plain; a label of NA and each
+        # odd float as a coordinate and as a label. An id holding NUL, which
+        # some csv module versions refuse, is added in a case of its own
+        odd = WRITER_IDS + (("nul\0x",) if nul else ())
+        n = len(odd)
+        ids = {kind: [f"{kind[0]}{i:02d}" for i in range(n)]
+               for kind in ("point", "cluster", "stratum")}
+        ids[column] = list(odd)
+        values = np.resize(np.array(WRITER_FLOATS), (3, n))
+        labels = values[2].copy()
+        labels[1] = np.nan
+        ds = build_dataset(
+            point_ids=ids["point"], coords=values[:2].T, features=np.ones((n, 2)),
+            labels=labels, point_cluster=ids["cluster"],
+            cluster_stratum=dict(zip(ids["cluster"], ids["stratum"])),
+        )
+        try:
+            expected = csv_module_points(ds)
+        except csv.Error:   # a NUL, where the csv module has no escape for it
+            assert nul
+            with pytest.raises(csv.Error):
+                save_dataset(ds, tmp_path / "b")
+            return
+        save_dataset(ds, tmp_path / "b")
+        assert (tmp_path / "b" / "points.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("odd", ["p,q", 'p"q', "p\rq"])
+    def test_points_csv_quotes_ids_of_a_later_block(self, tmp_path, odd):
+        # the first block's point ids need no quoting, only the last row's does
+        n = data_module._SAVE_BLOCK_ROWS + 3
+        ids = [f"p{i:05d}" for i in range(n - 1)] + [f"p{n:05d}{odd}"]
+        ds = build_dataset(
+            point_ids=ids, coords=np.arange(2.0 * n).reshape(n, 2) / 7, features=np.ones((n, 1)),
+            labels=np.where(np.arange(n) % 5 == 0, np.nan, np.arange(n) / 3.0),
+            point_cluster=[f"c{i % 3}" for i in range(n)],
+            cluster_stratum={"c0": "s0", "c1": "s,1", "c2": "s0"},
+        )
+        save_dataset(ds, tmp_path / "b")
+        assert (tmp_path / "b" / "points.csv").read_bytes() == csv_module_points(ds)
 
 
 @pytest.mark.parametrize("features_format", ["bin", "csv"])
