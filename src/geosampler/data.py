@@ -7,10 +7,14 @@ clusters and strata are rows of the sorted id tuples ``point_ids``,
 (a ``stratum_ids`` row per cluster). The train/test split masks are not
 stored: they are derived from the labels, ``split_seed`` and
 ``test_fraction``. A :class:`SampleState` holds cluster and point rows too.
-String ids are translated only at the I/O boundaries: ``build_dataset``,
-bundle load/save and ``sample.json`` (``save_sample_state``/
-``load_sample_state``). The one id-keyed record left is :class:`Cluster`,
-built on demand by ``Dataset.cluster(cid)`` for :func:`cluster_cost`,
+String ids are translated at the I/O boundaries: ``build_dataset``, bundle
+load/save and ``sample.json`` (``save_sample_state``/``load_sample_state``).
+Three things inside still hold ids. The initial strata are a set of stratum
+ids (``SampleState.initial_strata`` and ``CostModel.initial_strata``), which
+``Dataset.stratum_flags`` turns into a per-stratum mask on every
+:func:`cluster_costs` call. The library-only ``CostModel.per_cluster_override``
+is keyed by cluster id. And :class:`Cluster`, built on demand by
+``Dataset.cluster(cid)`` for :func:`cluster_cost`, is an id-keyed record,
 because ``perfbench/`` prices the cluster ids that rounding returns that
 way.
 
@@ -269,20 +273,21 @@ def build_dataset(
 ) -> Dataset:
     """Assemble a validated Dataset from per-point rows, sorting everything
     by identifier and deriving the index arrays. ``point_cluster`` names
-    each point's cluster, as str objects or as a numpy string array.
+    each point's cluster, as str objects or as a numpy string array (a
+    ``str_`` array is read in place, not copied).
 
     Rows whose point ids are already strictly ascending (every bundle
-    :func:`save_dataset` writes, and :func:`geosampler.synth.generate`) are
-    not re-indexed: float64 ``coords``, ``features`` and ``labels`` arrays
-    are then held as given, not copied, and ids that are plain ``str``
-    objects are held as given too. Otherwise the ids are stored as new
-    plain ``str`` (never ``np.str_``) in sorted order.
+    :func:`save_dataset` writes) are not re-indexed: float64 ``coords``,
+    ``features`` and ``labels`` arrays are then held as given, not copied,
+    and ids that are plain ``str`` objects are held as given too. Otherwise
+    the ids are stored as new plain ``str`` (never ``np.str_``) in sorted
+    order.
     """
     given = list(point_ids)
     pids = np.array(given, dtype=str)
     if not isinstance(point_cluster, np.ndarray):
         point_cluster = list(point_cluster)
-    pcl = np.array(point_cluster, dtype=str)
+    pcl = np.asarray(point_cluster, dtype=str)
     if pcl.shape != pids.shape:
         raise DatasetError("point_cluster must name one cluster per point")
     order = (
@@ -299,7 +304,8 @@ def build_dataset(
     sids, cluster_strat = np.unique(
         np.array(list(cluster_stratum.values()), dtype=str)[by_id], return_inverse=True
     )
-    pos = np.minimum(np.searchsorted(cids, pcl), max(len(cids) - 1, 0))
+    pos = np.searchsorted(cids, pcl)
+    np.minimum(pos, max(len(cids) - 1, 0), out=pos)
     unknown = np.flatnonzero(cids[pos] != pcl) if cids.size else np.arange(len(pcl))
     if unknown.size:
         i = unknown[0]
@@ -316,7 +322,7 @@ def build_dataset(
         coords=np.asarray(coords, dtype=np.float64)[order],
         features=np.asarray(features, dtype=np.float64)[order],
         labels=np.asarray(labels, dtype=np.float64)[order],
-        point_cluster=pos.astype(np.int64),
+        point_cluster=pos.astype(np.int64, copy=False),
         cluster_stratum=cluster_strat.astype(np.int64),
         split_seed=split_seed,
         test_fraction=test_fraction,
@@ -1009,7 +1015,13 @@ def load_dataset(path: str | Path) -> Dataset:
     fpath = root / features_file
     if not fpath.exists():
         raise DatasetError(f"missing {features_file} in {root}")
-    pids = points["point_id"]
+    # the columns the dataset keeps, copied so that the table can go before
+    # the features are read
+    pids = points["point_id"].copy()
+    coords = np.column_stack((points["x"], points["y"]))
+    labels = points["label"].copy()
+    point_cluster = points["cluster_id"].copy()
+    del points
     if features_file == "features.csv":
         features = _read_features_csv(fpath, d, pids)
     else:
@@ -1017,10 +1029,10 @@ def load_dataset(path: str | Path) -> Dataset:
 
     ds = build_dataset(
         point_ids=pids,
-        coords=np.column_stack((points["x"], points["y"])),
+        coords=coords,
         features=features,
-        labels=points["label"].copy(),   # not a view that keeps the table alive
-        point_cluster=points["cluster_id"],
+        labels=labels,
+        point_cluster=point_cluster,
         cluster_stratum=cluster_stratum,
         split_seed=meta.get("split_seed", 0),
         test_fraction=float(meta.get("test_fraction", 0.2)),

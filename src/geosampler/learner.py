@@ -194,7 +194,12 @@ def _kmeanspp_init(X: np.ndarray, G: int, rng: np.random.Generator) -> np.ndarra
     n = X.shape[0]
     centroids = np.empty((G, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    dist_sq = np.sum((X - centroids[0]) ** 2, axis=1)
+    # every squared difference goes into one (n, d) buffer; its row sums are
+    # those of np.sum((X - c) ** 2, axis=1), bit for bit
+    diff = np.empty(X.shape)
+    np.subtract(X, centroids[0], out=diff)
+    diff *= diff
+    dist_sq = diff.sum(axis=1)
     for j in range(1, G):
         total = dist_sq.sum()
         if total <= 0:
@@ -202,7 +207,9 @@ def _kmeanspp_init(X: np.ndarray, G: int, rng: np.random.Generator) -> np.ndarra
             continue
         probs = dist_sq / total
         centroids[j] = X[rng.choice(n, p=probs)]
-        dist_sq = np.minimum(dist_sq, np.sum((X - centroids[j]) ** 2, axis=1))
+        np.subtract(X, centroids[j], out=diff)
+        diff *= diff
+        np.minimum(dist_sq, diff.sum(axis=1), out=dist_sq)
     return centroids
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, build_dataset, write_json
+from .data import Dataset, write_json
 
 # rows of feature noise drawn at once
 _NOISE_BLOCK_ROWS = 8192
@@ -96,39 +96,40 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
 
     coords = np.concatenate(cluster_coords)
     sizes = [len(c) for c in cluster_coords]
-    n, m = len(coords), len(cluster_coords)
-    pid_width = len(str(n - 1))
-    cid_width = len(str(m - 1))
-    point_ids = list(map(f"p%0{pid_width}d".__mod__, range(n)))
-    cluster_ids = list(map(f"c%0{cid_width}d".__mod__, range(m)))
-    stratum_ids = list(w_by_stratum)
-    cluster_stratum = {
-        cid: stratum_ids[j // cfg.clusters_per_stratum] for j, cid in enumerate(cluster_ids)
-    }
-    point_cluster = [cid for cid, size in zip(cluster_ids, sizes) for _ in range(size)]
-    point_stratum = np.repeat(np.arange(m) // cfg.clusters_per_stratum, sizes)
+    del cluster_coords
+    n, m = len(coords), len(sizes)
+    # zero-padded ids of one width are sorted and unique as formatted, so the
+    # rows stay as drawn and the index arrays are built from the row numbers
+    cluster_rows = np.arange(m, dtype=np.int64)
+    point_cluster = np.repeat(cluster_rows, sizes)
+    cluster_stratum = cluster_rows // cfg.clusters_per_stratum
+    # stratum s holds the point rows stratum_start[s]:stratum_start[s + 1]
+    stratum_start = np.concatenate(([0], np.cumsum(sizes)))[::cfg.clusters_per_stratum]
 
     # feature field: a smooth sinusoidal mean per feature plus noise, built in
-    # place; the noise is drawn a block of rows at a time (the same normal
-    # stream as one (n, d) draw), so no second (n, d) matrix is held
+    # place; the noise is drawn into one reused block of rows at a time (the
+    # same normal stream as one (n, d) draw), so no second (n, d) matrix is held
     features = coords @ freq.T
     features += phase
     np.sin(features, out=features)
     features *= cfg.feature_scale
     w = np.array(list(w_by_stratum.values()))
     signal = np.empty(n)
+    noise = np.empty((min(n, _NOISE_BLOCK_ROWS), d))
     # finite settings can still overflow (a feature_scale of 1e200 squares
     # past the largest float in the variance); that is checked below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, _NOISE_BLOCK_ROWS):
             block = features[lo:lo + _NOISE_BLOCK_ROWS]
-            noise = rng.normal(size=block.shape)
-            noise *= cfg.feature_noise
-            block += noise
+            block_noise = noise[:len(block)]
+            rng.standard_normal(out=block_noise)
+            block_noise *= cfg.feature_noise
+            block += block_noise
+        del noise
+        for s, (lo, hi) in enumerate(zip(stratum_start[:-1], stratum_start[1:])):
             # a stack of 1 x d by d x 1 products: numpy computes each as the
             # vector dot w[s] @ row, so the signal is that dot bit for bit
-            w_rows = w[point_stratum[lo:lo + len(block)], :, None]
-            signal[lo:lo + len(block)] = np.matmul(block[:, None, :], w_rows)[:, 0, 0]
+            signal[lo:hi] = np.matmul(features[lo:hi, None, :], w[s][:, None])[:, 0, 0]
 
         signal_var = float(np.var(signal))
         if not math.isfinite(signal_var):
@@ -141,13 +142,18 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         if not math.isfinite(sigma * sigma):   # the snr below divides by it
             raise SynthError(f"the label noise variance overflows (sigma {sigma}); "
                              "lower noise or feature_scale")
-        labels = signal + sigma * rng.normal(size=n)
+        # signal + sigma * noise, added in place (the sum is the same either way round)
+        labels = rng.standard_normal(n)
+        labels *= sigma
+        labels += signal
     if not np.isfinite(labels).all():   # a backstop: both variances above are finite
         raise SynthError("a label overflows; lower feature_scale, feature_noise or noise")
 
     split_seed = int(rng.integers(2**31 - 1))
-    ds = build_dataset(
-        point_ids=point_ids,
+    ds = Dataset(
+        point_ids=tuple(map(f"p%0{len(str(n - 1))}d".__mod__, range(n))),
+        cluster_ids=tuple(map(f"c%0{len(str(m - 1))}d".__mod__, range(m))),
+        stratum_ids=tuple(w_by_stratum),
         coords=coords,
         features=features,
         labels=labels,

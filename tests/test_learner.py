@@ -396,6 +396,65 @@ class TestLloydKernel:
         assert res.inertia == best[2]
 
 
+def temporaries_kmeanspp_init(X, G, rng):
+    """k-means++ seeding as it was before it reused one (n, d) buffer: two
+    fresh n x d temporaries per seeded centroid."""
+    n = X.shape[0]
+    centroids = np.empty((G, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    dist_sq = np.sum((X - centroids[0]) ** 2, axis=1)
+    for j in range(1, G):
+        total = dist_sq.sum()
+        if total <= 0:
+            centroids[j] = X[rng.integers(n)]
+            continue
+        probs = dist_sq / total
+        centroids[j] = X[rng.choice(n, p=probs)]
+        dist_sq = np.minimum(dist_sq, np.sum((X - centroids[j]) ** 2, axis=1))
+    return centroids
+
+
+class TestKMeansPlusPlus:
+    @staticmethod
+    def instances():
+        """(X, G): Gaussian rows at several scales, d = 1, integer grids,
+        duplicate rows, G = n and rows all equal (a zero total distance)."""
+        rng = np.random.default_rng(77)
+        cases = []
+        for t in range(200):
+            kind = t % 5
+            n = int(rng.integers(1, 60))
+            d = 1 if t % 7 == 0 else int(rng.integers(1, 9))
+            if kind == 0:
+                X = rng.normal(size=(n, d))
+            elif kind == 1:
+                X = rng.normal(size=(n, d)) * 1e3 + 1e4
+            elif kind == 2:
+                X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+            elif kind == 3:
+                distinct = rng.normal(size=(max(1, n // 4), d))
+                X = distinct[rng.integers(0, len(distinct), size=n)]
+            else:
+                X = np.tile(rng.normal(size=(1, d)), (n, 1))
+            G = (n, 1, int(rng.integers(1, n + 1)))[t % 3]
+            cases.append((X, G))
+        return cases
+
+    def test_matches_the_two_temporaries_seeding_bit_for_bit(self):
+        kinds = {"d=1": 0, "G=n": 0, "zero total": 0}
+        for t, (X, G) in enumerate(self.instances()):
+            ref_rng, rng = np.random.default_rng(t), np.random.default_rng(t)
+            ref = temporaries_kmeanspp_init(X, G, ref_rng)
+            got = _kmeanspp_init(X, G, rng)
+            assert got.tobytes() == ref.tobytes(), t
+            # the same draws were taken
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, t
+            kinds["d=1"] += X.shape[1] == 1
+            kinds["G=n"] += G == len(X) > 1
+            kinds["zero total"] += G > 1 and bool(np.all(X == X[0]))
+        assert min(kinds.values()) >= 10, kinds
+
+
 def full_source_sample(ds):
     clusters = np.flatnonzero(ds.cluster_is_source)
     return SampleState(
