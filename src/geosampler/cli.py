@@ -13,8 +13,7 @@ keeps the default its dataclass declares. The other flags are ``--out-dir``,
 ``bin``, the default of ``save_dataset``, or text ``csv``). ``--config FILE``
 (``generate`` and the studies) takes a JSON document whose keys override the
 flags, decoded by :func:`~geosampler.experiments.from_json`. Exit codes: 0
-success, 2 config error (any bad input, including a missing input file), 3
-infeasible request.
+success, 2 config error (any bad input, including a missing input file).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    BUDGET_SCOPES,
     FEATURES_FORMATS,
     _csv_header,
     _read_rows,
@@ -60,7 +58,7 @@ from .experiments import (
 )
 from .groups import admin_groups, auxiliary_kmeans_groups, feature_kmeans_groups, save_group_model
 from .learner import fit_on_sample, save_model
-from .optimizer import STEP_RULES, InfeasibleError, SolveOptions, save_solve_result
+from .optimizer import STEP_RULES, SolveOptions, save_solve_result
 from .samplers import SamplerConfig, draw_initial_sample, solve_and_augment
 from .synth import SynthConfig, generate, save_truth
 
@@ -101,12 +99,12 @@ def _fields(cls, *without: str) -> tuple[str, ...]:
 # the config fields the commands take as flags: --methods (--utility) sets
 # UtilityConfig.kind and groups, and --config alone
 # ExperimentConfig.convenience_anchors, a tuple of pairs
-_OPTIMIZE_FIELDS = _fields(SamplerConfig) + ("c1", "c2", "budget_scope") + _fields(SolveOptions)
+_OPTIMIZE_FIELDS = _fields(SamplerConfig) + ("c1", "c2") + _fields(SolveOptions)
 _STUDY_FIELDS = _fields(ExperimentConfig, "synth", "baselines", "utilities", "convenience_anchors")
 _UTILITY_FIELDS = _fields(UtilityConfig, "kind", "groups")
 # a pair field's separator; a tuple[X, ...] field's text is a comma list of X
 _SEPARATORS = {"strata_grid": "x", "points_per_cluster": ":"}
-_CHOICES = {"step_rule": STEP_RULES, "budget_scope": BUDGET_SCOPES}
+_CHOICES = {"step_rule": STEP_RULES}
 _HELP = {"dataset": "dataset bundle directory", "strata_grid": "e.g. 3x2",
          "points_per_cluster": "e.g. 10:30", "budgets": "comma-separated budgets",
          "seeds": "comma-separated seeds; defaults to the single --seed"}
@@ -357,9 +355,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_out_dir(args.out_dir)   # every command takes one
         return args.func(args)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:   # every package error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,16 +7,15 @@ clusters and strata are rows of the sorted id tuples ``point_ids``,
 (a ``stratum_ids`` row per cluster). The train/test split masks are not
 stored: they are derived from the labels, ``split_seed`` and
 ``test_fraction``. A :class:`SampleState` holds cluster and point rows too.
-String ids are translated at the I/O boundaries: ``build_dataset``, bundle
-load/save and ``sample.json`` (``save_sample_state``/``load_sample_state``).
-Three things inside still hold ids. The initial strata are a set of stratum
-ids (``SampleState.initial_strata`` and ``CostModel.initial_strata``), which
-``Dataset.stratum_flags`` turns into a per-stratum mask on every
-:func:`cluster_costs` call. The library-only ``CostModel.per_cluster_override``
+The initial strata (``SampleState.initial_strata`` and
+``CostModel.initial_strata``) are a set of ``stratum_ids`` rows. String ids
+are translated at the I/O boundaries: ``build_dataset``, bundle load/save and
+``sample.json`` (``save_sample_state``/``load_sample_state``). Two things
+inside still hold ids. The library-only ``CostModel.per_cluster_override``
 is keyed by cluster id. And :class:`Cluster`, built on demand by
-``Dataset.cluster(cid)`` for :func:`cluster_cost`, is an id-keyed record,
-because ``perfbench/`` prices the cluster ids that rounding returns that
-way.
+``Dataset.cluster(cid)`` for :func:`cluster_cost`, is an id-keyed record
+(priced by its stratum row), because ``perfbench/`` prices the cluster ids
+that rounding returns that way.
 
 A dataset is stored on disk as a bundle directory:
 
@@ -85,10 +84,12 @@ class CostError(ValueError):
 
 @dataclass(frozen=True)
 class Cluster:
-    """A sampling unit: selecting it permits labeling up to k of its points."""
+    """A sampling unit: selecting it permits labeling up to k of its points.
+    ``stratum`` is the row of ``stratum_id`` in ``Dataset.stratum_ids``."""
 
     cluster_id: str
     stratum_id: str
+    stratum: int
     point_ids: tuple[str, ...]
 
 
@@ -188,18 +189,15 @@ class Dataset:
         """Rows of ``point_ids`` for the given ids, in order."""
         return _indices(self.point_index, point_ids, "point")
 
-    def stratum_flags(self, stratum_ids: Iterable[str]) -> np.ndarray:
-        """(S,) bool: True for the named strata; unknown ids are ignored."""
-        chosen = frozenset(stratum_ids)
-        return np.array([sid in chosen for sid in self.stratum_ids], dtype=bool)
-
     # -- the one id-keyed record (see the module docstring) ----------------
 
     def cluster(self, cluster_id: str) -> Cluster:
         j = int(self.cluster_indices([cluster_id])[0])
+        s = int(self.cluster_stratum[j])
         return Cluster(
             cluster_id=cluster_id,
-            stratum_id=self.stratum_ids[self.cluster_stratum[j]],
+            stratum_id=self.stratum_ids[s],
+            stratum=s,
             point_ids=tuple(self.point_ids[i] for i in self.rows_of_cluster(j)),
         )
 
@@ -347,8 +345,6 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
 
 # -- cost model -----------------------------------------------------------
 
-BUDGET_SCOPES = ("augmentation", "total")
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -357,20 +353,18 @@ class CostModel:
     ``c1`` applies to clusters inside the initial strata, ``c2`` outside;
     ``per_cluster_override`` (cluster id to cost) wins over both. It is a
     library-only setting: no command or file sets it. Every cost must be
-    positive and finite. ``initial_strata`` must be bound
-    (via :meth:`with_initial_strata`) before stratum-dependent costs can be
-    queried, unless ``c1 == c2``. ``budget`` is the one budget every
-    augmentation spends: new clusters only under the default
-    ``budget_scope="augmentation"``, the whole sample under ``"total"``. It
-    may be infinite.
+    positive and finite. ``initial_strata``, a set of ``Dataset.stratum_ids``
+    rows, must be bound (via :meth:`with_initial_strata`) before
+    stratum-dependent costs can be queried, unless ``c1 == c2``. ``budget``
+    is the one budget every augmentation spends, on new clusters only: the
+    initial sample is sunk cost. It may be infinite.
     """
 
     c1: float
     c2: float
     budget: float
     per_cluster_override: Mapping[str, float] | None = None
-    initial_strata: frozenset[str] | None = None
-    budget_scope: str = BUDGET_SCOPES[0]
+    initial_strata: frozenset[int] | None = None
 
     def __post_init__(self):
         if not (self.c2 >= self.c1 > 0):
@@ -379,15 +373,13 @@ class CostModel:
             raise CostError("cost model requires finite c1 and c2")
         if not (self.budget >= 0):
             raise CostError("budget must be non-negative")
-        if self.budget_scope not in BUDGET_SCOPES:
-            raise CostError(f"unknown budget_scope {self.budget_scope!r}")
         if self.per_cluster_override:
             for cid, v in self.per_cluster_override.items():
                 if not (0 < v < math.inf):
                     raise CostError(f"override for {cid!r} must be positive and finite")
 
-    def with_initial_strata(self, stratum_ids: Iterable[str]) -> "CostModel":
-        return replace(self, initial_strata=frozenset(stratum_ids))
+    def with_initial_strata(self, strata: Iterable[int]) -> "CostModel":
+        return replace(self, initial_strata=frozenset(strata))
 
 
 def cluster_cost(cm: CostModel, cluster: Cluster) -> float:
@@ -400,7 +392,7 @@ def cluster_cost(cm: CostModel, cluster: Cluster) -> float:
         raise CostError(
             "initial strata not fixed; bind the cost model with with_initial_strata()"
         )
-    return float(cm.c1 if cluster.stratum_id in cm.initial_strata else cm.c2)
+    return float(cm.c1 if cluster.stratum in cm.initial_strata else cm.c2)
 
 
 def cluster_costs(cm: CostModel, ds: Dataset) -> np.ndarray:
@@ -412,7 +404,7 @@ def cluster_costs(cm: CostModel, ds: Dataset) -> np.ndarray:
             "initial strata not fixed; bind the cost model with with_initial_strata()"
         )
     else:
-        in_initial = ds.stratum_flags(cm.initial_strata)[ds.cluster_stratum]
+        in_initial = np.isin(ds.cluster_stratum, list(cm.initial_strata))
         costs = np.where(in_initial, float(cm.c1), float(cm.c2))
     for cid, value in (cm.per_cluster_override or {}).items():
         if cid in ds.cluster_index:
@@ -468,9 +460,10 @@ class SampleState:
     augmentation step) are rows of ``Dataset.cluster_ids``; ``labeled`` holds
     rows of ``Dataset.point_ids`` grouped by cluster in that order, each
     cluster's points in draw order. The int64 arrays are read-only copies, so
-    one state can be shared by every arm that augments it. ``spent`` counts
-    augmentation clusters only (the initial sample is sunk cost under the
-    default budget convention).
+    one state can be shared by every arm that augments it. ``initial_strata``
+    is the set of ``Dataset.stratum_ids`` rows the initial sample was drawn
+    in. ``spent`` counts augmentation clusters only (the initial sample is
+    sunk cost).
     """
 
     initial: np.ndarray
@@ -478,7 +471,7 @@ class SampleState:
     labeled: np.ndarray
     k: int
     spent: float
-    initial_strata: frozenset[str]
+    initial_strata: frozenset[int]
     infeasible: bool = False
     lineage: tuple[str, ...] = ()
 
@@ -516,7 +509,7 @@ def save_sample_state(ds: Dataset, state: SampleState, path: str | Path) -> None
         },
         "k": state.k,
         "spent": state.spent,
-        "initial_strata": sorted(state.initial_strata),
+        "initial_strata": sorted(ds.stratum_ids[s] for s in state.initial_strata),
         "infeasible": state.infeasible,
         "lineage": list(state.lineage),
     }
@@ -598,9 +591,8 @@ def load_sample_state(ds: Dataset, path: str | Path) -> SampleState:
         raise DatasetError(
             f"point {point_ids[i]!r} labeled under wrong cluster {ds.cluster_ids[owner[i]]!r}"
         )
-    unknown = [sid for sid in doc["initial_strata"] if sid not in ds.stratum_ids]
-    if unknown:
-        raise DatasetError(f"unknown stratum id {unknown[0]!r}")
+    strata = _indices({sid: s for s, sid in enumerate(ds.stratum_ids)},
+                      doc["initial_strata"], "stratum")
     for kind, ids in (("cluster", cluster_ids), ("point", point_ids),
                       ("stratum", doc["initial_strata"])):
         repeated = [i for i, n in Counter(ids).items() if n > 1]
@@ -617,7 +609,7 @@ def load_sample_state(ds: Dataset, path: str | Path) -> SampleState:
         labeled=labeled,
         k=doc["k"],
         spent=float(doc["spent"]),
-        initial_strata=frozenset(doc["initial_strata"]),
+        initial_strata=frozenset(strata.tolist()),
         infeasible=bool(doc.get("infeasible", False)),
         lineage=tuple(doc.get("lineage", ())),
     )

@@ -125,7 +125,6 @@ class ExperimentConfig:
     c2: float = 50.0
     budgets: tuple[float, ...] = (100.0,)
     c2_sweep: tuple[float, ...] = (25.0, 30.0, 40.0, 50.0)
-    budget_scope: str = CostModel.budget_scope
     # methods
     baselines: tuple[str, ...] = BASELINES
     utilities: tuple[UtilityConfig, ...] = (UtilityConfig(),)
@@ -168,12 +167,7 @@ class ExperimentConfig:
         )
 
     def cost_model(self, budget: float, c2: float | None = None) -> CostModel:
-        return CostModel(
-            c1=self.c1,
-            c2=self.c2 if c2 is None else c2,
-            budget=budget,
-            budget_scope=self.budget_scope,
-        )
+        return CostModel(c1=self.c1, c2=self.c2 if c2 is None else c2, budget=budget)
 
 
 _MISMATCH = object()

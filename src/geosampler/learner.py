@@ -190,16 +190,29 @@ class KMeansResult:
     inertia_trace: tuple[float, ...]   # winning restart's per-iteration inertia, expanded distances
 
 
+# Rows per block of the distance passes: a block's temporaries stay in cache.
+_BLOCK_ROWS = 2048
+
+
 def _kmeanspp_init(X: np.ndarray, G: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
     centroids = np.empty((G, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    # every squared difference goes into one (n, d) buffer; its row sums are
-    # those of np.sum((X - c) ** 2, axis=1), bit for bit
-    diff = np.empty(X.shape)
-    np.subtract(X, centroids[0], out=diff)
-    diff *= diff
-    dist_sq = diff.sum(axis=1)
+    # the squared differences to a new centroid go through one block of rows
+    # at a time; each row's sum is that of np.sum((X - c) ** 2, axis=1), bit
+    # for bit, and the minimum with the initial inf is that sum itself
+    diff = np.empty((min(n, _BLOCK_ROWS), X.shape[1]))
+    dist_sq = np.full(n, np.inf)
+
+    def take_nearer(c: np.ndarray) -> None:
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = dist_sq[start:start + _BLOCK_ROWS]
+            block = diff[:rows.size]
+            np.subtract(X[start:start + _BLOCK_ROWS], c, out=block)
+            block *= block
+            np.minimum(rows, block.sum(axis=1), out=rows)
+
+    take_nearer(centroids[0])
     for j in range(1, G):
         total = dist_sq.sum()
         if total <= 0:
@@ -207,14 +220,8 @@ def _kmeanspp_init(X: np.ndarray, G: int, rng: np.random.Generator) -> np.ndarra
             continue
         probs = dist_sq / total
         centroids[j] = X[rng.choice(n, p=probs)]
-        np.subtract(X, centroids[j], out=diff)
-        diff *= diff
-        np.minimum(dist_sq, diff.sum(axis=1), out=dist_sq)
+        take_nearer(centroids[j])
     return centroids
-
-
-# Rows per block of the distance passes: a block's temporaries stay in cache.
-_BLOCK_ROWS = 2048
 
 
 def _nearest(

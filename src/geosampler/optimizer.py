@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CostModel, Dataset, SampleState, cluster_costs, set_cost, write_csv, write_json
+from .data import CostModel, Dataset, SampleState, cluster_costs, write_csv, write_json
 from .utility import (
     ExpectedCounts,
     InclusionVector,
@@ -189,14 +189,14 @@ def affordable_prefix(costs: np.ndarray, budget: float) -> tuple[int, float]:
 
 
 def remaining_budget(ds: Dataset, cm: CostModel, state: SampleState) -> float:
-    """Budget left for new clusters under the cost model's budget scope."""
-    if cm.budget_scope == "augmentation":
-        return cm.budget - state.spent
-    return cm.budget - set_cost(cm, ds, state.clusters)
+    """Budget left for new clusters: the cost model's budget less what the
+    sample's augmentations spent (the initial sample is sunk cost). ``ds`` is
+    not read."""
+    return cm.budget - state.spent
 
 
 def bind_costs(cm: CostModel, state: SampleState) -> CostModel:
-    """Price c1/c2 by the sample's initial strata unless the model is bound."""
+    """Price c1/c2 by the sample's initial strata rows unless the model is bound."""
     return cm if cm.initial_strata is not None else cm.with_initial_strata(state.initial_strata)
 
 
@@ -223,7 +223,7 @@ def solve_relaxation(
     if budget < 0:
         raise InfeasibleError(
             f"remaining budget is negative ({budget:.6g}); "
-            f"scope={cm.budget_scope!r}, total={cm.budget:.6g}"
+            f"spent={state.spent:.6g}, budget={cm.budget:.6g}"
         )
 
     m = ds.n_clusters

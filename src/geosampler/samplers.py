@@ -130,10 +130,7 @@ def draw_initial_sample(
         )
     strata_rng = np.random.default_rng(cfg.strata_seed)
     chosen = strata_rng.choice(n_strata, size=cfg.n_strata, replace=False)
-    initial_strata = frozenset(ds.stratum_ids[i] for i in sorted(chosen))
-
-    in_initial = ds.stratum_flags(initial_strata)[ds.cluster_stratum]
-    cand = np.flatnonzero(ds.cluster_is_source & in_initial)
+    cand = np.flatnonzero(ds.cluster_is_source & np.isin(ds.cluster_stratum, chosen))
     reachable = int(np.minimum(cfg.k, ds.cluster_sizes[cand]).sum())
     if reachable < cfg.initial_size:
         raise SamplingError(
@@ -156,7 +153,7 @@ def draw_initial_sample(
         labeled=labeled,
         k=cfg.k,
         spent=0.0,
-        initial_strata=initial_strata,
+        initial_strata=frozenset(chosen.tolist()),
         lineage=(f"initial:pps(n_strata={cfg.n_strata},k={cfg.k},"
                  f"target={cfg.initial_size},strata_seed={cfg.strata_seed})",),
     )
@@ -201,7 +198,7 @@ def default_cluster_augment(
     strata until the budget is exhausted. Flagged infeasible when the strata
     run out of clusters while the budget could still buy one."""
     cm, costs, rem, cand = _priced(ds, state, cm)
-    ids = cand[ds.stratum_flags(state.initial_strata)[ds.cluster_stratum[cand]]]
+    ids = cand[np.isin(ds.cluster_stratum[cand], list(state.initial_strata))]
     picks: dict[int, np.ndarray] = {}
     while ids.size:
         affordable = ids[costs[ids] <= rem]
@@ -315,7 +312,7 @@ def _point_sample_state(ds: Dataset, rows: np.ndarray, tag: str) -> SampleState:
     """A point-level sample as a state: its clusters and their rows ascending."""
     owner = ds.point_cluster[rows]
     clusters = np.flatnonzero(np.bincount(owner, minlength=ds.n_clusters))
-    strata = frozenset(ds.stratum_ids[s] for s in ds.cluster_stratum[clusters])
+    strata = frozenset(ds.cluster_stratum[clusters].tolist())
     return SampleState(
         initial=clusters,
         augment=(),

@@ -312,15 +312,6 @@ class TestOptimize:
         assert code == 2
         assert repr(utility) in capsys.readouterr().err
 
-    def test_infeasible_exit_code(self, bundle, tmp_path):
-        # total scope with a budget below the initial sample cost
-        code = run_cli(
-            "optimize", "--dataset", bundle, "--out-dir", tmp_path / "o", "--seed", 1,
-            "--n-strata", 2, "--k", 10, "--initial-size", 80,
-            "--budget", 10, "--budget-scope", "total", "--utility", "rep-admin",
-        )
-        assert code == 3
-
 
     @pytest.mark.parametrize("flag, field", [
         ("--budget", "budget"), ("--gap-tol", "gap_tol"), ("--epsilon", "epsilon"),
@@ -713,6 +704,15 @@ class TestExperimentCommands:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_budget_scope_is_an_unknown_config_key(self, bundle, tmp_path, capsys):
+        # there is one budget convention: the budget pays for new clusters only
+        (tmp_path / "cfg.json").write_text(json.dumps({"budget_scope": "total"}))
+        code = run_cli("augment", "--dataset", bundle, "--seed", 0, "--out-dir", tmp_path / "x",
+                       "--config", tmp_path / "cfg.json")
+        assert code == 2
+        assert "unknown config key 'budget_scope'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_synth_study_without_train_point_is_config_error(self, tmp_path, capsys):
         code = run_cli("augment", "--seed", 1, "--test-fraction", "0.999",
                        "--out-dir", tmp_path / "x")
@@ -936,7 +936,6 @@ SAMPLER = [
 COST = [
     option("--c1", float),
     option("--c2", float),
-    option("--budget-scope", choices=("augmentation", "total")),
 ]
 SOLVER = [
     option("--max-iters", int),

@@ -5,6 +5,8 @@ run on the ids the dataset stores; the columnar results must match exactly.
 """
 
 import hashlib
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from geosampler.data import (
     cluster_cost,
     cluster_costs,
     expected_counts,
+    load_sample_state,
+    save_sample_state,
     split_masks_from_seed,
 )
 from geosampler.experiments import dataset_content_hash
@@ -98,6 +102,19 @@ def ref_content_hash(ds):
     for arr in (ds.coords, ds.features, ds.labels, ds.train_mask, ds.test_mask):
         h.update(arr.tobytes())
     return h.hexdigest()[:16]
+
+
+def ref_cluster_costs(ds, c1, c2, initial_ids, overrides):
+    """The id-set pricing that stratum rows replaced: ``Dataset.stratum_flags``
+    over the initial stratum ids, c1 inside them and c2 outside, then the
+    overrides by cluster id (an id the dataset lacks is ignored)."""
+    chosen = frozenset(initial_ids)
+    stratum_flags = np.array([sid in chosen for sid in ds.stratum_ids], dtype=bool)
+    costs = np.where(stratum_flags[ds.cluster_stratum], float(c1), float(c2))
+    for cid, value in overrides.items():
+        if cid in ds.cluster_index:
+            costs[ds.cluster_index[cid]] = float(value)
+    return costs
 
 
 def prediction_only_dataset(seed):
@@ -185,16 +202,38 @@ def test_content_hash_bytes_unchanged(ds):
 
 
 def test_cluster_costs_match_cluster_cost(ds):
-    overrides = {ds.cluster_ids[0]: 7.5, ds.cluster_ids[-1]: 80.25, "not-a-cluster": 3.0}
-    initial = set(ds.stratum_ids[:1])
-    for cm in (
-        CostModel(c1=25.0, c2=50.0, budget=100.0).with_initial_strata(initial),
-        CostModel(c1=25.0, c2=50.0, budget=100.0, per_cluster_override=overrides)
-        .with_initial_strata(initial),
-        CostModel(c1=30.0, c2=30.0, budget=100.0, per_cluster_override=overrides),
-    ):
-        want = [cluster_cost(cm, ds.cluster(cid)) for cid in ds.cluster_ids]
-        assert cluster_costs(cm, ds).tolist() == want
+    # rows priced as the id sets they name were, bit for bit, by both paths
+    n_strata = len(ds.stratum_ids)
+    rng = np.random.default_rng(n_strata)
+    subsets = [[], list(range(n_strata))] + [
+        rng.choice(n_strata, size=rng.integers(1, n_strata), replace=False).tolist()
+        for _ in range(6)
+    ]
+    absent = {ds.cluster_ids[0]: 7.5, ds.cluster_ids[-1]: 80.25, "not-a-cluster": 3.0}
+    prices = [(25.0, 50.0), (30.0, 30.0), (0.1, 0.30000000000000004)]
+    for (c1, c2), rows, overrides in itertools.product(prices, subsets, ({}, absent)):
+        want = ref_cluster_costs(ds, c1, c2, {ds.stratum_ids[s] for s in rows}, overrides)
+        cm = CostModel(c1=c1, c2=c2, budget=100.0, per_cluster_override=overrides)
+        cm = cm.with_initial_strata(rows)
+        one_by_one = np.array([cluster_cost(cm, ds.cluster(cid)) for cid in ds.cluster_ids])
+        assert cluster_costs(cm, ds).tobytes() == want.tobytes()
+        assert one_by_one.tobytes() == want.tobytes()
+
+
+def test_stratum_rows_follow_the_id_order(tmp_path):
+    # "s10" sorts before "s2", so the rows are not the ids' numeric order
+    ds = toy_dataset({"ca": 3, "cb": 4, "cc": 5}, {"ca": "s1", "cb": "s10", "cc": "s2"})
+    assert ds.stratum_ids == ("s1", "s10", "s2")
+    state = SampleState(initial=[2], augment=(), labeled=ds.rows_of_cluster(2), k=5,
+                        spent=0.0, initial_strata=frozenset({2, 1}))
+    cm = CostModel(c1=25.0, c2=50.0, budget=0.0).with_initial_strata(state.initial_strata)
+    want = ref_cluster_costs(ds, 25.0, 50.0, {"s10", "s2"}, {})
+    assert want.tolist() == [50.0, 25.0, 25.0]
+    assert cluster_costs(cm, ds).tobytes() == want.tobytes()
+    save_sample_state(ds, state, tmp_path / "sample.json")
+    doc = json.loads((tmp_path / "sample.json").read_text(encoding="utf-8"))
+    assert doc["initial_strata"] == ["s10", "s2"] == sorted({"s2", "s10"})
+    assert load_sample_state(ds, tmp_path / "sample.json").initial_strata == {1, 2}
 
 
 def test_cluster_costs_unbound_model_rejected(ds):

@@ -772,11 +772,11 @@ class TestCosts:
         return CostModel(**base)
 
     def test_in_strata_cluster_costs_c1(self, small_ds):
-        cm = self.make_cm().with_initial_strata({"s0"})
+        cm = self.make_cm().with_initial_strata({0})
         assert cluster_cost(cm, small_ds.cluster("ca")) == 25.0
 
     def test_out_of_strata_cluster_costs_c2(self, small_ds):
-        cm = self.make_cm().with_initial_strata({"s0"})
+        cm = self.make_cm().with_initial_strata({0})
         assert cluster_cost(cm, small_ds.cluster("cc")) == 50.0
 
     def test_equal_costs_ignore_strata(self, small_ds):
@@ -790,7 +790,7 @@ class TestCosts:
             cluster_cost(cm, small_ds.cluster("ca"))
 
     def test_override_wins(self, small_ds):
-        cm = self.make_cm(per_cluster_override={"cc": 7.5}).with_initial_strata({"s0"})
+        cm = self.make_cm(per_cluster_override={"cc": 7.5}).with_initial_strata({0})
         assert cluster_cost(cm, small_ds.cluster("cc")) == 7.5
         assert cluster_cost(cm, small_ds.cluster("ca")) == 25.0
 
@@ -819,18 +819,16 @@ class TestCosts:
         assert CostModel(c1=1.0, c2=2.0, budget=float("inf")).budget == float("inf")
 
     def test_set_cost_empty_is_zero(self, small_ds):
-        cm = self.make_cm().with_initial_strata({"s0"})
+        cm = self.make_cm().with_initial_strata({0})
         assert set_cost(cm, small_ds, []) == 0.0
 
     def test_set_cost_additivity(self, small_ds):
-        cm = self.make_cm().with_initial_strata({"s0"})
+        cm = self.make_cm().with_initial_strata({0})
         assert set_cost(cm, small_ds, small_ds.cluster_indices(["ca", "cc"])) == 75.0
 
     def test_set_cost_matches_brute_force_and_is_monotone(self, synth_ds):
         rng = np.random.default_rng(0)
-        cm = self.make_cm().with_initial_strata(
-            {synth_ds.stratum_ids[0], synth_ds.stratum_ids[1]}
-        )
+        cm = self.make_cm().with_initial_strata({0, 1})
         ids = list(synth_ds.cluster_ids)
         for _ in range(25):
             a = [cid for cid in ids if rng.random() < 0.4]
@@ -841,7 +839,7 @@ class TestCosts:
             assert set_cost(cm, synth_ds, rows_a) <= set_cost(cm, synth_ds, rows_b) + 1e-12
 
     def test_set_cost_unknown_id(self, small_ds):
-        cm = self.make_cm().with_initial_strata({"s0"})
+        cm = self.make_cm().with_initial_strata({0})
         with pytest.raises(DatasetError, match="zz"):
             set_cost(cm, small_ds, small_ds.cluster_indices(["zz"]))
 
@@ -854,7 +852,7 @@ class TestSampleState:
             labeled={"ca": ("p0000", "p0001"), "cb": ("p0004",)},
             k=5,
             spent=25.0,
-            initial_strata=frozenset({"s0"}),
+            initial_strata=frozenset({0}),
         )
         base.update(kw)
         return state_from_ids(ds, **base)

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from geosampler import learner
 from geosampler.data import SampleState
 from geosampler.learner import (
     DEFAULT_ALPHAS,
@@ -440,19 +442,34 @@ class TestKMeansPlusPlus:
             cases.append((X, G))
         return cases
 
-    def test_matches_the_two_temporaries_seeding_bit_for_bit(self):
-        kinds = {"d=1": 0, "G=n": 0, "zero total": 0}
-        for t, (X, G) in enumerate(self.instances()):
-            ref_rng, rng = np.random.default_rng(t), np.random.default_rng(t)
-            ref = temporaries_kmeanspp_init(X, G, ref_rng)
-            got = _kmeanspp_init(X, G, rng)
-            assert got.tobytes() == ref.tobytes(), t
-            # the same draws were taken
-            assert rng.bit_generator.state == ref_rng.bit_generator.state, t
-            kinds["d=1"] += X.shape[1] == 1
-            kinds["G=n"] += G == len(X) > 1
-            kinds["zero total"] += G > 1 and bool(np.all(X == X[0]))
+    def test_matches_the_two_temporaries_seeding_bit_for_bit(self, monkeypatch):
+        # one block holds every instance at the default size; blocks of 7 and
+        # 16 rows split most of them, most with a partial last block
+        kinds = {"d=1": 0, "G=n": 0, "zero total": 0, "partial last block": 0}
+        for block_rows in (learner._BLOCK_ROWS, 7, 16):
+            monkeypatch.setattr(learner, "_BLOCK_ROWS", block_rows)
+            for t, (X, G) in enumerate(self.instances()):
+                ref_rng, rng = np.random.default_rng(t), np.random.default_rng(t)
+                ref = temporaries_kmeanspp_init(X, G, ref_rng)
+                got = _kmeanspp_init(X, G, rng)
+                assert got.tobytes() == ref.tobytes(), (block_rows, t)
+                # the same draws were taken
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, (block_rows, t)
+                kinds["d=1"] += X.shape[1] == 1
+                kinds["G=n"] += G == len(X) > 1
+                kinds["zero total"] += G > 1 and bool(np.all(X == X[0]))
+                kinds["partial last block"] += len(X) > block_rows and len(X) % block_rows > 0
         assert min(kinds.values()) >= 10, kinds
+
+    def test_seeding_holds_one_block_of_differences_not_a_copy_of_x(self):
+        X = np.random.default_rng(3).normal(size=(20_000, 48))
+        tracemalloc.start()
+        try:
+            _kmeanspp_init(X, 8, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 4
 
 
 def full_source_sample(ds):
@@ -463,7 +480,7 @@ def full_source_sample(ds):
         labeled=np.concatenate([ds.rows_of_cluster(j) for j in clusters]),
         k=int(ds.cluster_sizes.max()),
         spent=0.0,
-        initial_strata=frozenset(ds.stratum_ids),
+        initial_strata=frozenset(range(len(ds.stratum_ids))),
     )
 
 
@@ -501,7 +518,7 @@ class TestEvaluateSample:
             labeled=ds.rows_of_cluster(one),
             k=full.k,
             spent=0.0,
-            initial_strata=frozenset({ds.stratum_ids[ds.cluster_stratum[one]]}),
+            initial_strata=frozenset({int(ds.cluster_stratum[one])}),
         )
         assert evaluate_sample(ds, single, seed=0) < evaluate_sample(ds, full, seed=0)
 

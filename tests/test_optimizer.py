@@ -205,7 +205,7 @@ def make_instance(
         c2=10.0,
         budget=budget,
         per_cluster_override=overrides,
-        initial_strata=frozenset({"s0"}),
+        initial_strata=frozenset({0}),
     )
     committed = tuple(sorted(committed))
     labeled = {cid: ds.cluster(cid).point_ids[: min(5, sizes[cid])] for cid in committed}
@@ -215,7 +215,7 @@ def make_instance(
         labeled=labeled,
         k=5,
         spent=0.0,
-        initial_strata=frozenset({"s0"}),
+        initial_strata=frozenset({0}),
     )
     G = groups
     assignment = rng.integers(0, G, size=ds.n_points)

@@ -314,7 +314,7 @@ def _state(ds, initial):
         labeled=np.zeros(0, dtype=np.int64),
         k=5,
         spent=0.0,
-        initial_strata=frozenset(ds.stratum_ids[:6]),
+        initial_strata=frozenset(range(6)),
     )
 
 

@@ -137,7 +137,7 @@ class TestDefaultClusterAugment:
         cm = CostModel(c1=25, c2=50, budget=200.0)
         out = default_cluster_augment(ds, state, cm, np.random.default_rng(1))
         for cid in ids(ds, out.augment):
-            assert ds.cluster(cid).stratum_id in state.initial_strata
+            assert ds.cluster(cid).stratum in state.initial_strata
 
     def test_flagged_infeasible_when_strata_run_dry(self):
         ds = survey_ds(n_strata=2, clusters_per_stratum=3)
@@ -167,12 +167,12 @@ class TestGreedySizeAugment:
         out = greedy_size_augment(ds, state, cm, np.random.default_rng(0))
         in_strata = [
             cid for cid in ids(ds, out.augment)
-            if ds.cluster(cid).stratum_id in state.initial_strata
+            if ds.cluster(cid).stratum in state.initial_strata
         ]
         # every unsampled in-strata cluster must be taken before any outside one
         unsampled_in = [
             c.cluster_id for c in map(ds.cluster, ds.cluster_ids)
-            if c.stratum_id in state.initial_strata
+            if c.stratum in state.initial_strata
             and c.cluster_id not in ids(ds, state.initial)
         ]
         assert sorted(in_strata) == sorted(unsampled_in)
@@ -276,7 +276,7 @@ class TestOptimizedAugment:
         ds = toy_dataset(sizes, strata, d=2, seed=13, test_fraction=0.0)
         cfg = SamplerConfig(n_strata=1, k=10, initial_size=30, strata_seed=1)
         state = draw_initial_sample(ds, cfg, np.random.default_rng(0))
-        assert state.initial_strata == frozenset({"s0"})
+        assert state.initial_strata == frozenset({0})
         gm = admin_groups(ds)
         spec = UtilitySpec(kind="group_rep", lam=0.5, epsilon=1e-6, groups=gm)
         cm = CostModel(c1=25, c2=25, budget=25.0)

@@ -244,7 +244,7 @@ def test_heterogeneity_penalizes_concentrated_training():
                 labeled=np.concatenate([ds.rows_of_cluster(j)[:10] for j in initial]),
                 k=10,
                 spent=0.0,
-                initial_strata=frozenset(ds.stratum_ids[ds.cluster_stratum[j]] for j in idx),
+                initial_strata=frozenset(ds.cluster_stratum[idx].tolist()),
             )
 
         r_conc = evaluate_sample(ds, state_of(concentrated), seed=seed)

@@ -242,7 +242,7 @@ class TestUtilityOfSample:
             labeled=labeled,
             k=100,
             spent=0.0,
-            initial_strata=frozenset({"s0", "s1"}),
+            initial_strata=frozenset({0, 1}),
         )
 
     def test_realized_size(self, small_ds):
