@@ -17,7 +17,6 @@ from .data import (
 )
 from .groups import GroupModel, admin_groups, auxiliary_kmeans_groups, feature_kmeans_groups
 from .learner import (
-    KMeansResult,
     RidgeModel,
     evaluate_sample,
     kmeans_groups,

@@ -346,6 +346,14 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
 # -- cost model -----------------------------------------------------------
 
 
+def _check_stratum_rows(strata: Iterable[object], error: type[ValueError]) -> None:
+    """Raise ``error`` naming an entry of ``strata`` that is not an int row
+    (Python or NumPy), such as a stratum id string, which would match no row."""
+    for s in strata:
+        if not isinstance(s, (int, np.integer)):
+            raise error(f"initial_strata holds stratum rows (ints), not {s!r}")
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Per-cluster monetary costs plus a total budget.
@@ -377,6 +385,8 @@ class CostModel:
             for cid, v in self.per_cluster_override.items():
                 if not (0 < v < math.inf):
                     raise CostError(f"override for {cid!r} must be positive and finite")
+        if self.initial_strata is not None:
+            _check_stratum_rows(self.initial_strata, CostError)
 
     def with_initial_strata(self, strata: Iterable[int]) -> "CostModel":
         return replace(self, initial_strata=frozenset(strata))
@@ -485,6 +495,7 @@ class SampleState:
             raise DatasetError(f"cluster row {min(overlap)} is in both the initial and augment sets")
         if self.k < 1:
             raise DatasetError("k must be >= 1")
+        _check_stratum_rows(self.initial_strata, DatasetError)
 
     @property
     def clusters(self) -> np.ndarray:

@@ -68,7 +68,7 @@ def admin_groups(ds: Dataset) -> GroupModel:
 
 def _kmeans_model(kind: str, X: np.ndarray, n_groups: int, seed: int) -> GroupModel:
     """Groups g0, g1, ... from k-means over the rows of X; shares are population proportions."""
-    assignment = kmeans_groups(X, n_groups, seed=seed).assignment
+    assignment = kmeans_groups(X, n_groups, seed=seed)
     gamma = _shares_from_assignment(assignment, n_groups)
     return GroupModel(kind, tuple(f"g{j}" for j in range(n_groups)), assignment, gamma)
 

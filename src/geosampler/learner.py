@@ -14,7 +14,8 @@ centroids are within the expansion's rounding bound are re-decided from the
 directly summed ``sum((x - c)^2)``, and the inertia that picks the winning
 restart is that exact sum. A centroid is the masked mean of its rows.
 Assignments, centroids and inertia equal those of the (n, G, d)
-difference-tensor form bit for bit.
+difference-tensor form bit for bit; `kmeans_groups` returns the winning
+restart's assignment.
 """
 
 from __future__ import annotations
@@ -150,18 +151,14 @@ def average_ranks(a: np.ndarray) -> np.ndarray:
     """Ranks starting at 1, ties replaced by their average rank."""
     a = np.asarray(a, dtype=np.float64)
     order = np.argsort(a, kind="stable")
-    ranks = np.empty(len(a), dtype=np.float64)
-    ranks[order] = np.arange(1, len(a) + 1, dtype=np.float64)
-    # average ranks within tied runs
     sorted_vals = a[order]
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    # a run of equal values starts wherever a sorted value differs from the one
+    # before it (a NaN differs from everything, so each is its own run); its
+    # members share the mean of its ranks, start + (len + 1) / 2, an exact half
+    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    lengths = np.diff(np.append(starts, len(a)))
+    ranks = np.empty(len(a), dtype=np.float64)
+    ranks[order] = np.repeat(starts + (lengths + 1) / 2, lengths)
     return ranks
 
 
@@ -180,14 +177,6 @@ def spearman_rho(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # -- k-means ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KMeansResult:
-    centroids: np.ndarray
-    assignment: np.ndarray
-    inertia: float
-    inertia_trace: tuple[float, ...]   # winning restart's per-iteration inertia, expanded distances
 
 
 # Rows per block of the distance passes: a block's temporaries stay in cache.
@@ -224,13 +213,12 @@ def _kmeanspp_init(X: np.ndarray, G: int, rng: np.random.Generator) -> np.ndarra
     return centroids
 
 
-def _nearest(
-    X: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid of every row, and the expanded squared distance to it.
+def _nearest(X: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid of every row.
 
-    The distances are ``|x|^2 - 2 x.c + |c|^2``, one GEMM per block of rows,
-    with ``x_sq`` holding ``|x|^2``. This expansion and the directly summed
+    Rows are first placed by the expanded squared distances
+    ``|x|^2 - 2 x.c + |c|^2``, one GEMM per block of rows, with ``x_sq``
+    holding ``|x|^2``. This expansion and the directly summed
     ``sum((x - c)^2)`` each stay within their forward error bound of the true
     distance, together under ``(2d + 5) eps (|x|^2 + max |c|^2)``. So only a
     row whose runner-up lies within twice that of its minimum can have another
@@ -238,7 +226,6 @@ def _nearest(
     with room to spare. Those rows (and any with a NaN) are decided again from
     the direct sums over all centroids, so the assignment equals the argmin of
     the direct sums bit for bit, exact ties included (the lower index wins).
-    The returned distances, clipped at 0, are the expanded ones.
     """
     n, d = X.shape
     G = centroids.shape[0]
@@ -246,7 +233,6 @@ def _nearest(
     tol = 8.0 * (d + 4) * np.finfo(np.float64).eps * (x_sq + c_sq.max())
     index = np.arange(G)
     assignment = np.empty(n, dtype=np.int64)
-    dist_sq = np.empty(n)
     for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         # (G, rows) layout: the reductions over centroids run along contiguous rows
@@ -263,8 +249,7 @@ def _nearest(
             direct = ((tied[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
             best[close] = direct.argmin(axis=1)
         assignment[rows] = best
-        dist_sq[rows] = np.maximum(low, 0.0)
-    return assignment, dist_sq
+    return assignment
 
 
 def _assigned_dist_sq(X: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
@@ -281,24 +266,21 @@ def _assigned_dist_sq(X: np.ndarray, centroids: np.ndarray, assignment: np.ndarr
 
 def _lloyd(
     X: np.ndarray, centroids: np.ndarray, max_iters: int
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Lloyd iterations from ``centroids`` (updated in place).
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lloyd iterations from ``centroids`` (updated in place); returns
+    (centroids, assignment, inertia).
 
     Each pass assigns rows with `_nearest`; ``|x|^2`` is computed once per
     call. A centroid is the mean of its rows, ``X[assignment == j].mean(axis=0)``,
     set in every pass. An empty cluster takes over the row farthest from its
-    centroid, visiting the clusters in index order. The returned inertia,
-    which picks the winning restart, sums the exact per-row distances
-    `_assigned_dist_sq`; the per-iteration trace sums the expanded ones, so
-    it can differ from the exact sums in the last bits.
+    centroid, visiting the clusters in index order. The inertia, which picks
+    the winning restart, sums the exact per-row distances `_assigned_dist_sq`.
     """
     n, G = X.shape[0], centroids.shape[0]
     x_sq = np.einsum("ij,ij->i", X, X)
     assignment = np.full(n, -1, dtype=np.int64)
-    trace: list[float] = []
     for _ in range(max_iters):
-        new_assignment, dist_sq = _nearest(X, x_sq, centroids)
-        trace.append(float(dist_sq.sum()))
+        new_assignment = _nearest(X, x_sq, centroids)
         if np.array_equal(new_assignment, assignment):
             break   # centroids unchanged since this pass: it is the final assignment
         assignment = new_assignment
@@ -314,32 +296,26 @@ def _lloyd(
                 assignment[far] = j
     else:
         # final assignment pass so every point sits with its nearest centroid
-        assignment, _ = _nearest(X, x_sq, centroids)
+        assignment = _nearest(X, x_sq, centroids)
     inertia = float(_assigned_dist_sq(X, centroids, assignment).sum())
-    return centroids, assignment, inertia, trace
+    return centroids, assignment, inertia
 
 
-def kmeans_groups(features: np.ndarray, G: int, seed: int = 0) -> KMeansResult:
-    """Lloyd's algorithm with k-means++ seeding, best inertia of KMEANS_RESTARTS runs."""
+def kmeans_groups(features: np.ndarray, G: int, seed: int = 0) -> np.ndarray:
+    """Lloyd's algorithm with k-means++ seeding: the int64 group of every row
+    in the run of least inertia among KMEANS_RESTARTS."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] == 0:
         raise LearnerError(f"features must be a 2-d matrix with a column, not shape {X.shape}")
     if G < 1 or G > X.shape[0]:
         raise LearnerError(f"need 1 <= G <= {X.shape[0]}, got {G}")
     rng = np.random.default_rng(seed)
-    best: tuple[np.ndarray, np.ndarray, float, list[float]] | None = None
+    best_assignment, best_inertia = None, np.inf
     for _ in range(KMEANS_RESTARTS):
-        init = _kmeanspp_init(X, G, rng)
-        cand = _lloyd(X, init.copy(), KMEANS_MAX_ITERS)
-        if best is None or cand[2] < best[2]:
-            best = cand
-    centroids, assignment, inertia, trace = best
-    return KMeansResult(
-        centroids=centroids,
-        assignment=assignment,
-        inertia=inertia,
-        inertia_trace=tuple(trace),
-    )
+        _, assignment, inertia = _lloyd(X, _kmeanspp_init(X, G, rng), KMEANS_MAX_ITERS)
+        if best_assignment is None or inertia < best_inertia:
+            best_assignment, best_inertia = assignment, inertia
+    return best_assignment
 
 
 # -- the evaluation harness --------------------------------------------------

@@ -818,6 +818,12 @@ class TestCosts:
                 CostModel(c1=c1, c2=c2, budget=10.0)
         assert CostModel(c1=1.0, c2=2.0, budget=float("inf")).budget == float("inf")
 
+    def test_stratum_id_strings_rejected(self):
+        # ids would match no cluster_stratum row, so every cluster would cost c2
+        with pytest.raises(CostError, match="initial_strata holds stratum rows.*'s0'"):
+            self.make_cm().with_initial_strata({"s0"})
+        assert self.make_cm().with_initial_strata({np.int64(1)}).initial_strata == {1}
+
     def test_set_cost_empty_is_zero(self, small_ds):
         cm = self.make_cm().with_initial_strata({0})
         assert set_cost(cm, small_ds, []) == 0.0
@@ -865,6 +871,10 @@ class TestSampleState:
         doc = json.loads(path.read_text())
         doc.update(fields)
         path.write_text(json.dumps(doc))
+
+    def test_stratum_id_strings_rejected(self, small_ds):
+        with pytest.raises(DatasetError, match="initial_strata holds stratum rows.*'s0'"):
+            self.make_state(small_ds, initial_strata=frozenset({"s0"}))
 
     def test_overlapping_initial_and_augment_rejected(self, small_ds):
         with pytest.raises(DatasetError, match="both"):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from geosampler.groups import (
     feature_kmeans_groups,
     save_group_model,
 )
+from geosampler.synth import SynthConfig, generate
 
 
 def test_admin_groups_follow_strata(synth_ds):
@@ -52,6 +54,22 @@ def test_feature_kmeans_groups_deterministic(synth_ds):
     np.testing.assert_array_equal(a.assignment, b.assignment)
     assert a.kind == "feature-kmeans"
     assert a.n_groups == 4
+
+
+def test_feature_kmeans_groups_of_readme_population_are_pinned():
+    # README step 1's population (generate --seed 42 --strata-grid 5x2
+    # --clusters-per-stratum 20 --points-per-cluster 25:35 --feature-dim 48
+    # --coef-dispersion 1.2 --target-snr 15) and step 2's k-means (--n-groups 8
+    # --seed 0): a change to the k-means kernel that moves one point of
+    # README's groups.csv changes this digest
+    ds, _ = generate(SynthConfig(strata_grid=(5, 2), clusters_per_stratum=20,
+                                 points_per_cluster=(25, 35), feature_dim=48,
+                                 coef_dispersion=1.2, target_snr=15, seed=42))
+    assignment = feature_kmeans_groups(ds, 8, seed=0).assignment
+    assert assignment.dtype == np.int64 and assignment.shape == (5989,)
+    assert hashlib.sha256(assignment.astype("<i8").tobytes()).hexdigest() == (
+        "877f385a975bb317bb6271a9e538093e3bbb6b93983edb0c32e8fd1c729c4007"
+    )
 
 
 def test_auxiliary_kmeans_groups(synth_ds):
